@@ -411,8 +411,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", help=f"output directory (or ${OUTDIR_ENV})")
     p.add_argument("--seed", type=int, help="eigensolver start-vector seed")
     p.add_argument("--tol", type=float, help="eigensolver residual tolerance")
-    p.add_argument("--solver", choices=("auto", "dense", "tridiagonal", "lanczos"),
-                   help="eigensolver path")
+    p.add_argument("--solver",
+                   choices=("auto", "dense", "tridiagonal", "shift-invert", "lanczos"),
+                   help="eigensolver path; auto picks dense for small problems, "
+                        "tridiagonal for two-body and shift-invert for three-body")
     p.add_argument("--deterministic", action="store_true", default=None,
                    help="fixed seeds and serial execution (default)")
 

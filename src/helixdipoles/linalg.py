@@ -3,15 +3,18 @@
 The discretized Hamiltonians of this package are real symmetric with local
 stencils, so they are stored row-compressed and diagonalized either densely
 (small problems), by a direct banded solver (tridiagonal operators), or by
-thick-restart Lanczos with full reorthogonalization (everything else).
-The Lanczos start vector is drawn from a seeded generator and the seed is
-carried in the result, so repeated runs are reproducible.
+ARPACK in shift-invert mode (everything else): the operator is shifted
+strictly below its Gershgorin bound, factored once by sparse LU, and the
+largest eigenvalues of the inverse are mapped back to the lowest of the
+operator.  Thick-restart Lanczos with full reorthogonalization remains
+available as a forced path.  The iterative start vectors are drawn from a
+seeded generator and the seed is carried in the result, so repeated runs
+are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
@@ -117,7 +120,6 @@ class EigenResult:
     vectors: np.ndarray
     residual_norms: np.ndarray
     quadrature_weight: float = 1.0
-    grid_handle: Any = None
     method: str = "dense"
     seed: int | None = None
     n_matvec: int = 0
@@ -131,7 +133,7 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _package(op, vals, vecs, weight, grid_handle, method, seed, n_matvec):
+def _package(op, vals, vecs, weight, method, seed, n_matvec):
     order = np.argsort(vals)
     vals = np.asarray(vals, dtype=float)[order]
     vecs = np.asarray(vecs, dtype=float)[:, order]
@@ -145,7 +147,6 @@ def _package(op, vals, vecs, weight, grid_handle, method, seed, n_matvec):
         vectors=vecs / np.sqrt(weight),
         residual_norms=residuals,
         quadrature_weight=weight,
-        grid_handle=grid_handle,
         method=method,
         seed=seed,
         n_matvec=n_matvec + len(vals),
@@ -160,7 +161,6 @@ def lowest_eigenpairs(
     method: str = "auto",
     seed: int = DEFAULT_SEED,
     quadrature_weight: float = 1.0,
-    grid_handle: Any = None,
     max_basis: int | None = None,
     max_matvecs: int = DEFAULT_MAX_MATVECS,
 ) -> EigenResult:
@@ -169,24 +169,35 @@ def lowest_eigenpairs(
     Args:
         op: operator to diagonalize.
         k: number of eigenpairs, ``1 <= k <= n/4``.
-        tol: iterative residual target relative to the operator norm
-            estimate, within ``[1e-12, 1e-4]``.
-        method: ``auto`` (dense below 2000 unknowns, direct banded solve for
-            tridiagonal operators, thick-restart Lanczos otherwise),
-            or one of ``dense`` / ``tridiagonal`` / ``lanczos`` to force a path.
-        seed: start-vector seed for the Lanczos path.
+        tol: iterative convergence target within ``[1e-12, 1e-4]``: the
+            Lanczos residual relative to the operator-norm estimate, or
+            ARPACK's relative accuracy of the shift-inverted eigenvalues.
+        method: ``auto`` (dense up to ``DENSE_CUTOFF`` unknowns, direct
+            banded solve for tridiagonal operators, shift-invert otherwise),
+            or one of ``dense`` / ``tridiagonal`` / ``shift-invert`` /
+            ``lanczos`` to force a path.
+        seed: start-vector seed for the shift-invert and Lanczos paths.
         quadrature_weight: per-node quadrature weight used to normalize the
             returned eigenvectors as grid functions.
+        max_basis: Lanczos basis size (Lanczos only).
+        max_matvecs: cap on the iterative operator applications: matvecs
+            for Lanczos, sparse LU solves for shift-invert.
+
+    ``n_matvec`` of the result counts those applications plus the ``k``
+    matvecs of the final residual check.
 
     Raises:
-        ConvergenceError: Lanczos hit ``max_matvecs`` before reaching the
-            residual target (best pairs are attached to the exception).
+        ConvergenceError: an iterative path hit ``max_matvecs`` or stopped
+            before reaching ``tol`` (best pairs are attached to the
+            exception).
     """
     n = op.n
     if not 1 <= k <= max(1, n // 4):
         raise DimensionError(f"k={k} outside [1, n/4] for n={n}")
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
+    if max_matvecs < 1:
+        raise ValueError("max_matvecs must be >= 1")
 
     if method == "auto":
         if n <= DENSE_CUTOFF:
@@ -194,24 +205,94 @@ def lowest_eigenpairs(
         elif op.is_tridiagonal():
             method = "tridiagonal"
         else:
-            method = "lanczos"
+            method = "shift-invert"
 
     if method == "dense":
         vals, vecs = np.linalg.eigh(op.to_dense())
         return _package(op, vals[:k], vecs[:, :k], quadrature_weight,
-                        grid_handle, "dense", None, 0)
+                        "dense", None, 0)
     if method == "tridiagonal":
         if not op.is_tridiagonal():
             raise DimensionError("operator is not tridiagonal")
         diag, off = op.tridiagonal_bands()
         vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
         return _package(op, vals, vecs, quadrature_weight,
-                        grid_handle, "tridiagonal", None, 0)
+                        "tridiagonal", None, 0)
+    if method == "shift-invert":
+        vals, vecs, n_mv = _shift_invert_arpack(op, k, tol, seed, max_matvecs)
+        return _package(op, vals, vecs, quadrature_weight,
+                        "shift-invert", seed, n_mv)
     if method == "lanczos":
         vals, vecs, n_mv = _thick_restart_lanczos(op, k, tol, seed, max_basis, max_matvecs)
         return _package(op, vals, vecs, quadrature_weight,
-                        grid_handle, "lanczos", seed, n_mv)
+                        "lanczos", seed, n_mv)
     raise ValueError(f"unknown method {method!r}")
+
+
+class _SolveCapReached(Exception):
+    """Raised from inside ARPACK when the LU-solve budget is spent."""
+
+
+def _shift_invert_arpack(op, k, tol, seed, max_matvecs):
+    """ARPACK on ``(H - sigma)^-1`` with ``sigma`` strictly below the spectrum.
+
+    ``sigma`` sits below the Gershgorin bound ``min_i (2 a_ii - sum_j |a_ij|)``,
+    so ``H - sigma`` is positive definite and its LU factor needs no
+    pivoting.  The symmetric minimum-degree ordering of ``A' + A`` keeps the
+    factor's fill (and memory) about half of splu's default COLAMD ordering
+    on the wedge stencil.  The largest eigenvalues ``mu`` of the inverse give
+    ``E = sigma + 1/mu``.  Returns values, vectors and the LU-solve count.
+    """
+    from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
+                                     LinearOperator, eigsh, splu)
+
+    n = op.n
+    if n < 2:
+        raise DimensionError("shift-invert needs at least 2 unknowns")
+    if not np.all(np.isfinite(op.csr.data)):
+        raise ValueError("operator has non-finite entries")
+    radii = np.asarray(abs(op.csr).sum(axis=1)).ravel()
+    lower = float(np.min(2.0 * op.diagonal() - radii))
+    sigma = lower - 1e-3 * max(1.0, abs(lower))
+    lu = splu((op.csr - sigma * sp.identity(n, format="csr")).tocsc(),
+              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+
+    ncv = min(n, max(2 * k + 1, 20))
+    n_solve = 0
+    last = []  # outputs of the final ncv solves before the cap, for Ritz pairs
+
+    def solve(x):
+        nonlocal n_solve
+        if n_solve >= max_matvecs:
+            raise _SolveCapReached
+        n_solve += 1
+        y = lu.solve(x)
+        if n_solve > max_matvecs - ncv:
+            last.append(y)
+        return y
+
+    inverse = LinearOperator((n, n), matvec=solve, dtype=float)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        mu, vecs = eigsh(inverse, k=k, which="LA", ncv=ncv, tol=tol, v0=v0)
+    except _SolveCapReached:
+        # Rayleigh-Ritz on the span of the last solve outputs
+        q = np.linalg.qr(np.column_stack(last))[0]
+        theta, y = np.linalg.eigh(q.T @ (op.csr @ q))
+        kk = min(k, theta.size)
+        raise ConvergenceError(
+            f"shift-invert did not reach tol={tol:g} within {max_matvecs} LU solves",
+            result=(theta[:kk], q @ y[:, :kk]),
+        ) from None
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"shift-invert ARPACK did not converge: {exc}",
+            result=(sigma + 1.0 / exc.eigenvalues, exc.eigenvectors),
+        ) from None
+    except ArpackError as exc:
+        raise ConvergenceError(f"shift-invert ARPACK failed: {exc}") from None
+    return sigma + 1.0 / mu, vecs, n_solve
 
 
 def _thick_restart_lanczos(op, k, tol, seed, max_basis, max_matvecs,

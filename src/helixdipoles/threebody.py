@@ -156,8 +156,8 @@ def assemble_hamiltonian_2d(
     five windings along each axis so bound states are not visibly squeezed.
     """
     validate_geometry(ratio)
-    if beta < 0:
-        raise ValueError("coupling strength beta must be >= 0")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"coupling strength beta must be finite and >= 0, got {beta}")
     mx, my = grid.margin_windings()
     if not allow_small_box and (mx < MIN_MARGIN_WINDINGS or my < MIN_MARGIN_WINDINGS):
         raise GridError(
@@ -206,7 +206,7 @@ def solve_three_body(
     eigen = lowest_eigenpairs(
         op, k, tol,
         method=method, seed=seed, max_basis=max_basis,
-        quadrature_weight=grid.spacing**2, grid_handle=grid,
+        quadrature_weight=grid.spacing**2,
     )
     sol = ThreeBodySolution(beta=beta, ratio=ratio, grid=grid, eigen=eigen,
                             distances=(0.0, 0.0, 0.0))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, HelixDipolesError
 from .linalg import DEFAULT_SEED, EigenResult, SymmetricSparseOperator, lowest_eigenpairs
 from .potential import reduced_potential, validate_geometry
 
@@ -84,8 +84,8 @@ def assemble_hamiltonian_1d(
     absence of the boundary nodes.  ``beta = 0`` gives the bare box.
     """
     validate_geometry(ratio)
-    if beta < 0:
-        raise ValueError("coupling strength beta must be >= 0")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"coupling strength beta must be finite and >= 0, got {beta}")
     dx = grid.spacing
     if dx > MAX_SPACING:
         raise GridError(
@@ -118,7 +118,7 @@ def solve_two_body(
     eigen = lowest_eigenpairs(
         op, k, tol,
         method=method, seed=seed,
-        quadrature_weight=grid.spacing, grid_handle=grid,
+        quadrature_weight=grid.spacing,
     )
     bound_count = int(np.sum(eigen.values < BOUND_THRESHOLD))
     return TwoBodySolution(
@@ -174,7 +174,8 @@ def scan_beta(
 ) -> list[BetaScanRow]:
     """Independent solves for each coupling in ``betas``, in input order.
 
-    Failures are recorded per row and do not abort the scan.
+    Package errors and ``ValueError`` from a solve are recorded per row and
+    do not abort the scan; any other exception propagates.
     """
     betas = list(betas)
     if not betas:
@@ -185,6 +186,6 @@ def scan_beta(
             sol = solve_two_body(grid, beta, ratio, k,
                                  tol=tol, method=method, seed=seed)
             rows.append(BetaScanRow(beta, sol.energies, sol.bound_count))
-        except Exception as exc:  # per-row error capture, scan continues
+        except (HelixDipolesError, ValueError) as exc:  # row error, scan continues
             rows.append(BetaScanRow(beta, None, None, error=str(exc)))
     return rows

@@ -41,6 +41,7 @@ from helixdipoles.potential import (
 from helixdipoles.threebody import (
     EXCHANGE_GROUP,
     WedgeGrid2D,
+    assemble_hamiltonian_2d,
     solve_three_body,
     symmetrize_wavefunction,
 )
@@ -246,16 +247,16 @@ def test_criterion_06_asymptotic_identity():
 # --- 7. eigensolver oracle equivalence ----------------------------------------
 
 def test_criterion_07_oracle_equivalence(mini_wedge_solves):
-    def compare(op, k, weight):
+    def compare(op, k, weight, method="lanczos"):
         dense = lowest_eigenpairs(op, k, 1e-12, method="dense",
                                   quadrature_weight=weight)
-        lanczos = lowest_eigenpairs(op, k, 1e-12, method="lanczos",
-                                    quadrature_weight=weight)
-        dv = float(np.abs(dense.values - lanczos.values).max())
+        iterative = lowest_eigenpairs(op, k, 1e-12, method=method,
+                                      quadrature_weight=weight)
+        dv = float(np.abs(dense.values - iterative.values).max())
         scale = math.sqrt(weight)
         vv = max(
-            min(np.linalg.norm((dense.vectors[:, i] - lanczos.vectors[:, i]) * scale),
-                np.linalg.norm((dense.vectors[:, i] + lanczos.vectors[:, i]) * scale))
+            min(np.linalg.norm((dense.vectors[:, i] - iterative.vectors[:, i]) * scale),
+                np.linalg.norm((dense.vectors[:, i] + iterative.vectors[:, i]) * scale))
             for i in range(k)
         )
         return dv, vv
@@ -271,10 +272,20 @@ def test_criterion_07_oracle_equivalence(mini_wedge_solves):
             np.linalg.norm((dense2.vectors[:, i] + lanczos2.vectors[:, i]) * w))
         for i in range(4)
     )
+
+    # the shift-invert path against the same dense oracle
+    dv1s, vv1s = compare(assemble_hamiltonian_1d(grid1d, 2.0, 1.0), 3, grid1d.spacing,
+                         "shift-invert")
+    dv2s, vv2s = compare(assemble_hamiltonian_2d(wedge, 1.0, 1.0, allow_small_box=True),
+                         4, w**2, "shift-invert")
+
     ok = max(dv1, dv2) <= 1e-9 and max(vv1, vv2) <= 1e-6
+    ok &= max(dv1s, dv2s) <= 1e-9 and max(vv1s, vv2s) <= 1e-6
     report("7 (oracle equivalence)", ok,
            f"1d coarse: values {dv1:.2e}, vectors {vv1:.2e}; "
-           f"mini wedge: values {dv2:.2e}, vectors {vv2:.2e}")
+           f"mini wedge: values {dv2:.2e}, vectors {vv2:.2e}; "
+           f"shift-invert 1d: values {dv1s:.2e}, vectors {vv1s:.2e}; "
+           f"shift-invert mini wedge: values {dv2s:.2e}, vectors {vv2s:.2e}")
     assert ok
 
 
@@ -343,6 +354,8 @@ def test_criterion_10_determinism(tmp_path):
              k_states=4),
         dict(problem="three-body", beta=1.0, x_max=12.0, y_max=16.0,
              spacing_2d=0.4, k_states=2, allow_small_box=True, solver="lanczos"),
+        dict(problem="three-body", beta=1.0, x_max=12.0, y_max=16.0,
+             spacing_2d=0.4, k_states=2, allow_small_box=True, solver="shift-invert"),
     ]
     stable = True
     details = []

@@ -6,10 +6,12 @@ import scipy.sparse as sp
 
 from helixdipoles.errors import ConvergenceError, DimensionError
 from helixdipoles.linalg import (
+    DENSE_CUTOFF,
     SymmetricSparseOperator,
     lowest_eigenpairs,
     matvec,
 )
+from helixdipoles.threebody import WedgeGrid2D, assemble_hamiltonian_2d
 
 
 def random_sparse_symmetric(n, density=0.02, seed=7, diag_lift=1.0):
@@ -88,7 +90,7 @@ class TestLowestEigenpairs:
         continuum = m**2 * math.pi**2 / (2.0 * length**2)
         # second-order stencil: continuum error E_m (m pi dx / L)^2 / 12
         bound = 1.5 * continuum * (m * math.pi * dx / length) ** 2 / 12.0
-        for method in ("dense", "tridiagonal", "lanczos"):
+        for method in ("dense", "tridiagonal", "shift-invert", "lanczos"):
             res = lowest_eigenpairs(op, 5, 1e-11, method=method)
             np.testing.assert_allclose(res.values, discrete, rtol=1e-10)
             assert np.all(np.abs(res.values - continuum) < bound)
@@ -148,6 +150,64 @@ class TestLowestEigenpairs:
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.vectors, b.vectors)
         assert a.seed == 123
+
+    def test_shift_invert_determinism(self):
+        op = random_sparse_symmetric(600, seed=13)
+        a = lowest_eigenpairs(op, 3, 1e-10, method="shift-invert", seed=123)
+        b = lowest_eigenpairs(op, 3, 1e-10, method="shift-invert", seed=123)
+        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.vectors, b.vectors)
+        assert a.seed == 123 and a.method == "shift-invert"
+        assert a.n_matvec > 3  # LU solves plus the k residual matvecs
+
+    def test_shift_invert_below_diagonal_spectrum(self):
+        # the Gershgorin bound of a diagonal operator is its lowest eigenvalue,
+        # so the shift must sit strictly below it for the factor to exist
+        diag = np.linspace(-2.0, 5.0, 200)
+        op = SymmetricSparseOperator(sp.diags(diag, format="csr"))
+        res = lowest_eigenpairs(op, 3, 1e-10, method="shift-invert")
+        np.testing.assert_allclose(res.values, diag[:3], atol=1e-10)
+
+    def test_auto_routes_wedge_to_shift_invert(self):
+        grid = WedgeGrid2D(12.0, 16.0, 0.2)
+        op = assemble_hamiltonian_2d(grid, 1.0, 1.0, allow_small_box=True)
+        assert op.n > DENSE_CUTOFF
+        res = lowest_eigenpairs(op, 2, 1e-10)
+        assert res.method == "shift-invert"
+        lanczos = lowest_eigenpairs(op, 2, 1e-11, method="lanczos")
+        np.testing.assert_allclose(res.values, lanczos.values, atol=1e-9)
+
+    def test_shift_invert_nonconvergence_reports_best(self):
+        op = random_sparse_symmetric(800, seed=21)
+        with pytest.raises(ConvergenceError) as err:
+            lowest_eigenpairs(op, 4, 1e-12, method="shift-invert", max_matvecs=12)
+        values, vectors = err.value.result
+        assert values.shape == (4,)
+        assert vectors.shape == (800, 4)
+        assert np.all(np.isfinite(values))
+        with pytest.raises(ValueError):
+            lowest_eigenpairs(op, 4, 1e-12, method="shift-invert", max_matvecs=0)
+
+    def test_shift_invert_arpack_failure_mapped(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def stalled(A, k, **kwargs):
+            raise spla.ArpackNoConvergence("stalled", np.array([2.0]), np.ones((A.shape[0], 1)))
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        op = random_sparse_symmetric(200)
+        with pytest.raises(ConvergenceError) as err:
+            lowest_eigenpairs(op, 2, 1e-9, method="shift-invert")
+        values, vectors = err.value.result
+        assert values.shape == (1,) and vectors.shape == (200, 1)
+
+    def test_shift_invert_rejects_bad_operators(self):
+        mat = sp.diags([np.r_[1.0, np.nan, np.ones(98)]], [0], format="csr")
+        with pytest.raises(ValueError):
+            lowest_eigenpairs(SymmetricSparseOperator(mat), 2, 1e-9, method="shift-invert")
+        one = SymmetricSparseOperator(sp.identity(1, format="csr"))
+        with pytest.raises(DimensionError):
+            lowest_eigenpairs(one, 1, 1e-9, method="shift-invert")
 
     def test_input_validation(self):
         op = random_sparse_symmetric(100)

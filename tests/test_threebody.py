@@ -123,6 +123,13 @@ class TestAssembly2D:
         res = lowest_eigenpairs(op, 4, 1e-11)
         assert np.all(res.values > 0.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_beta_rejected(self, beta):
+        # the small box takes the dense path, which returns NaN energies for inf
+        with pytest.raises(ValueError, match="finite"):
+            solve_three_body(WedgeGrid2D(12.0, 16.0, 0.4), beta, 1.0, 1,
+                             allow_small_box=True)
+
 
 class TestMiniWedgeReferences:
     def test_dense_reference_dx05(self):

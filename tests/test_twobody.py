@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helixdipoles import twobody
 from helixdipoles.errors import GeometryError, GridError
 from helixdipoles.potential import reduced_potential
 from helixdipoles.twobody import (
@@ -80,6 +81,11 @@ class TestAssembly:
             assemble_hamiltonian_1d(Grid1D(), 1.0, 5.0)
         with pytest.raises(ValueError):
             assemble_hamiltonian_1d(Grid1D(), -0.5, 1.0)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match="finite"):
+            solve_two_body(Grid1D(), beta, 1.0, 2)
 
 
 class TestSolve:
@@ -185,6 +191,14 @@ class TestScanBeta:
         rows = scan_beta([0.5, -1.0], Grid1D.from_spacing(40.0, 0.05), 1.0, 2)
         assert rows[0].error is None
         assert rows[1].error is not None and rows[1].energies is None
+
+    def test_foreign_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a solver failure")
+
+        monkeypatch.setattr(twobody, "solve_two_body", broken)
+        with pytest.raises(RuntimeError):
+            scan_beta([0.5], Grid1D.from_spacing(40.0, 0.05), 1.0, 2)
 
     def test_empty_betas_rejected(self):
         with pytest.raises(ValueError):
