@@ -25,7 +25,7 @@ from . import __version__
 from .analysis import build_size_scan, fit_harmonic_size, size_energy_product
 from .errors import ConvergenceError, GeometryError, GridError
 from .linalg import DEFAULT_SEED
-from .potential import find_minima, reduced_potential, validate_geometry
+from .potential import HelixGeometry, find_minima, reduced_potential, validate_geometry
 from .threebody import WedgeGrid2D, solve_three_body, symmetrize_wavefunction
 from .twobody import Grid1D, extend_full_line, scan_beta, solve_two_body
 
@@ -81,8 +81,8 @@ class RunConfig:
         if self.mass_kg <= 0.0 or self.radius_m <= 0.0:
             raise ValueError("physical mode needs positive mass_kg and radius_m")
         mu = self.mass_kg / 2.0
-        alpha_sq = self.radius_m**2 * (1.0 + self.ratio**2 / (2.0 * math.pi) ** 2)
-        return hbar**2 / (mu * alpha_sq)
+        alpha = HelixGeometry(self.radius_m, self.ratio * self.radius_m).alpha
+        return hbar**2 / (mu * alpha**2)
 
     def resolved_box(self) -> tuple[float, float, float]:
         if self.beta >= 1.0:
@@ -410,7 +410,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ratio", type=float, help="pitch-to-radius ratio h/R")
     p.add_argument("--out-dir", help=f"output directory (or ${OUTDIR_ENV})")
     p.add_argument("--seed", type=int, help="eigensolver start-vector seed")
-    p.add_argument("--tol", type=float, help="eigensolver residual tolerance")
+    p.add_argument("--tol", type=float, help="relative accuracy of the ARPACK Ritz "
+                   "values: E for lanczos, 1/(E - sigma) for shift-invert")
     p.add_argument("--solver",
                    choices=("auto", "dense", "tridiagonal", "shift-invert", "lanczos"),
                    help="eigensolver path; auto picks dense for small problems, "

@@ -3,13 +3,13 @@
 The discretized Hamiltonians of this package are real symmetric with local
 stencils, so they are stored row-compressed and diagonalized either densely
 (small problems), by a direct banded solver (tridiagonal operators), or by
-ARPACK in shift-invert mode (everything else): the operator is shifted
-strictly below its Gershgorin bound, factored once by sparse LU, and the
-largest eigenvalues of the inverse are mapped back to the lowest of the
-operator.  Thick-restart Lanczos with full reorthogonalization remains
-available as a forced path.  The iterative start vectors are drawn from a
-seeded generator and the seed is carried in the result, so repeated runs
-are reproducible.
+ARPACK's implicitly restarted Lanczos in shift-invert mode (everything
+else): the operator is shifted strictly below its Gershgorin bound,
+factored once by sparse LU, and the largest eigenvalues of the inverse are
+mapped back to the lowest of the operator.  The same ARPACK driver can be
+forced to iterate on the operator itself (``lanczos``).  The iterative
+start vectors are drawn from a seeded generator and the seed is carried in
+the result, so repeated runs are reproducible.
 """
 
 from __future__ import annotations
@@ -161,7 +161,6 @@ def lowest_eigenpairs(
     method: str = "auto",
     seed: int = DEFAULT_SEED,
     quadrature_weight: float = 1.0,
-    max_basis: int | None = None,
     max_matvecs: int = DEFAULT_MAX_MATVECS,
 ) -> EigenResult:
     """Compute the ``k`` lowest eigenpairs of a symmetric sparse operator.
@@ -169,9 +168,10 @@ def lowest_eigenpairs(
     Args:
         op: operator to diagonalize.
         k: number of eigenpairs, ``1 <= k <= n/4``.
-        tol: iterative convergence target within ``[1e-12, 1e-4]``: the
-            Lanczos residual relative to the operator-norm estimate, or
-            ARPACK's relative accuracy of the shift-inverted eigenvalues.
+        tol: iterative convergence target within ``[1e-12, 1e-4]``, passed
+            to ARPACK as the relative accuracy of the Ritz values it
+            iterates on: ``E`` for ``lanczos``, ``mu = 1/(E - sigma)`` for
+            ``shift-invert``.
         method: ``auto`` (dense up to ``DENSE_CUTOFF`` unknowns, direct
             banded solve for tridiagonal operators, shift-invert otherwise),
             or one of ``dense`` / ``tridiagonal`` / ``shift-invert`` /
@@ -179,9 +179,8 @@ def lowest_eigenpairs(
         seed: start-vector seed for the shift-invert and Lanczos paths.
         quadrature_weight: per-node quadrature weight used to normalize the
             returned eigenvectors as grid functions.
-        max_basis: Lanczos basis size (Lanczos only).
         max_matvecs: cap on the iterative operator applications: matvecs
-            for Lanczos, sparse LU solves for shift-invert.
+            for ``lanczos``, sparse LU solves for ``shift-invert``.
 
     ``n_matvec`` of the result counts those applications plus the ``k``
     matvecs of the final residual check.
@@ -218,174 +217,84 @@ def lowest_eigenpairs(
         vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
         return _package(op, vals, vecs, quadrature_weight,
                         "tridiagonal", None, 0)
-    if method == "shift-invert":
-        vals, vecs, n_mv = _shift_invert_arpack(op, k, tol, seed, max_matvecs)
-        return _package(op, vals, vecs, quadrature_weight,
-                        "shift-invert", seed, n_mv)
-    if method == "lanczos":
-        vals, vecs, n_mv = _thick_restart_lanczos(op, k, tol, seed, max_basis, max_matvecs)
-        return _package(op, vals, vecs, quadrature_weight,
-                        "lanczos", seed, n_mv)
+    if method in ("shift-invert", "lanczos"):
+        vals, vecs, n_mv = _arpack(op, k, tol, seed, max_matvecs,
+                                   shift_invert=method == "shift-invert")
+        return _package(op, vals, vecs, quadrature_weight, method, seed, n_mv)
     raise ValueError(f"unknown method {method!r}")
 
 
-class _SolveCapReached(Exception):
-    """Raised from inside ARPACK when the LU-solve budget is spent."""
+class _MatvecCapReached(Exception):
+    """Raised from inside ARPACK when the operator-application budget is spent."""
 
 
-def _shift_invert_arpack(op, k, tol, seed, max_matvecs):
-    """ARPACK on ``(H - sigma)^-1`` with ``sigma`` strictly below the spectrum.
+def _arpack(op, k, tol, seed, max_matvecs, shift_invert):
+    """ARPACK's implicitly restarted Lanczos for the ``k`` lowest eigenpairs.
 
-    ``sigma`` sits below the Gershgorin bound ``min_i (2 a_ii - sum_j |a_ij|)``,
-    so ``H - sigma`` is positive definite and its LU factor needs no
-    pivoting.  The symmetric minimum-degree ordering of ``A' + A`` keeps the
-    factor's fill (and memory) about half of splu's default COLAMD ordering
-    on the wedge stencil.  The largest eigenvalues ``mu`` of the inverse give
-    ``E = sigma + 1/mu``.  Returns values, vectors and the LU-solve count.
+    Plain mode iterates on ``H`` for its smallest eigenvalues.  Shift-invert
+    mode iterates on ``(H - sigma)^-1`` for its largest eigenvalues ``mu``
+    and maps them back by ``E = sigma + 1/mu``: ``sigma`` sits below the
+    Gershgorin bound ``min_i (2 a_ii - sum_j |a_ij|)``, so ``H - sigma`` is
+    positive definite and its LU factor needs no pivoting.  The symmetric
+    minimum-degree ordering of ``A' + A`` keeps the factor's fill (and
+    memory) about half of splu's default COLAMD ordering on the wedge
+    stencil.  Returns values, vectors and the operator-application count.
     """
     from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
                                      LinearOperator, eigsh, splu)
 
     n = op.n
     if n < 2:
-        raise DimensionError("shift-invert needs at least 2 unknowns")
+        raise DimensionError("iterative eigensolvers need at least 2 unknowns")
     if not np.all(np.isfinite(op.csr.data)):
         raise ValueError("operator has non-finite entries")
-    radii = np.asarray(abs(op.csr).sum(axis=1)).ravel()
-    lower = float(np.min(2.0 * op.diagonal() - radii))
-    sigma = lower - 1e-3 * max(1.0, abs(lower))
-    lu = splu((op.csr - sigma * sp.identity(n, format="csr")).tocsc(),
-              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              options={"SymmetricMode": True})
+    if shift_invert:
+        radii = np.asarray(abs(op.csr).sum(axis=1)).ravel()
+        lower = float(np.min(2.0 * op.diagonal() - radii))
+        sigma = lower - 1e-3 * max(1.0, abs(lower))
+        lu = splu((op.csr - sigma * sp.identity(n, format="csr")).tocsc(),
+                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        apply, which = lu.solve, "LA"
+    else:
+        apply, which, sigma = op.matvec, "SA", None
+
+    def to_energy(ritz):
+        return ritz if sigma is None else sigma + 1.0 / ritz
 
     ncv = min(n, max(2 * k + 1, 20))
-    n_solve = 0
-    last = []  # outputs of the final ncv solves before the cap, for Ritz pairs
+    n_apply = 0
+    last = []  # the final ncv outputs before the cap, for Ritz pairs
 
-    def solve(x):
-        nonlocal n_solve
-        if n_solve >= max_matvecs:
-            raise _SolveCapReached
-        n_solve += 1
-        y = lu.solve(x)
-        if n_solve > max_matvecs - ncv:
+    def counted(x):
+        nonlocal n_apply
+        if n_apply >= max_matvecs:
+            raise _MatvecCapReached
+        n_apply += 1
+        y = apply(x)
+        if n_apply > max_matvecs - ncv:
             last.append(y)
         return y
 
-    inverse = LinearOperator((n, n), matvec=solve, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
-        mu, vecs = eigsh(inverse, k=k, which="LA", ncv=ncv, tol=tol, v0=v0)
-    except _SolveCapReached:
-        # Rayleigh-Ritz on the span of the last solve outputs
+        vals, vecs = eigsh(LinearOperator((n, n), matvec=counted, dtype=float),
+                           k=k, which=which, ncv=ncv, tol=tol, v0=v0)
+    except _MatvecCapReached:
+        # Rayleigh-Ritz on the span of the last outputs
         q = np.linalg.qr(np.column_stack(last))[0]
         theta, y = np.linalg.eigh(q.T @ (op.csr @ q))
         kk = min(k, theta.size)
         raise ConvergenceError(
-            f"shift-invert did not reach tol={tol:g} within {max_matvecs} LU solves",
+            f"ARPACK did not reach tol={tol:g} within {max_matvecs} "
+            "operator applications",
             result=(theta[:kk], q @ y[:, :kk]),
         ) from None
     except ArpackNoConvergence as exc:
         raise ConvergenceError(
-            f"shift-invert ARPACK did not converge: {exc}",
-            result=(sigma + 1.0 / exc.eigenvalues, exc.eigenvectors),
+            f"ARPACK did not converge: {exc}",
+            result=(to_energy(exc.eigenvalues), exc.eigenvectors),
         ) from None
     except ArpackError as exc:
-        raise ConvergenceError(f"shift-invert ARPACK failed: {exc}") from None
-    return sigma + 1.0 / mu, vecs, n_solve
-
-
-def _thick_restart_lanczos(op, k, tol, seed, max_basis, max_matvecs,
-                           check_every: int = 8):
-    """Thick-restart Lanczos with full (two-pass) reorthogonalization.
-
-    Maintains the projected matrix T = V' A V explicitly; when the basis is
-    full it is compressed to the ``keep`` lowest Ritz vectors plus the
-    running residual direction, which couples to them through an arrowhead
-    row of T.  Convergence is declared from the standard residual estimates
-    ``|beta * y_last|`` against ``tol`` times the running operator-norm
-    estimate.
-    """
-    n = op.n
-    if max_basis is None:
-        max_basis = min(n, max(120, 10 * k + 60))
-    max_basis = min(max_basis, n)
-    keep = min(k + 10, max_basis // 2)
-
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-
-    V = np.empty((n, max_basis))
-    T = np.zeros((max_basis, max_basis))
-    V[:, 0] = v
-    j = 0  # index of the newest basis column
-    n_mv = 0
-    norm_est = 0.0
-
-    def ritz(m):
-        theta, Y = np.linalg.eigh(T[:m, :m])
-        return theta, Y
-
-    while n_mv < max_matvecs:
-        w = op.matvec(V[:, j])
-        n_mv += 1
-        T[j, j] = float(V[:, j] @ w)
-        # full reorthogonalization, two passes
-        for _ in range(2):
-            w -= V[:, : j + 1] @ (V[:, : j + 1].T @ w)
-        beta = float(np.linalg.norm(w))
-
-        m = j + 1
-        basis_full = m >= max_basis
-        breakdown = beta < 1e-13 * max(norm_est, 1.0)
-        check = m >= k + 2 and (basis_full or breakdown or m % check_every == 0
-                                or n_mv >= max_matvecs)
-        if check:
-            theta, Y = ritz(m)
-            norm_est = max(norm_est, float(np.abs(theta).max()))
-            res_est = np.abs(beta * Y[m - 1, :k])
-            if np.all(res_est <= tol * max(norm_est, 1e-30)):
-                return theta[:k], V[:, :m] @ Y[:, :k], n_mv
-
-        if basis_full or breakdown:
-            theta, Y = ritz(m)
-            norm_est = max(norm_est, float(np.abs(theta).max()))
-            if breakdown:
-                # invariant subspace reached: inject a fresh random direction
-                w = rng.standard_normal(n)
-                for _ in range(2):
-                    w -= V[:, :m] @ (V[:, :m].T @ w)
-                wnorm = float(np.linalg.norm(w))
-                if wnorm < 1e-14 or m >= n:
-                    kk = min(k, m)
-                    return theta[:kk], V[:, :m] @ Y[:, :kk], n_mv
-                w /= wnorm
-                beta = 0.0
-            else:
-                w /= beta
-            nk = min(keep, m - 1) if m > 1 else 1
-            V[:, :nk] = V[:, :m] @ Y[:, :nk]
-            V[:, nk] = w
-            T[: nk + 1, : nk + 1] = 0.0
-            T[np.arange(nk), np.arange(nk)] = theta[:nk]
-            T[nk, :nk] = beta * Y[m - 1, :nk]
-            T[:nk, nk] = T[nk, :nk]
-            j = nk
-        else:
-            w /= beta
-            T[j + 1, j] = T[j, j + 1] = beta
-            j += 1
-            V[:, j] = w
-
-    m = j + 1
-    theta, Y = ritz(m)
-    kk = min(k, m)
-    X = V[:, :m] @ Y[:, :kk]
-    res = np.array([np.linalg.norm(op.matvec(X[:, i]) - theta[i] * X[:, i])
-                    for i in range(kk)])
-    raise ConvergenceError(
-        f"Lanczos did not reach tol={tol:g} within {max_matvecs} matvecs "
-        f"(best residual norms {res})",
-        result=(theta[:kk], X),
-    )
+        raise ConvergenceError(f"ARPACK failed: {exc}") from None
+    return to_energy(vals), vecs, n_apply

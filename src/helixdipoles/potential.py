@@ -202,44 +202,17 @@ def validate_geometry(ratio: float) -> None:
         )
 
 
-def _golden_minimize(f, a: float, b: float, tol: float = 1e-8) -> tuple[float, float]:
-    """Golden-section bracket shrink for a unimodal f on [a, b].
+def _refine_minimum(ratio: float, lo: float, hi: float) -> float:
+    """Pin a minimum bracketed by a derivative sign change V'(lo) < 0 <= V'(hi).
 
-    Stops at interval width ``tol``; smaller targets are pointless because
-    value comparisons plateau at sqrt(machine eps).
+    Bisects the analytic derivative down to floating-point resolution.
     """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return a, b
-
-
-def _refine_minimum(f, df, a: float, b: float) -> float:
-    """Pin a minimum bracketed by a derivative sign change df(a) < 0 <= df(b).
-
-    Golden-section narrows by values first; the analytic derivative is then
-    bisected (restarting from the scan bracket if the value plateau lost the
-    sign change) down to floating-point resolution.
-    """
-    lo, hi = _golden_minimize(f, a, b)
-    if not (df(lo) < 0.0 <= df(hi)):
-        lo, hi = a, b
-    flo = df(lo)
+    flo = reduced_potential_derivative(lo, ratio)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        fmid = df(mid)
+        fmid = reduced_potential_derivative(mid, ratio)
         if flo * fmid <= 0.0:
             hi = mid
         else:
@@ -255,12 +228,12 @@ def find_minima(
     """Locate the attractive minima of the reduced potential.
 
     Scans (0, 2pi*max_windings] on a uniform grid, brackets sign changes of
-    the analytic derivative, and refines each bracket (golden-section shrink,
-    then bisection on the analytic derivative) until the derivative magnitude
-    at the reported minimum is below 1e-10.  Only
-    attractive minima (negative value) are reported: for small ratios the
-    potential also has a shallow positive local minimum on the repulsive
-    shoulder before the first winding, which is not a pair-binding feature.
+    the analytic derivative, and refines each bracket by bisection on the
+    analytic derivative until the derivative magnitude at the reported
+    minimum is below 1e-10.  Only attractive minima (negative value) are
+    reported: for small ratios the potential also has a shallow positive
+    local minimum on the repulsive shoulder before the first winding, which
+    is not a pair-binding feature.
     Minima beyond the winding bound 1 + (2pi)^2/ratio, past which the
     oscillation has died out, are never reported (none exist there).
 
@@ -285,11 +258,7 @@ def find_minima(
     vanish_phi = TWO_PI * (1.0 + TWO_PI**2 / ratio)
     minima: list[PotentialMinimum] = []
     for i in crossing:
-        phi_min = _refine_minimum(
-            lambda p: reduced_potential(p, ratio),
-            lambda p: reduced_potential_derivative(p, ratio),
-            grid[i], grid[i + 1],
-        )
+        phi_min = _refine_minimum(ratio, grid[i], grid[i + 1])
         value = reduced_potential(phi_min, ratio)
         if value >= 0.0:
             continue

@@ -199,13 +199,12 @@ def solve_three_body(
     method: str = "auto",
     seed: int = DEFAULT_SEED,
     allow_small_box: bool = False,
-    max_basis: int | None = None,
 ) -> ThreeBodySolution:
     """Lowest ``k`` wedge states and the ground-state pair distances."""
     op = assemble_hamiltonian_2d(grid, beta, ratio, allow_small_box=allow_small_box)
     eigen = lowest_eigenpairs(
         op, k, tol,
-        method=method, seed=seed, max_basis=max_basis,
+        method=method, seed=seed,
         quadrature_weight=grid.spacing**2,
     )
     sol = ThreeBodySolution(beta=beta, ratio=ratio, grid=grid, eigen=eigen,

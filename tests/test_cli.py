@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import helixdipoles
 from helixdipoles.cli import (
     OUTDIR_ENV,
     RunConfig,
@@ -244,6 +248,21 @@ class TestExitCodes:
         summary = read_keyvalue(tmp_path / "summary.txt")
         assert summary["status"] == "not_converged"
         assert float(summary["E0_unconverged"]) == pytest.approx(-0.3)
+
+
+class TestImportCost:
+    def test_cli_import_skips_heavy_scipy_modules(self):
+        # importing scipy.optimize or scipy.sparse.linalg costs every short
+        # run memory and start-up time; ARPACK is imported inside the
+        # iterative eigensolver only
+        src = str(Path(helixdipoles.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, helixdipoles.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith(('scipy.optimize', 'scipy.sparse.linalg'))))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.strip() == "[]"
 
 
 class TestMainEntry:

@@ -188,7 +188,8 @@ class TestLowestEigenpairs:
         with pytest.raises(ValueError):
             lowest_eigenpairs(op, 4, 1e-12, method="shift-invert", max_matvecs=0)
 
-    def test_shift_invert_arpack_failure_mapped(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["shift-invert", "lanczos"])
+    def test_arpack_failure_mapped(self, monkeypatch, method):
         import scipy.sparse.linalg as spla
 
         def stalled(A, k, **kwargs):
@@ -197,17 +198,18 @@ class TestLowestEigenpairs:
         monkeypatch.setattr(spla, "eigsh", stalled)
         op = random_sparse_symmetric(200)
         with pytest.raises(ConvergenceError) as err:
-            lowest_eigenpairs(op, 2, 1e-9, method="shift-invert")
+            lowest_eigenpairs(op, 2, 1e-9, method=method)
         values, vectors = err.value.result
         assert values.shape == (1,) and vectors.shape == (200, 1)
 
-    def test_shift_invert_rejects_bad_operators(self):
+    @pytest.mark.parametrize("method", ["shift-invert", "lanczos"])
+    def test_arpack_rejects_bad_operators(self, method):
         mat = sp.diags([np.r_[1.0, np.nan, np.ones(98)]], [0], format="csr")
         with pytest.raises(ValueError):
-            lowest_eigenpairs(SymmetricSparseOperator(mat), 2, 1e-9, method="shift-invert")
+            lowest_eigenpairs(SymmetricSparseOperator(mat), 2, 1e-9, method=method)
         one = SymmetricSparseOperator(sp.identity(1, format="csr"))
         with pytest.raises(DimensionError):
-            lowest_eigenpairs(one, 1, 1e-9, method="shift-invert")
+            lowest_eigenpairs(one, 1, 1e-9, method=method)
 
     def test_input_validation(self):
         op = random_sparse_symmetric(100)
