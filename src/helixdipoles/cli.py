@@ -3,8 +3,8 @@
 Every subcommand writes three kinds of artifact into the run directory:
 ``metadata.txt`` (the parsed configuration echoed verbatim, plus solver seed,
 tolerances and library versions), one or more CSV data files, and
-``summary.txt`` with the headline numbers.  In deterministic mode (the
-default) repeated runs produce byte-identical files.
+``summary.txt`` with the headline numbers.  Runs are always seeded and
+serial, so repeated runs produce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 invalid geometry,
 4 eigensolver non-convergence (partial outputs are kept and flagged).
@@ -16,63 +16,84 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import build_size_scan, fit_harmonic_size, size_energy_product
-from .errors import ConvergenceError, GeometryError, GridError
+from .errors import ConvergenceError, GeometryError, HelixDipolesError
 from .linalg import DEFAULT_SEED
 from .potential import HelixGeometry, find_minima, reduced_potential, validate_geometry
 from .threebody import WedgeGrid2D, solve_three_body, symmetrize_wavefunction
-from .twobody import Grid1D, extend_full_line, scan_beta, solve_two_body
+from .twobody import STATISTICS, Grid1D, extend_full_line, scan_beta, solve_two_body
 
 TWO_PI = 2.0 * math.pi
 
 #: Environment variable overriding the default output directory.
 OUTDIR_ENV = "HELIX_DIPOLES_OUTDIR"
 
-PROBLEMS = ("potential", "two-body", "three-body", "scan", "fit")
+_BODIES = ("two-body", "three-body")
+_HALF_LINE = ("two-body", "scan", "fit")
+_WEDGE = ("three-body",)
+
+
+def _flag(default, doc: str, on=None, flag: str | None = None, choices=None):
+    """Field that is also ``--flag`` (default: its name) on subcommands ``on`` (or all)."""
+    return field(default=default,
+                 metadata={"help": doc, "on": on, "flag": flag, "choices": choices})
 
 
 @dataclass
 class RunConfig:
     """Flat run configuration; every field has a default.
 
+    The one declaration of each setting: :func:`_flag` fields are also flags.
     ``x_max``/``y_max``/``spacing_2d`` default to ``None`` ("auto"), resolved
     per coupling strength: (30, 40, 0.1) for beta >= 1 and (60, 90, 0.15)
-    below (weakly bound states need the larger box).
+    below (weakly bound states need the larger box).  ``deterministic`` is
+    only echoed, so old config files parse; runs are always seeded and serial.
     """
 
     problem: str = "two-body"
-    ratio: float = 1.0
-    beta: float = 1.0
-    betas: tuple[float, ...] = ()
-    product_betas: tuple[float, ...] = ()
-    box_length: float = 100.0
-    spacing_1d: float = 0.01
-    x_max: float | None = None
-    y_max: float | None = None
-    spacing_2d: float | None = None
-    k_states: int = 4
-    statistics: str = "boson"
-    phi_max: float = 3.0 * TWO_PI
-    n_samples: int = 2000
-    out_dir: str = "runs"
+    ratio: float = _flag(1.0, "pitch-to-radius ratio h/R")
+    beta: float = _flag(1.0, "coupling strength", on=_BODIES)
+    betas: tuple[float, ...] = _flag(
+        (), "comma-separated coupling values; none picks the built-in list",
+        on=("scan", "fit"))
+    product_betas: tuple[float, ...] = _flag(
+        (), "comma-separated weak couplings for the size-energy product", on=("fit",))
+    box_length: float = _flag(100.0, "half-line box size L", on=_HALF_LINE)
+    spacing_1d: float = _flag(0.01, "grid spacing", on=_HALF_LINE, flag="spacing")
+    x_max: float | None = _flag(None, "box extent in x", on=_WEDGE)
+    y_max: float | None = _flag(None, "box extent in y", on=_WEDGE)
+    spacing_2d: float | None = _flag(None, "grid spacing", on=_WEDGE, flag="spacing")
+    k_states: int = _flag(4, "number of states (per coupling for scan)",
+                          on=_BODIES + ("scan",), flag="k")
+    statistics: str = _flag("boson", "exchange symmetry", on=_BODIES, choices=STATISTICS)
+    phi_max: float = _flag(3.0 * TWO_PI, "largest separation sampled", on=("potential",))
+    n_samples: int = _flag(2000, "number of curve samples", on=("potential",))
+    out_dir: str = _flag("runs", f"output directory (or ${OUTDIR_ENV})")
     deterministic: bool = True
-    seed: int = DEFAULT_SEED
-    tol: float = 1e-9
-    solver: str = "auto"
-    allow_small_box: bool = False
-    symmetrize: bool = False
-    sample_extent: float = 25.0
-    sample_spacing: float = 0.25
-    emit_full_line: bool = False
-    physical: bool = False
-    mass_kg: float = 0.0
-    radius_m: float = 0.0
+    seed: int = _flag(DEFAULT_SEED, "eigensolver start-vector seed")
+    tol: float = _flag(1e-9, "relative accuracy of the ARPACK Ritz values: "
+                       "E for lanczos, 1/(E - sigma) for shift-invert")
+    solver: str = _flag("auto", "eigensolver path; auto picks dense for small problems, "
+                        "tridiagonal for two-body and shift-invert for three-body",
+                        choices=("auto", "dense", "tridiagonal", "shift-invert", "lanczos"))
+    allow_small_box: bool = _flag(False, "skip the five-winding wall-clearance check",
+                                  on=_WEDGE)
+    symmetrize: bool = _flag(False, "export the full-plane (anti)symmetrized wave function",
+                             on=_WEDGE)
+    sample_extent: float = _flag(25.0, "symmetrized sampling half-width", on=_WEDGE)
+    sample_spacing: float = _flag(0.25, "symmetrized sampling step", on=_WEDGE)
+    emit_full_line: bool = _flag(False, "also export symmetry-extended wave functions",
+                                 on=("two-body",), flag="full-line")
+    physical: bool = _flag(False, "also report energies in joules (needs mass and radius)",
+                           on=_BODIES)
+    mass_kg: float = _flag(0.0, "particle mass [kg]", on=_BODIES)
+    radius_m: float = _flag(0.0, "helix radius [m]", on=_BODIES)
 
     def energy_unit_joules(self) -> float:
         """Energy quantum hbar^2 / (mu alpha^2) for the configured geometry."""
@@ -103,11 +124,11 @@ class RunConfig:
     def from_items(cls, items: dict[str, str]) -> "RunConfig":
         """Inverse of :meth:`to_items`; unknown keys are rejected."""
         kwargs = {}
-        known = {f.name: f for f in fields(cls)}
+        known = {f.name: f.type for f in fields(cls)}
         for key, raw in items.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _parse_value(raw, cls.__dataclass_fields__[key].type)
+            kwargs[key] = _PARSERS[known[key]](raw.strip())
         return cls(**kwargs)
 
 
@@ -123,21 +144,27 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _parse_value(raw: str, type_hint: str):
-    raw = raw.strip()
-    if "None" in type_hint:  # optional float
-        return None if raw in ("auto", "") else float(raw)
-    if type_hint == "bool":
-        if raw not in ("true", "false"):
-            raise ValueError(f"expected true/false, got {raw!r}")
-        return raw == "true"
-    if type_hint == "int":
-        return int(raw)
-    if type_hint == "float":
-        return float(raw)
-    if type_hint.startswith("tuple"):
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    return raw
+def _optional_float(raw: str) -> float | None:
+    return None if raw in ("auto", "") else float(raw)
+
+
+def _float_list(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _true_false(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {raw!r}")
+    return raw == "true"
+
+
+# argparse names the type in its errors: "invalid float list value: 'x'"
+_optional_float.__name__ = "float or auto"
+_float_list.__name__ = "float list"
+
+#: One parser per field annotation, for config-file values and flags alike.
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _true_false,
+            "float | None": _optional_float, "tuple[float, ...]": _float_list}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -216,6 +243,8 @@ def _append_physical(cfg: RunConfig, energies, summary: dict) -> None:
 
 def _run_potential(cfg: RunConfig, out: Path) -> dict:
     validate_geometry(cfg.ratio)
+    if cfg.n_samples < 1 or not 0.0 < cfg.phi_max < math.inf:
+        raise ValueError("potential needs n_samples >= 1 and finite phi_max > 0")
     step = cfg.phi_max / cfg.n_samples
     phi = step * np.arange(1, cfg.n_samples + 1)
     values = reduced_potential(phi, cfg.ratio)
@@ -350,18 +379,18 @@ def _run_fit(cfg: RunConfig, out: Path) -> dict:
     return summary
 
 
-_RUNNERS = {
-    "potential": _run_potential,
-    "two-body": _run_two_body,
-    "three-body": _run_three_body,
-    "scan": _run_scan,
-    "fit": _run_fit,
+_COMMANDS = {
+    "potential": (_run_potential, "reduced pair potential curve and minima"),
+    "two-body": (_run_two_body, "two-dipole spectrum and wave functions"),
+    "three-body": (_run_three_body, "three-dipole wedge solve"),
+    "scan": (_run_scan, "two-body spectrum vs coupling strength"),
+    "fit": (_run_fit, "ground-state size scaling and fit"),
 }
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one configured problem; returns the process exit code."""
-    if cfg.problem not in PROBLEMS:
+    if cfg.problem not in _COMMANDS:
         print(f"error: unknown problem {cfg.problem!r}", file=sys.stderr)
         return 2
     out = Path(cfg.out_dir)
@@ -372,25 +401,24 @@ def run(cfg: RunConfig) -> int:
         return 2
 
     try:
-        summary = _RUNNERS[cfg.problem](cfg, out)
+        summary = _COMMANDS[cfg.problem][0](cfg, out)
     except GeometryError as exc:
         print(f"error: invalid geometry: {exc}", file=sys.stderr)
         _write_metadata(cfg, out, {"status": "geometry_error", "error": str(exc)})
         return 3
-    except (GridError, ValueError) as exc:
-        print(f"error: bad configuration: {exc}", file=sys.stderr)
-        _write_metadata(cfg, out, {"status": "config_error", "error": str(exc)})
-        return 2
     except ConvergenceError as exc:
         print(f"error: eigensolver did not converge: {exc}", file=sys.stderr)
         record: dict = {"status": "not_converged", "error": str(exc)}
+        _write_metadata(cfg, out, record)
         if exc.result is not None:  # best-effort eigenvalues, flagged
-            values = np.asarray(exc.result[0], dtype=float)
-            for m, e in enumerate(values):
+            for m, e in enumerate(exc.result[0]):
                 record[f"E{m}_unconverged"] = float(e)
-        _write_metadata(cfg, out, {"status": "not_converged", "error": str(exc)})
         emit_summary(record, out / "summary.txt")
         return 4
+    except (HelixDipolesError, ValueError) as exc:
+        print(f"error: bad configuration: {exc}", file=sys.stderr)
+        _write_metadata(cfg, out, {"status": "config_error", "error": str(exc)})
+        return 2
 
     summary["status"] = "ok"
     emit_summary(summary, out / "summary.txt")
@@ -398,103 +426,43 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
-def _add_physical(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--physical", action="store_true", default=None,
-                   help="also report energies in joules (needs mass and radius)")
-    p.add_argument("--mass-kg", dest="mass_kg", type=float, help="particle mass [kg]")
-    p.add_argument("--radius-m", dest="radius_m", type=float, help="helix radius [m]")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--ratio", type=float, help="pitch-to-radius ratio h/R")
-    p.add_argument("--out-dir", help=f"output directory (or ${OUTDIR_ENV})")
-    p.add_argument("--seed", type=int, help="eigensolver start-vector seed")
-    p.add_argument("--tol", type=float, help="relative accuracy of the ARPACK Ritz "
-                   "values: E for lanczos, 1/(E - sigma) for shift-invert")
-    p.add_argument("--solver",
-                   choices=("auto", "dense", "tridiagonal", "shift-invert", "lanczos"),
-                   help="eigensolver path; auto picks dense for small problems, "
-                        "tridiagonal for two-body and shift-invert for three-body")
-    p.add_argument("--deterministic", action="store_true", default=None,
-                   help="fixed seeds and serial execution (default)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per problem, its flags generated from ``RunConfig``."""
     parser = argparse.ArgumentParser(
         prog="helix-dipoles",
         description="Bound states of aligned dipoles in a helical trap.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="problem", required=True)
-
-    p = sub.add_parser("potential", help="reduced pair potential curve and minima")
-    _add_common(p)
-    p.add_argument("--phi-max", type=float, help="largest separation sampled")
-    p.add_argument("--n-samples", type=int, help="number of curve samples")
-
-    p = sub.add_parser("two-body", help="two-dipole spectrum and wave functions")
-    _add_common(p)
-    p.add_argument("--beta", type=float, help="coupling strength")
-    p.add_argument("--box-length", type=float, help="half-line box size L")
-    p.add_argument("--spacing", dest="spacing_1d", type=float, help="grid spacing")
-    p.add_argument("--k", dest="k_states", type=int, help="number of states")
-    p.add_argument("--statistics", choices=("boson", "fermion"))
-    p.add_argument("--full-line", dest="emit_full_line", action="store_true",
-                   default=None, help="also export symmetry-extended wave functions")
-    _add_physical(p)
-
-    p = sub.add_parser("three-body", help="three-dipole wedge solve")
-    _add_common(p)
-    p.add_argument("--beta", type=float, help="coupling strength")
-    p.add_argument("--x-max", dest="x_max", type=float, help="box extent in x")
-    p.add_argument("--y-max", dest="y_max", type=float, help="box extent in y")
-    p.add_argument("--spacing", dest="spacing_2d", type=float, help="grid spacing")
-    p.add_argument("--k", dest="k_states", type=int, help="number of states")
-    p.add_argument("--statistics", choices=("boson", "fermion"))
-    p.add_argument("--allow-small-box", action="store_true", default=None,
-                   help="skip the five-winding wall-clearance check")
-    p.add_argument("--symmetrize", action="store_true", default=None,
-                   help="export the full-plane (anti)symmetrized wave function")
-    p.add_argument("--sample-extent", type=float, help="symmetrized sampling half-width")
-    p.add_argument("--sample-spacing", type=float, help="symmetrized sampling step")
-    _add_physical(p)
-
-    p = sub.add_parser("scan", help="two-body spectrum vs coupling strength")
-    _add_common(p)
-    p.add_argument("--betas", help="comma-separated coupling values")
-    p.add_argument("--box-length", type=float, help="half-line box size L")
-    p.add_argument("--spacing", dest="spacing_1d", type=float, help="grid spacing")
-    p.add_argument("--k", dest="k_states", type=int, help="states per coupling")
-
-    p = sub.add_parser("fit", help="ground-state size scaling and fit")
-    _add_common(p)
-    p.add_argument("--betas", help="comma-separated couplings for the fit")
-    p.add_argument("--product-betas", dest="product_betas",
-                   help="comma-separated weak couplings for the size-energy product")
-    p.add_argument("--box-length", type=float, help="half-line box size L")
-    p.add_argument("--spacing", dest="spacing_1d", type=float, help="grid spacing")
+    for problem, (_, summary) in _COMMANDS.items():
+        # SUPPRESS: only the flags actually given reach the namespace
+        p = sub.add_parser(problem, help=summary, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="flat key = value config file (default: none)")
+        for f in fields(RunConfig):
+            meta = f.metadata
+            if "help" not in meta or problem not in (meta["on"] or _COMMANDS):
+                continue
+            flag = "--" + (meta["flag"] or f.name.replace("_", "-"))
+            text = f"{meta['help']} (default: {_format_value(f.default) or 'none'})"
+            if f.type == "bool":
+                p.add_argument(flag, dest=f.name, action="store_true", help=text)
+            else:
+                p.add_argument(flag, dest=f.name, type=_PARSERS[f.type],
+                               choices=meta["choices"], help=text)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """Layer defaults < config file < environment < explicit flags."""
-    items: dict[str, str] = {}
-    if getattr(args, "config", None):
-        items = parse_config_file(args.config)
-    cfg = RunConfig.from_items(items) if items else RunConfig()
+    given = dict(vars(args))
+    path = given.pop("config", None)
+    cfg = RunConfig.from_items(parse_config_file(path) if path else {})
 
     env_out = os.environ.get(OUTDIR_ENV)
     if env_out:
         cfg.out_dir = env_out
 
-    cfg.problem = args.problem
-    for name in (f.name for f in fields(RunConfig)):
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        if name in ("betas", "product_betas") and isinstance(value, str):
-            value = tuple(float(tok) for tok in value.split(",") if tok.strip())
+    for name, value in given.items():  # the subcommand and the flags given
         setattr(cfg, name, value)
     return cfg
 

@@ -44,6 +44,8 @@ class Grid1D:
 
     @classmethod
     def from_spacing(cls, phi_max: float = 100.0, spacing: float = 0.01) -> "Grid1D":
+        if not (spacing > 0.0 and math.isfinite(spacing)):
+            raise GridError(f"spacing must be finite and > 0, got {spacing}")
         return cls(phi_max=phi_max, n_points=int(round(phi_max / spacing)) - 1)
 
     @property

@@ -1,5 +1,6 @@
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import helixdipoles
 from helixdipoles.cli import (
     OUTDIR_ENV,
     RunConfig,
+    build_parser,
+    config_from_args,
     emit_csv,
     emit_summary,
     main,
@@ -248,6 +251,77 @@ class TestExitCodes:
         summary = read_keyvalue(tmp_path / "summary.txt")
         assert summary["status"] == "not_converged"
         assert float(summary["E0_unconverged"]) == pytest.approx(-0.3)
+
+
+class TestInputEdges:
+    @pytest.mark.parametrize("argv", [
+        ["two-body", "--k", "0"],
+        ["three-body", "--k", "0", "--x-max", "12", "--y-max", "16", "--spacing", "0.4",
+         "--allow-small-box"],
+        ["potential", "--phi-max", "0"],
+        ["potential", "--n-samples", "0"],
+        ["potential", "--n-samples", "-5"],
+        ["two-body", "--spacing", "0"],
+    ], ids=["two-body-k0", "three-body-k0", "phi-max-0", "n-samples-0", "n-samples-neg",
+            "spacing-0"])
+    def test_bad_input_is_config_error(self, argv, tmp_path):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        meta = read_keyvalue(tmp_path / "metadata.txt")
+        assert meta["status"] == "config_error"
+
+
+def _subcommand_parsers(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
+class TestGeneratedParser:
+    COMMON = {"--config": "config", "--ratio": "ratio", "--out-dir": "out_dir",
+              "--seed": "seed", "--tol": "tol", "--solver": "solver"}
+    PHYSICAL = {"--physical": "physical", "--mass-kg": "mass_kg", "--radius-m": "radius_m"}
+    FLAGS = {
+        "potential": {**COMMON, "--phi-max": "phi_max", "--n-samples": "n_samples"},
+        "two-body": {**COMMON, **PHYSICAL, "--beta": "beta", "--box-length": "box_length",
+                     "--spacing": "spacing_1d", "--k": "k_states",
+                     "--statistics": "statistics", "--full-line": "emit_full_line"},
+        "three-body": {**COMMON, **PHYSICAL, "--beta": "beta", "--x-max": "x_max",
+                       "--y-max": "y_max", "--spacing": "spacing_2d", "--k": "k_states",
+                       "--statistics": "statistics", "--allow-small-box": "allow_small_box",
+                       "--symmetrize": "symmetrize", "--sample-extent": "sample_extent",
+                       "--sample-spacing": "sample_spacing"},
+        "scan": {**COMMON, "--betas": "betas", "--box-length": "box_length",
+                 "--spacing": "spacing_1d", "--k": "k_states"},
+        "fit": {**COMMON, "--betas": "betas", "--product-betas": "product_betas",
+                "--box-length": "box_length", "--spacing": "spacing_1d"},
+    }
+
+    def test_flag_table(self):
+        for name, sub in _subcommand_parsers(build_parser()).items():
+            table = {flag: action.dest for action in sub._actions
+                     for flag in action.option_strings if flag not in ("-h", "--help")}
+            assert table == self.FLAGS[name], name
+            for action in sub._actions:
+                if action.dest != "help":
+                    assert "default:" in action.help, (name, action.dest)
+
+    def test_readme_examples_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("## Command line", 1)[1].split("```sh", 1)[1]
+        block = block.split("```", 1)[0].replace("\\\n", " ")
+        commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+        commands = [cmd[1:] for cmd in commands if cmd and cmd[0] == "helix-dipoles"]
+        assert len(commands) >= 5
+        for argv in commands:
+            build_parser().parse_args(argv)
+
+    def test_only_given_flags_override_config(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("x_max = 45.0\nbeta = 0.5\nsymmetrize = true\n")
+        args = build_parser().parse_args(
+            ["three-body", "--config", str(cfg_file), "--x-max", "auto"])
+        cfg = config_from_args(args)
+        assert cfg.x_max is None
+        assert cfg.beta == 0.5 and cfg.symmetrize is True
+        assert cfg.problem == "three-body"
 
 
 class TestImportCost:

@@ -46,6 +46,11 @@ class TestGrid1D:
         with pytest.raises(GridError):
             Grid1D(phi_max=-1.0)
 
+    @pytest.mark.parametrize("spacing", [0.0, -0.01, math.nan, math.inf])
+    def test_from_spacing_rejects_bad_spacing(self, spacing):
+        with pytest.raises(GridError):
+            Grid1D.from_spacing(10.0, spacing)
+
 
 class TestAssembly:
     def test_free_box_ground_state(self):
