@@ -122,13 +122,18 @@ class RunConfig:
 
     @classmethod
     def from_items(cls, items: dict[str, str]) -> "RunConfig":
-        """Inverse of :meth:`to_items`; unknown keys are rejected."""
+        """Inverse of :meth:`to_items`; rejects unknown keys and values outside ``choices``."""
         kwargs = {}
-        known = {f.name: f.type for f in fields(cls)}
+        known = {f.name: f for f in fields(cls)}
         for key, raw in items.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _PARSERS[known[key]](raw.strip())
+            value = _PARSERS[known[key].type](raw.strip())
+            choices = known[key].metadata.get("choices")
+            if choices and value not in choices:
+                raise ValueError(f"config key {key!r}: {value!r} is not one of "
+                                 f"{', '.join(choices)}")
+            kwargs[key] = value
         return cls(**kwargs)
 
 
@@ -181,6 +186,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return items
 
 
+#: Rows formatted per write on the array path; bounds the transient strings.
+_CSV_BLOCK_ROWS = 1024
+
+
 def _fmt(x) -> str:
     """Floats at 12 significant digits with '.' decimal point."""
     if isinstance(x, (float, np.floating)):
@@ -189,13 +198,24 @@ def _fmt(x) -> str:
 
 
 def emit_csv(header: list[str], rows, path: str | Path) -> None:
-    """Write rows as CSV with a header line; floats at 12 significant digits."""
+    """Write rows as CSV with a header line; floats at 12 significant digits.
+
+    A 2-D float64 array goes through one ``%.12g`` row template, a block of
+    rows per write, with the bytes :func:`_fmt` gives per cell; other rows go
+    cell by cell through :func:`_fmt`, so integers and strings keep ``str``.
+    """
     path = Path(path)
     try:
         with path.open("w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
+            if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+                line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+                for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+                    block = rows[start:start + _CSV_BLOCK_ROWS].tolist()
+                    fh.write("".join([line % tuple(r) for r in block]))
+            else:
+                for row in rows:
+                    fh.write(",".join(_fmt(x) for x in row) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV {path}: {exc}") from exc
 
@@ -250,7 +270,7 @@ def _run_potential(cfg: RunConfig, out: Path) -> dict:
     values = reduced_potential(phi, cfg.ratio)
     emit_csv(
         ["phi_over_2pi", "V_reduced"],
-        zip(phi / TWO_PI, values),
+        np.column_stack([phi / TWO_PI, values]),
         out / "data.csv",
     )
     minima = find_minima(cfg.ratio, max(1, int(cfg.phi_max / TWO_PI) + 1))
@@ -270,14 +290,14 @@ def _run_two_body(cfg: RunConfig, out: Path) -> dict:
     header = ["phi"] + [f"psi{m}" for m in range(cfg.k_states)]
     emit_csv(
         header,
-        zip(grid.nodes, *(sol.wavefunction(m) for m in range(cfg.k_states))),
+        np.column_stack([grid.nodes] + [sol.wavefunction(m) for m in range(cfg.k_states)]),
         out / "wavefunctions.csv",
     )
     if cfg.emit_full_line:
         columns = [extend_full_line(sol, state=m) for m in range(cfg.k_states)]
         emit_csv(
             header,
-            zip(columns[0][0], *(psi for _, psi in columns)),
+            np.column_stack([columns[0][0]] + [psi for _, psi in columns]),
             out / "wavefunctions_full_line.csv",
         )
     peak = grid.nodes[int(np.argmax(np.abs(sol.wavefunction(0))))]
@@ -299,7 +319,8 @@ def _run_three_body(cfg: RunConfig, out: Path) -> dict:
         allow_small_box=cfg.allow_small_box,
     )
     psi0 = sol.wavefunction(0)
-    emit_csv(["x", "y", "psi"], zip(grid.x, grid.y, psi0), out / "wavefunction2d.csv")
+    emit_csv(["x", "y", "psi"], np.column_stack([grid.x, grid.y, psi0]),
+             out / "wavefunction2d.csv")
     peak = int(np.argmax(np.abs(psi0)))
     d12, d23, d13 = sol.distances
     summary: dict = {
@@ -321,7 +342,7 @@ def _run_three_body(cfg: RunConfig, out: Path) -> dict:
         xg, yg = np.meshgrid(samples, samples, indexing="ij")
         emit_csv(
             ["x", "y", "psi"],
-            zip(xg.ravel(), yg.ravel(), psi_map.ravel()),
+            np.column_stack([xg.ravel(), yg.ravel(), psi_map.ravel()]),
             out / "symmetrized.csv",
         )
         summary["symmetrize_statistics"] = cfg.statistics
@@ -358,7 +379,7 @@ def _run_fit(cfg: RunConfig, out: Path) -> dict:
                            tol=cfg.tol, method=cfg.solver, seed=cfg.seed)
     emit_csv(
         ["beta", "E0", "phi2", "phi0"],
-        [[r.beta, r.energy, r.phi2, r.phi0] for r in rows],
+        np.array([[r.beta, r.energy, r.phi2, r.phi0] for r in rows]),
         out / "size_scan.csv",
     )
     fit = fit_harmonic_size(rows, beta_range=(min(betas), max(betas)))

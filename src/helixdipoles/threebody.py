@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .linalg import DEFAULT_SEED, EigenResult, SymmetricSparseOperator, lowest_eigenpairs
+from .linalg import (DEFAULT_SEED, EigenResult, SymmetricSparseOperator, check_k,
+                     lowest_eigenpairs)
 from .potential import reduced_potential, validate_geometry
 
 TWO_PI = 2.0 * math.pi
@@ -201,6 +202,7 @@ def solve_three_body(
     allow_small_box: bool = False,
 ) -> ThreeBodySolution:
     """Lowest ``k`` wedge states and the ground-state pair distances."""
+    check_k(k, grid.n_active)  # before the costly assembly
     op = assemble_hamiltonian_2d(grid, beta, ratio, allow_small_box=allow_small_box)
     eigen = lowest_eigenpairs(
         op, k, tol,

@@ -3,15 +3,20 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import helixdipoles
 from helixdipoles.cli import (
+    _CSV_BLOCK_ROWS,
     OUTDIR_ENV,
     RunConfig,
+    _fmt,
     build_parser,
     config_from_args,
     emit_csv,
@@ -23,6 +28,12 @@ from helixdipoles.cli import (
 from helixdipoles.errors import ConvergenceError
 
 TWO_PI = 2.0 * math.pi
+
+# non-finite, signed-zero, subnormal, extreme and 12-digit rounding-carry cells
+CSV_EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+                   2.2250738585072014e-308, 1e-308, -1e-308, 1e308, -1e308,
+                   1.7976931348623157e308, 999999.9999995, -999999.9999995,
+                   9.9999999999995, 0.99999999999995, 99999999999.95, 1e-5, 1e16]
 
 
 def read_csv(path):
@@ -92,6 +103,28 @@ class TestEmitters:
         assert text.splitlines()[0] == "a,b"
         assert "0.333333333333" in text  # 12 significant digits
         assert "1e-12" in text
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.sampled_from([0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                       _CSV_BLOCK_ROWS + 1]),
+                      st.integers(1, 6)),
+            elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+            | st.sampled_from(CSV_EDGE_VALUES),
+        )
+    )
+    def test_array_rows_match_per_cell_format(self, table):
+        # the array path must write the bytes the per-cell _fmt path writes
+        header = [f"c{j}" for j in range(table.shape[1])]
+        expected = "".join(
+            line + "\n"
+            for line in [",".join(header)] + [",".join(_fmt(x) for x in row) for row in table]
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            emit_csv(header, table, path)
+            assert path.read_bytes() == expected.encode()
 
     def test_summary_format(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -371,6 +404,15 @@ class TestMainEntry:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("nonsense_key = 3\n")
         assert main(["potential", "--config", str(cfg_file)]) == 2
+
+    @pytest.mark.parametrize("line", ["statistics = bosn", "solver = lanczoz"])
+    def test_config_value_outside_choices(self, line, tmp_path):
+        # the flags reject these through argparse; a config file must too
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(line + "\n")
+        argv = ["three-body", "--config", str(cfg_file), "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert not (tmp_path / "metadata.txt").exists()
 
 
 class TestDeterminism:

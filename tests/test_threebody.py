@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helixdipoles.errors import GridError
+from helixdipoles import threebody
+from helixdipoles.errors import DimensionError, GridError
 from helixdipoles.linalg import lowest_eigenpairs
 from helixdipoles.threebody import (
     EXCHANGE_GROUP,
@@ -129,6 +130,16 @@ class TestAssembly2D:
         with pytest.raises(ValueError, match="finite"):
             solve_three_body(WedgeGrid2D(12.0, 16.0, 0.4), beta, 1.0, 1,
                              allow_small_box=True)
+
+    def test_k_checked_before_assembly(self, monkeypatch):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("wedge assembled before the k check")
+
+        monkeypatch.setattr(threebody, "assemble_hamiltonian_2d", no_assembly)
+        grid = WedgeGrid2D(12.0, 16.0, 0.4)
+        for k in (0, grid.n_active // 4 + 1):
+            with pytest.raises(DimensionError, match=f"k={k} outside"):
+                solve_three_body(grid, 1.0, 1.0, k, allow_small_box=True)
 
 
 class TestMiniWedgeReferences:
