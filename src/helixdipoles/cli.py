@@ -35,6 +35,7 @@ TWO_PI = 2.0 * math.pi
 OUTDIR_ENV = "HELIX_DIPOLES_OUTDIR"
 
 _BODIES = ("two-body", "three-body")
+_SOLVING = _BODIES + ("scan", "fit")
 _HALF_LINE = ("two-body", "scan", "fit")
 _WEDGE = ("three-body",)
 
@@ -76,11 +77,12 @@ class RunConfig:
     n_samples: int = _flag(2000, "number of curve samples", on=("potential",))
     out_dir: str = _flag("runs", f"output directory (or ${OUTDIR_ENV})")
     deterministic: bool = True
-    seed: int = _flag(DEFAULT_SEED, "eigensolver start-vector seed")
+    seed: int = _flag(DEFAULT_SEED, "eigensolver start-vector seed", on=_SOLVING)
     tol: float = _flag(1e-9, "relative accuracy of the ARPACK Ritz values: "
-                       "E for lanczos, 1/(E - sigma) for shift-invert")
+                       "E for lanczos, 1/(E - sigma) for shift-invert", on=_SOLVING)
     solver: str = _flag("auto", "eigensolver path; auto picks dense for small problems, "
                         "tridiagonal for two-body and shift-invert for three-body",
+                        on=_SOLVING,
                         choices=("auto", "dense", "tridiagonal", "shift-invert", "lanczos"))
     allow_small_box: bool = _flag(False, "skip the five-winding wall-clearance check",
                                   on=_WEDGE)
@@ -243,12 +245,15 @@ def _write_metadata(cfg: RunConfig, out: Path, extra: dict) -> None:
 
 
 def _eigen_summary(eigen) -> dict:
-    return {
+    summary = {
         "solver_method": eigen.method,
         "solver_seed": "none" if eigen.seed is None else eigen.seed,
         "max_residual_norm": float(eigen.residual_norms.max()),
         "matvec_count": eigen.n_matvec,
     }
+    if eigen.method == "shift-invert":
+        summary["factor_nnz"] = eigen.factor_nnz
+    return summary
 
 
 def _append_physical(cfg: RunConfig, energies, summary: dict) -> None:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import GridError
 from .linalg import (DEFAULT_SEED, EigenResult, SymmetricSparseOperator, check_k,
@@ -38,6 +39,10 @@ Y_WINDING = TWO_PI / SQRT32
 #: Required clearance, in windings, between the first-minimum configuration
 #: and the outer box walls.
 MIN_MARGIN_WINDINGS = 5.0
+
+#: Five-point stencil offsets (di, dj), ordered as the node indices they
+#: reach: nodes are numbered i-major, so every CSR row comes out sorted.
+_STENCIL = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
@@ -85,8 +90,9 @@ class WedgeGrid2D:
 
     def __init__(self, x_max: float = 30.0, y_max: float = 40.0, spacing: float = 0.1,
                  edge_cushion: float = 0.5):
-        if x_max <= 0 or y_max <= 0 or spacing <= 0:
-            raise GridError("x_max, y_max and spacing must be positive")
+        if not all(0.0 < v < math.inf for v in (x_max, y_max, spacing)):
+            raise GridError("x_max, y_max and spacing must be finite and positive, "
+                            f"got ({x_max}, {y_max}, {spacing})")
         if not 0.0 <= edge_cushion < 1.0:
             raise GridError("edge_cushion must lie in [0, 1)")
         self.x_max = float(x_max)
@@ -106,7 +112,7 @@ class WedgeGrid2D:
         self.x = self.ii * self.spacing
         self.y = self.jj * self.spacing
         self.n_active = int(self.x.size)
-        index = -np.ones((nx + 1, ny + 1), dtype=np.int64)
+        index = -np.ones((nx + 1, ny + 1), dtype=np.int32)
         index[self.ii, self.jj] = np.arange(self.n_active)
         self._index = index
 
@@ -173,21 +179,17 @@ def assemble_hamiltonian_2d(
         + reduced_potential(phi23, ratio)
         + reduced_potential(phi13, ratio)
     )
-    n = grid.n_active
-    diag = 2.0 / dx**2 + pot
-
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [diag]
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        neighbor = grid._index[grid.ii + di, grid.jj + dj]
-        has = neighbor >= 0
-        rows.append(np.flatnonzero(has))
-        cols.append(neighbor[has])
-        vals.append(np.full(int(has.sum()), -0.5 / dx**2))
-    return SymmetricSparseOperator.from_coo(
-        n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+    # one row per node, its stencil columns in ascending node order
+    cols = np.stack([grid._index[grid.ii + di, grid.jj + dj] for di, dj in _STENCIL], axis=1)
+    vals = np.full(cols.shape, -0.5 / dx**2)
+    vals[:, 2] = 2.0 / dx**2 + pot  # the (0, 0) column
+    present = cols >= 0
+    indptr = np.zeros(grid.n_active + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    op = SymmetricSparseOperator(sp.csr_matrix(
+        (vals[present], cols[present], indptr), shape=(grid.n_active, grid.n_active)))
+    op.validate()
+    return op
 
 
 def solve_three_body(

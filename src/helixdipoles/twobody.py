@@ -39,13 +39,14 @@ class Grid1D:
     phi_min = 0.0
 
     def __post_init__(self) -> None:
-        if self.phi_max <= 0 or self.n_points < 3:
-            raise GridError("need phi_max > 0 and at least 3 interior points")
+        if not 0.0 < self.phi_max < math.inf or self.n_points < 3:
+            raise GridError("need finite phi_max > 0 and at least 3 interior points")
 
     @classmethod
     def from_spacing(cls, phi_max: float = 100.0, spacing: float = 0.01) -> "Grid1D":
-        if not (spacing > 0.0 and math.isfinite(spacing)):
-            raise GridError(f"spacing must be finite and > 0, got {spacing}")
+        if not (0.0 < phi_max < math.inf and 0.0 < spacing < math.inf):
+            raise GridError(f"phi_max and spacing must be finite and > 0, "
+                            f"got ({phi_max}, {spacing})")
         return cls(phi_max=phi_max, n_points=int(round(phi_max / spacing)) - 1)
 
     @property

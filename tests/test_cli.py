@@ -201,6 +201,17 @@ class TestThreeBodyCommand:
         assert sym_header == ["x", "y", "psi"]
         assert len(sym_rows) == 21 * 21
 
+    def test_factor_fill_reported_for_shift_invert_only(self, tmp_path):
+        common = dict(problem="three-body", beta=1.0, x_max=12.0, y_max=16.0,
+                      spacing_2d=0.4, k_states=1, allow_small_box=True)
+        assert run(RunConfig(solver="shift-invert", out_dir=str(tmp_path / "si"),
+                             **common)) == 0
+        fill = int(read_keyvalue(tmp_path / "si" / "summary.txt")["factor_nnz"])
+        assert fill >= 4261  # the mini wedge operator's own nnz
+        assert run(RunConfig(solver="lanczos", out_dir=str(tmp_path / "plain"),
+                             **common)) == 0
+        assert "factor_nnz" not in read_keyvalue(tmp_path / "plain" / "summary.txt")
+
     def test_small_box_rejected_without_flag(self, tmp_path):
         cfg = RunConfig(problem="three-body", x_max=12.0, y_max=16.0,
                         spacing_2d=0.4, out_dir=str(tmp_path))
@@ -302,29 +313,51 @@ class TestInputEdges:
         meta = read_keyvalue(tmp_path / "metadata.txt")
         assert meta["status"] == "config_error"
 
+    @given(st.sampled_from([["three-body", "--x-max"], ["three-body", "--y-max"],
+                            ["three-body", "--spacing"], ["two-body", "--box-length"],
+                            ["two-body", "--spacing"]]),
+           st.sampled_from(["nan", "inf", "-inf"]))
+    def test_non_finite_box_is_config_error(self, flag, value):
+        # "--flag=-inf": a bare "-inf" would parse as an option name
+        with tempfile.TemporaryDirectory() as tmp:
+            assert main([flag[0], f"{flag[1]}={value}", "--out-dir", tmp]) == 2
+            meta = read_keyvalue(Path(tmp) / "metadata.txt")
+            assert meta["status"] == "config_error"
+            assert "finite" in meta["error"]
+
+    @pytest.mark.parametrize("flag", ["--seed=1", "--tol=1e-8", "--solver=lanczos"])
+    def test_potential_takes_no_solver_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["potential", flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 def _subcommand_parsers(parser):
     return parser._subparsers._group_actions[0].choices
 
 
 class TestGeneratedParser:
-    COMMON = {"--config": "config", "--ratio": "ratio", "--out-dir": "out_dir",
-              "--seed": "seed", "--tol": "tol", "--solver": "solver"}
+    COMMON = {"--config": "config", "--ratio": "ratio", "--out-dir": "out_dir"}
+    SOLVER = {"--seed": "seed", "--tol": "tol", "--solver": "solver"}
     PHYSICAL = {"--physical": "physical", "--mass-kg": "mass_kg", "--radius-m": "radius_m"}
     FLAGS = {
         "potential": {**COMMON, "--phi-max": "phi_max", "--n-samples": "n_samples"},
-        "two-body": {**COMMON, **PHYSICAL, "--beta": "beta", "--box-length": "box_length",
-                     "--spacing": "spacing_1d", "--k": "k_states",
-                     "--statistics": "statistics", "--full-line": "emit_full_line"},
-        "three-body": {**COMMON, **PHYSICAL, "--beta": "beta", "--x-max": "x_max",
-                       "--y-max": "y_max", "--spacing": "spacing_2d", "--k": "k_states",
-                       "--statistics": "statistics", "--allow-small-box": "allow_small_box",
+        "two-body": {**COMMON, **SOLVER, **PHYSICAL, "--beta": "beta",
+                     "--box-length": "box_length", "--spacing": "spacing_1d",
+                     "--k": "k_states", "--statistics": "statistics",
+                     "--full-line": "emit_full_line"},
+        "three-body": {**COMMON, **SOLVER, **PHYSICAL, "--beta": "beta",
+                       "--x-max": "x_max", "--y-max": "y_max", "--spacing": "spacing_2d",
+                       "--k": "k_states", "--statistics": "statistics",
+                       "--allow-small-box": "allow_small_box",
                        "--symmetrize": "symmetrize", "--sample-extent": "sample_extent",
                        "--sample-spacing": "sample_spacing"},
-        "scan": {**COMMON, "--betas": "betas", "--box-length": "box_length",
+        "scan": {**COMMON, **SOLVER, "--betas": "betas", "--box-length": "box_length",
                  "--spacing": "spacing_1d", "--k": "k_states"},
-        "fit": {**COMMON, "--betas": "betas", "--product-betas": "product_betas",
-                "--box-length": "box_length", "--spacing": "spacing_1d"},
+        "fit": {**COMMON, **SOLVER, "--betas": "betas",
+                "--product-betas": "product_betas", "--box-length": "box_length",
+                "--spacing": "spacing_1d"},
     }
 
     def test_flag_table(self):

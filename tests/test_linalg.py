@@ -69,6 +69,12 @@ class TestOperator:
         with pytest.raises(DimensionError):
             SymmetricSparseOperator(mat).validate()
 
+    def test_validate_rejects_pattern_asymmetric(self):
+        # (0, 1) stored, (1, 0) absent: the transposed pattern differs
+        mat = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(DimensionError, match="not symmetric"):
+            SymmetricSparseOperator(mat).validate()
+
     def test_validate_requires_diagonal(self):
         mat = sp.coo_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(2, 2)).tocsr()
         with pytest.raises(DimensionError):
@@ -159,6 +165,12 @@ class TestLowestEigenpairs:
         np.testing.assert_array_equal(a.vectors, b.vectors)
         assert a.seed == 123 and a.method == "shift-invert"
         assert a.n_matvec > 3  # LU solves plus the k residual matvecs
+        assert a.factor_nnz == b.factor_nnz >= op.nnz  # L and U hold A's pattern
+
+    @pytest.mark.parametrize("method", ["dense", "lanczos"])
+    def test_factor_nnz_zero_off_the_lu_path(self, method):
+        op = random_sparse_symmetric(400, seed=3)
+        assert lowest_eigenpairs(op, 2, 1e-10, method=method).factor_nnz == 0
 
     def test_shift_invert_below_diagonal_spectrum(self):
         # the Gershgorin bound of a diagonal operator is its lowest eigenvalue,

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from helixdipoles import threebody
 from helixdipoles.errors import DimensionError, GridError
 from helixdipoles.linalg import lowest_eigenpairs
+from helixdipoles.potential import reduced_potential
 from helixdipoles.threebody import (
     EXCHANGE_GROUP,
     FIRST_MINIMUM_XY,
@@ -37,6 +39,26 @@ PROD_BETA2_E0 = -1.4391000
 PROD_BETA2_D = (0.9987, 0.9987, 1.9973)
 PROD_BETA025_E0 = -0.0285792
 PROD_BETA025_D = (1.5454, 1.5468, 3.0922)
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def coo_reference(grid, beta, ratio):
+    """The wedge operator assembled from COO triplets, one stencil arm at a time."""
+    dx = grid.spacing
+    phi12, phi23, phi13 = pair_separations(grid.x, grid.y)
+    pot = beta * (reduced_potential(phi12, ratio) + reduced_potential(phi23, ratio)
+                  + reduced_potential(phi13, ratio))
+    n = grid.n_active
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [2.0 / dx**2 + pot]
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        neighbor = grid._index[grid.ii + di, grid.jj + dj].astype(np.int64)
+        has = neighbor >= 0
+        rows.append(np.flatnonzero(has))
+        cols.append(neighbor[has])
+        vals.append(np.full(int(has.sum()), -0.5 / dx**2))
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
 
 
 class TestJacobiTransform:
@@ -101,6 +123,27 @@ class TestWedgeGrid:
         with pytest.raises(GridError):
             WedgeGrid2D(12.0, 16.0, 0.4, edge_cushion=1.5)
 
+    @given(NON_FINITE, st.integers(0, 2))
+    def test_non_finite_box_rejected(self, bad, position):
+        args = [12.0, 16.0, 0.4]
+        args[position] = bad
+        with pytest.raises(GridError, match="finite"):
+            WedgeGrid2D(*args)
+
+    @given(st.floats(3.0, 40.0), st.floats(3.0, 50.0))
+    def test_margin_violation_needs_allow_small_box(self, x_max, y_max):
+        grid = WedgeGrid2D(x_max, y_max, 1.0)  # coarse: at most ~1,000 nodes
+        # the one-winding chain sits at (sqrt2 pi, sqrt6 pi); a winding is
+        # 2 pi / sqrt2 along x and 2 pi / sqrt(3/2) along y
+        clear_x = (x_max - math.sqrt(2.0) * math.pi) / (TWO_PI / math.sqrt(2.0))
+        clear_y = (y_max - math.sqrt(6.0) * math.pi) / (TWO_PI / math.sqrt(1.5))
+        if min(clear_x, clear_y) < 5.0:
+            with pytest.raises(GridError, match="allow_small_box"):
+                assemble_hamiltonian_2d(grid, 1.0, 1.0)
+        else:
+            assemble_hamiltonian_2d(grid, 1.0, 1.0)
+        assert assemble_hamiltonian_2d(grid, 1.0, 1.0, allow_small_box=True).n == grid.n_active
+
 
 class TestAssembly2D:
     def test_diagonal_at_chain_peak(self):
@@ -117,6 +160,17 @@ class TestAssembly2D:
         grid = WedgeGrid2D(12.0, 16.0, 0.4)
         op = assemble_hamiltonian_2d(grid, 1.0, 1.0, allow_small_box=True)
         op.validate()
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_stencil_csr_equals_coo_reference(self, beta):
+        grid = WedgeGrid2D(12.0, 16.0, 0.4)
+        csr = assemble_hamiltonian_2d(grid, beta, 1.0, allow_small_box=True).csr
+        ref = coo_reference(grid, beta, 1.0)
+        assert csr.indices.dtype == np.int32 and csr.indptr.dtype == np.int32
+        assert csr.has_canonical_format
+        np.testing.assert_array_equal(csr.indptr, ref.indptr)
+        np.testing.assert_array_equal(csr.indices, ref.indices)
+        assert csr.data.tobytes() == ref.data.tobytes()
 
     def test_free_wedge_spectrum_positive(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.4)
@@ -138,6 +192,19 @@ class TestAssembly2D:
         monkeypatch.setattr(threebody, "assemble_hamiltonian_2d", no_assembly)
         grid = WedgeGrid2D(12.0, 16.0, 0.4)
         for k in (0, grid.n_active // 4 + 1):
+            with pytest.raises(DimensionError, match=f"k={k} outside"):
+                solve_three_body(grid, 1.0, 1.0, k, allow_small_box=True)
+
+    @given(st.data())
+    def test_k_outside_range_rejected_before_assembly(self, data):
+        grid = WedgeGrid2D(12.0, 16.0, 0.4)
+        k = data.draw(st.integers(-10**6, 0) | st.integers(grid.n_active // 4 + 1, 10**6))
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("wedge assembled before the k check")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(threebody, "assemble_hamiltonian_2d", no_assembly)
             with pytest.raises(DimensionError, match=f"k={k} outside"):
                 solve_three_body(grid, 1.0, 1.0, k, allow_small_box=True)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from helixdipoles import twobody
 from helixdipoles.errors import GeometryError, GridError
@@ -50,6 +51,13 @@ class TestGrid1D:
     def test_from_spacing_rejects_bad_spacing(self, spacing):
         with pytest.raises(GridError):
             Grid1D.from_spacing(10.0, spacing)
+
+    @given(st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_phi_max_rejected(self, phi_max):
+        with pytest.raises(GridError, match="finite"):
+            Grid1D(phi_max=phi_max, n_points=99)
+        with pytest.raises(GridError, match="finite"):
+            Grid1D.from_spacing(phi_max, 0.1)
 
 
 class TestAssembly:
