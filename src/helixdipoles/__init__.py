@@ -27,7 +27,6 @@ from .linalg import (
     EigenResult,
     SymmetricSparseOperator,
     lowest_eigenpairs,
-    matvec,
 )
 from .twobody import (
     BOUND_THRESHOLD,
@@ -68,7 +67,7 @@ __all__ = [
     "HelixGeometry", "PhysicalDipole", "PotentialMinimum", "RATIO_MAX",
     "cartesian_position", "reduced_potential", "reduced_potential_derivative",
     "full_potential", "beta_from_physical", "find_minima", "validate_geometry",
-    "SymmetricSparseOperator", "EigenResult", "matvec", "lowest_eigenpairs",
+    "SymmetricSparseOperator", "EigenResult", "lowest_eigenpairs",
     "Grid1D", "TwoBodySolution", "BetaScanRow", "BOUND_THRESHOLD",
     "assemble_hamiltonian_1d", "solve_two_body", "extend_full_line", "scan_beta",
     "JacobiAngles", "WedgeGrid2D", "ThreeBodySolution",

@@ -188,7 +188,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return items
 
 
-#: Rows formatted per write on the array path; bounds the transient strings.
+#: Rows formatted per write; bounds the transient strings.
 _CSV_BLOCK_ROWS = 1024
 
 
@@ -200,24 +200,22 @@ def _fmt(x) -> str:
 
 
 def emit_csv(header: list[str], rows, path: str | Path) -> None:
-    """Write rows as CSV with a header line; floats at 12 significant digits.
+    """Write a float table as CSV with a header line, every cell ``%.12g``.
 
-    A 2-D float64 array goes through one ``%.12g`` row template, a block of
-    rows per write, with the bytes :func:`_fmt` gives per cell; other rows go
-    cell by cell through :func:`_fmt`, so integers and strings keep ``str``.
+    ``rows`` (an array or nested lists, one column per header name) is taken
+    as float64 and written through one row template, a block of rows per
+    write.  ``%.12g`` gives the bytes :func:`_fmt` gives a float, and prints
+    whole numbers without a decimal point (``-1``, ``3``) and NaN as ``nan``.
     """
     path = Path(path)
+    table = np.asarray(rows, dtype=np.float64)
+    line = ",".join(["%.12g"] * len(header)) + "\n"
     try:
         with path.open("w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
-                line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
-                for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-                    block = rows[start:start + _CSV_BLOCK_ROWS].tolist()
-                    fh.write("".join([line % tuple(r) for r in block]))
-            else:
-                for row in rows:
-                    fh.write(",".join(_fmt(x) for x in row) + "\n")
+            for start in range(0, len(table), _CSV_BLOCK_ROWS):
+                block = table[start:start + _CSV_BLOCK_ROWS].tolist()
+                fh.write("".join([line % tuple(r) for r in block]))
     except OSError as exc:
         raise OSError(f"cannot write CSV {path}: {exc}") from exc
 
@@ -316,6 +314,9 @@ def _run_two_body(cfg: RunConfig, out: Path) -> dict:
 
 
 def _run_three_body(cfg: RunConfig, out: Path) -> dict:
+    if cfg.symmetrize and not (0.0 < cfg.sample_extent < math.inf
+                               and 0.0 < cfg.sample_spacing < math.inf):
+        raise ValueError("symmetrize needs finite sample_extent > 0 and sample_spacing > 0")
     x_max, y_max, spacing = cfg.resolved_box()
     grid = WedgeGrid2D(x_max=x_max, y_max=y_max, spacing=spacing)
     sol = solve_three_body(
@@ -368,7 +369,7 @@ def _run_scan(cfg: RunConfig, out: Path) -> dict:
         if row.error is None:
             csv_rows.append([row.beta, *row.energies, row.bound_count])
         else:
-            csv_rows.append([row.beta] + ["nan"] * cfg.k_states + [-1])
+            csv_rows.append([row.beta] + [math.nan] * cfg.k_states + [-1])
             failures.append((row.beta, row.error))
     emit_csv(header, csv_rows, out / "scan.csv")
     summary: dict = {"ratio": cfg.ratio, "n_rows": len(rows), "n_failed": len(failures)}
@@ -436,7 +437,7 @@ def run(cfg: RunConfig) -> int:
         print(f"error: eigensolver did not converge: {exc}", file=sys.stderr)
         record: dict = {"status": "not_converged", "error": str(exc)}
         _write_metadata(cfg, out, record)
-        if exc.result is not None:  # best-effort eigenvalues, flagged
+        if exc.result is not None:  # the pairs ARPACK did converge, flagged
             for m, e in enumerate(exc.result[0]):
                 record[f"E{m}_unconverged"] = float(e)
         emit_summary(record, out / "summary.txt")

@@ -22,9 +22,10 @@ class DimensionError(HelixDipolesError):
 
 
 class ConvergenceError(HelixDipolesError):
-    """Iterative eigensolver hit its iteration cap before reaching tolerance.
+    """Iterative eigensolver stopped before reaching its tolerance.
 
-    Carries the best result obtained so far on the ``result`` attribute.
+    ``result`` holds the ``(energies, vectors)`` pairs ARPACK did converge
+    within its restart limit, or ``None`` when it failed outright.
     """
 
     def __init__(self, message, result=None):

@@ -7,9 +7,11 @@ ARPACK's implicitly restarted Lanczos in shift-invert mode (everything
 else): the operator is shifted strictly below its Gershgorin bound,
 factored once by sparse LU, and the largest eigenvalues of the inverse are
 mapped back to the lowest of the operator.  The same ARPACK driver can be
-forced to iterate on the operator itself (``lanczos``).  The iterative
-start vectors are drawn from a seeded generator and the seed is carried in
-the result, so repeated runs are reproducible.
+forced to iterate on the operator itself (``lanczos``).  ARPACK's own
+restart limit bounds the iteration; when it stops short, the pairs it did
+converge travel on the :class:`ConvergenceError`.  The iterative start
+vectors are drawn from a seeded generator and the seed is carried in the
+result, so repeated runs are reproducible.
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ DENSE_CUTOFF = 2000
 
 #: Default start-vector seed for the iterative path.
 DEFAULT_SEED = 20177
-
-#: Iteration cap for the iterative path, counted in operator applications.
-DEFAULT_MAX_MATVECS = 100_000
 
 #: Columns SuperLU factors together.  Its panel workspace grows as
 #: panel_size x n: scipy's default width added 31 MB to the beta=2 wedge
@@ -76,10 +75,6 @@ class SymmetricSparseOperator:
         rows = np.repeat(np.arange(self.n), np.diff(self.csr.indptr))
         return bool(np.all(np.abs(rows - self.csr.indices) <= 1))
 
-    def tridiagonal_bands(self) -> tuple[np.ndarray, np.ndarray]:
-        dense_off = self.csr.diagonal(1)
-        return self.diagonal(), dense_off
-
     def validate(self, tol: float = 1e-15) -> None:
         """Check value symmetry (to ``tol``, relative) and diagonal presence."""
         csr = self.csr
@@ -98,11 +93,6 @@ class SymmetricSparseOperator:
         stored[rows[rows == csr.indices]] = True
         if not stored.all():
             raise DimensionError(f"diagonal entry {int(np.argmin(stored))} not stored")
-
-
-def matvec(op: SymmetricSparseOperator, v: np.ndarray) -> np.ndarray:
-    """Sparse product ``op @ v`` (deterministic for a fixed thread setup)."""
-    return op.matvec(np.asarray(v, dtype=float))
 
 
 @dataclass
@@ -167,7 +157,6 @@ def lowest_eigenpairs(
     method: str = "auto",
     seed: int = DEFAULT_SEED,
     quadrature_weight: float = 1.0,
-    max_matvecs: int = DEFAULT_MAX_MATVECS,
 ) -> EigenResult:
     """Compute the ``k`` lowest eigenpairs of a symmetric sparse operator.
 
@@ -185,24 +174,22 @@ def lowest_eigenpairs(
         seed: start-vector seed for the shift-invert and Lanczos paths.
         quadrature_weight: per-node quadrature weight used to normalize the
             returned eigenvectors as grid functions.
-        max_matvecs: cap on the iterative operator applications: matvecs
-            for ``lanczos``, sparse LU solves for ``shift-invert``.
 
-    ``n_matvec`` of the result counts those applications plus the ``k``
-    matvecs of the final residual check; ``factor_nnz`` is the fill of the
-    sparse LU factor on the shift-invert path and 0 on the others.
+    ``n_matvec`` of the result counts the iterative operator applications
+    (matvecs for ``lanczos``, sparse LU solves for ``shift-invert``) plus
+    the ``k`` matvecs of the final residual check; ``factor_nnz`` is the
+    fill of the sparse LU factor on the shift-invert path and 0 on the
+    others.
 
     Raises:
-        ConvergenceError: an iterative path hit ``max_matvecs`` or stopped
-            before reaching ``tol`` (best pairs are attached to the
-            exception).
+        ConvergenceError: ARPACK spent its restart limit (scipy's default
+            ``maxiter``, 10 n) before reaching ``tol``; the pairs it did
+            converge are attached to the exception as energies and vectors.
     """
     n = op.n
     check_k(k, n)
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
-    if max_matvecs < 1:
-        raise ValueError("max_matvecs must be >= 1")
 
     if method == "auto":
         if n <= DENSE_CUTOFF:
@@ -211,30 +198,26 @@ def lowest_eigenpairs(
             method = "tridiagonal"
         else:
             method = "shift-invert"
+    elif method == "tridiagonal" and not op.is_tridiagonal():
+        raise DimensionError("operator is not tridiagonal")
 
     if method == "dense":
         vals, vecs = np.linalg.eigh(op.to_dense())
         return _package(op, vals[:k], vecs[:, :k], quadrature_weight,
                         "dense", None, 0)
     if method == "tridiagonal":
-        if not op.is_tridiagonal():
-            raise DimensionError("operator is not tridiagonal")
-        diag, off = op.tridiagonal_bands()
-        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+        vals, vecs = eigh_tridiagonal(op.diagonal(), op.csr.diagonal(1),
+                                      select="i", select_range=(0, k - 1))
         return _package(op, vals, vecs, quadrature_weight,
                         "tridiagonal", None, 0)
     if method in ("shift-invert", "lanczos"):
-        vals, vecs, n_mv, fill = _arpack(op, k, tol, seed, max_matvecs,
+        vals, vecs, n_mv, fill = _arpack(op, k, tol, seed,
                                          shift_invert=method == "shift-invert")
         return _package(op, vals, vecs, quadrature_weight, method, seed, n_mv, fill)
     raise ValueError(f"unknown method {method!r}")
 
 
-class _MatvecCapReached(Exception):
-    """Raised from inside ARPACK when the operator-application budget is spent."""
-
-
-def _arpack(op, k, tol, seed, max_matvecs, shift_invert):
+def _arpack(op, k, tol, seed, shift_invert):
     """ARPACK's implicitly restarted Lanczos for the ``k`` lowest eigenpairs.
 
     Plain mode iterates on ``H`` for its smallest eigenvalues.  Shift-invert
@@ -275,17 +258,11 @@ def _arpack(op, k, tol, seed, max_matvecs, shift_invert):
     # a larger space (beta=2 wedge, tol 1e-9: 1,142 matvecs at 60, 2,602 at 20)
     ncv = min(n, max(2 * k + 1, 20 if shift_invert else 60))
     n_apply = 0
-    last = []  # the final ncv outputs before the cap, for Ritz pairs
 
     def counted(x):
         nonlocal n_apply
-        if n_apply >= max_matvecs:
-            raise _MatvecCapReached
         n_apply += 1
-        y = apply(x)
-        if n_apply > max_matvecs - ncv:
-            last.append(y)
-        return y
+        return apply(x)
 
     # the seeded generator also draws any restart vector ARPACK asks for
     # after a Lanczos breakdown; unseeded, those would differ run to run
@@ -294,16 +271,6 @@ def _arpack(op, k, tol, seed, max_matvecs, shift_invert):
     try:
         vals, vecs = eigsh(LinearOperator((n, n), matvec=counted, dtype=float),
                            k=k, which=which, ncv=ncv, tol=tol, v0=v0, rng=rng)
-    except _MatvecCapReached:
-        # Rayleigh-Ritz on the span of the last outputs
-        q = np.linalg.qr(np.column_stack(last))[0]
-        theta, y = np.linalg.eigh(q.T @ (op.csr @ q))
-        kk = min(k, theta.size)
-        raise ConvergenceError(
-            f"ARPACK did not reach tol={tol:g} within {max_matvecs} "
-            "operator applications",
-            result=(theta[:kk], q @ y[:, :kk]),
-        ) from None
     except ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"ARPACK did not converge: {exc}",

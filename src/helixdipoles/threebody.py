@@ -40,6 +40,10 @@ Y_WINDING = TWO_PI / SQRT32
 #: and the outer box walls.
 MIN_MARGIN_WINDINGS = 5.0
 
+#: Nodes closer than this many cells to the wedge edge y = x/sqrt(3) are
+#: boundary nodes (see :class:`WedgeGrid2D`).
+EDGE_CUSHION = 0.5
+
 #: Five-point stencil offsets (di, dj), ordered as the node indices they
 #: reach: nodes are numbered i-major, so every CSR row comes out sorted.
 _STENCIL = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
@@ -82,30 +86,26 @@ class WedgeGrid2D:
 
     Only interior wedge nodes are active; everything outside the mask is an
     implied Dirichlet zero.  Nodes closer to the wedge edge y = x/sqrt(3)
-    than ``edge_cushion`` cells are treated as boundary nodes: at grid
+    than ``EDGE_CUSHION`` cells are treated as boundary nodes: at grid
     resolution they sit on the Dirichlet line, and keeping them active would
     put unresolved short-range potential spikes on the diagonal (the grid
     cannot distinguish such a sliver from the coincidence line itself).
     """
 
-    def __init__(self, x_max: float = 30.0, y_max: float = 40.0, spacing: float = 0.1,
-                 edge_cushion: float = 0.5):
+    def __init__(self, x_max: float = 30.0, y_max: float = 40.0, spacing: float = 0.1):
         if not all(0.0 < v < math.inf for v in (x_max, y_max, spacing)):
             raise GridError("x_max, y_max and spacing must be finite and positive, "
                             f"got ({x_max}, {y_max}, {spacing})")
-        if not 0.0 <= edge_cushion < 1.0:
-            raise GridError("edge_cushion must lie in [0, 1)")
         self.x_max = float(x_max)
         self.y_max = float(y_max)
         self.spacing = float(spacing)
-        self.edge_cushion = float(edge_cushion)
 
         nx = int(round(self.x_max / self.spacing))
         ny = int(round(self.y_max / self.spacing))
         if nx < 3 or ny < 3:
             raise GridError("box too small for the requested spacing")
         ii, jj = np.meshgrid(np.arange(1, nx), np.arange(1, ny), indexing="ij")
-        inside = jj - ii / SQRT3 > edge_cushion
+        inside = jj - ii / SQRT3 > EDGE_CUSHION
         self._nx, self._ny = nx, ny
         self.ii = ii[inside]
         self.jj = jj[inside]

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, HelixDipolesError
-from .linalg import DEFAULT_SEED, EigenResult, SymmetricSparseOperator, lowest_eigenpairs
+from .linalg import (DEFAULT_SEED, EigenResult, SymmetricSparseOperator, check_k,
+                     lowest_eigenpairs)
 from .potential import reduced_potential, validate_geometry
 
 #: A state counts as bound when its reduced energy is below this threshold;
@@ -59,6 +60,13 @@ class Grid1D:
         return self.spacing * np.arange(1, self.n_points + 1)
 
 
+def _check_resolution(grid: Grid1D) -> None:
+    if grid.spacing > MAX_SPACING:
+        raise GridError(
+            f"spacing {grid.spacing:g} > {MAX_SPACING} under-resolves the potential wells"
+        )
+
+
 @dataclass
 class TwoBodySolution:
     """Eigenpairs of the relative-motion problem at one coupling strength."""
@@ -89,11 +97,8 @@ def assemble_hamiltonian_1d(
     validate_geometry(ratio)
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError(f"coupling strength beta must be finite and >= 0, got {beta}")
+    _check_resolution(grid)
     dx = grid.spacing
-    if dx > MAX_SPACING:
-        raise GridError(
-            f"spacing {dx:g} > {MAX_SPACING} under-resolves the potential wells"
-        )
     diag = 1.0 / dx**2 + beta * reduced_potential(grid.nodes, ratio)
     off = np.full(grid.n_points - 1, -0.5 / dx**2)
     return SymmetricSparseOperator.from_tridiagonal(diag, off)
@@ -178,11 +183,16 @@ def scan_beta(
     """Independent solves for each coupling in ``betas``, in input order.
 
     Package errors and ``ValueError`` from a solve are recorded per row and
-    do not abort the scan; any other exception propagates.
+    do not abort the scan; any other exception propagates.  The geometry,
+    ``k`` and the grid resolution do not depend on the coupling, so they are
+    checked once, before the first solve, and raise.
     """
     betas = list(betas)
     if not betas:
         raise ValueError("betas must be non-empty")
+    validate_geometry(ratio)
+    check_k(k, grid.n_points)
+    _check_resolution(grid)
     rows: list[BetaScanRow] = []
     for beta in betas:
         try:

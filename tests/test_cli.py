@@ -98,11 +98,12 @@ class TestConfigFile:
 class TestEmitters:
     def test_csv_format(self, tmp_path):
         path = tmp_path / "t.csv"
-        emit_csv(["a", "b"], [[1.0 / 3.0, 2], [1e-12, "x"]], path)
+        emit_csv(["a", "b"], [[1.0 / 3.0, 2], [1e-12, math.nan]], path)
         text = path.read_text()
         assert text.splitlines()[0] == "a,b"
         assert "0.333333333333" in text  # 12 significant digits
         assert "1e-12" in text
+        assert text.splitlines()[1:] == ["0.333333333333,2", "1e-12,nan"]
 
     @given(
         hnp.arrays(
@@ -115,7 +116,7 @@ class TestEmitters:
         )
     )
     def test_array_rows_match_per_cell_format(self, table):
-        # the array path must write the bytes the per-cell _fmt path writes
+        # every cell must get the bytes _fmt gives the same float in summary.txt
         header = [f"c{j}" for j in range(table.shape[1])]
         expected = "".join(
             line + "\n"
@@ -297,21 +298,39 @@ class TestExitCodes:
         assert float(summary["E0_unconverged"]) == pytest.approx(-0.3)
 
 
+MINI_WEDGE = ["three-body", "--x-max", "12", "--y-max", "16", "--spacing", "0.4",
+              "--allow-small-box"]
+
+
 class TestInputEdges:
     @pytest.mark.parametrize("argv", [
         ["two-body", "--k", "0"],
-        ["three-body", "--k", "0", "--x-max", "12", "--y-max", "16", "--spacing", "0.4",
-         "--allow-small-box"],
+        MINI_WEDGE + ["--k", "0"],
         ["potential", "--phi-max", "0"],
         ["potential", "--n-samples", "0"],
         ["potential", "--n-samples", "-5"],
         ["two-body", "--spacing", "0"],
+        ["scan", "--k", "0"],
+        ["scan", "--k", "100000"],
+        ["scan", "--spacing", "0.5"],
+        MINI_WEDGE + ["--symmetrize", "--sample-spacing", "0"],
+        MINI_WEDGE + ["--symmetrize", "--sample-spacing=-0.5"],
+        MINI_WEDGE + ["--symmetrize", "--sample-extent=-1"],
+        MINI_WEDGE + ["--symmetrize", "--sample-extent=nan"],
     ], ids=["two-body-k0", "three-body-k0", "phi-max-0", "n-samples-0", "n-samples-neg",
-            "spacing-0"])
+            "spacing-0", "scan-k0", "scan-k-huge", "scan-coarse-spacing",
+            "sample-spacing-0", "sample-spacing-neg", "sample-extent-neg",
+            "sample-extent-nan"])
     def test_bad_input_is_config_error(self, argv, tmp_path):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         meta = read_keyvalue(tmp_path / "metadata.txt")
         assert meta["status"] == "config_error"
+        assert not list(tmp_path.glob("*.csv"))  # rejected before any solve
+
+    def test_scan_bad_ratio_is_geometry_error(self, tmp_path):
+        assert main(["scan", "--ratio=-1", "--out-dir", str(tmp_path)]) == 3
+        assert read_keyvalue(tmp_path / "metadata.txt")["status"] == "geometry_error"
+        assert not (tmp_path / "scan.csv").exists()
 
     @given(st.sampled_from([["three-body", "--x-max"], ["three-body", "--y-max"],
                             ["three-body", "--spacing"], ["two-body", "--box-length"],

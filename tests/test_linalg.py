@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from helixdipoles.linalg import (
     DENSE_CUTOFF,
     SymmetricSparseOperator,
     lowest_eigenpairs,
-    matvec,
 )
 from helixdipoles.threebody import WedgeGrid2D, assemble_hamiltonian_2d
 
@@ -40,7 +40,7 @@ class TestOperator:
     def test_identity_matvec(self):
         op = SymmetricSparseOperator.from_tridiagonal(np.ones(10), np.zeros(9))
         v = np.arange(10.0)
-        np.testing.assert_array_equal(matvec(op, v), v)
+        np.testing.assert_array_equal(op.matvec(v), v)
 
     def test_laplacian_stencil_row(self):
         n, dx = 11, 0.5
@@ -48,7 +48,7 @@ class TestOperator:
             np.full(n, 1.0 / dx**2), np.full(n - 1, -0.5 / dx**2)
         )
         v = np.random.default_rng(0).normal(size=n)
-        out = matvec(op, v)
+        out = op.matvec(v)
         i = 5
         expected = -0.5 * (v[i - 1] - 2.0 * v[i] + v[i + 1]) / dx**2
         assert out[i] == pytest.approx(expected, rel=1e-14)
@@ -57,12 +57,12 @@ class TestOperator:
         op = random_sparse_symmetric(300)
         rng = np.random.default_rng(1)
         u, v = rng.normal(size=300), rng.normal(size=300)
-        assert u @ matvec(op, v) == pytest.approx(matvec(op, u) @ v, rel=1e-12)
+        assert u @ op.matvec(v) == pytest.approx(op.matvec(u) @ v, rel=1e-12)
 
     def test_dimension_mismatch(self):
         op = random_sparse_symmetric(50)
         with pytest.raises(DimensionError):
-            matvec(op, np.ones(49))
+            op.matvec(np.ones(49))
 
     def test_validate_rejects_asymmetric(self):
         mat = sp.csr_matrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
@@ -189,16 +189,23 @@ class TestLowestEigenpairs:
         lanczos = lowest_eigenpairs(op, 2, 1e-11, method="lanczos")
         np.testing.assert_allclose(res.values, lanczos.values, atol=1e-9)
 
-    def test_shift_invert_nonconvergence_reports_best(self):
+    @pytest.mark.parametrize("method, maxiter", [("shift-invert", 5), ("lanczos", 2)],
+                             ids=["shift-invert", "lanczos"])
+    def test_nonconvergence_reports_converged_pairs(self, monkeypatch, method, maxiter):
+        # a real ARPACK stop: too few restarts to converge all k pairs at tol 1e-12
+        import scipy.sparse.linalg as spla
+
+        monkeypatch.setattr(spla, "eigsh", functools.partial(spla.eigsh, maxiter=maxiter))
         op = random_sparse_symmetric(800, seed=21)
         with pytest.raises(ConvergenceError) as err:
-            lowest_eigenpairs(op, 4, 1e-12, method="shift-invert", max_matvecs=12)
+            lowest_eigenpairs(op, 4, 1e-12, method=method)
         values, vectors = err.value.result
-        assert values.shape == (4,)
-        assert vectors.shape == (800, 4)
-        assert np.all(np.isfinite(values))
-        with pytest.raises(ValueError):
-            lowest_eigenpairs(op, 4, 1e-12, method="shift-invert", max_matvecs=0)
+        assert 1 <= values.size <= 4
+        assert vectors.shape == (800, values.size)
+        dense = np.linalg.eigvalsh(op.to_dense())[:4]
+        np.testing.assert_allclose(np.sort(values), dense[:values.size], atol=1e-8)
+        residuals = np.linalg.norm(op.csr @ vectors - vectors * values, axis=0)
+        assert residuals.max() < 1e-6
 
     @pytest.mark.parametrize("method", ["shift-invert", "lanczos"])
     def test_arpack_failure_mapped(self, monkeypatch, method):
@@ -233,14 +240,6 @@ class TestLowestEigenpairs:
             lowest_eigenpairs(op, 2, 1e-3)
         with pytest.raises(ValueError):
             lowest_eigenpairs(op, 2, 1e-13)
-
-    def test_nonconvergence_reports_best(self):
-        op = random_sparse_symmetric(800, seed=21)
-        with pytest.raises(ConvergenceError) as err:
-            lowest_eigenpairs(op, 4, 1e-12, method="lanczos", max_matvecs=12)
-        values, vectors = err.value.result
-        assert values.shape == (4,)
-        assert vectors.shape == (800, 4)
 
     def test_forced_tridiagonal_on_general_operator_rejected(self):
         op = random_sparse_symmetric(300)

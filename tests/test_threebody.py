@@ -120,8 +120,6 @@ class TestWedgeGrid:
     def test_invalid(self):
         with pytest.raises(GridError):
             WedgeGrid2D(-1.0, 16.0, 0.4)
-        with pytest.raises(GridError):
-            WedgeGrid2D(12.0, 16.0, 0.4, edge_cushion=1.5)
 
     @given(NON_FINITE, st.integers(0, 2))
     def test_non_finite_box_rejected(self, bad, position):
