@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .analysis import build_size_scan, fit_harmonic_size, size_energy_product
 from .errors import ConvergenceError, GeometryError, HelixDipolesError
-from .linalg import DEFAULT_SEED
+from .linalg import DEFAULT_SEED, DENSE_CUTOFF, METHODS
 from .potential import HelixGeometry, find_minima, reduced_potential, validate_geometry
 from .threebody import WedgeGrid2D, solve_three_body, symmetrize_wavefunction
 from .twobody import STATISTICS, Grid1D, extend_full_line, scan_beta, solve_two_body
@@ -53,8 +53,8 @@ class RunConfig:
     The one declaration of each setting: :func:`_flag` fields are also flags.
     ``x_max``/``y_max``/``spacing_2d`` default to ``None`` ("auto"), resolved
     per coupling strength: (30, 40, 0.1) for beta >= 1 and (60, 90, 0.15)
-    below (weakly bound states need the larger box).  ``deterministic`` is
-    only echoed, so old config files parse; runs are always seeded and serial.
+    below (weakly bound states need the larger box).  Runs are always seeded
+    and serial.
     """
 
     problem: str = "two-body"
@@ -76,14 +76,13 @@ class RunConfig:
     phi_max: float = _flag(3.0 * TWO_PI, "largest separation sampled", on=("potential",))
     n_samples: int = _flag(2000, "number of curve samples", on=("potential",))
     out_dir: str = _flag("runs", f"output directory (or ${OUTDIR_ENV})")
-    deterministic: bool = True
     seed: int = _flag(DEFAULT_SEED, "eigensolver start-vector seed", on=_SOLVING)
     tol: float = _flag(1e-9, "relative accuracy of the ARPACK Ritz values: "
                        "E for lanczos, 1/(E - sigma) for shift-invert", on=_SOLVING)
-    solver: str = _flag("auto", "eigensolver path; auto picks dense for small problems, "
-                        "tridiagonal for two-body and shift-invert for three-body",
-                        on=_SOLVING,
-                        choices=("auto", "dense", "tridiagonal", "shift-invert", "lanczos"))
+    solver: str = _flag("auto", "eigensolver path; auto picks by operator structure, "
+                        "tridiagonal for two-body and shift-invert for three-body; "
+                        f"dense takes at most {DENSE_CUTOFF} unknowns",
+                        on=_SOLVING, choices=METHODS)
     allow_small_box: bool = _flag(False, "skip the five-winding wall-clearance check",
                                   on=_WEDGE)
     symmetrize: bool = _flag(False, "export the full-plane (anti)symmetrized wave function",
@@ -286,10 +285,8 @@ def _run_potential(cfg: RunConfig, out: Path) -> dict:
 
 def _run_two_body(cfg: RunConfig, out: Path) -> dict:
     grid = Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d)
-    sol = solve_two_body(
-        grid, cfg.beta, cfg.ratio, cfg.k_states,
-        statistics=cfg.statistics, tol=cfg.tol, method=cfg.solver, seed=cfg.seed,
-    )
+    sol = solve_two_body(grid, cfg.beta, cfg.ratio, cfg.k_states,
+                         tol=cfg.tol, method=cfg.solver, seed=cfg.seed)
     header = ["phi"] + [f"psi{m}" for m in range(cfg.k_states)]
     emit_csv(
         header,
@@ -297,7 +294,7 @@ def _run_two_body(cfg: RunConfig, out: Path) -> dict:
         out / "wavefunctions.csv",
     )
     if cfg.emit_full_line:
-        columns = [extend_full_line(sol, state=m) for m in range(cfg.k_states)]
+        columns = [extend_full_line(sol, cfg.statistics, m) for m in range(cfg.k_states)]
         emit_csv(
             header,
             np.column_stack([columns[0][0]] + [psi for _, psi in columns]),

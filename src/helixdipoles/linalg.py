@@ -1,15 +1,16 @@
 """Symmetric sparse operators and extraction of their lowest eigenpairs.
 
 The discretized Hamiltonians of this package are real symmetric with local
-stencils, so they are stored row-compressed and diagonalized either densely
-(small problems), by a direct banded solver (tridiagonal operators), or by
-ARPACK's implicitly restarted Lanczos in shift-invert mode (everything
-else): the operator is shifted strictly below its Gershgorin bound,
-factored once by sparse LU, and the largest eigenvalues of the inverse are
-mapped back to the lowest of the operator.  The same ARPACK driver can be
-forced to iterate on the operator itself (``lanczos``).  ARPACK's own
-restart limit bounds the iteration; when it stops short, the pairs it did
-converge travel on the :class:`ConvergenceError`.  The iterative start
+stencils, so they are stored row-compressed and routed by structure alone:
+tridiagonal operators go to a direct banded solver, everything else to
+ARPACK's implicitly restarted Lanczos in its own shift-invert mode.  The
+shift sits strictly below the operator's Gershgorin bound, ``H - sigma`` is
+factored once by sparse LU, and ARPACK maps the Ritz values of the inverse
+back to the lowest energies and purifies the Ritz vectors.  Dense LAPACK
+diagonalization and plain Lanczos on the operator (``lanczos``) are only
+taken when forced; dense is capped at ``DENSE_CUTOFF`` unknowns.  ARPACK's
+own restart limit bounds the iteration; when it stops short, the pairs it
+did converge travel on the :class:`ConvergenceError`.  The iterative start
 vectors are drawn from a seeded generator and the seed is carried in the
 result, so repeated runs are reproducible.
 """
@@ -24,8 +25,11 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, DimensionError
 
-#: Problems up to this size go through dense diagonalization.
+#: Largest operator a forced dense solve accepts (n^2 doubles: 32 MB).
 DENSE_CUTOFF = 2000
+
+#: Eigensolver paths; ``auto`` picks ``tridiagonal`` or ``shift-invert``.
+METHODS = ("auto", "dense", "tridiagonal", "shift-invert", "lanczos")
 
 #: Default start-vector seed for the iterative path.
 DEFAULT_SEED = 20177
@@ -75,8 +79,8 @@ class SymmetricSparseOperator:
         rows = np.repeat(np.arange(self.n), np.diff(self.csr.indptr))
         return bool(np.all(np.abs(rows - self.csr.indices) <= 1))
 
-    def validate(self, tol: float = 1e-15) -> None:
-        """Check value symmetry (to ``tol``, relative) and diagonal presence."""
+    def validate(self) -> None:
+        """Check value symmetry (to 1e-15, relative) and diagonal presence."""
         csr = self.csr
         t = csr.T.tocsr()
         if (csr.has_canonical_format and np.array_equal(csr.indptr, t.indptr)
@@ -85,7 +89,7 @@ class SymmetricSparseOperator:
         else:
             asym = abs(csr - t).data
         scale = max(1.0, -csr.data.min(initial=0.0), csr.data.max(initial=0.0))
-        if asym.size and asym.max() > tol * scale:
+        if asym.size and asym.max() > 1e-15 * scale:
             raise DimensionError("operator is not symmetric")
         # every diagonal entry must be stored explicitly
         rows = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(csr.indptr))
@@ -99,15 +103,15 @@ class SymmetricSparseOperator:
 class EigenResult:
     """Lowest eigenpairs of a symmetric operator.
 
-    ``vectors[:, i]`` is normalized so that
-    ``quadrature_weight * sum(vectors[:, i]**2) == 1``; residual norms are
-    plain 2-norms ``|H v - E v|`` of the unit-2-norm eigenvectors.
+    ``vectors[:, i]`` is normalized as a grid function, so that
+    ``w * sum(vectors[:, i]**2) == 1`` for the quadrature weight ``w`` given
+    to :func:`lowest_eigenpairs`; residual norms are plain 2-norms
+    ``|H v - E v|`` of the unit-2-norm eigenvectors.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     residual_norms: np.ndarray
-    quadrature_weight: float = 1.0
     method: str = "dense"
     seed: int | None = None
     n_matvec: int = 0
@@ -135,7 +139,6 @@ def _package(op, vals, vecs, weight, method, seed, n_matvec, factor_nnz=0):
         values=vals,
         vectors=vecs / np.sqrt(weight),
         residual_norms=residuals,
-        quadrature_weight=weight,
         method=method,
         seed=seed,
         n_matvec=n_matvec + len(vals),
@@ -143,10 +146,22 @@ def _package(op, vals, vecs, weight, method, seed, n_matvec, factor_nnz=0):
     )
 
 
-def check_k(k: int, n: int) -> None:
-    """Raise :class:`DimensionError` unless ``1 <= k <= max(1, n/4)``."""
+def check_request(k: int, n: int, tol: float, method: str) -> None:
+    """Reject a solve request for ``k`` pairs of an ``n``-unknown operator.
+
+    Raises :class:`DimensionError` unless ``1 <= k <= max(1, n/4)``, and
+    unless ``n <= DENSE_CUTOFF`` for ``method="dense"``; ``ValueError``
+    unless ``tol`` lies in ``[1e-12, 1e-4]`` and ``method`` is one of
+    :data:`METHODS`.
+    """
     if not 1 <= k <= max(1, n // 4):
         raise DimensionError(f"k={k} outside [1, n/4] for n={n}")
+    if not 1e-12 <= tol <= 1e-4:
+        raise ValueError("tol must lie in [1e-12, 1e-4]")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "dense" and n > DENSE_CUTOFF:
+        raise DimensionError(f"dense solves take at most {DENSE_CUTOFF} unknowns, got n={n}")
 
 
 def lowest_eigenpairs(
@@ -167,9 +182,9 @@ def lowest_eigenpairs(
             to ARPACK as the relative accuracy of the Ritz values it
             iterates on: ``E`` for ``lanczos``, ``mu = 1/(E - sigma)`` for
             ``shift-invert``.
-        method: ``auto`` (dense up to ``DENSE_CUTOFF`` unknowns, direct
-            banded solve for tridiagonal operators, shift-invert otherwise),
-            or one of ``dense`` / ``tridiagonal`` / ``shift-invert`` /
+        method: ``auto`` (direct banded solve for tridiagonal operators,
+            shift-invert otherwise), or one of ``dense`` (at most
+            ``DENSE_CUTOFF`` unknowns) / ``tridiagonal`` / ``shift-invert`` /
             ``lanczos`` to force a path.
         seed: start-vector seed for the shift-invert and Lanczos paths.
         quadrature_weight: per-node quadrature weight used to normalize the
@@ -182,22 +197,15 @@ def lowest_eigenpairs(
     others.
 
     Raises:
+        DimensionError, ValueError: the request fails :func:`check_request`,
+            or ``tridiagonal`` is forced on an operator that is not.
         ConvergenceError: ARPACK spent its restart limit (scipy's default
             ``maxiter``, 10 n) before reaching ``tol``; the pairs it did
             converge are attached to the exception as energies and vectors.
     """
-    n = op.n
-    check_k(k, n)
-    if not 1e-12 <= tol <= 1e-4:
-        raise ValueError("tol must lie in [1e-12, 1e-4]")
-
+    check_request(k, op.n, tol, method)
     if method == "auto":
-        if n <= DENSE_CUTOFF:
-            method = "dense"
-        elif op.is_tridiagonal():
-            method = "tridiagonal"
-        else:
-            method = "shift-invert"
+        method = "tridiagonal" if op.is_tridiagonal() else "shift-invert"
     elif method == "tridiagonal" and not op.is_tridiagonal():
         raise DimensionError("operator is not tridiagonal")
 
@@ -210,27 +218,27 @@ def lowest_eigenpairs(
                                       select="i", select_range=(0, k - 1))
         return _package(op, vals, vecs, quadrature_weight,
                         "tridiagonal", None, 0)
-    if method in ("shift-invert", "lanczos"):
-        vals, vecs, n_mv, fill = _arpack(op, k, tol, seed,
-                                         shift_invert=method == "shift-invert")
-        return _package(op, vals, vecs, quadrature_weight, method, seed, n_mv, fill)
-    raise ValueError(f"unknown method {method!r}")
+    vals, vecs, n_mv, fill = _arpack(op, k, tol, seed,
+                                     shift_invert=method == "shift-invert")
+    return _package(op, vals, vecs, quadrature_weight, method, seed, n_mv, fill)
 
 
 def _arpack(op, k, tol, seed, shift_invert):
     """ARPACK's implicitly restarted Lanczos for the ``k`` lowest eigenpairs.
 
     Plain mode iterates on ``H`` for its smallest eigenvalues.  Shift-invert
-    mode iterates on ``(H - sigma)^-1`` for its largest eigenvalues ``mu``
-    and maps them back by ``E = sigma + 1/mu``: ``sigma`` sits below the
-    Gershgorin bound ``min_i (2 a_ii - sum_j |a_ij|)``, so ``H - sigma`` is
-    positive definite and its LU factor needs no pivoting.  The symmetric
-    minimum-degree ordering of ``A' + A`` keeps the factor's fill (and
-    memory) about half of splu's default COLAMD ordering on the wedge
-    stencil.  ``H - sigma`` is symmetric, so the CSC matrix splu wants is the
-    transpose view of its CSR arrays; the shifted matrix is dropped once
-    factored.  Returns values, vectors, the operator-application count and
-    the factor's fill (0 in plain mode).
+    runs ARPACK's own mode: it iterates on ``(H - sigma)^-1``, applied by the
+    LU solve given as ``OPinv``, for its largest eigenvalues ``mu``, and
+    ``dseupd`` maps them back by ``E = sigma + 1/mu`` and purifies the Ritz
+    vectors, the partial pairs of an ``ArpackNoConvergence`` included.
+    ``sigma`` sits below the Gershgorin bound ``min_i (2 a_ii - sum_j |a_ij|)``,
+    so ``H - sigma`` is positive definite and its LU factor needs no
+    pivoting.  The symmetric minimum-degree ordering of ``A' + A`` keeps the
+    factor's fill (and memory) about half of splu's default COLAMD ordering
+    on the wedge stencil.  ``H - sigma`` is symmetric, so the CSC matrix
+    splu wants is the transpose view of its CSR arrays; the shifted matrix
+    is dropped once factored.  Returns values, vectors, the
+    operator-application count and the factor's fill (0 in plain mode).
     """
     from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
                                      LinearOperator, eigsh, splu)
@@ -247,12 +255,9 @@ def _arpack(op, k, tol, seed, shift_invert):
         lu = splu((op.csr - sigma * sp.identity(n, format="csr")).T,
                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   panel_size=SUPERLU_PANEL_SIZE, options={"SymmetricMode": True})
-        apply, which, fill = lu.solve, "LA", lu.nnz
+        apply, fill = lu.solve, lu.nnz
     else:
-        apply, which, sigma, fill = op.matvec, "SA", None, 0
-
-    def to_energy(ritz):
-        return ritz if sigma is None else sigma + 1.0 / ritz
+        apply, fill = op.matvec, 0
 
     # shift-invert converges in about 30 solves; plain Lanczos restarts less in
     # a larger space (beta=2 wedge, tol 1e-9: 1,142 matvecs at 60, 2,602 at 20)
@@ -268,14 +273,14 @@ def _arpack(op, k, tol, seed, shift_invert):
     # after a Lanczos breakdown; unseeded, those would differ run to run
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
+    applied = LinearOperator((n, n), matvec=counted, dtype=float)
+    mode = (dict(A=op.csr, sigma=sigma, which="LM", OPinv=applied) if shift_invert
+            else dict(A=applied, which="SA"))
     try:
-        vals, vecs = eigsh(LinearOperator((n, n), matvec=counted, dtype=float),
-                           k=k, which=which, ncv=ncv, tol=tol, v0=v0, rng=rng)
+        vals, vecs = eigsh(k=k, ncv=ncv, tol=tol, v0=v0, rng=rng, **mode)
     except ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"ARPACK did not converge: {exc}",
-            result=(to_energy(exc.eigenvalues), exc.eigenvectors),
-        ) from None
+        raise ConvergenceError(f"ARPACK did not converge: {exc}",
+                               result=(exc.eigenvalues, exc.eigenvectors)) from None
     except ArpackError as exc:
         raise ConvergenceError(f"ARPACK failed: {exc}") from None
-    return to_energy(vals), vecs, n_apply, fill
+    return vals, vecs, n_apply, fill

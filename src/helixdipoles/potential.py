@@ -37,6 +37,9 @@ COINCIDENCE_EPS = 1e-12
 #: Derivative magnitude below which a refined minimum is accepted.
 MINIMUM_DERIVATIVE_TOL = 1e-10
 
+#: Step of the uniform grid on which :func:`find_minima` brackets minima.
+MINIMA_SCAN_STEP = 1e-3
+
 
 @dataclass(frozen=True)
 class HelixGeometry:
@@ -223,14 +226,13 @@ def _refine_minimum(ratio: float, lo: float, hi: float) -> float:
 def find_minima(
     ratio: float,
     max_windings: int,
-    scan_step: float = 1e-3,
 ) -> list[PotentialMinimum]:
     """Locate the attractive minima of the reduced potential.
 
-    Scans (0, 2pi*max_windings] on a uniform grid, brackets sign changes of
-    the analytic derivative, and refines each bracket by bisection on the
-    analytic derivative until the derivative magnitude at the reported
-    minimum is below 1e-10.  Only attractive minima (negative value) are
+    Scans (0, 2pi*max_windings] in steps of ``MINIMA_SCAN_STEP``, brackets
+    sign changes of the analytic derivative, and refines each bracket by
+    bisection on the analytic derivative until the derivative magnitude at
+    the reported minimum is below 1e-10.  Only attractive minima (negative value) are
     reported: for small ratios the potential also has a shallow positive
     local minimum on the repulsive shoulder before the first winding, which
     is not a pair-binding feature.
@@ -250,7 +252,7 @@ def find_minima(
         raise ValueError("max_windings must be >= 1")
 
     phi_hi = TWO_PI * max_windings
-    grid = np.arange(scan_step, phi_hi + scan_step, scan_step)
+    grid = np.arange(MINIMA_SCAN_STEP, phi_hi + MINIMA_SCAN_STEP, MINIMA_SCAN_STEP)
     deriv = reduced_potential_derivative(grid, ratio)
     # minimum bracketed where the derivative crosses - to +
     crossing = np.flatnonzero((deriv[:-1] < 0.0) & (deriv[1:] >= 0.0))

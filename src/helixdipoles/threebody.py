@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GridError
-from .linalg import (DEFAULT_SEED, EigenResult, SymmetricSparseOperator, check_k,
+from .linalg import (DEFAULT_SEED, EigenResult, SymmetricSparseOperator, check_request,
                      lowest_eigenpairs)
 from .potential import reduced_potential, validate_geometry
 
@@ -204,7 +204,7 @@ def solve_three_body(
     allow_small_box: bool = False,
 ) -> ThreeBodySolution:
     """Lowest ``k`` wedge states and the ground-state pair distances."""
-    check_k(k, grid.n_active)  # before the costly assembly
+    check_request(k, grid.n_active, tol, method)  # before the costly assembly
     op = assemble_hamiltonian_2d(grid, beta, ratio, allow_small_box=allow_small_box)
     eigen = lowest_eigenpairs(
         op, k, tol,
@@ -264,9 +264,8 @@ def symmetrize_wavefunction(
     statistics: str,
     x_samples: np.ndarray,
     y_samples: np.ndarray,
-    state: int = 0,
 ) -> tuple[np.ndarray, int]:
-    """Sample the full-plane (anti)symmetrized wave function on a grid.
+    """Sample the full-plane (anti)symmetrized ground state on a grid.
 
     Each sample point is carried around the exchange group; the zero-padded
     bilinear interpolant of the wedge solution is summed over the orbit with
@@ -283,7 +282,7 @@ def symmetrize_wavefunction(
     if statistics not in ("boson", "fermion"):
         raise ValueError("statistics must be 'boson' or 'fermion'")
     grid = sol.grid
-    padded = grid.node_values_to_padded(sol.wavefunction(state))
+    padded = grid.node_values_to_padded(sol.wavefunction(0))
     dx = grid.spacing
     nx, ny = padded.shape[0] - 1, padded.shape[1] - 1
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, HelixDipolesError
-from .linalg import (DEFAULT_SEED, EigenResult, SymmetricSparseOperator, check_k,
+from .linalg import (DEFAULT_SEED, EigenResult, SymmetricSparseOperator, check_request,
                      lowest_eigenpairs)
 from .potential import reduced_potential, validate_geometry
 
@@ -36,8 +36,6 @@ class Grid1D:
 
     phi_max: float = 100.0
     n_points: int = 9999
-
-    phi_min = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.phi_max < math.inf or self.n_points < 3:
@@ -76,7 +74,6 @@ class TwoBodySolution:
     grid: Grid1D
     eigen: EigenResult
     bound_count: int
-    statistics: str = "boson"
 
     @property
     def energies(self) -> np.ndarray:
@@ -110,7 +107,6 @@ def solve_two_body(
     ratio: float,
     k: int,
     *,
-    statistics: str = "boson",
     tol: float = 1e-9,
     method: str = "auto",
     seed: int = DEFAULT_SEED,
@@ -120,8 +116,6 @@ def solve_two_body(
     The returned wave functions live on ``grid.nodes`` (phi > 0 only) and are
     unit-normalized under the trapezoidal grid quadrature.
     """
-    if statistics not in STATISTICS:
-        raise ValueError(f"statistics must be one of {STATISTICS}")
     op = assemble_hamiltonian_1d(grid, beta, ratio)
     eigen = lowest_eigenpairs(
         op, k, tol,
@@ -129,15 +123,13 @@ def solve_two_body(
         quadrature_weight=grid.spacing,
     )
     bound_count = int(np.sum(eigen.values < BOUND_THRESHOLD))
-    return TwoBodySolution(
-        beta=beta, ratio=ratio, grid=grid, eigen=eigen,
-        bound_count=bound_count, statistics=statistics,
-    )
+    return TwoBodySolution(beta=beta, ratio=ratio, grid=grid, eigen=eigen,
+                           bound_count=bound_count)
 
 
 def extend_full_line(
     sol: TwoBodySolution,
-    statistics: str | None = None,
+    statistics: str,
     state: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extend a half-line eigenstate to (-L, L) by exchange symmetry.
@@ -147,7 +139,6 @@ def extend_full_line(
     the full line, endpoints included, and the wave function renormalized to
     unit full-line quadrature norm.
     """
-    statistics = statistics or sol.statistics
     if statistics not in STATISTICS:
         raise ValueError(f"statistics must be one of {STATISTICS}")
     psi_half = sol.wavefunction(state)
@@ -184,14 +175,15 @@ def scan_beta(
 
     Package errors and ``ValueError`` from a solve are recorded per row and
     do not abort the scan; any other exception propagates.  The geometry,
-    ``k`` and the grid resolution do not depend on the coupling, so they are
-    checked once, before the first solve, and raise.
+    the solve request (``k``, ``tol``, ``method``) and the grid resolution
+    do not depend on the coupling, so they are checked once, before the
+    first solve, and raise.
     """
     betas = list(betas)
     if not betas:
         raise ValueError("betas must be non-empty")
     validate_geometry(ratio)
-    check_k(k, grid.n_points)
+    check_request(k, grid.n_points, tol, method)
     _check_resolution(grid)
     rows: list[BetaScanRow] = []
     for beta in betas:

@@ -363,8 +363,7 @@ def test_criterion_10_determinism(tmp_path):
         digests = []
         for label in ("a", "b"):
             out = tmp_path / f"{idx}{label}"
-            assert run(RunConfig(deterministic=True, out_dir=str(out),
-                                 **pinned_kwargs)) == 0
+            assert run(RunConfig(out_dir=str(out), **pinned_kwargs)) == 0
             blob = b"".join(p.read_bytes()
                             for p in sorted(out.glob("*.csv")))
             digests.append(blob)

@@ -61,7 +61,7 @@ class TestRunConfig:
             problem="fit", ratio=1.6, beta=0.25,
             betas=(5.0, 7.5, 10.0, 12.5), product_betas=(0.1, 0.2),
             x_max=45.0, y_max=None, spacing_2d=0.2,
-            k_states=2, statistics="fermion", deterministic=False,
+            k_states=2, statistics="fermion",
             allow_small_box=True, out_dir="elsewhere",
         )
         assert RunConfig.from_items(dict(cfg.to_items())) == cfg
@@ -313,12 +313,15 @@ class TestInputEdges:
         ["scan", "--k", "0"],
         ["scan", "--k", "100000"],
         ["scan", "--spacing", "0.5"],
+        ["scan", "--tol", "1"],
+        ["scan", "--tol", "1e-20"],
         MINI_WEDGE + ["--symmetrize", "--sample-spacing", "0"],
         MINI_WEDGE + ["--symmetrize", "--sample-spacing=-0.5"],
         MINI_WEDGE + ["--symmetrize", "--sample-extent=-1"],
         MINI_WEDGE + ["--symmetrize", "--sample-extent=nan"],
     ], ids=["two-body-k0", "three-body-k0", "phi-max-0", "n-samples-0", "n-samples-neg",
             "spacing-0", "scan-k0", "scan-k-huge", "scan-coarse-spacing",
+            "scan-tol-1", "scan-tol-tiny",
             "sample-spacing-0", "sample-spacing-neg", "sample-extent-neg",
             "sample-extent-nan"])
     def test_bad_input_is_config_error(self, argv, tmp_path):
@@ -481,7 +484,7 @@ class TestDeterminism:
         outputs = []
         for label in ("first", "second"):
             out = tmp_path / label
-            cfg = RunConfig(deterministic=True, out_dir=str(out), **pinned)
+            cfg = RunConfig(out_dir=str(out), **pinned)
             assert run(cfg) == 0
             outputs.append(sorted(p for p in out.iterdir() if p.suffix == ".csv"))
         assert [p.name for p in outputs[0]] == [p.name for p in outputs[1]]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from helixdipoles.errors import ConvergenceError, DimensionError
 from helixdipoles.linalg import (
@@ -245,3 +246,41 @@ class TestLowestEigenpairs:
         op = random_sparse_symmetric(300)
         with pytest.raises(DimensionError):
             lowest_eigenpairs(op, 2, 1e-9, method="tridiagonal")
+
+    def test_forced_dense_capped(self):
+        op, _, _ = dirichlet_box(10.0, DENSE_CUTOFF + 1)
+        with pytest.raises(DimensionError, match="dense"):
+            lowest_eigenpairs(op, 1, 1e-9, method="dense")
+        assert lowest_eigenpairs(op, 1, 1e-9).method == "tridiagonal"
+
+    def test_unknown_method_rejected(self):
+        op, _, _ = dirichlet_box(10.0, 99)
+        with pytest.raises(ValueError, match="unknown method"):
+            lowest_eigenpairs(op, 1, 1e-9, method="qr")
+
+
+class TestRouting:
+    def test_small_tridiagonal_takes_banded_solver(self):
+        op, _, _ = dirichlet_box(10.0, 999)
+        assert lowest_eigenpairs(op, 2, 1e-9).method == "tridiagonal"
+
+    def test_small_wedge_takes_shift_invert(self):
+        grid = WedgeGrid2D(12.0, 16.0, 0.4)
+        op = assemble_hamiltonian_2d(grid, 1.0, 1.0, allow_small_box=True)
+        assert op.n == 879
+        assert lowest_eigenpairs(op, 2, 1e-9).method == "shift-invert"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 60), st.data(), st.integers(0, 2**32 - 1))
+    def test_auto_matches_dense_oracle(self, n, data, seed):
+        # random couplings plus a corner entry, so the operator is never tridiagonal
+        k = data.draw(st.integers(1, max(1, n // 4)))
+        rng = np.random.default_rng(seed)
+        mat = sp.random(n, n, density=0.3, rng=rng) + sp.diags(rng.uniform(-1.0, 1.0, n))
+        mat = (mat + mat.T + sp.coo_matrix(([1.0, 1.0], ([0, n - 1], [n - 1, 0])),
+                                           shape=(n, n))).tocsr()
+        op = SymmetricSparseOperator(mat)
+        res = lowest_eigenpairs(op, k, 1e-9)
+        assert res.method == "shift-invert"
+        dense = lowest_eigenpairs(op, k, 1e-12, method="dense")
+        np.testing.assert_allclose(res.values, dense.values, rtol=0.0, atol=1e-8)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from helixdipoles import threebody
 from helixdipoles.errors import DimensionError, GridError
-from helixdipoles.linalg import lowest_eigenpairs
+from helixdipoles.linalg import DENSE_CUTOFF, lowest_eigenpairs
 from helixdipoles.potential import reduced_potential
 from helixdipoles.threebody import (
     EXCHANGE_GROUP,
@@ -178,7 +178,7 @@ class TestAssembly2D:
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     def test_nonfinite_beta_rejected(self, beta):
-        # the small box takes the dense path, which returns NaN energies for inf
+        # rejected by the assembly, before any solve
         with pytest.raises(ValueError, match="finite"):
             solve_three_body(WedgeGrid2D(12.0, 16.0, 0.4), beta, 1.0, 1,
                              allow_small_box=True)
@@ -192,6 +192,18 @@ class TestAssembly2D:
         for k in (0, grid.n_active // 4 + 1):
             with pytest.raises(DimensionError, match=f"k={k} outside"):
                 solve_three_body(grid, 1.0, 1.0, k, allow_small_box=True)
+
+    def test_forced_dense_rejected_before_assembly(self, monkeypatch):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("wedge assembled before the request check")
+
+        monkeypatch.setattr(threebody, "assemble_hamiltonian_2d", no_assembly)
+        grid = WedgeGrid2D(12.0, 16.0, 0.2)
+        assert grid.n_active > DENSE_CUTOFF
+        with pytest.raises(DimensionError, match="dense"):
+            solve_three_body(grid, 1.0, 1.0, 1, method="dense", allow_small_box=True)
+        with pytest.raises(ValueError, match="tol"):
+            solve_three_body(grid, 1.0, 1.0, 1, tol=1.0, allow_small_box=True)
 
     @given(st.data())
     def test_k_outside_range_rejected_before_assembly(self, data):
@@ -235,6 +247,14 @@ class TestMiniWedgeReferences:
 
 
 class TestProductionSolves:
+    @pytest.mark.parametrize("fixture", ["three_body_beta1", "three_body_beta2",
+                                         "three_body_beta025"])
+    def test_shift_invert_residuals(self, fixture, request):
+        # ARPACK's shift-invert mode purifies the Ritz vectors of (H - sigma)^-1
+        sol = request.getfixturevalue(fixture)
+        assert sol.eigen.method == "shift-invert"
+        assert sol.eigen.residual_norms.max() < 2e-9
+
     def test_beta1_energies_and_distances(self, three_body_beta1):
         np.testing.assert_allclose(three_body_beta1.energies, PROD_BETA1_E, atol=1e-6)
         np.testing.assert_allclose(three_body_beta1.distances, PROD_BETA1_D, atol=5e-4)

@@ -156,10 +156,6 @@ class TestSolve:
         assert np.all(rel[shallow] > 0.10)
         assert rel[0] < 1e-3
 
-    def test_statistics_validation(self):
-        with pytest.raises(ValueError):
-            solve_two_body(Grid1D(), 1.0, 1.0, 1, statistics="anyon")
-
 
 class TestExtendFullLine:
     def test_boson_even(self, two_body_beta1):
@@ -178,6 +174,10 @@ class TestExtendFullLine:
             _, psi = extend_full_line(two_body_beta1, stats, state=1)
             norm = two_body_beta1.grid.spacing * np.sum(psi**2)
             assert norm == pytest.approx(1.0, rel=1e-12)
+
+    def test_statistics_validation(self, two_body_beta1):
+        with pytest.raises(ValueError):
+            extend_full_line(two_body_beta1, "anyon")
 
 
 class TestScanBeta:
