@@ -17,6 +17,7 @@ from .potential import (
     RATIO_MAX,
     beta_from_physical,
     cartesian_position,
+    energy_unit_joules,
     find_minima,
     full_potential,
     reduced_potential,
@@ -66,8 +67,8 @@ __all__ = [
     "DimensionError", "ConvergenceError",
     "HelixGeometry", "PhysicalDipole", "PotentialMinimum", "RATIO_MAX",
     "cartesian_position", "reduced_potential", "reduced_potential_derivative",
-    "full_potential", "beta_from_physical", "find_minima", "validate_geometry",
-    "SymmetricSparseOperator", "EigenResult", "lowest_eigenpairs",
+    "full_potential", "beta_from_physical", "energy_unit_joules", "find_minima",
+    "validate_geometry", "SymmetricSparseOperator", "EigenResult", "lowest_eigenpairs",
     "Grid1D", "TwoBodySolution", "BetaScanRow", "BOUND_THRESHOLD",
     "assemble_hamiltonian_1d", "solve_two_body", "extend_full_line", "scan_beta",
     "JacobiAngles", "WedgeGrid2D", "ThreeBodySolution",

@@ -1,8 +1,8 @@
 """Experiment runner: configuration, orchestration and CSV/summary export.
 
 Every subcommand writes three kinds of artifact into the run directory:
-``metadata.txt`` (the parsed configuration echoed verbatim, plus solver seed,
-tolerances and library versions), one or more CSV data files, and
+``metadata.txt`` (the settings the subcommand takes, echoed verbatim, plus
+the run status and library versions), one or more CSV data files, and
 ``summary.txt`` with the headline numbers.  Runs are always seeded and
 serial, so repeated runs produce byte-identical files.
 
@@ -25,11 +25,10 @@ from . import __version__
 from .analysis import build_size_scan, fit_harmonic_size, size_energy_product
 from .errors import ConvergenceError, GeometryError, HelixDipolesError
 from .linalg import DEFAULT_SEED, DENSE_CUTOFF, METHODS
-from .potential import HelixGeometry, find_minima, reduced_potential, validate_geometry
+from .potential import (TWO_PI, HelixGeometry, energy_unit_joules, find_minima,
+                        reduced_potential, validate_geometry)
 from .threebody import WedgeGrid2D, solve_three_body, symmetrize_wavefunction
 from .twobody import STATISTICS, Grid1D, extend_full_line, scan_beta, solve_two_body
-
-TWO_PI = 2.0 * math.pi
 
 #: Environment variable overriding the default output directory.
 OUTDIR_ENV = "HELIX_DIPOLES_OUTDIR"
@@ -92,19 +91,9 @@ class RunConfig:
     emit_full_line: bool = _flag(False, "also export symmetry-extended wave functions",
                                  on=("two-body",), flag="full-line")
     physical: bool = _flag(False, "also report energies in joules (needs mass and radius)",
-                           on=_BODIES)
-    mass_kg: float = _flag(0.0, "particle mass [kg]", on=_BODIES)
-    radius_m: float = _flag(0.0, "helix radius [m]", on=_BODIES)
-
-    def energy_unit_joules(self) -> float:
-        """Energy quantum hbar^2 / (mu alpha^2) for the configured geometry."""
-        from scipy.constants import hbar
-
-        if self.mass_kg <= 0.0 or self.radius_m <= 0.0:
-            raise ValueError("physical mode needs positive mass_kg and radius_m")
-        mu = self.mass_kg / 2.0
-        alpha = HelixGeometry(self.radius_m, self.ratio * self.radius_m).alpha
-        return hbar**2 / (mu * alpha**2)
+                           on=("two-body",))
+    mass_kg: float = _flag(0.0, "particle mass [kg]", on=("two-body",))
+    radius_m: float = _flag(0.0, "helix radius [m]", on=("two-body",))
 
     def resolved_box(self) -> tuple[float, float, float]:
         if self.beta >= 1.0:
@@ -230,8 +219,14 @@ def emit_summary(record: dict, path: str | Path) -> None:
         raise OSError(f"cannot write summary {path}: {exc}") from exc
 
 
+def _takes(f, problem: str) -> bool:
+    """Whether subcommand ``problem`` takes field ``f``: its flags and metadata echo."""
+    return "help" in f.metadata and problem in (f.metadata["on"] or _COMMANDS)
+
+
 def _write_metadata(cfg: RunConfig, out: Path, extra: dict) -> None:
-    record = dict(cfg.to_items())
+    taken = {f.name for f in fields(cfg) if f.name == "problem" or _takes(f, cfg.problem)}
+    record = {key: value for key, value in cfg.to_items() if key in taken}
     record["package_version"] = __version__
     record["numpy_version"] = np.__version__
     import scipy
@@ -257,7 +252,9 @@ def _append_physical(cfg: RunConfig, energies, summary: dict) -> None:
     """Attach SI energies (unit hbar^2 / mu alpha^2) when requested."""
     if not cfg.physical:
         return
-    unit = cfg.energy_unit_joules()
+    if cfg.mass_kg <= 0.0 or cfg.radius_m <= 0.0:
+        raise ValueError("physical mode needs positive mass_kg and radius_m")
+    unit = energy_unit_joules(cfg.mass_kg, HelixGeometry(cfg.radius_m, cfg.ratio * cfg.radius_m))
     summary["energy_unit_joules"] = unit
     for m, e in enumerate(energies):
         summary[f"E{m}_joules"] = float(e) * unit
@@ -275,7 +272,8 @@ def _run_potential(cfg: RunConfig, out: Path) -> dict:
         np.column_stack([phi / TWO_PI, values]),
         out / "data.csv",
     )
-    minima = find_minima(cfg.ratio, max(1, int(cfg.phi_max / TWO_PI) + 1))
+    minima = [m for m in find_minima(cfg.ratio, math.ceil(cfg.phi_max / TWO_PI))
+              if m.phi_k <= cfg.phi_max]
     summary: dict = {"ratio": cfg.ratio, "n_minima_in_range": len(minima)}
     for m in minima[:5]:
         summary[f"minimum_{m.winding_index}_phi"] = m.phi_k
@@ -335,14 +333,13 @@ def _run_three_body(cfg: RunConfig, out: Path) -> dict:
     }
     for m, e in enumerate(sol.energies):
         summary[f"E{m}"] = float(e)
-    _append_physical(cfg, sol.energies, summary)
     if cfg.symmetrize:
         samples = np.arange(
             -cfg.sample_extent, cfg.sample_extent + 0.5 * cfg.sample_spacing,
             cfg.sample_spacing,
         )
-        psi_map, n_outside = symmetrize_wavefunction(sol, cfg.statistics, samples, samples)
         xg, yg = np.meshgrid(samples, samples, indexing="ij")
+        psi_map, n_outside = symmetrize_wavefunction(sol, cfg.statistics, xg, yg)
         emit_csv(
             ["x", "y", "psi"],
             np.column_stack([xg.ravel(), yg.ravel(), psi_map.ravel()]),
@@ -462,10 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
         # SUPPRESS: only the flags actually given reach the namespace
         p = sub.add_parser(problem, help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="flat key = value config file (default: none)")
-        for f in fields(RunConfig):
+        for f in [f for f in fields(RunConfig) if _takes(f, problem)]:
             meta = f.metadata
-            if "help" not in meta or problem not in (meta["on"] or _COMMANDS):
-                continue
             flag = "--" + (meta["flag"] or f.name.replace("_", "-"))
             text = f"{meta['help']} (default: {_format_value(f.default) or 'none'})"
             if f.type == "bool":

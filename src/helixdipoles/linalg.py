@@ -1,18 +1,15 @@
-"""Symmetric sparse operators and extraction of their lowest eigenpairs.
+"""Symmetric sparse lattice operators and extraction of their lowest eigenpairs.
 
-The discretized Hamiltonians of this package are real symmetric with local
-stencils, so they are stored row-compressed and routed by structure alone:
-tridiagonal operators go to a direct banded solver, everything else to
-ARPACK's implicitly restarted Lanczos in its own shift-invert mode.  The
-shift sits strictly below the operator's Gershgorin bound, ``H - sigma`` is
-factored once by sparse LU, and ARPACK maps the Ritz values of the inverse
-back to the lowest energies and purifies the Ritz vectors.  Dense LAPACK
-diagonalization and plain Lanczos on the operator (``lanczos``) are only
-taken when forced; dense is capped at ``DENSE_CUTOFF`` unknowns.  ARPACK's
-own restart limit bounds the iteration; when it stops short, the pairs it
-did converge travel on the :class:`ConvergenceError`.  The iterative start
-vectors are drawn from a seeded generator and the seed is carried in the
-result, so repeated runs are reproducible.
+Every Hamiltonian of the package is built row-compressed by
+:meth:`SymmetricSparseOperator.on_lattice`.  Solves are routed by structure
+alone: tridiagonal operators go to a direct banded solver, everything else
+to ARPACK's own shift-invert mode, with ``H - sigma`` factored once by
+sparse LU below the Gershgorin bound.  Dense LAPACK and plain Lanczos on the
+operator (``lanczos``) are only taken when forced; dense is capped at
+``DENSE_CUTOFF`` unknowns.  ARPACK's own restart limit bounds the iteration;
+when it stops short, the pairs it did converge travel on the
+:class:`ConvergenceError`.  Start vectors come from a seeded generator whose
+seed is carried in the result, so repeated runs are reproducible.
 """
 
 from __future__ import annotations
@@ -55,14 +52,29 @@ class SymmetricSparseOperator:
         return self.csr.nnz
 
     @classmethod
-    def from_tridiagonal(cls, diag: np.ndarray, off: np.ndarray) -> "SymmetricSparseOperator":
-        """Build from a main diagonal and its (symmetric) first off-diagonal."""
-        diag = np.asarray(diag, dtype=float)
-        off = np.asarray(off, dtype=float)
-        if off.shape[0] != diag.shape[0] - 1:
-            raise DimensionError("off-diagonal must have length n - 1")
-        mat = sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr")
-        return cls(mat)
+    def on_lattice(cls, index, spacing: float, potential) -> "SymmetricSparseOperator":
+        """-1/2 times the second-difference Laplacian plus a diagonal ``potential``.
+
+        The kinetic term of every Hamiltonian here, in the unit hbar^2/(mu alpha^2).
+        ``index`` must number the active nodes of an N-dimensional lattice of
+        uniform ``spacing`` in row-major order and hold -1 elsewhere, on a
+        border at least one node wide (implied Dirichlet zeros); it is not
+        checked.  Stencil offsets are visited in row-major order, so every
+        CSR row is sorted.
+        """
+        index = np.asarray(index, dtype=np.int32)
+        flat = index.ravel()
+        nodes = np.flatnonzero(flat >= 0)
+        n = nodes.size
+        strides = np.cumprod((1,) + index.shape[:0:-1])[::-1]  # in nodes, row-major
+        offsets = np.concatenate([-strides, [0], strides[::-1]])
+        cols = np.stack([flat[nodes + step] for step in offsets], axis=1)
+        vals = np.full(cols.shape, -0.5 / spacing**2)
+        vals[:, index.ndim] = index.ndim / spacing**2 + potential
+        present = cols >= 0
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        indptr[1:] = np.cumsum(present, dtype=np.int32)[offsets.size - 1::offsets.size]
+        return cls(sp.csr_matrix((vals[present], cols[present], indptr), shape=(n, n)))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if v.shape != (self.n,):

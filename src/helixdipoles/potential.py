@@ -158,6 +158,11 @@ def reduced_potential_derivative(phi, ratio: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _dipole_energy(dip: PhysicalDipole, geo: HelixGeometry) -> float:
+    """Pair energy scale d^2 / (2 pi eps0 R^3) of the reduced potential, in joules."""
+    return dip.dipole_moment_d**2 / (2.0 * math.pi * dip.vacuum_permittivity * geo.radius_R**3)
+
+
 def full_potential(phi_i, phi_j, geo: HelixGeometry, dip: PhysicalDipole):
     """Dimensionful pair energy of two dipoles at angles ``phi_i`` and ``phi_j``.
 
@@ -168,24 +173,30 @@ def full_potential(phi_i, phi_j, geo: HelixGeometry, dip: PhysicalDipole):
     the numerator of the 3D form, 2R^2[1-cos] - 2h^2(phi/2pi)^2).
     """
     phi = np.asarray(phi_i, dtype=float) - np.asarray(phi_j, dtype=float)
-    prefactor = dip.dipole_moment_d**2 / (
-        2.0 * math.pi * dip.vacuum_permittivity * geo.radius_R**3
-    )
-    return prefactor * reduced_potential(phi, geo.ratio)
+    return _dipole_energy(dip, geo) * reduced_potential(phi, geo.ratio)
+
+
+def energy_unit_joules(mass_m: float, geo: HelixGeometry) -> float:
+    """Energy unit hbar^2 / (mu alpha^2) of every solver, in joules.
+
+    ``mu = m/2`` is the reduced mass of a pair of particles of mass
+    ``mass_m`` (kg); this is the one place it is defined.
+    """
+    if not 0.0 < mass_m < math.inf:
+        raise ValueError(f"mass_m must be finite and positive, got {mass_m}")
+    mu = mass_m / 2.0
+    return HBAR**2 / (mu * geo.alpha**2)
 
 
 def beta_from_physical(dip: PhysicalDipole, geo: HelixGeometry) -> float:
     """Dimensionless coupling strength for a physical dipole pair on a helix.
 
-    beta = mu d^2 / (2 pi eps0 R hbar^2) * (alpha/R)^2 with the two-body
-    reduced mass mu = m/2.  Doubling the dipole moment quadruples beta; in
-    the ring limit h = 0 the geometric factor (alpha/R)^2 is 1.
+    The pair energy scale d^2 / (2 pi eps0 R^3) in units of
+    :func:`energy_unit_joules`: beta = mu d^2 / (2 pi eps0 R hbar^2) * (alpha/R)^2.
+    Doubling the dipole moment quadruples beta; in the ring limit h = 0 the
+    geometric factor (alpha/R)^2 is 1.
     """
-    mu = dip.mass_m / 2.0
-    core = mu * dip.dipole_moment_d**2 / (
-        2.0 * math.pi * dip.vacuum_permittivity * geo.radius_R * HBAR**2
-    )
-    return core * (geo.alpha / geo.radius_R) ** 2
+    return _dipole_energy(dip, geo) / energy_unit_joules(dip.mass_m, geo)
 
 
 def validate_geometry(ratio: float) -> None:

@@ -15,14 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GridError
 from .linalg import (DEFAULT_SEED, EigenResult, SymmetricSparseOperator, check_request,
                      lowest_eigenpairs)
-from .potential import reduced_potential, validate_geometry
+from .potential import TWO_PI, reduced_potential, validate_geometry
 
-TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
@@ -43,10 +41,6 @@ MIN_MARGIN_WINDINGS = 5.0
 #: Nodes closer than this many cells to the wedge edge y = x/sqrt(3) are
 #: boundary nodes (see :class:`WedgeGrid2D`).
 EDGE_CUSHION = 0.5
-
-#: Five-point stencil offsets (di, dj), ordered as the node indices they
-#: reach: nodes are numbered i-major, so every CSR row comes out sorted.
-_STENCIL = ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
@@ -155,12 +149,14 @@ def assemble_hamiltonian_2d(
     *,
     allow_small_box: bool = False,
 ) -> SymmetricSparseOperator:
-    """Five-point kinetic stencil plus the three diagonal pair-potential terms.
+    """The lattice operator -1/2 (d_x^2 + d_y^2) plus the three pair potentials.
 
-    Active-node neighbors falling outside the mask contribute nothing
-    (homogeneous Dirichlet).  Unless ``allow_small_box`` is set, the outer
-    rectangle must clear the first-minimum chain configuration by at least
-    five windings along each axis so bound states are not visibly squeezed.
+    Built on the wedge mask (Dirichlet outside it) in the two-body unit
+    hbar^2 / (mu alpha^2), so each particle carries the pair reduced mass
+    mu = m/2: the pair-12 term alone, beta V(sqrt(2) x), has the energies
+    2 E2(beta/2) of the two-body problem.  Unless ``allow_small_box`` is
+    set, the outer rectangle must clear the first-minimum chain
+    configuration by at least five windings along each axis.
     """
     validate_geometry(ratio)
     if not (math.isfinite(beta) and beta >= 0):
@@ -172,22 +168,13 @@ def assemble_hamiltonian_2d(
             f"windings; need {MIN_MARGIN_WINDINGS:g} (pass allow_small_box to override)"
         )
 
-    dx = grid.spacing
     phi12, phi23, phi13 = pair_separations(grid.x, grid.y)
     pot = beta * (
         reduced_potential(phi12, ratio)
         + reduced_potential(phi23, ratio)
         + reduced_potential(phi13, ratio)
     )
-    # one row per node, its stencil columns in ascending node order
-    cols = np.stack([grid._index[grid.ii + di, grid.jj + dj] for di, dj in _STENCIL], axis=1)
-    vals = np.full(cols.shape, -0.5 / dx**2)
-    vals[:, 2] = 2.0 / dx**2 + pot  # the (0, 0) column
-    present = cols >= 0
-    indptr = np.zeros(grid.n_active + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1), out=indptr[1:])
-    op = SymmetricSparseOperator(sp.csr_matrix(
-        (vals[present], cols[present], indptr), shape=(grid.n_active, grid.n_active)))
+    op = SymmetricSparseOperator.on_lattice(grid._index, grid.spacing, pot)
     op.validate()
     return op
 
@@ -228,11 +215,8 @@ def pair_distance_expectations(
     grid = sol.grid
     weight = sol.wavefunction(state) ** 2 * grid.spacing**2
     weight = weight / weight.sum()
-    phi12, phi23, phi13 = pair_separations(grid.x, grid.y)
-    d12 = float(np.dot(weight, phi12))
-    d23 = float(np.dot(weight, phi23))
-    d13 = float(np.dot(weight, phi13))
-    return d12 / TWO_PI, d23 / TWO_PI, d13 / TWO_PI
+    return tuple(float(np.dot(weight, phi)) / TWO_PI
+                 for phi in pair_separations(grid.x, grid.y))
 
 
 def _reflection(angle: float) -> np.ndarray:
@@ -262,10 +246,10 @@ EXCHANGE_GROUP: list[tuple[np.ndarray, float]] = [
 def symmetrize_wavefunction(
     sol: ThreeBodySolution,
     statistics: str,
-    x_samples: np.ndarray,
-    y_samples: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Sample the full-plane (anti)symmetrized ground state on a grid.
+    """Sample the full-plane (anti)symmetrized ground state at the points (x, y).
 
     Each sample point is carried around the exchange group; the zero-padded
     bilinear interpolant of the wedge solution is summed over the orbit with
@@ -274,10 +258,10 @@ def symmetrize_wavefunction(
     fermionic output to vanish on the coincidence lines.
 
     Returns:
-        (psi, n_outside): ``psi`` with shape (len(x_samples), len(y_samples)),
-        and the count of sample points whose wedge representative lies outside
-        the solved box (those samples are zero and flagged rather than
-        extrapolated).
+        (psi, n_outside): ``psi`` with the shape of ``x`` and ``y`` broadcast
+        together, and the count of sample points whose wedge representative
+        lies outside the solved box (those samples are zero and flagged
+        rather than extrapolated).
     """
     if statistics not in ("boson", "fermion"):
         raise ValueError("statistics must be 'boson' or 'fermion'")
@@ -286,8 +270,7 @@ def symmetrize_wavefunction(
     dx = grid.spacing
     nx, ny = padded.shape[0] - 1, padded.shape[1] - 1
 
-    X, Y = np.meshgrid(np.asarray(x_samples, dtype=float),
-                       np.asarray(y_samples, dtype=float), indexing="ij")
+    X, Y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     pts = np.stack([X.ravel(), Y.ravel()])
 
     def interpolate(px, py):
@@ -306,9 +289,7 @@ def symmetrize_wavefunction(
     use_parity = statistics == "fermion"
     total = np.zeros(pts.shape[1])
     for mat, parity in EXCHANGE_GROUP:
-        gx, gy = mat @ pts
-        contrib = interpolate(gx, gy)
-        total += (parity if use_parity else 1.0) * contrib
+        total += (parity if use_parity else 1.0) * interpolate(*(mat @ pts))
 
     # wedge representative outside the solved box -> flagged zero; the
     # dihedral fold maps any direction into the wedge sector [30deg, 90deg]

@@ -88,17 +88,16 @@ def assemble_hamiltonian_1d(
 ) -> SymmetricSparseOperator:
     """Tridiagonal operator -1/2 d^2/dphi^2 + beta * V(phi) on the interior nodes.
 
-    Second-order central differences; the Dirichlet walls are encoded by the
-    absence of the boundary nodes.  ``beta = 0`` gives the bare box.
+    Built by :meth:`SymmetricSparseOperator.on_lattice`; the Dirichlet walls
+    are the lattice border.  ``beta = 0`` gives the bare box.
     """
     validate_geometry(ratio)
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError(f"coupling strength beta must be finite and >= 0, got {beta}")
     _check_resolution(grid)
-    dx = grid.spacing
-    diag = 1.0 / dx**2 + beta * reduced_potential(grid.nodes, ratio)
-    off = np.full(grid.n_points - 1, -0.5 / dx**2)
-    return SymmetricSparseOperator.from_tridiagonal(diag, off)
+    index = np.pad(np.arange(grid.n_points, dtype=np.int32), 1, constant_values=-1)
+    return SymmetricSparseOperator.on_lattice(
+        index, grid.spacing, beta * reduced_potential(grid.nodes, ratio))
 
 
 def solve_two_body(

@@ -320,13 +320,11 @@ def test_criterion_09_symmetry_exactness(three_body_beta1, three_body_beta2,
 
     rng = np.random.default_rng(23)
     pts = rng.uniform(-15.0, 15.0, size=(2, 500))
-    base = np.diagonal(symmetrize_wavefunction(
-        three_body_beta1, "boson", pts[0], pts[1])[0])
+    base = symmetrize_wavefunction(three_body_beta1, "boson", pts[0], pts[1])[0]
     invariance = 0.0
     for mat, _ in EXCHANGE_GROUP[1:]:
         gx, gy = mat @ pts
-        moved = np.diagonal(symmetrize_wavefunction(
-            three_body_beta1, "boson", gx, gy)[0])
+        moved = symmetrize_wavefunction(three_body_beta1, "boson", gx, gy)[0]
         invariance = max(invariance, float(np.max(np.abs(moved - base))))
 
     grid = Grid1D()

@@ -152,6 +152,30 @@ class TestPotentialCommand:
         cfg = RunConfig(problem="potential", ratio=5.0, out_dir=str(tmp_path))
         assert run(cfg) == 3
 
+    @pytest.mark.parametrize("phi_max, count", [(3.0 * TWO_PI, 3), (15.71, 2), (6.0, 0)])
+    def test_minima_counted_within_phi_max(self, phi_max, count, tmp_path):
+        # the minima sit just below each winding: 6.205, 12.41, 18.61, ...
+        cfg = RunConfig(problem="potential", phi_max=phi_max, n_samples=50,
+                        out_dir=str(tmp_path))
+        assert run(cfg) == 0
+        summary = read_keyvalue(tmp_path / "summary.txt")
+        assert int(summary["n_minima_in_range"]) == count
+        listed = [float(v) for k, v in summary.items() if k.endswith("_phi")]
+        assert len(listed) == count and all(phi <= phi_max for phi in listed)
+
+    def test_metadata_echoes_only_its_settings(self, tmp_path):
+        # a shared config file may set solver settings; potential runs none
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("solver = lanczos\nseed = 5\ntol = 1e-8\nbeta = 2.0\n")
+        out = tmp_path / "out"
+        assert main(["potential", "--config", str(cfg_file), "--n-samples", "50",
+                     "--out-dir", str(out)]) == 0
+        meta = read_keyvalue(out / "metadata.txt")
+        for key in ("solver", "seed", "tol", "beta", "k_states", "physical"):
+            assert key not in meta
+        assert meta["problem"] == "potential" and meta["n_samples"] == "50"
+        assert meta["phi_max"] == repr(3.0 * TWO_PI) and meta["status"] == "ok"
+
 
 class TestTwoBodyCommand:
     def test_default_run(self, tmp_path):
@@ -369,7 +393,7 @@ class TestGeneratedParser:
                      "--box-length": "box_length", "--spacing": "spacing_1d",
                      "--k": "k_states", "--statistics": "statistics",
                      "--full-line": "emit_full_line"},
-        "three-body": {**COMMON, **SOLVER, **PHYSICAL, "--beta": "beta",
+        "three-body": {**COMMON, **SOLVER, "--beta": "beta",
                        "--x-max": "x_max", "--y-max": "y_max", "--spacing": "spacing_2d",
                        "--k": "k_states", "--statistics": "statistics",
                        "--allow-small-box": "allow_small_box",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helixdipoles.errors import ConvergenceError, DimensionError
 from helixdipoles.linalg import (
@@ -12,7 +13,13 @@ from helixdipoles.linalg import (
     SymmetricSparseOperator,
     lowest_eigenpairs,
 )
+from helixdipoles.potential import reduced_potential
 from helixdipoles.threebody import WedgeGrid2D, assemble_hamiltonian_2d
+from helixdipoles.twobody import Grid1D, assemble_hamiltonian_1d
+
+
+def tridiagonal(diag, off):
+    return SymmetricSparseOperator(sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr"))
 
 
 def random_sparse_symmetric(n, density=0.02, seed=7, diag_lift=1.0):
@@ -29,7 +36,7 @@ def dirichlet_box(length, n, potential=None):
     if potential is not None:
         diag = diag + potential(nodes)
     off = np.full(n - 1, -0.5 / dx**2)
-    return SymmetricSparseOperator.from_tridiagonal(diag, off), nodes, dx
+    return tridiagonal(diag, off), nodes, dx
 
 
 def align(u, v):
@@ -39,15 +46,13 @@ def align(u, v):
 
 class TestOperator:
     def test_identity_matvec(self):
-        op = SymmetricSparseOperator.from_tridiagonal(np.ones(10), np.zeros(9))
+        op = tridiagonal(np.ones(10), np.zeros(9))
         v = np.arange(10.0)
         np.testing.assert_array_equal(op.matvec(v), v)
 
     def test_laplacian_stencil_row(self):
         n, dx = 11, 0.5
-        op = SymmetricSparseOperator.from_tridiagonal(
-            np.full(n, 1.0 / dx**2), np.full(n - 1, -0.5 / dx**2)
-        )
+        op = tridiagonal(np.full(n, 1.0 / dx**2), np.full(n - 1, -0.5 / dx**2))
         v = np.random.default_rng(0).normal(size=n)
         out = op.matvec(v)
         i = 5
@@ -82,9 +87,65 @@ class TestOperator:
             SymmetricSparseOperator(mat).validate()
 
     def test_tridiagonal_detection(self):
-        op = SymmetricSparseOperator.from_tridiagonal(np.ones(6), -np.ones(5))
+        op = tridiagonal(np.ones(6), -np.ones(5))
         assert op.is_tridiagonal()
         assert not random_sparse_symmetric(60).is_tridiagonal()
+
+
+def lattice_coo_reference(index, spacing, potential):
+    """The lattice operator from COO triplets, one stencil arm at a time."""
+    n = int(np.count_nonzero(index >= 0))
+    active = np.argwhere(index >= 0)  # row-major, so row m is node m
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [index.ndim / spacing**2 + potential]
+    for axis in range(index.ndim):
+        for step in (-1, 1):
+            shifted = active.copy()
+            shifted[:, axis] += step
+            neighbor = index[tuple(shifted.T)]
+            has = neighbor >= 0
+            rows.append(np.flatnonzero(has))
+            cols.append(neighbor[has])
+            vals.append(np.full(int(has.sum()), -0.5 / spacing**2))
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
+
+
+def numbered(mask):
+    """Lattice index of ``mask`` inside a one-node border of -1."""
+    index = -np.ones(np.add(mask.shape, 2), dtype=np.int32)
+    inner = index[(slice(1, -1),) * mask.ndim]
+    inner[mask] = np.arange(int(mask.sum()))
+    return index
+
+
+class TestOnLattice:
+    def test_half_line_bytes_match_tridiagonal_build(self):
+        # the formulas of the former hand-written tridiagonal two-body build
+        grid = Grid1D()
+        dx = grid.spacing
+        diag = 1.0 / dx**2 + 1.5 * reduced_potential(grid.nodes, 1.0)
+        off = np.full(grid.n_points - 1, -0.5 / dx**2)
+        ref = sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr")
+        csr = assemble_hamiltonian_1d(grid, 1.5, 1.0).csr
+        for got, want in ((csr.data, ref.data), (csr.indices, ref.indices),
+                          (csr.indptr, ref.indptr)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9)),
+           st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
+    def test_random_masks_match_coo_build(self, mask, spacing, seed):
+        index = numbered(mask)
+        potential = np.random.default_rng(seed).uniform(-3.0, 3.0, int(mask.sum()))
+        op = SymmetricSparseOperator.on_lattice(index, spacing, potential)
+        ref = lattice_coo_reference(index, spacing, potential)
+        assert op.csr.indices.dtype == op.csr.indptr.dtype == np.int32
+        assert op.csr.has_sorted_indices
+        np.testing.assert_array_equal(op.csr.indptr, ref.indptr)
+        np.testing.assert_array_equal(op.csr.indices, ref.indices)
+        np.testing.assert_array_equal(op.csr.data, ref.data)
+        op.validate()
 
 
 class TestLowestEigenpairs:

@@ -11,6 +11,7 @@ from helixdipoles.potential import (
     PhysicalDipole,
     beta_from_physical,
     cartesian_position,
+    energy_unit_joules,
     find_minima,
     full_potential,
     reduced_potential,
@@ -224,6 +225,32 @@ class TestBetaFromPhysical:
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             PhysicalDipole(mass_m=-1.0, dipole_moment_d=1.0)
+
+
+class TestEnergyUnit:
+    def test_pair_reduced_mass_unit(self):
+        import scipy.constants as const
+
+        geo = HelixGeometry(radius_R=1e-6, pitch_h=1e-6)
+        alpha_sq = 1e-12 * (1.0 + 1.0 / TWO_PI**2)
+        assert energy_unit_joules(2.2e-25, geo) == pytest.approx(
+            const.hbar**2 / (1.1e-25 * alpha_sq), rel=1e-14)
+
+    @given(st.floats(1e-27, 1e-23), st.floats(1e-31, 1e-28), st.floats(1e-7, 1e-4),
+           st.floats(0.0, 4.0))
+    def test_beta_in_units_is_the_pair_energy_scale(self, mass, moment, radius, ratio):
+        # beta * hbar^2 / (mu alpha^2) is the prefactor d^2 / (2 pi eps0 R^3)
+        # of full_potential
+        geo = HelixGeometry(radius_R=radius, pitch_h=ratio * radius)
+        dip = PhysicalDipole(mass_m=mass, dipole_moment_d=moment)
+        prefactor = moment**2 / (2.0 * math.pi * dip.vacuum_permittivity * radius**3)
+        assert beta_from_physical(dip, geo) * energy_unit_joules(mass, geo) == pytest.approx(
+            prefactor, rel=1e-12)
+
+    @pytest.mark.parametrize("mass", [0.0, -1e-25, math.nan, math.inf])
+    def test_bad_mass_rejected(self, mass):
+        with pytest.raises(ValueError, match="mass_m"):
+            energy_unit_joules(mass, HelixGeometry(1e-6, 1e-6))
 
 
 class TestValidateGeometry:

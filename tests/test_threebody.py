@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from helixdipoles import threebody
 from helixdipoles.errors import DimensionError, GridError
-from helixdipoles.linalg import DENSE_CUTOFF, lowest_eigenpairs
+from helixdipoles.linalg import DENSE_CUTOFF, SymmetricSparseOperator, lowest_eigenpairs
 from helixdipoles.potential import reduced_potential
 from helixdipoles.threebody import (
     EXCHANGE_GROUP,
@@ -22,6 +23,7 @@ from helixdipoles.threebody import (
     solve_three_body,
     symmetrize_wavefunction,
 )
+from helixdipoles.twobody import Grid1D, solve_two_body
 
 TWO_PI = 2.0 * math.pi
 
@@ -88,6 +90,28 @@ class TestJacobiTransform:
 
     def test_zero_maps_to_zero(self):
         assert angles_from_jacobi(JacobiAngles(0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
+
+    @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50))
+    def test_pair_separations_invert_the_map(self, p1, p2, p3):
+        j = jacobi_from_angles(p1, p2, p3)
+        np.testing.assert_allclose(pair_separations(j.x, j.y),
+                                   (p1 - p2, p2 - p3, p1 - p3), rtol=0.0, atol=1e-12)
+
+    def test_exchange_group_is_the_angle_permutations(self):
+        # each element, with its parity, is one permutation P of the angles
+        # seen through the Jacobi map: the (x, y) block of J P J^T
+        jac = np.array([[getattr(jacobi_from_angles(*e), c) for e in np.eye(3)]
+                        for c in "xyz"])
+        matched = []
+        for perm in itertools.permutations(range(3)):
+            p = np.eye(3)[list(perm)]
+            moved = jac @ p @ jac.T
+            np.testing.assert_allclose(moved[:2, 2], 0.0, atol=1e-15)  # z decouples
+            parity = round(np.linalg.det(p))
+            matched += [i for i, (mat, sign) in enumerate(EXCHANGE_GROUP)
+                        if sign == parity and np.allclose(mat, moved[:2, :2], rtol=0.0,
+                                                          atol=1e-15)]
+        assert sorted(matched) == list(range(len(EXCHANGE_GROUP))) == list(range(6))
 
     def test_pair_separations_at_peak(self):
         x, y = FIRST_MINIMUM_XY
@@ -169,6 +193,24 @@ class TestAssembly2D:
         np.testing.assert_array_equal(csr.indptr, ref.indptr)
         np.testing.assert_array_equal(csr.indices, ref.indices)
         assert csr.data.tobytes() == ref.data.tobytes()
+
+    def test_pair_reduced_mass_convention(self):
+        # Only the pair-12 term, beta V(sqrt(2) x), on a rectangle in x, y > 0:
+        # the problem separates.  With phi12 = sqrt(2) x the kinetic term along
+        # x is -(d/dphi12)^2, twice the two-body one, because every particle
+        # carries the pair reduced mass.  So the lowest level is 2 E2(beta/2)
+        # on phi spacing sqrt(2) h plus the lowest y-box level.  Particles of
+        # the full mass m would give E2(beta) instead.
+        n_x, n_y, h, beta = 30, 4, 0.1, 2.0
+        index = -np.ones((n_x + 1, n_y + 1), dtype=np.int32)
+        index[1:-1, 1:-1] = np.arange((n_x - 1) * (n_y - 1)).reshape(n_x - 1, n_y - 1)
+        pot = beta * reduced_potential(math.sqrt(2.0) * h * np.arange(1, n_x), 1.0)
+        op = SymmetricSparseOperator.on_lattice(index, h, np.repeat(pot, n_y - 1))
+        e0 = lowest_eigenpairs(op, 1, 1e-12, method="dense").values[0]
+        pair = solve_two_body(Grid1D(n_x * math.sqrt(2.0) * h, n_x - 1), beta / 2.0, 1.0, 1,
+                              method="dense")
+        e_y = (1.0 - math.cos(math.pi / n_y)) / h**2
+        assert e0 == pytest.approx(2.0 * pair.energies[0] + e_y, rel=0.0, abs=1e-12)
 
     def test_free_wedge_spectrum_positive(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.4)
@@ -336,39 +378,33 @@ class TestMonotonicLocalization:
 
 class TestSymmetrization:
     def test_boson_invariant_under_group(self, three_body_beta1):
-        # the diagonal of the product-grid evaluation gives point-wise samples
         rng = np.random.default_rng(17)
         pts = rng.uniform(-15.0, 15.0, size=(2, 500))
         base, _ = symmetrize_wavefunction(three_body_beta1, "boson", pts[0], pts[1])
-        base = np.diagonal(base)
         for mat, _ in EXCHANGE_GROUP[1:]:
             gx, gy = mat @ pts
             moved, _ = symmetrize_wavefunction(three_body_beta1, "boson", gx, gy)
-            np.testing.assert_allclose(np.diagonal(moved), base, atol=1e-6)
+            np.testing.assert_allclose(moved, base, atol=1e-6)
 
     def test_fermion_vanishes_on_coincidence_lines(self, three_body_beta1):
         t = np.linspace(0.5, 12.0, 40)
         on_line_x = np.zeros_like(t)  # the line x = 0
         psi, _ = symmetrize_wavefunction(three_body_beta1, "fermion", on_line_x, t)
-        assert np.max(np.abs(np.diagonal(psi))) < 1e-9
+        assert np.max(np.abs(psi)) < 1e-9
         # the line y = x / sqrt(3)
         psi2, _ = symmetrize_wavefunction(
             three_body_beta1, "fermion", t, t / math.sqrt(3.0)
         )
-        assert np.max(np.abs(np.diagonal(psi2))) < 1e-9
+        assert np.max(np.abs(psi2)) < 1e-9
 
     def test_three_copy_structure(self, three_body_beta1):
         # the in-wedge peak reappears at its rotated images with equal value
         x0, y0 = FIRST_MINIMUM_XY
-        val0 = symmetrize_wavefunction(
-            three_body_beta1, "boson", np.array([x0]), np.array([y0])
-        )[0][0, 0]
+        val0 = symmetrize_wavefunction(three_body_beta1, "boson", x0, y0)[0]
         assert val0 > 0.0
         for mat, _ in EXCHANGE_GROUP[1:3]:
             gx, gy = mat @ np.array([x0, y0])
-            val = symmetrize_wavefunction(
-                three_body_beta1, "boson", np.array([gx]), np.array([gy])
-            )[0][0, 0]
+            val = symmetrize_wavefunction(three_body_beta1, "boson", gx, gy)[0]
             assert val == pytest.approx(val0, rel=1e-10)
 
     def test_outside_box_flagged(self, three_body_beta1):
@@ -376,7 +412,17 @@ class TestSymmetrization:
             three_body_beta1, "boson", np.array([100.0]), np.array([5.0])
         )
         assert n_outside == 1
-        assert psi[0, 0] == 0.0
+        assert psi.shape == (1,) and psi[0] == 0.0
+
+    def test_points_broadcast_together(self, three_body_beta1):
+        # a column of x against a row of y samples the product grid
+        x, y = np.linspace(-8.0, 8.0, 5), np.linspace(-6.0, 9.0, 4)
+        grid_psi, n_grid = symmetrize_wavefunction(three_body_beta1, "fermion",
+                                                   x[:, None], y[None, :])
+        xg, yg = np.meshgrid(x, y, indexing="ij")
+        psi, n = symmetrize_wavefunction(three_body_beta1, "fermion", xg, yg)
+        assert grid_psi.shape == psi.shape == (5, 4) and n_grid == n
+        np.testing.assert_array_equal(grid_psi, psi)
 
     def test_statistics_validated(self, three_body_beta1):
         with pytest.raises(ValueError):
