@@ -245,19 +245,22 @@ def _eigen_summary(eigen) -> dict:
     }
     if eigen.method == "shift-invert":
         summary["factor_nnz"] = eigen.factor_nnz
+        summary["solver_shift"] = eigen.shift
+        # the only estimate a run hands the solver is a coarse wedge's E0
+        summary["shift_source"] = "coarse" if eigen.shift_source == "estimate" else "gershgorin"
     return summary
 
 
-def _append_physical(cfg: RunConfig, energies, summary: dict) -> None:
-    """Attach SI energies (unit hbar^2 / mu alpha^2) when requested."""
+def _energy_unit(cfg: RunConfig) -> float | None:
+    """The SI energy unit hbar^2 / (mu alpha^2) in physical mode, else None.
+
+    Called before any solve, so bad mass or radius is a configuration error.
+    """
     if not cfg.physical:
-        return
-    if cfg.mass_kg <= 0.0 or cfg.radius_m <= 0.0:
-        raise ValueError("physical mode needs positive mass_kg and radius_m")
-    unit = energy_unit_joules(cfg.mass_kg, HelixGeometry(cfg.radius_m, cfg.ratio * cfg.radius_m))
-    summary["energy_unit_joules"] = unit
-    for m, e in enumerate(energies):
-        summary[f"E{m}_joules"] = float(e) * unit
+        return None
+    if not (0.0 < cfg.mass_kg < math.inf and 0.0 < cfg.radius_m < math.inf):
+        raise ValueError("physical mode needs finite positive mass_kg and radius_m")
+    return energy_unit_joules(cfg.mass_kg, HelixGeometry(cfg.radius_m, cfg.ratio * cfg.radius_m))
 
 
 def _run_potential(cfg: RunConfig, out: Path) -> dict:
@@ -282,6 +285,7 @@ def _run_potential(cfg: RunConfig, out: Path) -> dict:
 
 
 def _run_two_body(cfg: RunConfig, out: Path) -> dict:
+    unit = _energy_unit(cfg)
     grid = Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d)
     sol = solve_two_body(grid, cfg.beta, cfg.ratio, cfg.k_states,
                          tol=cfg.tol, method=cfg.solver, seed=cfg.seed)
@@ -303,7 +307,10 @@ def _run_two_body(cfg: RunConfig, out: Path) -> dict:
                      "bound_count": sol.bound_count, "peak_phi": peak}
     for m, e in enumerate(sol.energies):
         summary[f"E{m}"] = float(e)
-    _append_physical(cfg, sol.energies, summary)
+    if unit is not None:
+        summary["energy_unit_joules"] = unit
+        for m, e in enumerate(sol.energies):
+            summary[f"E{m}_joules"] = float(e) * unit
     summary.update(_eigen_summary(sol.eigen))
     return summary
 

@@ -4,7 +4,10 @@ Every Hamiltonian of the package is built row-compressed by
 :meth:`SymmetricSparseOperator.on_lattice`.  Solves are routed by structure
 alone: tridiagonal operators go to a direct banded solver, everything else
 to ARPACK's own shift-invert mode, with ``H - sigma`` factored once by
-sparse LU below the Gershgorin bound.  Dense LAPACK and plain Lanczos on the
+sparse LU.  ``sigma`` sits just below a caller's estimate of the lowest
+eigenvalue when one LU solve certifies that ``H - sigma`` is a nonsingular
+M-matrix (so ``sigma`` lies below the whole spectrum), and below the
+Gershgorin bound otherwise.  Dense LAPACK and plain Lanczos on the
 operator (``lanczos``) are only taken when forced; dense is capped at
 ``DENSE_CUTOFF`` unknowns.  ARPACK's own restart limit bounds the iteration;
 when it stops short, the pairs it did converge travel on the
@@ -14,6 +17,7 @@ seed is carried in the result, so repeated runs are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +34,10 @@ METHODS = ("auto", "dense", "tridiagonal", "shift-invert", "lanczos")
 
 #: Default start-vector seed for the iterative path.
 DEFAULT_SEED = 20177
+
+#: A shift taken from an estimate ``e`` of the lowest eigenvalue sits this
+#: fraction of the way from ``e`` down to the Gershgorin bound.
+ESTIMATE_SHIFT_MARGIN = 0.05
 
 #: Columns SuperLU factors together.  Its panel workspace grows as
 #: panel_size x n: scipy's default width added 31 MB to the beta=2 wedge
@@ -91,6 +99,11 @@ class SymmetricSparseOperator:
         rows = np.repeat(np.arange(self.n), np.diff(self.csr.indptr))
         return bool(np.all(np.abs(rows - self.csr.indices) <= 1))
 
+    def is_z_matrix(self) -> bool:
+        """Whether no off-diagonal entry is positive, as in every ``on_lattice`` operator."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.csr.indptr))
+        return bool(np.all(self.csr.data[rows != self.csr.indices] <= 0.0))
+
     def validate(self) -> None:
         """Check value symmetry (to 1e-15, relative) and diagonal presence."""
         csr = self.csr
@@ -118,7 +131,9 @@ class EigenResult:
     ``vectors[:, i]`` is normalized as a grid function, so that
     ``w * sum(vectors[:, i]**2) == 1`` for the quadrature weight ``w`` given
     to :func:`lowest_eigenpairs`; residual norms are plain 2-norms
-    ``|H v - E v|`` of the unit-2-norm eigenvectors.
+    ``|H v - E v|`` of the unit-2-norm eigenvectors.  ``shift`` is the
+    ``sigma`` of the shift-invert path and ``shift_source`` where it came
+    from, ``estimate`` or ``gershgorin`` (both None on the other paths).
     """
 
     values: np.ndarray
@@ -128,6 +143,8 @@ class EigenResult:
     seed: int | None = None
     n_matvec: int = 0
     factor_nnz: int = 0
+    shift: float | None = None
+    shift_source: str | None = None
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
@@ -138,7 +155,8 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _package(op, vals, vecs, weight, method, seed, n_matvec, factor_nnz=0):
+def _package(op, vals, vecs, weight, method, seed, n_matvec, factor_nnz=0,
+             shift=None, shift_source=None):
     order = np.argsort(vals)
     vals = np.asarray(vals, dtype=float)[order]
     vecs = np.asarray(vecs, dtype=float)[:, order]
@@ -155,6 +173,8 @@ def _package(op, vals, vecs, weight, method, seed, n_matvec, factor_nnz=0):
         seed=seed,
         n_matvec=n_matvec + len(vals),
         factor_nnz=factor_nnz,
+        shift=shift,
+        shift_source=shift_source,
     )
 
 
@@ -184,6 +204,7 @@ def lowest_eigenpairs(
     method: str = "auto",
     seed: int = DEFAULT_SEED,
     quadrature_weight: float = 1.0,
+    estimate: float | None = None,
 ) -> EigenResult:
     """Compute the ``k`` lowest eigenpairs of a symmetric sparse operator.
 
@@ -201,12 +222,20 @@ def lowest_eigenpairs(
         seed: start-vector seed for the shift-invert and Lanczos paths.
         quadrature_weight: per-node quadrature weight used to normalize the
             returned eigenvectors as grid functions.
+        estimate: a guess at the lowest eigenvalue, such as the ground
+            energy of a coarser grid.  Only the shift-invert path reads it:
+            it places ``sigma`` just below the guess when a one-solve
+            certificate shows that ``sigma`` still lies below the whole
+            spectrum, and falls back to the Gershgorin shift otherwise (see
+            :func:`_shifted_factor`).  A wrong guess costs one extra
+            factorization, never a wrong answer.
 
     ``n_matvec`` of the result counts the iterative operator applications
-    (matvecs for ``lanczos``, sparse LU solves for ``shift-invert``) plus
-    the ``k`` matvecs of the final residual check; ``factor_nnz`` is the
-    fill of the sparse LU factor on the shift-invert path and 0 on the
-    others.
+    (matvecs for ``lanczos``; for ``shift-invert``, the sparse LU solves,
+    the certificate's included) plus the ``k`` matvecs of the final
+    residual check; ``factor_nnz`` is the fill of the sparse LU factor on
+    the shift-invert path and 0 on the others, where ``shift`` and
+    ``shift_source`` are None.
 
     Raises:
         DimensionError, ValueError: the request fails :func:`check_request`,
@@ -230,30 +259,76 @@ def lowest_eigenpairs(
                                       select="i", select_range=(0, k - 1))
         return _package(op, vals, vecs, quadrature_weight,
                         "tridiagonal", None, 0)
-    vals, vecs, n_mv, fill = _arpack(op, k, tol, seed,
-                                     shift_invert=method == "shift-invert")
-    return _package(op, vals, vecs, quadrature_weight, method, seed, n_mv, fill)
+    vals, vecs, n_mv, shifted = _arpack(op, k, tol, seed,
+                                        shift_invert=method == "shift-invert",
+                                        estimate=estimate)
+    return _package(op, vals, vecs, quadrature_weight, method, seed, n_mv, **shifted)
 
 
-def _arpack(op, k, tol, seed, shift_invert):
+def _shifted_factor(op, estimate):
+    """Sparse LU of ``H - sigma`` for a ``sigma`` below the whole spectrum of ``H``.
+
+    With an ``estimate`` ``e`` of the lowest eigenvalue above the Gershgorin
+    bound ``g = min_i (2 a_ii - sum_j |a_ij|)``, ``sigma = e - 0.05 (e - g)``
+    (:data:`ESTIMATE_SHIFT_MARGIN`) is factored first.  It is kept only when
+    ``H`` is a Z-matrix (no positive off-diagonal entry) and one LU solve
+    ``x = (H - sigma)^-1 1`` gives ``x > 0`` and ``(H - sigma) x > 1/2``
+    entrywise: a Z-matrix with such an ``x`` is a nonsingular M-matrix
+    (Berman & Plemmons, *Nonnegative Matrices*, ch. 6), and a symmetric one
+    is positive definite, so ``sigma`` lies below every eigenvalue.
+    Otherwise that factor is dropped and ``H`` is factored at
+    ``g - 1e-3 max(1, |g|)``, below every Gershgorin disc.  Either way
+    ``H - sigma`` is positive definite and its LU factor needs no pivoting.
+    The symmetric minimum-degree ordering of ``A' + A`` keeps the factor's
+    fill (and memory) about half of splu's default COLAMD ordering on the
+    wedge stencil.  ``H - sigma`` is symmetric, so the CSC matrix splu wants
+    is the transpose view of its CSR arrays; the shifted matrix is dropped
+    once factored.  Returns the factor, ``sigma``, its source (``estimate``
+    or ``gershgorin``) and the LU solves the certificate spent (0 or 1).
+    """
+    from scipy.sparse.linalg import splu
+
+    n = op.n
+
+    def factor(sigma):
+        return splu((op.csr - sigma * sp.identity(n, format="csr")).T,
+                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    panel_size=SUPERLU_PANEL_SIZE, options={"SymmetricMode": True})
+
+    radii = np.asarray(abs(op.csr).sum(axis=1)).ravel()
+    lower = float(np.min(2.0 * op.diagonal() - radii))
+    checks = 0
+    if estimate is not None and lower < estimate < math.inf and op.is_z_matrix():
+        sigma = estimate - ESTIMATE_SHIFT_MARGIN * (estimate - lower)
+        try:
+            lu = factor(sigma)
+        except RuntimeError:  # SuperLU: H - sigma exactly singular, sigma an eigenvalue
+            lu = None
+        if lu is not None:
+            x = lu.solve(np.ones(n))
+            checks = 1
+            if np.all(x > 0.0) and np.all(op.csr @ x - sigma * x > 0.5):
+                return lu, sigma, "estimate", checks
+            del lu  # drop the rejected factor before building the next
+    sigma = lower - 1e-3 * max(1.0, abs(lower))
+    return factor(sigma), sigma, "gershgorin", checks
+
+
+def _arpack(op, k, tol, seed, shift_invert, estimate=None):
     """ARPACK's implicitly restarted Lanczos for the ``k`` lowest eigenpairs.
 
     Plain mode iterates on ``H`` for its smallest eigenvalues.  Shift-invert
     runs ARPACK's own mode: it iterates on ``(H - sigma)^-1``, applied by the
-    LU solve given as ``OPinv``, for its largest eigenvalues ``mu``, and
-    ``dseupd`` maps them back by ``E = sigma + 1/mu`` and purifies the Ritz
-    vectors, the partial pairs of an ``ArpackNoConvergence`` included.
-    ``sigma`` sits below the Gershgorin bound ``min_i (2 a_ii - sum_j |a_ij|)``,
-    so ``H - sigma`` is positive definite and its LU factor needs no
-    pivoting.  The symmetric minimum-degree ordering of ``A' + A`` keeps the
-    factor's fill (and memory) about half of splu's default COLAMD ordering
-    on the wedge stencil.  ``H - sigma`` is symmetric, so the CSC matrix
-    splu wants is the transpose view of its CSR arrays; the shifted matrix
-    is dropped once factored.  Returns values, vectors, the
-    operator-application count and the factor's fill (0 in plain mode).
+    LU solve of :func:`_shifted_factor` given as ``OPinv``, for its largest
+    eigenvalues ``mu``, and ``dseupd`` maps them back by
+    ``E = sigma + 1/mu`` and purifies the Ritz vectors, the partial pairs of
+    an ``ArpackNoConvergence`` included.  Returns values, vectors, the
+    operator-application count and the shift-invert fields of
+    :class:`EigenResult` (``factor_nnz``, ``shift``, ``shift_source``; empty
+    in plain mode).
     """
     from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
-                                     LinearOperator, eigsh, splu)
+                                     LinearOperator, eigsh)
 
     n = op.n
     if n < 2:
@@ -261,20 +336,19 @@ def _arpack(op, k, tol, seed, shift_invert):
     if not np.all(np.isfinite(op.csr.data)):
         raise ValueError("operator has non-finite entries")
     if shift_invert:
-        radii = np.asarray(abs(op.csr).sum(axis=1)).ravel()
-        lower = float(np.min(2.0 * op.diagonal() - radii))
-        sigma = lower - 1e-3 * max(1.0, abs(lower))
-        lu = splu((op.csr - sigma * sp.identity(n, format="csr")).T,
-                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  panel_size=SUPERLU_PANEL_SIZE, options={"SymmetricMode": True})
-        apply, fill = lu.solve, lu.nnz
+        lu, sigma, source, n_apply = _shifted_factor(op, estimate)
+        apply = lu.solve
+        shifted = dict(factor_nnz=lu.nnz, shift=sigma, shift_source=source)
+        # wedge, tol 1e-9: a certified near shift converges in 13 solves at
+        # 6 vectors (beta=2; 19 at beta=0.25); the Gershgorin shift needs 20
+        # (beta=0.25: 71 solves, 97 at 6)
+        ncv = 6 if source == "estimate" else 20
     else:
-        apply, fill = op.matvec, 0
-
-    # shift-invert converges in about 30 solves; plain Lanczos restarts less in
-    # a larger space (beta=2 wedge, tol 1e-9: 1,142 matvecs at 60, 2,602 at 20)
-    ncv = min(n, max(2 * k + 1, 20 if shift_invert else 60))
-    n_apply = 0
+        apply, n_apply, shifted = op.matvec, 0, {}
+        # plain Lanczos restarts less in a larger space (beta=2 wedge,
+        # tol 1e-9: 1,142 matvecs at 60, 2,602 at 20)
+        ncv = 60
+    ncv = min(n, max(2 * k + 1, ncv))
 
     def counted(x):
         nonlocal n_apply
@@ -295,4 +369,4 @@ def _arpack(op, k, tol, seed, shift_invert):
                                result=(exc.eigenvalues, exc.eigenvectors)) from None
     except ArpackError as exc:
         raise ConvergenceError(f"ARPACK failed: {exc}") from None
-    return vals, vecs, n_apply, fill
+    return vals, vecs, n_apply, shifted

@@ -54,8 +54,8 @@ class HelixGeometry:
     pitch_h: float
 
     def __post_init__(self) -> None:
-        if not self.radius_R > 0.0:
-            raise GeometryError(f"radius must be positive, got {self.radius_R}")
+        if not 0.0 < self.radius_R < math.inf:
+            raise GeometryError(f"radius must be finite and positive, got {self.radius_R}")
         if self.pitch_h < 0.0:
             raise GeometryError(f"pitch must be non-negative, got {self.pitch_h}")
 

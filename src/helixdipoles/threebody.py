@@ -42,6 +42,10 @@ MIN_MARGIN_WINDINGS = 5.0
 #: boundary nodes (see :class:`WedgeGrid2D`).
 EDGE_CUSHION = 0.5
 
+#: Spacing ratio of the coarse wedge whose ground energy places the
+#: shift-invert shift (beta=2: 5,723 nodes against 93,406).
+COARSE_FACTOR = 4
+
 
 @dataclass(frozen=True)
 class JacobiAngles:
@@ -109,6 +113,14 @@ class WedgeGrid2D:
         index = -np.ones((nx + 1, ny + 1), dtype=np.int32)
         index[self.ii, self.jj] = np.arange(self.n_active)
         self._index = index
+
+    def coarsened(self, factor: int) -> "WedgeGrid2D | None":
+        """The same box at ``factor`` times the spacing, or None when that
+        spacing leaves fewer than three cells along an axis (no grid)."""
+        spacing = factor * self.spacing
+        if min(round(self.x_max / spacing), round(self.y_max / spacing)) < 3:
+            return None
+        return WedgeGrid2D(self.x_max, self.y_max, spacing)
 
     def margin_windings(self) -> tuple[float, float]:
         """Clearance of the first-minimum configuration from the outer walls,
@@ -190,13 +202,26 @@ def solve_three_body(
     seed: int = DEFAULT_SEED,
     allow_small_box: bool = False,
 ) -> ThreeBodySolution:
-    """Lowest ``k`` wedge states and the ground-state pair distances."""
+    """Lowest ``k`` wedge states and the ground-state pair distances.
+
+    When the solve takes shift-invert (``auto`` or forced), the same box is
+    first solved at ``COARSE_FACTOR`` times the spacing, and its ground
+    energy is handed to :func:`lowest_eigenpairs` as the ``estimate`` that
+    places the shift.  A coarse grid that cannot be built is skipped; every
+    one that can has at least two nodes, enough for its one-pair request.
+    """
     check_request(k, grid.n_active, tol, method)  # before the costly assembly
+    coarse = grid.coarsened(COARSE_FACTOR) if method in ("auto", "shift-invert") else None
+    estimate = None
+    if coarse is not None:
+        coarse_op = assemble_hamiltonian_2d(coarse, beta, ratio, allow_small_box=allow_small_box)
+        estimate = float(lowest_eigenpairs(coarse_op, 1, tol, seed=seed).values[0])
     op = assemble_hamiltonian_2d(grid, beta, ratio, allow_small_box=allow_small_box)
     eigen = lowest_eigenpairs(
         op, k, tol,
         method=method, seed=seed,
         quadrature_weight=grid.spacing**2,
+        estimate=estimate,
     )
     sol = ThreeBodySolution(beta=beta, ratio=ratio, grid=grid, eigen=eigen,
                             distances=(0.0, 0.0, 0.0))

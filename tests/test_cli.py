@@ -237,6 +237,18 @@ class TestThreeBodyCommand:
                              **common)) == 0
         assert "factor_nnz" not in read_keyvalue(tmp_path / "plain" / "summary.txt")
 
+    def test_shift_reported(self, tmp_path):
+        common = dict(problem="three-body", beta=1.0, x_max=12.0, y_max=16.0,
+                      spacing_2d=0.2, k_states=1, allow_small_box=True)
+        assert run(RunConfig(out_dir=str(tmp_path / "auto"), **common)) == 0
+        summary = read_keyvalue(tmp_path / "auto" / "summary.txt")
+        assert summary["shift_source"] == "coarse"
+        assert float(summary["solver_shift"]) < float(summary["E0"])
+        assert run(RunConfig(solver="lanczos", out_dir=str(tmp_path / "plain"),
+                             **common)) == 0
+        plain = read_keyvalue(tmp_path / "plain" / "summary.txt")
+        assert not {"solver_shift", "shift_source"} & plain.keys()
+
     def test_small_box_rejected_without_flag(self, tmp_path):
         cfg = RunConfig(problem="three-body", x_max=12.0, y_max=16.0,
                         spacing_2d=0.4, out_dir=str(tmp_path))
@@ -295,6 +307,20 @@ class TestPhysicalMode:
         assert float(summary["energy_unit_joules"]) == pytest.approx(unit, rel=1e-11)
         assert float(summary["E0_joules"]) == pytest.approx(
             float(summary["E0"]) * unit, rel=1e-11)
+
+    @pytest.mark.parametrize("flag", ["--radius-m=inf", "--radius-m=nan",
+                                      "--mass-kg=inf", "--mass-kg=nan"])
+    def test_non_finite_mass_or_radius_rejected_before_solve(self, flag, tmp_path,
+                                                             monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the physical inputs were checked")
+
+        monkeypatch.setattr("helixdipoles.cli.solve_two_body", no_solve)
+        argv = ["two-body", "--physical", "--mass-kg", "2.2e-25", "--radius-m", "1e-6"]
+        assert main(argv + [flag, "--out-dir", str(tmp_path)]) == 2
+        meta = read_keyvalue(tmp_path / "metadata.txt")
+        assert meta["status"] == "config_error" and "finite" in meta["error"]
+        assert not (tmp_path / "summary.txt").exists()
 
     def test_physical_requires_mass_and_radius(self, tmp_path):
         cfg = RunConfig(problem="two-body", beta=1.0, box_length=40.0,

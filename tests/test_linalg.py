@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from helixdipoles.errors import ConvergenceError, DimensionError
 from helixdipoles.linalg import (
     DENSE_CUTOFF,
+    ESTIMATE_SHIFT_MARGIN,
     SymmetricSparseOperator,
     lowest_eigenpairs,
 )
@@ -345,3 +346,102 @@ class TestRouting:
         assert res.method == "shift-invert"
         dense = lowest_eigenpairs(op, k, 1e-12, method="dense")
         np.testing.assert_allclose(res.values, dense.values, rtol=0.0, atol=1e-8)
+
+
+def gershgorin_bound(op):
+    radii = np.asarray(abs(op.csr).sum(axis=1)).ravel()
+    return float(np.min(2.0 * op.diagonal() - radii))
+
+
+class TestNearShift:
+    """Shift-invert with an ``estimate`` of the lowest eigenvalue."""
+
+    @pytest.fixture(scope="class")
+    def mini(self, mini_wedge_solves):
+        grid, dense, _ = mini_wedge_solves
+        op = assemble_hamiltonian_2d(grid, 1.0, 1.0, allow_small_box=True)
+        return op, grid.spacing**2, dense
+
+    def test_wedge_operators_are_z_matrices(self, mini):
+        assert mini[0].is_z_matrix()
+        assert not random_sparse_symmetric(300).is_z_matrix()
+
+    @pytest.mark.parametrize("above", [1e-3, 0.05, 0.3])
+    def test_shift_above_ground_rejected(self, mini, above):
+        # the estimate that puts sigma `above` E0 (between E0 and E1 for the
+        # first two, between E1 and E2 for the last) is refused by the certificate
+        op, weight, dense = mini
+        lower = gershgorin_bound(op)
+        sigma = dense.values[0] + above
+        estimate = (sigma - ESTIMATE_SHIFT_MARGIN * lower) / (1.0 - ESTIMATE_SHIFT_MARGIN)
+        res = lowest_eigenpairs(op, 4, 1e-10, estimate=estimate, quadrature_weight=weight)
+        assert res.shift_source == "gershgorin"
+        assert res.shift < lower < dense.values[0]
+        np.testing.assert_allclose(res.values, dense.values, rtol=0.0, atol=1e-9)
+        for i in range(4):
+            assert align(res.vectors[:, i], dense.vectors[:, i]) * math.sqrt(weight) < 1e-6
+
+    def test_estimate_just_above_ground_keeps_a_shift_below_it(self, mini):
+        # an estimate 0.05 above E0 gives sigma = e - 0.05 (e - g), here 0.03 below E0
+        op, weight, dense = mini
+        res = lowest_eigenpairs(op, 4, 1e-10, estimate=dense.values[0] + 0.05,
+                                quadrature_weight=weight)
+        assert res.shift_source == "estimate"
+        assert gershgorin_bound(op) < res.shift < dense.values[0]
+        np.testing.assert_allclose(res.values, dense.values, rtol=0.0, atol=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-3.0, 1.0))
+    def test_kept_shift_always_below_spectrum(self, mini, estimate):
+        op, weight, dense = mini
+        res = lowest_eigenpairs(op, 2, 1e-10, estimate=estimate, quadrature_weight=weight)
+        if res.shift_source == "estimate":
+            assert res.shift < dense.values[0]
+        np.testing.assert_allclose(res.values, dense.values[:2], rtol=0.0, atol=1e-9)
+
+    def test_good_estimate_saves_solves(self):
+        grid = WedgeGrid2D(12.0, 16.0, 0.2)
+        op = assemble_hamiltonian_2d(grid, 2.0, 1.0, allow_small_box=True)
+        coarse = assemble_hamiltonian_2d(grid.coarsened(4), 2.0, 1.0, allow_small_box=True)
+        estimate = lowest_eigenpairs(coarse, 1, 1e-9).values[0]
+        near = lowest_eigenpairs(op, 2, 1e-9, estimate=estimate)
+        far = lowest_eigenpairs(op, 2, 1e-9)
+        assert (near.shift_source, far.shift_source) == ("estimate", "gershgorin")
+        assert far.shift < near.shift < near.values[0]
+        bound = near.residual_norms + far.residual_norms  # symmetric residual bound
+        assert np.all(np.abs(near.values - far.values) <= bound)
+        assert near.n_matvec < far.n_matvec
+
+    def test_non_z_matrix_estimate_ignored(self):
+        op = random_sparse_symmetric(400, seed=11)
+        e0 = lowest_eigenpairs(op, 1, 1e-12, method="dense").values[0]
+        plain = lowest_eigenpairs(op, 2, 1e-10, method="shift-invert")
+        hinted = lowest_eigenpairs(op, 2, 1e-10, method="shift-invert", estimate=e0 - 1e-3)
+        assert hinted.shift_source == plain.shift_source == "gershgorin"
+        assert hinted.shift == plain.shift
+        assert hinted.n_matvec == plain.n_matvec  # no certificate solve was spent
+        np.testing.assert_array_equal(hinted.values, plain.values)
+
+    def test_exactly_singular_shift_falls_back(self):
+        # sigma lands on the eigenvalue 2 of a diagonal operator (Gershgorin bound 0)
+        op = SymmetricSparseOperator(sp.diags(np.arange(40.0), format="csr"))
+        estimate = 2.0 / (1.0 - ESTIMATE_SHIFT_MARGIN)
+        assert estimate - ESTIMATE_SHIFT_MARGIN * estimate == 2.0
+        res = lowest_eigenpairs(op, 3, 1e-10, method="shift-invert", estimate=estimate)
+        assert res.shift_source == "gershgorin" and res.shift < 0.0
+        np.testing.assert_allclose(res.values, [0.0, 1.0, 2.0], rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("estimate", [math.nan, math.inf, -math.inf, -1e9])
+    def test_unusable_estimate_ignored(self, mini, estimate):
+        # NaN, infinities and estimates at or below the Gershgorin bound
+        op, _, _ = mini
+        plain = lowest_eigenpairs(op, 1, 1e-10)
+        hinted = lowest_eigenpairs(op, 1, 1e-10, estimate=estimate)
+        assert hinted.shift_source == "gershgorin"
+        assert hinted.n_matvec == plain.n_matvec
+
+    @pytest.mark.parametrize("method", ["dense", "tridiagonal", "lanczos"])
+    def test_estimate_unused_off_shift_invert(self, method):
+        op, _, _ = dirichlet_box(10.0, 199)
+        res = lowest_eigenpairs(op, 2, 1e-10, method=method, estimate=0.0)
+        assert res.shift is None and res.shift_source is None

@@ -50,6 +50,11 @@ class TestHelixGeometry:
         with pytest.raises(GeometryError):
             HelixGeometry(radius_R=1.0, pitch_h=-0.1)
 
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(GeometryError, match="finite"):
+            HelixGeometry(radius_R=radius, pitch_h=1.0)
+
 
 class TestCartesianPosition:
     @pytest.mark.parametrize(

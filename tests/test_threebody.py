@@ -225,6 +225,14 @@ class TestAssembly2D:
             solve_three_body(WedgeGrid2D(12.0, 16.0, 0.4), beta, 1.0, 1,
                              allow_small_box=True)
 
+    def test_coarsened_grid(self):
+        grid = WedgeGrid2D(12.0, 16.0, 0.2)
+        coarse = grid.coarsened(4)
+        assert (coarse.x_max, coarse.y_max, coarse.spacing) == (12.0, 16.0, 0.8)
+        assert 1 < coarse.n_active < grid.n_active // 10
+        # 2.0 / 0.8 rounds to 2 cells: no grid
+        assert WedgeGrid2D(2.0, 16.0, 0.2).coarsened(4) is None
+
     def test_k_checked_before_assembly(self, monkeypatch):
         def no_assembly(*args, **kwargs):
             raise AssertionError("wedge assembled before the k check")
@@ -259,6 +267,48 @@ class TestAssembly2D:
             mp.setattr(threebody, "assemble_hamiltonian_2d", no_assembly)
             with pytest.raises(DimensionError, match=f"k={k} outside"):
                 solve_three_body(grid, 1.0, 1.0, k, allow_small_box=True)
+
+
+class TestCoarseEstimate:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Every eigensolve a three-body request makes: (n, method, estimate)."""
+        calls = []
+
+        def recorded(op, k, tol, **kwargs):
+            calls.append((op.n, kwargs.get("method", "auto"), kwargs.get("estimate")))
+            return lowest_eigenpairs(op, k, tol, **kwargs)
+
+        monkeypatch.setattr(threebody, "lowest_eigenpairs", recorded)
+        return calls
+
+    @pytest.mark.parametrize("method", ["auto", "shift-invert"])
+    def test_shift_invert_solves_the_coarse_box_first(self, solves, method):
+        grid = WedgeGrid2D(12.0, 16.0, 0.2)
+        sol = solve_three_body(grid, 1.0, 1.0, 2, method=method, allow_small_box=True)
+        coarse = grid.coarsened(threebody.COARSE_FACTOR)
+        assert [(n, m) for n, m, _ in solves] == [(coarse.n_active, "auto"),
+                                                  (grid.n_active, method)]
+        # the coarse E0 lies above the fine one here; the shift below it still does not
+        assert solves[0][2] is None and solves[1][2] > sol.energies[0]
+        assert sol.eigen.shift_source == "estimate"
+        assert sol.eigen.shift < sol.energies[0]
+        np.testing.assert_allclose(sol.energies, MINI_E_DX02[:2], atol=1e-8)
+
+    @pytest.mark.parametrize("method", ["dense", "lanczos"])
+    def test_forced_paths_run_no_coarse_solve(self, solves, method):
+        grid = WedgeGrid2D(12.0, 16.0, 0.4)
+        sol = solve_three_body(grid, 1.0, 1.0, 2, method=method, allow_small_box=True)
+        assert solves == [(grid.n_active, method, None)]
+        assert sol.eigen.shift is None
+        np.testing.assert_allclose(sol.energies, MINI_E_DX04[:2], atol=1e-8)
+
+    def test_unbuildable_coarse_grid_skipped(self, solves):
+        grid = WedgeGrid2D(2.0, 3.0, 0.2)
+        assert grid.coarsened(threebody.COARSE_FACTOR) is None
+        sol = solve_three_body(grid, 1.0, 1.0, 1, allow_small_box=True)
+        assert solves == [(grid.n_active, "auto", None)]
+        assert sol.eigen.shift_source == "gershgorin"
 
 
 class TestMiniWedgeReferences:
