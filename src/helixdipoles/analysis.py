@@ -21,9 +21,6 @@ from .twobody import Grid1D, solve_two_body
 #: Coupling range over which the harmonic scaling form is fitted.
 LARGE_BETA_RANGE = (5.0, 20.0)
 
-#: A state counts as weakly bound (asymptotic-regime candidate) below this.
-WEAK_BINDING_ENERGY = -0.02
-
 
 @dataclass(frozen=True)
 class SizeScanRow:

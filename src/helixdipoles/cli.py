@@ -6,8 +6,9 @@ the run status and library versions), one or more CSV data files, and
 ``summary.txt`` with the headline numbers.  Runs are always seeded and
 serial, so repeated runs produce byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 invalid geometry,
-4 eigensolver non-convergence (partial outputs are kept and flagged).
+Exit codes: 0 success, 2 configuration error or an output file that cannot
+be written, 3 invalid geometry, 4 eigensolver non-convergence (partial
+outputs are kept and flagged).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class RunConfig:
     tol: float = _flag(1e-9, "relative accuracy of the ARPACK Ritz values: "
                        "E for lanczos, 1/(E - sigma) for shift-invert", on=_SOLVING)
     solver: str = _flag("auto", "eigensolver path; auto picks by operator structure, "
-                        "tridiagonal for two-body and shift-invert for three-body; "
+                        "a banded solve for two-body and shift-invert for three-body; "
                         f"dense takes at most {DENSE_CUTOFF} unknowns",
                         on=_SOLVING, choices=METHODS)
     allow_small_box: bool = _flag(False, "skip the five-winding wall-clearance check",
@@ -90,9 +91,8 @@ class RunConfig:
     sample_spacing: float = _flag(0.25, "symmetrized sampling step", on=_WEDGE)
     emit_full_line: bool = _flag(False, "also export symmetry-extended wave functions",
                                  on=("two-body",), flag="full-line")
-    physical: bool = _flag(False, "also report energies in joules (needs mass and radius)",
-                           on=("two-body",))
-    mass_kg: float = _flag(0.0, "particle mass [kg]", on=("two-body",))
+    mass_kg: float = _flag(0.0, "particle mass [kg]; set with --radius-m to also report "
+                           "energies in joules (0: unset)", on=("two-body",))
     radius_m: float = _flag(0.0, "helix radius [m]", on=("two-body",))
 
     def resolved_box(self) -> tuple[float, float, float]:
@@ -195,28 +195,20 @@ def emit_csv(header: list[str], rows, path: str | Path) -> None:
     write.  ``%.12g`` gives the bytes :func:`_fmt` gives a float, and prints
     whole numbers without a decimal point (``-1``, ``3``) and NaN as ``nan``.
     """
-    path = Path(path)
     table = np.asarray(rows, dtype=np.float64)
     line = ",".join(["%.12g"] * len(header)) + "\n"
-    try:
-        with path.open("w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for start in range(0, len(table), _CSV_BLOCK_ROWS):
-                block = table[start:start + _CSV_BLOCK_ROWS].tolist()
-                fh.write("".join([line % tuple(r) for r in block]))
-    except OSError as exc:
-        raise OSError(f"cannot write CSV {path}: {exc}") from exc
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS].tolist()
+            fh.write("".join([line % tuple(r) for r in block]))
 
 
 def emit_summary(record: dict, path: str | Path) -> None:
     """Write a line-oriented ``key = value`` text record."""
-    path = Path(path)
-    try:
-        with path.open("w") as fh:
-            for key, value in record.items():
-                fh.write(f"{key} = {_fmt(value)}\n")
-    except OSError as exc:
-        raise OSError(f"cannot write summary {path}: {exc}") from exc
+    with Path(path).open("w") as fh:
+        for key, value in record.items():
+            fh.write(f"{key} = {_fmt(value)}\n")
 
 
 def _takes(f, problem: str) -> bool:
@@ -252,14 +244,14 @@ def _eigen_summary(eigen) -> dict:
 
 
 def _energy_unit(cfg: RunConfig) -> float | None:
-    """The SI energy unit hbar^2 / (mu alpha^2) in physical mode, else None.
+    """The SI energy unit hbar^2 / (mu alpha^2) once mass or radius is set, else None.
 
     Called before any solve, so bad mass or radius is a configuration error.
     """
-    if not cfg.physical:
+    if cfg.mass_kg == 0.0 and cfg.radius_m == 0.0:
         return None
     if not (0.0 < cfg.mass_kg < math.inf and 0.0 < cfg.radius_m < math.inf):
-        raise ValueError("physical mode needs finite positive mass_kg and radius_m")
+        raise ValueError("energies in joules need finite positive mass_kg and radius_m")
     return energy_unit_joules(cfg.mass_kg, HelixGeometry(cfg.radius_m, cfg.ratio * cfg.radius_m))
 
 
@@ -421,13 +413,15 @@ def run(cfg: RunConfig) -> int:
     if cfg.problem not in _COMMANDS:
         print(f"error: unknown problem {cfg.problem!r}", file=sys.stderr)
         return 2
-    out = Path(cfg.out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return _execute(cfg, Path(cfg.out_dir))
+    except OSError as exc:  # the exception names the directory or file
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
+
+def _execute(cfg: RunConfig, out: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
     try:
         summary = _COMMANDS[cfg.problem][0](cfg, out)
     except GeometryError as exc:

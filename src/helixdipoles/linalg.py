@@ -29,8 +29,8 @@ from .errors import ConvergenceError, DimensionError
 #: Largest operator a forced dense solve accepts (n^2 doubles: 32 MB).
 DENSE_CUTOFF = 2000
 
-#: Eigensolver paths; ``auto`` picks ``tridiagonal`` or ``shift-invert``.
-METHODS = ("auto", "dense", "tridiagonal", "shift-invert", "lanczos")
+#: Eigensolver paths; ``auto`` picks the banded solve or ``shift-invert``.
+METHODS = ("auto", "dense", "shift-invert", "lanczos")
 
 #: Default start-vector seed for the iterative path.
 DEFAULT_SEED = 20177
@@ -215,9 +215,9 @@ def lowest_eigenpairs(
             to ARPACK as the relative accuracy of the Ritz values it
             iterates on: ``E`` for ``lanczos``, ``mu = 1/(E - sigma)`` for
             ``shift-invert``.
-        method: ``auto`` (direct banded solve for tridiagonal operators,
-            shift-invert otherwise), or one of ``dense`` (at most
-            ``DENSE_CUTOFF`` unknowns) / ``tridiagonal`` / ``shift-invert`` /
+        method: ``auto`` (direct banded solve, reported as ``tridiagonal``,
+            for tridiagonal operators; shift-invert otherwise), or one of
+            ``dense`` (at most ``DENSE_CUTOFF`` unknowns) / ``shift-invert`` /
             ``lanczos`` to force a path.
         seed: start-vector seed for the shift-invert and Lanczos paths.
         quadrature_weight: per-node quadrature weight used to normalize the
@@ -238,8 +238,7 @@ def lowest_eigenpairs(
     ``shift_source`` are None.
 
     Raises:
-        DimensionError, ValueError: the request fails :func:`check_request`,
-            or ``tridiagonal`` is forced on an operator that is not.
+        DimensionError, ValueError: the request fails :func:`check_request`.
         ConvergenceError: ARPACK spent its restart limit (scipy's default
             ``maxiter``, 10 n) before reaching ``tol``; the pairs it did
             converge are attached to the exception as energies and vectors.
@@ -247,8 +246,6 @@ def lowest_eigenpairs(
     check_request(k, op.n, tol, method)
     if method == "auto":
         method = "tridiagonal" if op.is_tridiagonal() else "shift-invert"
-    elif method == "tridiagonal" and not op.is_tridiagonal():
-        raise DimensionError("operator is not tridiagonal")
 
     if method == "dense":
         vals, vecs = np.linalg.eigh(op.to_dense())

@@ -140,8 +140,6 @@ class WedgeGrid2D:
 class ThreeBodySolution:
     """Wedge eigenpairs and ground-state pair-distance observables."""
 
-    beta: float
-    ratio: float
     grid: WedgeGrid2D
     eigen: EigenResult
     distances: tuple[float, float, float]  # <phi12>, <phi23>, <phi13> in 2pi units
@@ -223,8 +221,7 @@ def solve_three_body(
         quadrature_weight=grid.spacing**2,
         estimate=estimate,
     )
-    sol = ThreeBodySolution(beta=beta, ratio=ratio, grid=grid, eigen=eigen,
-                            distances=(0.0, 0.0, 0.0))
+    sol = ThreeBodySolution(grid=grid, eigen=eigen, distances=(0.0, 0.0, 0.0))
     sol.distances = pair_distance_expectations(sol)
     return sol
 
@@ -316,14 +313,10 @@ def symmetrize_wavefunction(
     for mat, parity in EXCHANGE_GROUP:
         total += (parity if use_parity else 1.0) * interpolate(*(mat @ pts))
 
-    # wedge representative outside the solved box -> flagged zero; the
-    # dihedral fold maps any direction into the wedge sector [30deg, 90deg]
-    angles = np.arctan2(pts[1], pts[0])
-    folded = np.mod(angles - math.pi / 6.0, 2.0 * math.pi / 3.0)
-    folded = np.where(folded > math.pi / 3.0, 2.0 * math.pi / 3.0 - folded, folded)
-    canonical = folded + math.pi / 6.0
-    radius = np.hypot(pts[0], pts[1])
-    cx, cy = radius * np.cos(canonical), radius * np.sin(canonical)
-    outside = (cx > grid.x_max) | (cy > grid.y_max)
+    # wedge representative outside the solved box -> flagged zero; ordering
+    # the particle angles phi1 >= phi2 >= phi3 maps a point into the wedge
+    ordered = np.sort(angles_from_jacobi(JacobiAngles(pts[0], pts[1], 0.0)), axis=0)[::-1]
+    wedge = jacobi_from_angles(*ordered)
+    outside = (wedge.x > grid.x_max) | (wedge.y > grid.y_max)
     total[outside] = 0.0
     return total.reshape(X.shape), int(outside.sum())

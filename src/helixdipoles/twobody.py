@@ -69,8 +69,6 @@ def _check_resolution(grid: Grid1D) -> None:
 class TwoBodySolution:
     """Eigenpairs of the relative-motion problem at one coupling strength."""
 
-    beta: float
-    ratio: float
     grid: Grid1D
     eigen: EigenResult
     bound_count: int
@@ -122,8 +120,7 @@ def solve_two_body(
         quadrature_weight=grid.spacing,
     )
     bound_count = int(np.sum(eigen.values < BOUND_THRESHOLD))
-    return TwoBodySolution(beta=beta, ratio=ratio, grid=grid, eigen=eigen,
-                           bound_count=bound_count)
+    return TwoBodySolution(grid=grid, eigen=eigen, bound_count=bound_count)
 
 
 def extend_full_line(

@@ -171,7 +171,7 @@ class TestPotentialCommand:
         assert main(["potential", "--config", str(cfg_file), "--n-samples", "50",
                      "--out-dir", str(out)]) == 0
         meta = read_keyvalue(out / "metadata.txt")
-        for key in ("solver", "seed", "tol", "beta", "k_states", "physical"):
+        for key in ("solver", "seed", "tol", "beta", "k_states", "mass_kg"):
             assert key not in meta
         assert meta["problem"] == "potential" and meta["n_samples"] == "50"
         assert meta["phi_max"] == repr(3.0 * TWO_PI) and meta["status"] == "ok"
@@ -296,7 +296,7 @@ class TestPhysicalMode:
 
         code = main([
             "two-body", "--beta", "1", "--box-length", "40", "--spacing", "0.05",
-            "--k", "2", "--physical", "--mass-kg", "2.2e-25", "--radius-m", "1e-6",
+            "--k", "2", "--mass-kg", "2.2e-25", "--radius-m", "1e-6",
             "--out-dir", str(tmp_path),
         ])
         assert code == 0
@@ -316,7 +316,7 @@ class TestPhysicalMode:
             raise AssertionError("solved before the physical inputs were checked")
 
         monkeypatch.setattr("helixdipoles.cli.solve_two_body", no_solve)
-        argv = ["two-body", "--physical", "--mass-kg", "2.2e-25", "--radius-m", "1e-6"]
+        argv = ["two-body", "--mass-kg", "2.2e-25", "--radius-m", "1e-6"]
         assert main(argv + [flag, "--out-dir", str(tmp_path)]) == 2
         meta = read_keyvalue(tmp_path / "metadata.txt")
         assert meta["status"] == "config_error" and "finite" in meta["error"]
@@ -324,14 +324,35 @@ class TestPhysicalMode:
 
     def test_physical_requires_mass_and_radius(self, tmp_path):
         cfg = RunConfig(problem="two-body", beta=1.0, box_length=40.0,
-                        spacing_1d=0.05, k_states=2, physical=True,
+                        spacing_1d=0.05, k_states=2, mass_kg=2.2e-25,
                         out_dir=str(tmp_path))
         assert run(cfg) == 2
+
+    def test_physical_switch_is_gone(self, tmp_path, capsys):
+        # joules follow from mass and radius; the retired switch is unknown
+        with pytest.raises(SystemExit) as exc:
+            main(["two-body", "--physical", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --physical" in capsys.readouterr().err
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("physical = true\n")
+        assert main(["two-body", "--config", str(cfg_file)]) == 2
+        assert "unknown config key 'physical'" in capsys.readouterr().err
 
 
 class TestExitCodes:
     def test_unknown_problem(self, tmp_path):
         assert run(RunConfig(problem="four-body", out_dir=str(tmp_path))) == 2
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "wavefunctions.csv").mkdir()
+        assert main(["two-body", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and "wavefunctions.csv" in err
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        assert main(["potential", "--out-dir", str(not_a_dir / "run")]) == 2
+        assert "cannot write output" in capsys.readouterr().err
 
     def test_convergence_failure(self, tmp_path, monkeypatch):
         import numpy as np
@@ -412,7 +433,7 @@ def _subcommand_parsers(parser):
 class TestGeneratedParser:
     COMMON = {"--config": "config", "--ratio": "ratio", "--out-dir": "out_dir"}
     SOLVER = {"--seed": "seed", "--tol": "tol", "--solver": "solver"}
-    PHYSICAL = {"--physical": "physical", "--mass-kg": "mass_kg", "--radius-m": "radius_m"}
+    PHYSICAL = {"--mass-kg": "mass_kg", "--radius-m": "radius_m"}
     FLAGS = {
         "potential": {**COMMON, "--phi-max": "phi_max", "--n-samples": "n_samples"},
         "two-body": {**COMMON, **SOLVER, **PHYSICAL, "--beta": "beta",

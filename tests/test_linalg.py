@@ -159,11 +159,11 @@ class TestLowestEigenpairs:
         continuum = m**2 * math.pi**2 / (2.0 * length**2)
         # second-order stencil: continuum error E_m (m pi dx / L)^2 / 12
         bound = 1.5 * continuum * (m * math.pi * dx / length) ** 2 / 12.0
-        for method in ("dense", "tridiagonal", "shift-invert", "lanczos"):
+        for method in ("dense", "auto", "shift-invert", "lanczos"):
             res = lowest_eigenpairs(op, 5, 1e-11, method=method)
             np.testing.assert_allclose(res.values, discrete, rtol=1e-10)
             assert np.all(np.abs(res.values - continuum) < bound)
-            assert res.method == method
+            assert res.method == {"auto": "tridiagonal"}.get(method, method)
 
     def test_harmonic_oscillator_vs_dense_oracle(self):
         length, n, omega, center = 20.0, 999, 1.0, 10.0
@@ -305,8 +305,9 @@ class TestLowestEigenpairs:
             lowest_eigenpairs(op, 2, 1e-13)
 
     def test_forced_tridiagonal_on_general_operator_rejected(self):
+        # the banded route is taken by auto alone, never forced
         op = random_sparse_symmetric(300)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="unknown method"):
             lowest_eigenpairs(op, 2, 1e-9, method="tridiagonal")
 
     def test_forced_dense_capped(self):
@@ -440,7 +441,8 @@ class TestNearShift:
         assert hinted.shift_source == "gershgorin"
         assert hinted.n_matvec == plain.n_matvec
 
-    @pytest.mark.parametrize("method", ["dense", "tridiagonal", "lanczos"])
+    @pytest.mark.parametrize("method", ["dense", pytest.param("auto", id="tridiagonal"),
+                                        "lanczos"])
     def test_estimate_unused_off_shift_invert(self, method):
         op, _, _ = dirichlet_box(10.0, 199)
         res = lowest_eigenpairs(op, 2, 1e-10, method=method, estimate=0.0)

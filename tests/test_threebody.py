@@ -113,6 +113,16 @@ class TestJacobiTransform:
                                                           atol=1e-15)]
         assert sorted(matched) == list(range(len(EXCHANGE_GROUP))) == list(range(6))
 
+    @given(st.floats(-50, 50), st.floats(-50, 50))
+    def test_ordered_angles_give_the_wedge_image(self, x, y):
+        # symmetrize_wavefunction finds a sample's wedge representative by
+        # ordering the particle angles phi1 >= phi2 >= phi3
+        ordered = np.sort(angles_from_jacobi(JacobiAngles(x, y, 0.0)))[::-1]
+        rep = jacobi_from_angles(*ordered)
+        gaps = [math.hypot(*(mat @ (x, y) - (rep.x, rep.y))) for mat, _ in EXCHANGE_GROUP]
+        assert min(gaps) < 1e-12
+        assert rep.x >= 0.0 and rep.y >= rep.x / math.sqrt(3.0) - 1e-12
+
     def test_pair_separations_at_peak(self):
         x, y = FIRST_MINIMUM_XY
         phi12, phi23, phi13 = pair_separations(x, y)
