@@ -344,7 +344,7 @@ class TestExitCodes:
     def test_unknown_problem(self, tmp_path):
         assert run(RunConfig(problem="four-body", out_dir=str(tmp_path))) == 2
 
-    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
         (tmp_path / "wavefunctions.csv").mkdir()
         assert main(["two-body", "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
