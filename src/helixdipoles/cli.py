@@ -3,8 +3,10 @@
 Every subcommand writes three kinds of artifact into the run directory:
 ``metadata.txt`` (the settings the subcommand takes, echoed verbatim, plus
 the run status and library versions), one or more CSV data files, and
-``summary.txt`` with the headline numbers.  Runs are always seeded and
-serial, so repeated runs produce byte-identical files.
+``summary.txt`` with the headline numbers.  A run first deletes the
+``summary.txt`` and ``metadata.txt`` an earlier run left in the directory.
+Runs are always seeded and serial, so repeated runs produce byte-identical
+files.
 
 Exit codes: 0 success, 2 configuration error or an output file that cannot
 be written, 3 invalid geometry, 4 eigensolver non-convergence (partial
@@ -23,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._csvcells import format_block
 from .analysis import build_size_scan, fit_harmonic_size, size_energy_product
 from .errors import ConvergenceError, GeometryError, HelixDipolesError
 from .linalg import DEFAULT_SEED, DENSE_CUTOFF, METHODS
@@ -176,7 +179,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return items
 
 
-#: Rows formatted per write; bounds the transient strings.
+#: Rows formatted per write; bounds the kernel's temporaries.
 _CSV_BLOCK_ROWS = 1024
 
 
@@ -191,17 +194,18 @@ def emit_csv(header: list[str], rows, path: str | Path) -> None:
     """Write a float table as CSV with a header line, every cell ``%.12g``.
 
     ``rows`` (an array or nested lists, one column per header name) is taken
-    as float64 and written through one row template, a block of rows per
-    write.  ``%.12g`` gives the bytes :func:`_fmt` gives a float, and prints
-    whole numbers without a decimal point (``-1``, ``3``) and NaN as ``nan``.
+    as float64 and formatted a block of rows per write by
+    :func:`._csvcells.format_block`, which gives each cell the bytes
+    :func:`_fmt` gives that float: whole numbers without a decimal point
+    (``-1``, ``3``) and NaN as ``nan``.
     """
     table = np.asarray(rows, dtype=np.float64)
-    line = ",".join(["%.12g"] * len(header)) + "\n"
-    with Path(path).open("w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    if table.size and table.shape[1:] != (len(header),):
+        raise ValueError(f"{len(header)} header names for rows of shape {table.shape}")
+    with Path(path).open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS].tolist()
-            fh.write("".join([line % tuple(r) for r in block]))
+            fh.write(format_block(table[start:start + _CSV_BLOCK_ROWS]))
 
 
 def emit_summary(record: dict, path: str | Path) -> None:
@@ -422,6 +426,8 @@ def run(cfg: RunConfig) -> int:
 
 def _execute(cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
+    for name in ("summary.txt", "metadata.txt"):  # a previous run's records
+        (out / name).unlink(missing_ok=True)
     try:
         summary = _COMMANDS[cfg.problem][0](cfg, out)
     except GeometryError as exc:

@@ -314,9 +314,12 @@ def symmetrize_wavefunction(
         total += (parity if use_parity else 1.0) * interpolate(*(mat @ pts))
 
     # wedge representative outside the solved box -> flagged zero; ordering
-    # the particle angles phi1 >= phi2 >= phi3 maps a point into the wedge
+    # the particle angles phi1 >= phi2 >= phi3 maps a point into the wedge.
+    # Its rounding can carry a point on an outer wall a couple of ulps out,
+    # so the walls get a slack of 8 ulps (the interpolant is zero there).
     ordered = np.sort(angles_from_jacobi(JacobiAngles(pts[0], pts[1], 0.0)), axis=0)[::-1]
     wedge = jacobi_from_angles(*ordered)
-    outside = (wedge.x > grid.x_max) | (wedge.y > grid.y_max)
+    slack = 8 * np.spacing(max(grid.x_max, grid.y_max))
+    outside = (wedge.x > grid.x_max + slack) | (wedge.y > grid.y_max + slack)
     total[outside] = 0.0
     return total.reshape(X.shape), int(outside.sum())

@@ -36,6 +36,25 @@ CSV_EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e
                    9.9999999999995, 0.99999999999995, 99999999999.95, 1e-5, 1e16]
 
 
+def _with_neighbours(values):
+    values = np.array(values)
+    values = np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+    return sorted(set(values.tolist()) | set((-values).tolist()))
+
+
+# cells where a vectorized %.12g can go wrong, each with its +-1-ulp neighbours:
+# exact 12-digit decimal ties (2**-18 = 3.814697265625e-06), the doubles
+# nearest to decimal ties, powers of ten, the fixed/exponent switch points
+# and the edges of the ranges a fast path may take
+CSV_KERNEL_VALUES = _with_neighbours(
+    [1234567890125.0, 9999999999995.0, 1000000000005.0, 123456789012.5, 2.0**-18]
+    + [float(f"{m}e{e}") for m in ("1.234567890125", "9.999999999995", "5.000000000005")
+       for e in range(-100, 101, 9)]
+    + [float(f"1e{k}") for k in range(-300, 301, 3)]
+    + [9.999999999995e-6, 9.9999999999995e-5, 99999999999.95, 999999999999.5]
+    + [1e-290, 1e290, 1e-99, 1e99])
+
+
 def read_csv(path):
     lines = Path(path).read_text().splitlines()
     header = lines[0].split(",")
@@ -104,6 +123,8 @@ class TestEmitters:
         assert "0.333333333333" in text  # 12 significant digits
         assert "1e-12" in text
         assert text.splitlines()[1:] == ["0.333333333333,2", "1e-12,nan"]
+        with pytest.raises(ValueError, match="header"):
+            emit_csv(["a", "b"], [[1.0, 2.0, 3.0]], path)
 
     @given(
         hnp.arrays(
@@ -112,7 +133,7 @@ class TestEmitters:
                                        _CSV_BLOCK_ROWS + 1]),
                       st.integers(1, 6)),
             elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
-            | st.sampled_from(CSV_EDGE_VALUES),
+            | st.sampled_from(CSV_EDGE_VALUES) | st.sampled_from(CSV_KERNEL_VALUES),
         )
     )
     def test_array_rows_match_per_cell_format(self, table):
@@ -126,6 +147,20 @@ class TestEmitters:
             path = Path(tmp) / "t.csv"
             emit_csv(header, table, path)
             assert path.read_bytes() == expected.encode()
+
+    def test_random_bit_patterns_match_per_cell_format(self, tmp_path):
+        # 2**20 seeded float64 bit patterns, half with any exponent and half
+        # with binary exponents in [-400, 400], four to a row
+        rng = np.random.default_rng(2015)
+        bits = rng.integers(0, 2**64, size=2**20, dtype=np.uint64)
+        exponent = rng.integers(1023 - 400, 1023 + 400, size=2**19).astype(np.uint64)
+        bits[::2] = bits[::2] & ~np.uint64(0x7FF << 52) | exponent << np.uint64(52)
+        table = bits.view(np.float64).reshape(-1, 4)
+        path = tmp_path / "t.csv"
+        emit_csv(["a", "b", "c", "d"], table, path)
+        expected = "a,b,c,d\n" + "".join(["%.12g,%.12g,%.12g,%.12g\n" % tuple(row)
+                                          for row in table.tolist()])
+        assert path.read_bytes() == expected.encode()
 
     def test_summary_format(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -353,6 +388,20 @@ class TestExitCodes:
         not_a_dir.write_text("")
         assert main(["potential", "--out-dir", str(not_a_dir / "run")]) == 2
         assert "cannot write output" in capsys.readouterr().err
+
+    def test_failed_write_leaves_no_previous_records(self, tmp_path):
+        assert main(["two-body", "--beta", "1", "--out-dir", str(tmp_path)]) == 0
+        (tmp_path / "wavefunctions_full_line.csv").mkdir()
+        argv = ["two-body", "--beta", "2", "--full-line", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert not (tmp_path / "summary.txt").exists()
+        assert not (tmp_path / "metadata.txt").exists()
+
+    def test_geometry_error_leaves_no_previous_summary(self, tmp_path):
+        assert main(["two-body", "--beta", "1", "--out-dir", str(tmp_path)]) == 0
+        assert main(["two-body", "--ratio", "5", "--out-dir", str(tmp_path)]) == 3
+        assert not (tmp_path / "summary.txt").exists()
+        assert read_keyvalue(tmp_path / "metadata.txt")["status"] == "geometry_error"
 
     def test_convergence_failure(self, tmp_path, monkeypatch):
         import numpy as np

@@ -474,6 +474,23 @@ class TestSymmetrization:
         assert n_outside == 1
         assert psi.shape == (1,) and psi[0] == 0.0
 
+    def test_outer_wall_images_not_flagged(self, three_body_beta1):
+        # exchange-group images of points exactly on x = x_max and y = y_max
+        # lie on the box, not outside it, whatever the image map's rounding
+        grid = three_body_beta1.grid
+        t = np.linspace(0.0, 1.0, 401)
+        corner = grid.x_max / math.sqrt(3.0)
+        walls = np.hstack([[np.full_like(t, grid.x_max), corner + t * (grid.y_max - corner)],
+                           [t * grid.x_max, np.full_like(t, grid.y_max)]])
+        for mat, _ in EXCHANGE_GROUP:
+            psi, n_outside = symmetrize_wavefunction(three_body_beta1, "boson", *(mat @ walls))
+            assert n_outside == 0
+            assert np.max(np.abs(psi)) < 1e-12
+        outward = np.kron(np.eye(2), np.ones(len(t)))  # +x on x_max, +y on y_max
+        _, n_beyond = symmetrize_wavefunction(three_body_beta1, "boson",
+                                              *(walls + 1e-9 * outward))
+        assert n_beyond == 2 * len(t)
+
     def test_points_broadcast_together(self, three_body_beta1):
         # a column of x against a row of y samples the product grid
         x, y = np.linspace(-8.0, 8.0, 5), np.linspace(-6.0, 9.0, 4)
