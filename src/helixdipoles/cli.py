@@ -3,14 +3,20 @@
 Every subcommand writes three kinds of artifact into the run directory:
 ``metadata.txt`` (the settings the subcommand takes, echoed verbatim, plus
 the run status and library versions), one or more CSV data files, and
-``summary.txt`` with the headline numbers.  A run first deletes the
-``summary.txt`` and ``metadata.txt`` an earlier run left in the directory.
-Runs are always seeded and serial, so repeated runs produce byte-identical
-files.
+``summary.txt`` with the headline numbers.  Each subcommand's runner only
+computes: it returns its tables and summary, and :func:`run` alone touches
+the directory.  A run first deletes ``summary.txt``, ``metadata.txt`` and
+every CSV its subcommand can write, then computes, and writes the CSVs,
+``summary.txt`` and ``metadata.txt`` only after the whole computation
+succeeded.  Runs are always seeded and serial, so repeated runs produce
+byte-identical files.
 
-Exit codes: 0 success, 2 configuration error or an output file that cannot
-be written, 3 invalid geometry, 4 eigensolver non-convergence (partial
-outputs are kept and flagged).
+Exit codes: 0 success, 2 configuration error (``config_error``) or an output
+file that cannot be written (``write_error``), 3 invalid geometry
+(``geometry_error``), 4 eigensolver non-convergence (``not_converged``; the
+pairs that did converge are flagged in ``summary.txt``, no CSV is written).
+A failure is recorded in ``metadata.txt`` with its status and error message
+when the directory can still be written, else only on stderr.
 """
 
 from __future__ import annotations
@@ -220,7 +226,7 @@ def _takes(f, problem: str) -> bool:
     return "help" in f.metadata and problem in (f.metadata["on"] or _COMMANDS)
 
 
-def _write_metadata(cfg: RunConfig, out: Path, extra: dict) -> None:
+def _metadata(cfg: RunConfig, extra: dict) -> dict:
     taken = {f.name for f in fields(cfg) if f.name == "problem" or _takes(f, cfg.problem)}
     record = {key: value for key, value in cfg.to_items() if key in taken}
     record["package_version"] = __version__
@@ -229,7 +235,7 @@ def _write_metadata(cfg: RunConfig, out: Path, extra: dict) -> None:
 
     record["scipy_version"] = scipy.__version__
     record.update(extra)
-    emit_summary(record, out / "metadata.txt")
+    return record
 
 
 def _eigen_summary(eigen) -> dict:
@@ -259,45 +265,36 @@ def _energy_unit(cfg: RunConfig) -> float | None:
     return energy_unit_joules(cfg.mass_kg, HelixGeometry(cfg.radius_m, cfg.ratio * cfg.radius_m))
 
 
-def _run_potential(cfg: RunConfig, out: Path) -> dict:
+def _run_potential(cfg: RunConfig) -> tuple[dict, dict]:
     validate_geometry(cfg.ratio)
     if cfg.n_samples < 1 or not 0.0 < cfg.phi_max < math.inf:
         raise ValueError("potential needs n_samples >= 1 and finite phi_max > 0")
     step = cfg.phi_max / cfg.n_samples
     phi = step * np.arange(1, cfg.n_samples + 1)
     values = reduced_potential(phi, cfg.ratio)
-    emit_csv(
-        ["phi_over_2pi", "V_reduced"],
-        np.column_stack([phi / TWO_PI, values]),
-        out / "data.csv",
-    )
+    tables = {"data.csv": (["phi_over_2pi", "V_reduced"],
+                           np.column_stack([phi / TWO_PI, values]))}
     minima = [m for m in find_minima(cfg.ratio, math.ceil(cfg.phi_max / TWO_PI))
               if m.phi_k <= cfg.phi_max]
     summary: dict = {"ratio": cfg.ratio, "n_minima_in_range": len(minima)}
     for m in minima[:5]:
         summary[f"minimum_{m.winding_index}_phi"] = m.phi_k
         summary[f"minimum_{m.winding_index}_value"] = m.value
-    return summary
+    return tables, summary
 
 
-def _run_two_body(cfg: RunConfig, out: Path) -> dict:
+def _run_two_body(cfg: RunConfig) -> tuple[dict, dict]:
     unit = _energy_unit(cfg)
     grid = Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d)
     sol = solve_two_body(grid, cfg.beta, cfg.ratio, cfg.k_states,
                          tol=cfg.tol, method=cfg.solver, seed=cfg.seed)
     header = ["phi"] + [f"psi{m}" for m in range(cfg.k_states)]
-    emit_csv(
-        header,
-        np.column_stack([grid.nodes] + [sol.wavefunction(m) for m in range(cfg.k_states)]),
-        out / "wavefunctions.csv",
-    )
+    tables = {"wavefunctions.csv": (header, np.column_stack(
+        [grid.nodes] + [sol.wavefunction(m) for m in range(cfg.k_states)]))}
     if cfg.emit_full_line:
         columns = [extend_full_line(sol, cfg.statistics, m) for m in range(cfg.k_states)]
-        emit_csv(
-            header,
-            np.column_stack([columns[0][0]] + [psi for _, psi in columns]),
-            out / "wavefunctions_full_line.csv",
-        )
+        tables["wavefunctions_full_line.csv"] = (header, np.column_stack(
+            [columns[0][0]] + [psi for _, psi in columns]))
     peak = grid.nodes[int(np.argmax(np.abs(sol.wavefunction(0))))]
     summary: dict = {"beta": cfg.beta, "ratio": cfg.ratio,
                      "bound_count": sol.bound_count, "peak_phi": peak}
@@ -308,10 +305,10 @@ def _run_two_body(cfg: RunConfig, out: Path) -> dict:
         for m, e in enumerate(sol.energies):
             summary[f"E{m}_joules"] = float(e) * unit
     summary.update(_eigen_summary(sol.eigen))
-    return summary
+    return tables, summary
 
 
-def _run_three_body(cfg: RunConfig, out: Path) -> dict:
+def _run_three_body(cfg: RunConfig) -> tuple[dict, dict]:
     if cfg.symmetrize and not (0.0 < cfg.sample_extent < math.inf
                                and 0.0 < cfg.sample_spacing < math.inf):
         raise ValueError("symmetrize needs finite sample_extent > 0 and sample_spacing > 0")
@@ -323,8 +320,8 @@ def _run_three_body(cfg: RunConfig, out: Path) -> dict:
         allow_small_box=cfg.allow_small_box,
     )
     psi0 = sol.wavefunction(0)
-    emit_csv(["x", "y", "psi"], np.column_stack([grid.x, grid.y, psi0]),
-             out / "wavefunction2d.csv")
+    tables = {"wavefunction2d.csv": (["x", "y", "psi"],
+                                     np.column_stack([grid.x, grid.y, psi0]))}
     peak = int(np.argmax(np.abs(psi0)))
     d12, d23, d13 = sol.distances
     summary: dict = {
@@ -343,18 +340,15 @@ def _run_three_body(cfg: RunConfig, out: Path) -> dict:
         )
         xg, yg = np.meshgrid(samples, samples, indexing="ij")
         psi_map, n_outside = symmetrize_wavefunction(sol, cfg.statistics, xg, yg)
-        emit_csv(
-            ["x", "y", "psi"],
-            np.column_stack([xg.ravel(), yg.ravel(), psi_map.ravel()]),
-            out / "symmetrized.csv",
-        )
+        tables["symmetrized.csv"] = (["x", "y", "psi"], np.column_stack(
+            [xg.ravel(), yg.ravel(), psi_map.ravel()]))
         summary["symmetrize_statistics"] = cfg.statistics
         summary["samples_outside_box"] = n_outside
     summary.update(_eigen_summary(sol.eigen))
-    return summary
+    return tables, summary
 
 
-def _run_scan(cfg: RunConfig, out: Path) -> dict:
+def _run_scan(cfg: RunConfig) -> tuple[dict, dict]:
     betas = cfg.betas or tuple(round(0.1 * i, 10) for i in range(1, 15))
     grid = Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d)
     rows = scan_beta(betas, grid, cfg.ratio, cfg.k_states,
@@ -368,23 +362,19 @@ def _run_scan(cfg: RunConfig, out: Path) -> dict:
         else:
             csv_rows.append([row.beta] + [math.nan] * cfg.k_states + [-1])
             failures.append((row.beta, row.error))
-    emit_csv(header, csv_rows, out / "scan.csv")
     summary: dict = {"ratio": cfg.ratio, "n_rows": len(rows), "n_failed": len(failures)}
     for beta, err in failures:
         summary[f"error_beta_{_fmt(beta)}"] = err
-    return summary
+    return {"scan.csv": (header, csv_rows)}, summary
 
 
-def _run_fit(cfg: RunConfig, out: Path) -> dict:
+def _run_fit(cfg: RunConfig) -> tuple[dict, dict]:
     betas = cfg.betas or (5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0)
     grid = Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d)
     rows = build_size_scan(betas, grid, cfg.ratio,
                            tol=cfg.tol, method=cfg.solver, seed=cfg.seed)
-    emit_csv(
-        ["beta", "E0", "phi2", "phi0"],
-        np.array([[r.beta, r.energy, r.phi2, r.phi0] for r in rows]),
-        out / "size_scan.csv",
-    )
+    tables = {"size_scan.csv": (["beta", "E0", "phi2", "phi0"],
+                                [[r.beta, r.energy, r.phi2, r.phi0] for r in rows])}
     fit = fit_harmonic_size(rows, beta_range=(min(betas), max(betas)))
     mean_phi2 = float(np.mean([r.phi2 for r in rows]))
     summary: dict = {
@@ -397,61 +387,68 @@ def _run_fit(cfg: RunConfig, out: Path) -> dict:
     if cfg.product_betas:
         prows = build_size_scan(cfg.product_betas, grid, cfg.ratio,
                                 tol=cfg.tol, method=cfg.solver, seed=cfg.seed)
-        table = size_energy_product(prows)
-        emit_csv(["E", "product"], table, out / "product.csv")
+        tables["product.csv"] = (["E", "product"], size_energy_product(prows))
         summary["n_product_rows"] = len(prows)
-    return summary
+    return tables, summary
 
 
+#: subcommand: (runner, help, every CSV name the runner can return)
 _COMMANDS = {
-    "potential": (_run_potential, "reduced pair potential curve and minima"),
-    "two-body": (_run_two_body, "two-dipole spectrum and wave functions"),
-    "three-body": (_run_three_body, "three-dipole wedge solve"),
-    "scan": (_run_scan, "two-body spectrum vs coupling strength"),
-    "fit": (_run_fit, "ground-state size scaling and fit"),
+    "potential": (_run_potential, "reduced pair potential curve and minima", ("data.csv",)),
+    "two-body": (_run_two_body, "two-dipole spectrum and wave functions",
+                 ("wavefunctions.csv", "wavefunctions_full_line.csv")),
+    "three-body": (_run_three_body, "three-dipole wedge solve",
+                   ("wavefunction2d.csv", "symmetrized.csv")),
+    "scan": (_run_scan, "two-body spectrum vs coupling strength", ("scan.csv",)),
+    "fit": (_run_fit, "ground-state size scaling and fit", ("size_scan.csv", "product.csv")),
+}
+
+#: exception: (exit code, status, stderr label); the first match wins
+_FAILURES = {
+    GeometryError: (3, "geometry_error", "invalid geometry"),
+    ConvergenceError: (4, "not_converged", "eigensolver did not converge"),
+    HelixDipolesError: (2, "config_error", "bad configuration"),
+    ValueError: (2, "config_error", "bad configuration"),
+    OSError: (2, "write_error", "cannot write output"),
 }
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute one configured problem; returns the process exit code."""
+    """Execute one configured problem; returns the process exit code.
+
+    The one writer of the run directory: deletes the records and the CSVs
+    the subcommand can write, runs it, then writes its CSVs, ``summary.txt``
+    and ``metadata.txt``.  A failure leaves only its records.
+    """
     if cfg.problem not in _COMMANDS:
         print(f"error: unknown problem {cfg.problem!r}", file=sys.stderr)
         return 2
+    runner, _, csv_names = _COMMANDS[cfg.problem]
+    out = Path(cfg.out_dir)
     try:
-        return _execute(cfg, Path(cfg.out_dir))
-    except OSError as exc:  # the exception names the directory or file
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
-
-
-def _execute(cfg: RunConfig, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
-    for name in ("summary.txt", "metadata.txt"):  # a previous run's records
-        (out / name).unlink(missing_ok=True)
-    try:
-        summary = _COMMANDS[cfg.problem][0](cfg, out)
-    except GeometryError as exc:
-        print(f"error: invalid geometry: {exc}", file=sys.stderr)
-        _write_metadata(cfg, out, {"status": "geometry_error", "error": str(exc)})
-        return 3
-    except ConvergenceError as exc:
-        print(f"error: eigensolver did not converge: {exc}", file=sys.stderr)
-        record: dict = {"status": "not_converged", "error": str(exc)}
-        _write_metadata(cfg, out, record)
-        if exc.result is not None:  # the pairs ARPACK did converge, flagged
-            for m, e in enumerate(exc.result[0]):
-                record[f"E{m}_unconverged"] = float(e)
-        emit_summary(record, out / "summary.txt")
-        return 4
-    except (HelixDipolesError, ValueError) as exc:
-        print(f"error: bad configuration: {exc}", file=sys.stderr)
-        _write_metadata(cfg, out, {"status": "config_error", "error": str(exc)})
-        return 2
-
-    summary["status"] = "ok"
-    emit_summary(summary, out / "summary.txt")
-    _write_metadata(cfg, out, {"status": "ok"})
-    return 0
+        out.mkdir(parents=True, exist_ok=True)
+        for name in ("summary.txt", "metadata.txt", *csv_names):
+            (out / name).unlink(missing_ok=True)
+        tables, summary = runner(cfg)
+        for name, (header, rows) in tables.items():
+            emit_csv(header, rows, out / name)
+        emit_summary({**summary, "status": "ok"}, out / "summary.txt")
+        emit_summary(_metadata(cfg, {"status": "ok"}), out / "metadata.txt")
+        return 0
+    except tuple(_FAILURES) as exc:
+        code, status, label = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
+        print(f"error: {label}: {exc}", file=sys.stderr)
+        record: dict = {"status": status, "error": str(exc)}
+        try:
+            emit_summary(_metadata(cfg, record), out / "metadata.txt")
+            if status == "not_converged":  # the pairs ARPACK did converge, flagged
+                energies = () if exc.result is None else exc.result[0]
+                record.update({f"E{m}_unconverged": float(e) for m, e in enumerate(energies)})
+                emit_summary(record, out / "summary.txt")
+        except OSError as write_exc:  # the directory itself cannot be written
+            print(f"error: cannot write output: {write_exc}", file=sys.stderr)
+            return 2
+        return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="problem", required=True)
-    for problem, (_, summary) in _COMMANDS.items():
+    for problem, (_, summary, _) in _COMMANDS.items():
         # SUPPRESS: only the flags actually given reach the namespace
         p = sub.add_parser(problem, help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="flat key = value config file (default: none)")

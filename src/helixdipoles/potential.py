@@ -34,9 +34,6 @@ RATIO_MAX = math.sqrt(2.0) * math.pi
 #: Angular separations smaller than this are treated as coincident particles.
 COINCIDENCE_EPS = 1e-12
 
-#: Derivative magnitude below which a refined minimum is accepted.
-MINIMUM_DERIVATIVE_TOL = 1e-10
-
 #: Step of the uniform grid on which :func:`find_minima` brackets minima.
 MINIMA_SCAN_STEP = 1e-3
 
@@ -241,14 +238,16 @@ def find_minima(
     """Locate the attractive minima of the reduced potential.
 
     Scans (0, 2pi*max_windings] in steps of ``MINIMA_SCAN_STEP``, brackets
-    sign changes of the analytic derivative, and refines each bracket by
-    bisection on the analytic derivative until the derivative magnitude at
-    the reported minimum is below 1e-10.  Only attractive minima (negative value) are
-    reported: for small ratios the potential also has a shallow positive
-    local minimum on the repulsive shoulder before the first winding, which
-    is not a pair-binding feature.
-    Minima beyond the winding bound 1 + (2pi)^2/ratio, past which the
-    oscillation has died out, are never reported (none exist there).
+    every minus-to-plus sign change of the analytic derivative, and bisects
+    each bracket on the analytic derivative down to floating-point
+    resolution.  No derivative threshold is applied afterwards: at small
+    ratios the wells are so sharp that V' at the bisected minimum is still
+    1e-10 to 1e-5.  Only attractive minima (negative value) are reported:
+    for small ratios the potential also has a shallow positive local minimum
+    on the repulsive shoulder before the first winding, which is not a
+    pair-binding feature.  The oscillation outlasts the monotone tail of V'
+    up to about 4pi/ratio^2 windings, so small ratios have minima far out
+    (at ratio 0.1, still at winding 1,000).
 
     Args:
         ratio: pitch-to-radius ratio, must satisfy :func:`validate_geometry`.
@@ -268,16 +267,11 @@ def find_minima(
     # minimum bracketed where the derivative crosses - to +
     crossing = np.flatnonzero((deriv[:-1] < 0.0) & (deriv[1:] >= 0.0))
 
-    vanish_phi = TWO_PI * (1.0 + TWO_PI**2 / ratio)
     minima: list[PotentialMinimum] = []
     for i in crossing:
         phi_min = _refine_minimum(ratio, grid[i], grid[i + 1])
         value = reduced_potential(phi_min, ratio)
-        if value >= 0.0:
-            continue
-        if phi_min > phi_hi or phi_min > vanish_phi:
-            continue
-        if abs(reduced_potential_derivative(phi_min, ratio)) > MINIMUM_DERIVATIVE_TOL:
+        if value >= 0.0 or phi_min > phi_hi:
             continue
         minima.append(
             PotentialMinimum(

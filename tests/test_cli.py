@@ -375,6 +375,11 @@ class TestPhysicalMode:
         assert "unknown config key 'physical'" in capsys.readouterr().err
 
 
+MINI_WEDGE = ["three-body", "--x-max", "12", "--y-max", "16", "--spacing", "0.4",
+              "--allow-small-box"]
+SMALL_FIT = ["fit", "--betas", "5,7.5,10,12.5", "--box-length", "40", "--spacing", "0.05"]
+
+
 class TestExitCodes:
     def test_unknown_problem(self, tmp_path):
         assert run(RunConfig(problem="four-body", out_dir=str(tmp_path))) == 2
@@ -395,7 +400,28 @@ class TestExitCodes:
         argv = ["two-body", "--beta", "2", "--full-line", "--out-dir", str(tmp_path)]
         assert main(argv) == 2
         assert not (tmp_path / "summary.txt").exists()
-        assert not (tmp_path / "metadata.txt").exists()
+        meta = read_keyvalue(tmp_path / "metadata.txt")
+        assert meta["status"] == "write_error" and meta["beta"] == "2.0"
+        assert str(tmp_path / "wavefunctions_full_line.csv") in meta["error"]
+        assert not (tmp_path / "wavefunctions.csv").exists()  # the beta = 1 table
+
+    @pytest.mark.parametrize("argv, extra, stale", [
+        (["two-body"], ["--full-line"], "wavefunctions_full_line.csv"),
+        (MINI_WEDGE, ["--symmetrize"], "symmetrized.csv"),
+        (SMALL_FIT, ["--product-betas", "0.5"], "product.csv"),
+    ], ids=["two-body", "three-body", "fit"])
+    def test_plain_run_leaves_no_stale_csv(self, argv, extra, stale, tmp_path):
+        out = ["--out-dir", str(tmp_path)]
+        assert main(argv + extra + out) == 0
+        assert (tmp_path / stale).exists()
+        assert main(argv + out) == 0
+        assert not (tmp_path / stale).exists()
+
+    def test_config_error_leaves_no_partial_csv(self, tmp_path):
+        # two solves succeed, then the fit needs at least four rows
+        assert main(["fit", "--betas", "5,6", "--out-dir", str(tmp_path)]) == 2
+        assert read_keyvalue(tmp_path / "metadata.txt")["status"] == "config_error"
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_geometry_error_leaves_no_previous_summary(self, tmp_path):
         assert main(["two-body", "--beta", "1", "--out-dir", str(tmp_path)]) == 0
@@ -418,10 +444,6 @@ class TestExitCodes:
         assert float(summary["E0_unconverged"]) == pytest.approx(-0.3)
 
 
-MINI_WEDGE = ["three-body", "--x-max", "12", "--y-max", "16", "--spacing", "0.4",
-              "--allow-small-box"]
-
-
 class TestInputEdges:
     @pytest.mark.parametrize("argv", [
         ["two-body", "--k", "0"],
@@ -435,13 +457,14 @@ class TestInputEdges:
         ["scan", "--spacing", "0.5"],
         ["scan", "--tol", "1"],
         ["scan", "--tol", "1e-20"],
+        ["three-body", "--x-max", "0.2", "--spacing", "0.1"],
         MINI_WEDGE + ["--symmetrize", "--sample-spacing", "0"],
         MINI_WEDGE + ["--symmetrize", "--sample-spacing=-0.5"],
         MINI_WEDGE + ["--symmetrize", "--sample-extent=-1"],
         MINI_WEDGE + ["--symmetrize", "--sample-extent=nan"],
     ], ids=["two-body-k0", "three-body-k0", "phi-max-0", "n-samples-0", "n-samples-neg",
             "spacing-0", "scan-k0", "scan-k-huge", "scan-coarse-spacing",
-            "scan-tol-1", "scan-tol-tiny",
+            "scan-tol-1", "scan-tol-tiny", "wedge-box-too-small",
             "sample-spacing-0", "sample-spacing-neg", "sample-extent-neg",
             "sample-extent-nan"])
     def test_bad_input_is_config_error(self, argv, tmp_path):
@@ -580,7 +603,8 @@ class TestMainEntry:
         cfg_file.write_text("nonsense_key = 3\n")
         assert main(["potential", "--config", str(cfg_file)]) == 2
 
-    @pytest.mark.parametrize("line", ["statistics = bosn", "solver = lanczoz"])
+    @pytest.mark.parametrize("line", ["statistics = bosn", "solver = lanczoz",
+                                      "symmetrize = yes"])
     def test_config_value_outside_choices(self, line, tmp_path):
         # the flags reject these through argparse; a config file must too
         cfg_file = tmp_path / "run.cfg"

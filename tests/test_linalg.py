@@ -270,17 +270,25 @@ class TestLowestEigenpairs:
         residuals = np.linalg.norm(op.csr @ vectors - vectors * values, axis=0)
         assert residuals.max() < 1e-6
 
-    @pytest.mark.parametrize("method", ["shift-invert", "lanczos"])
-    def test_arpack_failure_mapped(self, monkeypatch, method):
+    @pytest.mark.parametrize("method, stop", [("shift-invert", "stalled"),
+                                              ("lanczos", "stalled"),
+                                              ("lanczos", "failed")],
+                             ids=["shift-invert", "lanczos", "arpack-error"])
+    def test_arpack_failure_mapped(self, monkeypatch, method, stop):
         import scipy.sparse.linalg as spla
 
         def stalled(A, k, **kwargs):
+            if stop == "failed":
+                raise spla.ArpackError(-9999)
             raise spla.ArpackNoConvergence("stalled", np.array([2.0]), np.ones((A.shape[0], 1)))
 
         monkeypatch.setattr(spla, "eigsh", stalled)
         op = random_sparse_symmetric(200)
         with pytest.raises(ConvergenceError) as err:
             lowest_eigenpairs(op, 2, 1e-9, method=method)
+        if stop == "failed":  # nothing converged: no partial result
+            assert err.value.result is None and "ARPACK failed" in str(err.value)
+            return
         values, vectors = err.value.result
         assert values.shape == (1,) and vectors.shape == (200, 1)
 

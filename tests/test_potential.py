@@ -310,6 +310,13 @@ class TestFindMinima:
         bound = TWO_PI * (1.0 + TWO_PI**2 / 1.0)
         assert all(m.phi_k < bound for m in minima)
 
+    @pytest.mark.parametrize("ratio, windings", [(0.05, 3), (0.25, 170)])
+    def test_small_ratio_minimum_in_every_winding(self, ratio, windings):
+        # sharp wells leave |V'| up to 1e-5 at the bisected minimum, and the
+        # oscillation outlasts the monotone tail to about 4pi/ratio^2 windings
+        minima = find_minima(ratio, windings)
+        assert [m.winding_index for m in minima] == list(range(1, windings + 1))
+
     def test_invalid_inputs(self):
         with pytest.raises(GeometryError):
             find_minima(4.5, 3)
