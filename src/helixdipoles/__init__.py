@@ -59,7 +59,6 @@ from .analysis import (
     fit_harmonic_size,
     size_energy_product,
 )
-from .cli import RunConfig, emit_csv, emit_summary, run
 
 __all__ = [
     "__version__",
@@ -77,5 +76,4 @@ __all__ = [
     "symmetrize_wavefunction",
     "SizeScanRow", "HarmonicFit", "expectation_phi2", "build_size_scan",
     "fit_harmonic_size", "size_energy_product",
-    "RunConfig", "run", "emit_csv", "emit_summary",
 ]

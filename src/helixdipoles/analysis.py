@@ -57,7 +57,6 @@ def build_size_scan(
     grid: Grid1D,
     ratio: float,
     *,
-    tol: float = 1e-9,
     method: str = "auto",
     seed: int = DEFAULT_SEED,
 ) -> list[SizeScanRow]:
@@ -68,7 +67,7 @@ def build_size_scan(
     phi0 = minima[0].phi_k
     rows = []
     for beta in betas:
-        sol = solve_two_body(grid, beta, ratio, 1, tol=tol, method=method, seed=seed)
+        sol = solve_two_body(grid, beta, ratio, 1, method=method, seed=seed)
         rows.append(
             SizeScanRow(
                 beta=float(beta),

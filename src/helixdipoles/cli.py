@@ -86,8 +86,6 @@ class RunConfig:
     n_samples: int = _flag(2000, "number of curve samples", on=("potential",))
     out_dir: str = _flag("runs", f"output directory (or ${OUTDIR_ENV})")
     seed: int = _flag(DEFAULT_SEED, "eigensolver start-vector seed", on=_SOLVING)
-    tol: float = _flag(1e-9, "relative accuracy of the ARPACK Ritz values: "
-                       "E for lanczos, 1/(E - sigma) for shift-invert", on=_SOLVING)
     solver: str = _flag("auto", "eigensolver path; auto picks by operator structure, "
                         "a banded solve for two-body and shift-invert for three-body; "
                         f"dense takes at most {DENSE_CUTOFF} unknowns",
@@ -287,7 +285,7 @@ def _run_two_body(cfg: RunConfig) -> tuple[dict, dict]:
     unit = _energy_unit(cfg)
     grid = Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d)
     sol = solve_two_body(grid, cfg.beta, cfg.ratio, cfg.k_states,
-                         tol=cfg.tol, method=cfg.solver, seed=cfg.seed)
+                         method=cfg.solver, seed=cfg.seed)
     header = ["phi"] + [f"psi{m}" for m in range(cfg.k_states)]
     tables = {"wavefunctions.csv": (header, np.column_stack(
         [grid.nodes] + [sol.wavefunction(m) for m in range(cfg.k_states)]))}
@@ -316,7 +314,7 @@ def _run_three_body(cfg: RunConfig) -> tuple[dict, dict]:
     grid = WedgeGrid2D(x_max=x_max, y_max=y_max, spacing=spacing)
     sol = solve_three_body(
         grid, cfg.beta, cfg.ratio, cfg.k_states,
-        tol=cfg.tol, method=cfg.solver, seed=cfg.seed,
+        method=cfg.solver, seed=cfg.seed,
         allow_small_box=cfg.allow_small_box,
     )
     psi0 = sol.wavefunction(0)
@@ -352,7 +350,7 @@ def _run_scan(cfg: RunConfig) -> tuple[dict, dict]:
     betas = cfg.betas or tuple(round(0.1 * i, 10) for i in range(1, 15))
     grid = Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d)
     rows = scan_beta(betas, grid, cfg.ratio, cfg.k_states,
-                     tol=cfg.tol, method=cfg.solver, seed=cfg.seed)
+                     method=cfg.solver, seed=cfg.seed)
     header = ["beta"] + [f"E{m}" for m in range(cfg.k_states)] + ["bound_count"]
     csv_rows = []
     failures = []
@@ -372,7 +370,7 @@ def _run_fit(cfg: RunConfig) -> tuple[dict, dict]:
     betas = cfg.betas or (5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0)
     grid = Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d)
     rows = build_size_scan(betas, grid, cfg.ratio,
-                           tol=cfg.tol, method=cfg.solver, seed=cfg.seed)
+                           method=cfg.solver, seed=cfg.seed)
     tables = {"size_scan.csv": (["beta", "E0", "phi2", "phi0"],
                                 [[r.beta, r.energy, r.phi2, r.phi0] for r in rows])}
     fit = fit_harmonic_size(rows, beta_range=(min(betas), max(betas)))
@@ -386,7 +384,7 @@ def _run_fit(cfg: RunConfig) -> tuple[dict, dict]:
     }
     if cfg.product_betas:
         prows = build_size_scan(cfg.product_betas, grid, cfg.ratio,
-                                tol=cfg.tol, method=cfg.solver, seed=cfg.seed)
+                                method=cfg.solver, seed=cfg.seed)
         tables["product.csv"] = (["E", "product"], size_energy_product(prows))
         summary["n_product_rows"] = len(prows)
     return tables, summary

@@ -35,6 +35,11 @@ METHODS = ("auto", "dense", "shift-invert", "lanczos")
 #: Default start-vector seed for the iterative path.
 DEFAULT_SEED = 20177
 
+#: Relative accuracy every solve of the package asks of ARPACK (see
+#: :func:`lowest_eigenpairs`).  The grid and the box, not this, set the error
+#: of the spectra; each result's residual norms carry the evidence.
+ARPACK_TOL = 1e-9
+
 #: A shift taken from an estimate ``e`` of the lowest eigenvalue sits this
 #: fraction of the way from ``e`` down to the Gershgorin bound.
 ESTIMATE_SHIFT_MARGIN = 0.05
@@ -199,7 +204,7 @@ def check_request(k: int, n: int, tol: float, method: str) -> None:
 def lowest_eigenpairs(
     op: SymmetricSparseOperator,
     k: int,
-    tol: float = 1e-9,
+    tol: float = ARPACK_TOL,
     *,
     method: str = "auto",
     seed: int = DEFAULT_SEED,
@@ -211,10 +216,10 @@ def lowest_eigenpairs(
     Args:
         op: operator to diagonalize.
         k: number of eigenpairs, ``1 <= k <= n/4``.
-        tol: iterative convergence target within ``[1e-12, 1e-4]``, passed
-            to ARPACK as the relative accuracy of the Ritz values it
-            iterates on: ``E`` for ``lanczos``, ``mu = 1/(E - sigma)`` for
-            ``shift-invert``.
+        tol: iterative convergence target within ``[1e-12, 1e-4]``
+            (default :data:`ARPACK_TOL`), passed to ARPACK as the relative
+            accuracy of the Ritz values it iterates on: ``E`` for
+            ``lanczos``, ``mu = 1/(E - sigma)`` for ``shift-invert``.
         method: ``auto`` (direct banded solve, reported as ``tridiagonal``,
             for tridiagonal operators; shift-invert otherwise), or one of
             ``dense`` (at most ``DENSE_CUTOFF`` unknowns) / ``shift-invert`` /
@@ -336,14 +341,14 @@ def _arpack(op, k, tol, seed, shift_invert, estimate=None):
         lu, sigma, source, n_apply = _shifted_factor(op, estimate)
         apply = lu.solve
         shifted = dict(factor_nnz=lu.nnz, shift=sigma, shift_source=source)
-        # wedge, tol 1e-9: a certified near shift converges in 13 solves at
+        # wedge at ARPACK_TOL: a certified near shift converges in 13 solves at
         # 6 vectors (beta=2; 19 at beta=0.25); the Gershgorin shift needs 20
         # (beta=0.25: 71 solves, 97 at 6)
         ncv = 6 if source == "estimate" else 20
     else:
         apply, n_apply, shifted = op.matvec, 0, {}
-        # plain Lanczos restarts less in a larger space (beta=2 wedge,
-        # tol 1e-9: 1,142 matvecs at 60, 2,602 at 20)
+        # plain Lanczos restarts less in a larger space (beta=2 wedge at
+        # ARPACK_TOL: 1,142 matvecs at 60, 2,602 at 20)
         ncv = 60
     ncv = min(n, max(2 * k + 1, ncv))
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .linalg import (DEFAULT_SEED, EigenResult, SymmetricSparseOperator, check_request,
-                     lowest_eigenpairs)
+from .linalg import (ARPACK_TOL, DEFAULT_SEED, EigenResult, SymmetricSparseOperator,
+                     check_request, lowest_eigenpairs)
 from .potential import TWO_PI, reduced_potential, validate_geometry
 
 SQRT2 = math.sqrt(2.0)
@@ -195,7 +195,6 @@ def solve_three_body(
     ratio: float,
     k: int,
     *,
-    tol: float = 1e-9,
     method: str = "auto",
     seed: int = DEFAULT_SEED,
     allow_small_box: bool = False,
@@ -208,15 +207,15 @@ def solve_three_body(
     places the shift.  A coarse grid that cannot be built is skipped; every
     one that can has at least two nodes, enough for its one-pair request.
     """
-    check_request(k, grid.n_active, tol, method)  # before the costly assembly
+    check_request(k, grid.n_active, ARPACK_TOL, method)  # before the costly assembly
     coarse = grid.coarsened(COARSE_FACTOR) if method in ("auto", "shift-invert") else None
     estimate = None
     if coarse is not None:
         coarse_op = assemble_hamiltonian_2d(coarse, beta, ratio, allow_small_box=allow_small_box)
-        estimate = float(lowest_eigenpairs(coarse_op, 1, tol, seed=seed).values[0])
+        estimate = float(lowest_eigenpairs(coarse_op, 1, seed=seed).values[0])
     op = assemble_hamiltonian_2d(grid, beta, ratio, allow_small_box=allow_small_box)
     eigen = lowest_eigenpairs(
-        op, k, tol,
+        op, k,
         method=method, seed=seed,
         quadrature_weight=grid.spacing**2,
         estimate=estimate,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, HelixDipolesError
-from .linalg import (DEFAULT_SEED, EigenResult, SymmetricSparseOperator, check_request,
-                     lowest_eigenpairs)
+from .linalg import (ARPACK_TOL, DEFAULT_SEED, EigenResult, SymmetricSparseOperator,
+                     check_request, lowest_eigenpairs)
 from .potential import reduced_potential, validate_geometry
 
 #: A state counts as bound when its reduced energy is below this threshold;
@@ -104,7 +104,6 @@ def solve_two_body(
     ratio: float,
     k: int,
     *,
-    tol: float = 1e-9,
     method: str = "auto",
     seed: int = DEFAULT_SEED,
 ) -> TwoBodySolution:
@@ -115,7 +114,7 @@ def solve_two_body(
     """
     op = assemble_hamiltonian_1d(grid, beta, ratio)
     eigen = lowest_eigenpairs(
-        op, k, tol,
+        op, k,
         method=method, seed=seed,
         quadrature_weight=grid.spacing,
     )
@@ -163,7 +162,6 @@ def scan_beta(
     ratio: float,
     k: int,
     *,
-    tol: float = 1e-9,
     method: str = "auto",
     seed: int = DEFAULT_SEED,
 ) -> list[BetaScanRow]:
@@ -171,7 +169,7 @@ def scan_beta(
 
     Package errors and ``ValueError`` from a solve are recorded per row and
     do not abort the scan; any other exception propagates.  The geometry,
-    the solve request (``k``, ``tol``, ``method``) and the grid resolution
+    the solve request (``k``, ``method``) and the grid resolution
     do not depend on the coupling, so they are checked once, before the
     first solve, and raise.
     """
@@ -179,13 +177,12 @@ def scan_beta(
     if not betas:
         raise ValueError("betas must be non-empty")
     validate_geometry(ratio)
-    check_request(k, grid.n_points, tol, method)
+    check_request(k, grid.n_points, ARPACK_TOL, method)
     _check_resolution(grid)
     rows: list[BetaScanRow] = []
     for beta in betas:
         try:
-            sol = solve_two_body(grid, beta, ratio, k,
-                                 tol=tol, method=method, seed=seed)
+            sol = solve_two_body(grid, beta, ratio, k, method=method, seed=seed)
             rows.append(BetaScanRow(beta, sol.energies, sol.bound_count))
         except (HelixDipolesError, ValueError) as exc:  # row error, scan continues
             rows.append(BetaScanRow(beta, None, None, error=str(exc)))

@@ -17,19 +17,19 @@ def two_body_beta1():
 @pytest.fixture(scope="session")
 def three_body_beta1():
     grid = WedgeGrid2D(x_max=30.0, y_max=40.0, spacing=0.1)
-    return solve_three_body(grid, beta=1.0, ratio=1.0, k=2, tol=1e-9)
+    return solve_three_body(grid, beta=1.0, ratio=1.0, k=2)
 
 
 @pytest.fixture(scope="session")
 def three_body_beta2():
     grid = WedgeGrid2D(x_max=30.0, y_max=40.0, spacing=0.1)
-    return solve_three_body(grid, beta=2.0, ratio=1.0, k=1, tol=1e-9)
+    return solve_three_body(grid, beta=2.0, ratio=1.0, k=1)
 
 
 @pytest.fixture(scope="session")
 def three_body_beta025():
     grid = WedgeGrid2D(x_max=60.0, y_max=90.0, spacing=0.15)
-    return solve_three_body(grid, beta=0.25, ratio=1.0, k=1, tol=1e-9)
+    return solve_three_body(grid, beta=0.25, ratio=1.0, k=1)
 
 
 @pytest.fixture(scope="session")

@@ -201,12 +201,12 @@ class TestPotentialCommand:
     def test_metadata_echoes_only_its_settings(self, tmp_path):
         # a shared config file may set solver settings; potential runs none
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("solver = lanczos\nseed = 5\ntol = 1e-8\nbeta = 2.0\n")
+        cfg_file.write_text("solver = lanczos\nseed = 5\nbeta = 2.0\n")
         out = tmp_path / "out"
         assert main(["potential", "--config", str(cfg_file), "--n-samples", "50",
                      "--out-dir", str(out)]) == 0
         meta = read_keyvalue(out / "metadata.txt")
-        for key in ("solver", "seed", "tol", "beta", "k_states", "mass_kg"):
+        for key in ("solver", "seed", "beta", "k_states", "mass_kg"):
             assert key not in meta
         assert meta["problem"] == "potential" and meta["n_samples"] == "50"
         assert meta["phi_max"] == repr(3.0 * TWO_PI) and meta["status"] == "ok"
@@ -370,9 +370,10 @@ class TestPhysicalMode:
         assert exc.value.code == 2
         assert "unrecognized arguments: --physical" in capsys.readouterr().err
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("physical = true\n")
-        assert main(["two-body", "--config", str(cfg_file)]) == 2
-        assert "unknown config key 'physical'" in capsys.readouterr().err
+        for key, value in (("physical", "true"), ("tol", "1e-8")):
+            cfg_file.write_text(f"{key} = {value}\n")
+            assert main(["two-body", "--config", str(cfg_file)]) == 2
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 MINI_WEDGE = ["three-body", "--x-max", "12", "--y-max", "16", "--spacing", "0.4",
@@ -455,8 +456,6 @@ class TestInputEdges:
         ["scan", "--k", "0"],
         ["scan", "--k", "100000"],
         ["scan", "--spacing", "0.5"],
-        ["scan", "--tol", "1"],
-        ["scan", "--tol", "1e-20"],
         ["three-body", "--x-max", "0.2", "--spacing", "0.1"],
         MINI_WEDGE + ["--symmetrize", "--sample-spacing", "0"],
         MINI_WEDGE + ["--symmetrize", "--sample-spacing=-0.5"],
@@ -464,7 +463,7 @@ class TestInputEdges:
         MINI_WEDGE + ["--symmetrize", "--sample-extent=nan"],
     ], ids=["two-body-k0", "three-body-k0", "phi-max-0", "n-samples-0", "n-samples-neg",
             "spacing-0", "scan-k0", "scan-k-huge", "scan-coarse-spacing",
-            "scan-tol-1", "scan-tol-tiny", "wedge-box-too-small",
+            "wedge-box-too-small",
             "sample-spacing-0", "sample-spacing-neg", "sample-extent-neg",
             "sample-extent-nan"])
     def test_bad_input_is_config_error(self, argv, tmp_path):
@@ -497,6 +496,15 @@ class TestInputEdges:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1", "1e-20"], ids=["tol-1", "tol-tiny"])
+    def test_no_subcommand_takes_tol(self, value, capsys):
+        # every solve runs at linalg.ARPACK_TOL
+        for problem in _subcommand_parsers(build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([problem, "--tol", value])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
 
 def _subcommand_parsers(parser):
     return parser._subparsers._group_actions[0].choices
@@ -504,7 +512,7 @@ def _subcommand_parsers(parser):
 
 class TestGeneratedParser:
     COMMON = {"--config": "config", "--ratio": "ratio", "--out-dir": "out_dir"}
-    SOLVER = {"--seed": "seed", "--tol": "tol", "--solver": "solver"}
+    SOLVER = {"--seed": "seed", "--solver": "solver"}
     PHYSICAL = {"--mass-kg": "mass_kg", "--radius-m": "radius_m"}
     FLAGS = {
         "potential": {**COMMON, "--phi-max": "phi_max", "--n-samples": "n_samples"},
@@ -597,6 +605,16 @@ class TestMainEntry:
         code = main(["potential", "--ratio", "1.0", "--n-samples", "50"])
         assert code == 0
         assert (tmp_path / "from_env" / "data.csv").exists()
+
+    def test_module_entry_runs_once(self):
+        # the package root must not import .cli, or ``-m`` runs it twice
+        src = str(Path(helixdipoles.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "helixdipoles.cli",
+             "--version"], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.strip() == helixdipoles.__version__
 
     def test_bad_config_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

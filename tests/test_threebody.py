@@ -262,8 +262,6 @@ class TestAssembly2D:
         assert grid.n_active > DENSE_CUTOFF
         with pytest.raises(DimensionError, match="dense"):
             solve_three_body(grid, 1.0, 1.0, 1, method="dense", allow_small_box=True)
-        with pytest.raises(ValueError, match="tol"):
-            solve_three_body(grid, 1.0, 1.0, 1, tol=1.0, allow_small_box=True)
 
     @given(st.data())
     def test_k_outside_range_rejected_before_assembly(self, data):
@@ -285,9 +283,9 @@ class TestCoarseEstimate:
         """Every eigensolve a three-body request makes: (n, method, estimate)."""
         calls = []
 
-        def recorded(op, k, tol, **kwargs):
+        def recorded(op, k, **kwargs):
             calls.append((op.n, kwargs.get("method", "auto"), kwargs.get("estimate")))
-            return lowest_eigenpairs(op, k, tol, **kwargs)
+            return lowest_eigenpairs(op, k, **kwargs)
 
         monkeypatch.setattr(threebody, "lowest_eigenpairs", recorded)
         return calls
@@ -431,7 +429,7 @@ class TestMonotonicLocalization:
         grid = WedgeGrid2D(60.0, 60.0, 0.25)
         d12 = []
         for beta in (0.25, 0.5, 1.0, 2.0):
-            sol = solve_three_body(grid, beta, 1.0, 1, tol=1e-8)
+            sol = solve_three_body(grid, beta, 1.0, 1)
             d12.append(sol.distances[0])
         assert all(a > b for a, b in zip(d12, d12[1:]))
 
