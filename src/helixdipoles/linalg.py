@@ -1,18 +1,20 @@
 """Symmetric sparse lattice operators and extraction of their lowest eigenpairs.
 
 Every Hamiltonian of the package is built row-compressed by
-:meth:`SymmetricSparseOperator.on_lattice`.  Solves are routed by structure
-alone: tridiagonal operators go to a direct banded solver, everything else
-to ARPACK's own shift-invert mode, with ``H - sigma`` factored once by
-sparse LU.  ``sigma`` sits just below a caller's estimate of the lowest
-eigenvalue when one LU solve certifies that ``H - sigma`` is a nonsingular
-M-matrix (so ``sigma`` lies below the whole spectrum), and below the
-Gershgorin bound otherwise.  Dense LAPACK and plain Lanczos on the
-operator (``lanczos``) are only taken when forced; dense is capped at
-``DENSE_CUTOFF`` unknowns.  ARPACK's own restart limit bounds the iteration;
-when it stops short, the pairs it did converge travel on the
-:class:`ConvergenceError`.  Start vectors come from a seeded generator whose
-seed is carried in the result, so repeated runs are reproducible.
+:meth:`SymmetricSparseOperator.on_lattice`, symmetric with every diagonal
+entry stored by construction; that is not re-checked.  Solves are routed
+by structure alone: tridiagonal operators go to a direct banded solver,
+everything else to ARPACK's own shift-invert mode, with ``H - sigma``
+factored once by sparse LU.  ``sigma`` sits just below a caller's
+estimate of the lowest eigenvalue when one LU solve certifies that
+``H - sigma`` is a nonsingular M-matrix (so ``sigma`` lies below the whole
+spectrum), and below the Gershgorin bound otherwise.  Dense LAPACK and
+plain Lanczos on the operator (``lanczos``) are only taken when forced;
+dense is capped at ``DENSE_CUTOFF`` unknowns.  ARPACK's own restart limit
+bounds the iteration; when it stops short, the pairs it did converge
+travel on the :class:`ConvergenceError`.  Start vectors come from a seeded
+generator whose seed is carried in the result, so repeated runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -52,7 +54,11 @@ SUPERLU_PANEL_SIZE = 3
 
 @dataclass(frozen=True)
 class SymmetricSparseOperator:
-    """Row-compressed real symmetric operator with an explicit full diagonal."""
+    """Row-compressed real symmetric operator with an explicit full diagonal.
+
+    Both are preconditions on ``csr``, not checked: :meth:`on_lattice`
+    guarantees them, and an operator built by hand must meet them.
+    """
 
     csr: sp.csr_matrix
 
@@ -94,12 +100,6 @@ class SymmetricSparseOperator:
             raise DimensionError(f"expected vector of length {self.n}, got {v.shape}")
         return self.csr @ v
 
-    def diagonal(self) -> np.ndarray:
-        return self.csr.diagonal()
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
     def is_tridiagonal(self) -> bool:
         rows = np.repeat(np.arange(self.n), np.diff(self.csr.indptr))
         return bool(np.all(np.abs(rows - self.csr.indices) <= 1))
@@ -108,25 +108,6 @@ class SymmetricSparseOperator:
         """Whether no off-diagonal entry is positive, as in every ``on_lattice`` operator."""
         rows = np.repeat(np.arange(self.n), np.diff(self.csr.indptr))
         return bool(np.all(self.csr.data[rows != self.csr.indices] <= 0.0))
-
-    def validate(self) -> None:
-        """Check value symmetry (to 1e-15, relative) and diagonal presence."""
-        csr = self.csr
-        t = csr.T.tocsr()
-        if (csr.has_canonical_format and np.array_equal(csr.indptr, t.indptr)
-                and np.array_equal(csr.indices, t.indices)):
-            asym = np.abs(csr.data - t.data)  # same pattern: compare entry by entry
-        else:
-            asym = abs(csr - t).data
-        scale = max(1.0, -csr.data.min(initial=0.0), csr.data.max(initial=0.0))
-        if asym.size and asym.max() > 1e-15 * scale:
-            raise DimensionError("operator is not symmetric")
-        # every diagonal entry must be stored explicitly
-        rows = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(csr.indptr))
-        stored = np.zeros(self.n, dtype=bool)
-        stored[rows[rows == csr.indices]] = True
-        if not stored.all():
-            raise DimensionError(f"diagonal entry {int(np.argmin(stored))} not stored")
 
 
 @dataclass
@@ -183,18 +164,15 @@ def _package(op, vals, vecs, weight, method, seed, n_matvec, factor_nnz=0,
     )
 
 
-def check_request(k: int, n: int, tol: float, method: str) -> None:
+def check_request(k: int, n: int, method: str) -> None:
     """Reject a solve request for ``k`` pairs of an ``n``-unknown operator.
 
     Raises :class:`DimensionError` unless ``1 <= k <= max(1, n/4)``, and
     unless ``n <= DENSE_CUTOFF`` for ``method="dense"``; ``ValueError``
-    unless ``tol`` lies in ``[1e-12, 1e-4]`` and ``method`` is one of
-    :data:`METHODS`.
+    unless ``method`` is one of :data:`METHODS`.
     """
     if not 1 <= k <= max(1, n // 4):
         raise DimensionError(f"k={k} outside [1, n/4] for n={n}")
-    if not 1e-12 <= tol <= 1e-4:
-        raise ValueError("tol must lie in [1e-12, 1e-4]")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "dense" and n > DENSE_CUTOFF:
@@ -243,21 +221,24 @@ def lowest_eigenpairs(
     ``shift_source`` are None.
 
     Raises:
-        DimensionError, ValueError: the request fails :func:`check_request`.
+        DimensionError, ValueError: the request fails :func:`check_request`,
+            or ``tol`` lies outside ``[1e-12, 1e-4]`` (``ValueError``).
         ConvergenceError: ARPACK spent its restart limit (scipy's default
             ``maxiter``, 10 n) before reaching ``tol``; the pairs it did
             converge are attached to the exception as energies and vectors.
     """
-    check_request(k, op.n, tol, method)
+    check_request(k, op.n, method)
+    if not 1e-12 <= tol <= 1e-4:
+        raise ValueError("tol must lie in [1e-12, 1e-4]")
     if method == "auto":
         method = "tridiagonal" if op.is_tridiagonal() else "shift-invert"
 
     if method == "dense":
-        vals, vecs = np.linalg.eigh(op.to_dense())
+        vals, vecs = np.linalg.eigh(op.csr.toarray())
         return _package(op, vals[:k], vecs[:, :k], quadrature_weight,
                         "dense", None, 0)
     if method == "tridiagonal":
-        vals, vecs = eigh_tridiagonal(op.diagonal(), op.csr.diagonal(1),
+        vals, vecs = eigh_tridiagonal(op.csr.diagonal(), op.csr.diagonal(1),
                                       select="i", select_range=(0, k - 1))
         return _package(op, vals, vecs, quadrature_weight,
                         "tridiagonal", None, 0)
@@ -298,7 +279,7 @@ def _shifted_factor(op, estimate):
                     panel_size=SUPERLU_PANEL_SIZE, options={"SymmetricMode": True})
 
     radii = np.asarray(abs(op.csr).sum(axis=1)).ravel()
-    lower = float(np.min(2.0 * op.diagonal() - radii))
+    lower = float(np.min(2.0 * op.csr.diagonal() - radii))
     checks = 0
     if estimate is not None and lower < estimate < math.inf and op.is_z_matrix():
         sigma = estimate - ESTIMATE_SHIFT_MARGIN * (estimate - lower)

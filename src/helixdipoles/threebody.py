@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .linalg import (ARPACK_TOL, DEFAULT_SEED, EigenResult, SymmetricSparseOperator,
-                     check_request, lowest_eigenpairs)
+from .linalg import (DEFAULT_SEED, EigenResult, SymmetricSparseOperator, check_request,
+                     lowest_eigenpairs)
 from .potential import TWO_PI, reduced_potential, validate_geometry
+from .twobody import STATISTICS
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -115,12 +116,12 @@ class WedgeGrid2D:
         self._index = index
 
     def coarsened(self, factor: int) -> "WedgeGrid2D | None":
-        """The same box at ``factor`` times the spacing, or None when that
-        spacing leaves fewer than three cells along an axis (no grid)."""
-        spacing = factor * self.spacing
-        if min(round(self.x_max / spacing), round(self.y_max / spacing)) < 3:
+        """The same box at ``factor`` times the spacing, or None when no grid
+        can be built at that spacing."""
+        try:
+            return WedgeGrid2D(self.x_max, self.y_max, factor * self.spacing)
+        except GridError:
             return None
-        return WedgeGrid2D(self.x_max, self.y_max, spacing)
 
     def margin_windings(self) -> tuple[float, float]:
         """Clearance of the first-minimum configuration from the outer walls,
@@ -184,9 +185,7 @@ def assemble_hamiltonian_2d(
         + reduced_potential(phi23, ratio)
         + reduced_potential(phi13, ratio)
     )
-    op = SymmetricSparseOperator.on_lattice(grid._index, grid.spacing, pot)
-    op.validate()
-    return op
+    return SymmetricSparseOperator.on_lattice(grid._index, grid.spacing, pot)
 
 
 def solve_three_body(
@@ -207,7 +206,7 @@ def solve_three_body(
     places the shift.  A coarse grid that cannot be built is skipped; every
     one that can has at least two nodes, enough for its one-pair request.
     """
-    check_request(k, grid.n_active, ARPACK_TOL, method)  # before the costly assembly
+    check_request(k, grid.n_active, method)  # before the costly assembly
     coarse = grid.coarsened(COARSE_FACTOR) if method in ("auto", "shift-invert") else None
     estimate = None
     if coarse is not None:
@@ -284,8 +283,8 @@ def symmetrize_wavefunction(
         lies outside the solved box (those samples are zero and flagged
         rather than extrapolated).
     """
-    if statistics not in ("boson", "fermion"):
-        raise ValueError("statistics must be 'boson' or 'fermion'")
+    if statistics not in STATISTICS:
+        raise ValueError(f"statistics must be one of {STATISTICS}")
     grid = sol.grid
     padded = grid.node_values_to_padded(sol.wavefunction(0))
     dx = grid.spacing

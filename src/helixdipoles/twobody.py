@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, HelixDipolesError
-from .linalg import (ARPACK_TOL, DEFAULT_SEED, EigenResult, SymmetricSparseOperator,
-                     check_request, lowest_eigenpairs)
+from .linalg import (DEFAULT_SEED, EigenResult, SymmetricSparseOperator, check_request,
+                     lowest_eigenpairs)
 from .potential import reduced_potential, validate_geometry
 
 #: A state counts as bound when its reduced energy is below this threshold;
@@ -177,7 +177,7 @@ def scan_beta(
     if not betas:
         raise ValueError("betas must be non-empty")
     validate_geometry(ratio)
-    check_request(k, grid.n_points, ARPACK_TOL, method)
+    check_request(k, grid.n_points, method)
     _check_resolution(grid)
     rows: list[BetaScanRow] = []
     for beta in betas:

@@ -563,6 +563,17 @@ class TestGeneratedParser:
         assert cfg.problem == "three-body"
 
 
+class TestReadmeLibraryExample:
+    def test_values_match_its_comments(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("## Library example", 1)[1].split("```python", 1)[1]
+        names: dict = {}
+        exec(block.split("```", 1)[0], names)
+        assert names["phi0"] == pytest.approx(6.2051, abs=5e-5)
+        assert names["two"].bound_count == 3
+        assert tuple(np.round(names["three"].distances, 3)) == (1.014, 1.014, 2.027)
+
+
 class TestImportCost:
     def test_cli_import_skips_heavy_scipy_modules(self):
         # importing scipy.optimize or scipy.sparse.linalg costs every short

@@ -71,22 +71,6 @@ class TestOperator:
         with pytest.raises(DimensionError):
             op.matvec(np.ones(49))
 
-    def test_validate_rejects_asymmetric(self):
-        mat = sp.csr_matrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
-        with pytest.raises(DimensionError):
-            SymmetricSparseOperator(mat).validate()
-
-    def test_validate_rejects_pattern_asymmetric(self):
-        # (0, 1) stored, (1, 0) absent: the transposed pattern differs
-        mat = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(DimensionError, match="not symmetric"):
-            SymmetricSparseOperator(mat).validate()
-
-    def test_validate_requires_diagonal(self):
-        mat = sp.coo_matrix(([1.0, 1.0], ([0, 1], [1, 0])), shape=(2, 2)).tocsr()
-        with pytest.raises(DimensionError):
-            SymmetricSparseOperator(mat).validate()
-
     def test_tridiagonal_detection(self):
         op = tridiagonal(np.ones(6), -np.ones(5))
         assert op.is_tridiagonal()
@@ -146,7 +130,10 @@ class TestOnLattice:
         np.testing.assert_array_equal(op.csr.indptr, ref.indptr)
         np.testing.assert_array_equal(op.csr.indices, ref.indices)
         np.testing.assert_array_equal(op.csr.data, ref.data)
-        op.validate()
+        csr = op.csr
+        assert (csr != csr.T).nnz == 0
+        rows = np.repeat(np.arange(op.n), np.diff(csr.indptr))  # every row stores its diagonal
+        assert np.array_equal(np.unique(rows[rows == csr.indices]), np.arange(op.n))
 
 
 class TestLowestEigenpairs:
@@ -265,7 +252,7 @@ class TestLowestEigenpairs:
         values, vectors = err.value.result
         assert 1 <= values.size <= 4
         assert vectors.shape == (800, values.size)
-        dense = np.linalg.eigvalsh(op.to_dense())[:4]
+        dense = np.linalg.eigvalsh(op.csr.toarray())[:4]
         np.testing.assert_allclose(np.sort(values), dense[:values.size], atol=1e-8)
         residuals = np.linalg.norm(op.csr @ vectors - vectors * values, axis=0)
         assert residuals.max() < 1e-6
@@ -359,7 +346,7 @@ class TestRouting:
 
 def gershgorin_bound(op):
     radii = np.asarray(abs(op.csr).sum(axis=1)).ravel()
-    return float(np.min(2.0 * op.diagonal() - radii))
+    return float(np.min(2.0 * op.csr.diagonal() - radii))
 
 
 class TestNearShift:

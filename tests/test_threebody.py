@@ -185,13 +185,16 @@ class TestAssembly2D:
         op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
         x0, y0 = FIRST_MINIMUM_XY
         i = int(np.argmin((grid.x - x0) ** 2 + (grid.y - y0) ** 2))
-        potential_part = op.diagonal()[i] - 2.0 / grid.spacing**2
+        potential_part = op.csr.diagonal()[i] - 2.0 / grid.spacing**2
         assert potential_part == pytest.approx(-2.125, abs=0.05)
 
     def test_symmetry(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.4)
         op = assemble_hamiltonian_2d(grid, 1.0, 1.0, allow_small_box=True)
-        op.validate()
+        csr = op.csr
+        assert (csr != csr.T).nnz == 0
+        rows = np.repeat(np.arange(op.n), np.diff(csr.indptr))  # every row stores its diagonal
+        assert np.array_equal(np.unique(rows[rows == csr.indices]), np.arange(op.n))
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_stencil_csr_equals_coo_reference(self, beta):

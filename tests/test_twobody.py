@@ -77,13 +77,16 @@ class TestAssembly:
         i = int(np.argmin(np.abs(grid.nodes - TWO_PI)))
         node = grid.nodes[i]
         expected = 1.0 / grid.spacing**2 + beta * reduced_potential(node, 1.0)
-        assert op.diagonal()[i] == pytest.approx(expected, rel=1e-14)
+        assert op.csr.diagonal()[i] == pytest.approx(expected, rel=1e-14)
         assert reduced_potential(node, 1.0) == pytest.approx(-1.0, abs=0.01)
 
     def test_tridiagonal_symmetric(self):
         op = assemble_hamiltonian_1d(Grid1D.from_spacing(20.0, 0.05), 1.0, 1.0)
         assert op.is_tridiagonal()
-        op.validate()
+        csr = op.csr
+        assert (csr != csr.T).nnz == 0
+        rows = np.repeat(np.arange(op.n), np.diff(csr.indptr))  # every row stores its diagonal
+        assert np.array_equal(np.unique(rows[rows == csr.indices]), np.arange(op.n))
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(GridError):
