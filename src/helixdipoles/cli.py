@@ -74,8 +74,8 @@ class RunConfig:
         on=("scan", "fit"))
     product_betas: tuple[float, ...] = _flag(
         (), "comma-separated weak couplings for the size-energy product", on=("fit",))
-    box_length: float = _flag(100.0, "half-line box size L", on=_HALF_LINE)
-    spacing_1d: float = _flag(0.01, "grid spacing", on=_HALF_LINE, flag="spacing")
+    box_length: float = _flag(Grid1D.phi_max, "half-line box size L", on=_HALF_LINE)
+    spacing_1d: float = _flag(Grid1D().spacing, "grid spacing", on=_HALF_LINE, flag="spacing")
     x_max: float | None = _flag(None, "box extent in x", on=_WEDGE)
     y_max: float | None = _flag(None, "box extent in y", on=_WEDGE)
     spacing_2d: float | None = _flag(None, "grid spacing", on=_WEDGE, flag="spacing")

@@ -101,6 +101,8 @@ class SymmetricSparseOperator:
         return self.csr @ v
 
     def is_tridiagonal(self) -> bool:
+        if self.nnz > 3 * self.n - 2:  # more entries than three diagonals hold
+            return False
         rows = np.repeat(np.arange(self.n), np.diff(self.csr.indptr))
         return bool(np.all(np.abs(rows - self.csr.indices) <= 1))
 

@@ -213,6 +213,14 @@ def validate_geometry(ratio: float) -> None:
         )
 
 
+def validate_coupling(beta: float, ratio: float) -> None:
+    """:func:`validate_geometry` on ``ratio``, then ``ValueError`` unless ``beta``
+    is finite and >= 0."""
+    validate_geometry(ratio)
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"coupling strength beta must be finite and >= 0, got {beta}")
+
+
 def _refine_minimum(ratio: float, lo: float, hi: float) -> float:
     """Pin a minimum bracketed by a derivative sign change V'(lo) < 0 <= V'(hi).
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import GridError
 from .linalg import (DEFAULT_SEED, EigenResult, SymmetricSparseOperator, check_request,
                      lowest_eigenpairs)
-from .potential import TWO_PI, reduced_potential, validate_geometry
+from .potential import TWO_PI, reduced_potential, validate_coupling
 from .twobody import STATISTICS
 
 SQRT2 = math.sqrt(2.0)
@@ -84,7 +84,10 @@ class WedgeGrid2D:
     """Uniform grid over {0 < x < x_max, x/sqrt(3) < y < y_max}.
 
     Only interior wedge nodes are active; everything outside the mask is an
-    implied Dirichlet zero.  Nodes closer to the wedge edge y = x/sqrt(3)
+    implied Dirichlet zero.  ``index``, the lattice that
+    :meth:`SymmetricSparseOperator.on_lattice` takes, numbers the active
+    nodes of the (nx+1, ny+1) box corners row-major (node m at (x[m], y[m]))
+    and holds -1 elsewhere.  Nodes closer to the wedge edge y = x/sqrt(3)
     than ``EDGE_CUSHION`` cells are treated as boundary nodes: at grid
     resolution they sit on the Dirichlet line, and keeping them active would
     put unresolved short-range potential spikes on the diagonal (the grid
@@ -105,15 +108,12 @@ class WedgeGrid2D:
             raise GridError("box too small for the requested spacing")
         ii, jj = np.meshgrid(np.arange(1, nx), np.arange(1, ny), indexing="ij")
         inside = jj - ii / SQRT3 > EDGE_CUSHION
-        self._nx, self._ny = nx, ny
-        self.ii = ii[inside]
-        self.jj = jj[inside]
-        self.x = self.ii * self.spacing
-        self.y = self.jj * self.spacing
+        ii, jj = ii[inside], jj[inside]
+        self.x = ii * self.spacing
+        self.y = jj * self.spacing
         self.n_active = int(self.x.size)
-        index = -np.ones((nx + 1, ny + 1), dtype=np.int32)
-        index[self.ii, self.jj] = np.arange(self.n_active)
-        self._index = index
+        self.index = -np.ones((nx + 1, ny + 1), dtype=np.int32)
+        self.index[ii, jj] = np.arange(self.n_active)
 
     def coarsened(self, factor: int) -> "WedgeGrid2D | None":
         """The same box at ``factor`` times the spacing, or None when no grid
@@ -128,13 +128,6 @@ class WedgeGrid2D:
         in one-winding units along each axis."""
         x0, y0 = FIRST_MINIMUM_XY
         return (self.x_max - x0) / X_WINDING, (self.y_max - y0) / Y_WINDING
-
-    def node_values_to_padded(self, values: np.ndarray) -> np.ndarray:
-        """Scatter active-node values into a dense (nx+1, ny+1) array of the
-        full box corner grid, zeros elsewhere (the Dirichlet extension)."""
-        padded = np.zeros((self._nx + 1, self._ny + 1))
-        padded[self.ii, self.jj] = values
-        return padded
 
 
 @dataclass
@@ -154,38 +147,24 @@ class ThreeBodySolution:
 
 
 def assemble_hamiltonian_2d(
-    grid: WedgeGrid2D,
-    beta: float,
-    ratio: float,
-    *,
-    allow_small_box: bool = False,
+    grid: WedgeGrid2D, beta: float, ratio: float
 ) -> SymmetricSparseOperator:
     """The lattice operator -1/2 (d_x^2 + d_y^2) plus the three pair potentials.
 
-    Built on the wedge mask (Dirichlet outside it) in the two-body unit
-    hbar^2 / (mu alpha^2), so each particle carries the pair reduced mass
-    mu = m/2: the pair-12 term alone, beta V(sqrt(2) x), has the energies
-    2 E2(beta/2) of the two-body problem.  Unless ``allow_small_box`` is
-    set, the outer rectangle must clear the first-minimum chain
-    configuration by at least five windings along each axis.
+    Built on ``grid.index`` (Dirichlet outside the wedge mask) in the
+    two-body unit hbar^2 / (mu alpha^2), so each particle carries the pair
+    reduced mass mu = m/2: the pair-12 term alone, beta V(sqrt(2) x), has
+    the energies 2 E2(beta/2) of the two-body problem.  Any box is
+    assembled; :func:`solve_three_body` checks its clearance.
     """
-    validate_geometry(ratio)
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ValueError(f"coupling strength beta must be finite and >= 0, got {beta}")
-    mx, my = grid.margin_windings()
-    if not allow_small_box and (mx < MIN_MARGIN_WINDINGS or my < MIN_MARGIN_WINDINGS):
-        raise GridError(
-            f"box clears the first-minimum configuration by ({mx:.2f}, {my:.2f}) "
-            f"windings; need {MIN_MARGIN_WINDINGS:g} (pass allow_small_box to override)"
-        )
-
+    validate_coupling(beta, ratio)
     phi12, phi23, phi13 = pair_separations(grid.x, grid.y)
     pot = beta * (
         reduced_potential(phi12, ratio)
         + reduced_potential(phi23, ratio)
         + reduced_potential(phi13, ratio)
     )
-    return SymmetricSparseOperator.on_lattice(grid._index, grid.spacing, pot)
+    return SymmetricSparseOperator.on_lattice(grid.index, grid.spacing, pot)
 
 
 def solve_three_body(
@@ -200,6 +179,9 @@ def solve_three_body(
 ) -> ThreeBodySolution:
     """Lowest ``k`` wedge states and the ground-state pair distances.
 
+    Once per request, before any assembly, it checks ``k`` and ``method``,
+    ``ratio``, ``beta`` and, unless ``allow_small_box``, that the box clears
+    the chain configuration by ``MIN_MARGIN_WINDINGS`` windings on each axis.
     When the solve takes shift-invert (``auto`` or forced), the same box is
     first solved at ``COARSE_FACTOR`` times the spacing, and its ground
     energy is handed to :func:`lowest_eigenpairs` as the ``estimate`` that
@@ -207,12 +189,19 @@ def solve_three_body(
     one that can has at least two nodes, enough for its one-pair request.
     """
     check_request(k, grid.n_active, method)  # before the costly assembly
+    validate_coupling(beta, ratio)
+    mx, my = grid.margin_windings()
+    if not allow_small_box and (mx < MIN_MARGIN_WINDINGS or my < MIN_MARGIN_WINDINGS):
+        raise GridError(
+            f"box clears the first-minimum configuration by ({mx:.2f}, {my:.2f}) "
+            f"windings; need {MIN_MARGIN_WINDINGS:g} (pass allow_small_box to override)"
+        )
     coarse = grid.coarsened(COARSE_FACTOR) if method in ("auto", "shift-invert") else None
     estimate = None
     if coarse is not None:
-        coarse_op = assemble_hamiltonian_2d(coarse, beta, ratio, allow_small_box=allow_small_box)
+        coarse_op = assemble_hamiltonian_2d(coarse, beta, ratio)
         estimate = float(lowest_eigenpairs(coarse_op, 1, seed=seed).values[0])
-    op = assemble_hamiltonian_2d(grid, beta, ratio, allow_small_box=allow_small_box)
+    op = assemble_hamiltonian_2d(grid, beta, ratio)
     eigen = lowest_eigenpairs(
         op, k,
         method=method, seed=seed,
@@ -286,7 +275,7 @@ def symmetrize_wavefunction(
     if statistics not in STATISTICS:
         raise ValueError(f"statistics must be one of {STATISTICS}")
     grid = sol.grid
-    padded = grid.node_values_to_padded(sol.wavefunction(0))
+    padded = np.append(sol.wavefunction(0), 0.0)[grid.index]  # -1 picks the appended zero
     dx = grid.spacing
     nx, ny = padded.shape[0] - 1, padded.shape[1] - 1
 

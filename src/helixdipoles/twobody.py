@@ -18,7 +18,7 @@ import numpy as np
 from .errors import GridError, HelixDipolesError
 from .linalg import (DEFAULT_SEED, EigenResult, SymmetricSparseOperator, check_request,
                      lowest_eigenpairs)
-from .potential import reduced_potential, validate_geometry
+from .potential import reduced_potential, validate_coupling, validate_geometry
 
 #: A state counts as bound when its reduced energy is below this threshold;
 #: shallower negative states are numerically box-sensitive.
@@ -42,7 +42,7 @@ class Grid1D:
             raise GridError("need finite phi_max > 0 and at least 3 interior points")
 
     @classmethod
-    def from_spacing(cls, phi_max: float = 100.0, spacing: float = 0.01) -> "Grid1D":
+    def from_spacing(cls, phi_max: float, spacing: float) -> "Grid1D":
         if not (0.0 < phi_max < math.inf and 0.0 < spacing < math.inf):
             raise GridError(f"phi_max and spacing must be finite and > 0, "
                             f"got ({phi_max}, {spacing})")
@@ -89,9 +89,7 @@ def assemble_hamiltonian_1d(
     Built by :meth:`SymmetricSparseOperator.on_lattice`; the Dirichlet walls
     are the lattice border.  ``beta = 0`` gives the bare box.
     """
-    validate_geometry(ratio)
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ValueError(f"coupling strength beta must be finite and >= 0, got {beta}")
+    validate_coupling(beta, ratio)
     _check_resolution(grid)
     index = np.pad(np.arange(grid.n_points, dtype=np.int32), 1, constant_values=-1)
     return SymmetricSparseOperator.on_lattice(

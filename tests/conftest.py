@@ -39,7 +39,7 @@ def mini_wedge_solves():
     from helixdipoles.threebody import assemble_hamiltonian_2d
 
     grid = WedgeGrid2D(x_max=12.0, y_max=16.0, spacing=0.4)
-    op = assemble_hamiltonian_2d(grid, 1.0, 1.0, allow_small_box=True)
+    op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
     dense = lowest_eigenpairs(op, 4, 1e-12, method="dense",
                               quadrature_weight=grid.spacing**2)
     lanczos = lowest_eigenpairs(op, 4, 1e-12, method="lanczos",

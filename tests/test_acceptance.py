@@ -276,7 +276,7 @@ def test_criterion_07_oracle_equivalence(mini_wedge_solves):
     # the shift-invert path against the same dense oracle
     dv1s, vv1s = compare(assemble_hamiltonian_1d(grid1d, 2.0, 1.0), 3, grid1d.spacing,
                          "shift-invert")
-    dv2s, vv2s = compare(assemble_hamiltonian_2d(wedge, 1.0, 1.0, allow_small_box=True),
+    dv2s, vv2s = compare(assemble_hamiltonian_2d(wedge, 1.0, 1.0),
                          4, w**2, "shift-invert")
 
     ok = max(dv1, dv2) <= 1e-9 and max(vv1, vv2) <= 1e-6

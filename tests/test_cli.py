@@ -26,6 +26,7 @@ from helixdipoles.cli import (
     run,
 )
 from helixdipoles.errors import ConvergenceError
+from helixdipoles.twobody import Grid1D
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,6 +94,13 @@ class TestRunConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             RunConfig.from_items({"no_such_knob": "1"})
+
+    def test_half_line_defaults_are_the_default_grid(self):
+        # one source: the default Grid1D, whose spacing is exactly 0.01
+        cfg = RunConfig()
+        assert (cfg.box_length, cfg.spacing_1d) == (Grid1D().phi_max, Grid1D().spacing)
+        assert (repr(cfg.box_length), repr(cfg.spacing_1d)) == ("100.0", "0.01")
+        assert Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d) == Grid1D()
 
     def test_resolved_box_depends_on_coupling(self):
         assert RunConfig(beta=1.0).resolved_box() == (30.0, 40.0, 0.1)
@@ -542,15 +550,40 @@ class TestGeneratedParser:
                 if action.dest != "help":
                     assert "default:" in action.help, (name, action.dest)
 
-    def test_readme_examples_parse(self):
+    @staticmethod
+    def readme_commands():
+        """The README's command-line block and its commands, as argv lists."""
         readme = Path(__file__).resolve().parents[1] / "README.md"
         block = readme.read_text().split("## Command line", 1)[1].split("```sh", 1)[1]
         block = block.split("```", 1)[0].replace("\\\n", " ")
         commands = [shlex.split(line, comments=True) for line in block.splitlines()]
-        commands = [cmd[1:] for cmd in commands if cmd and cmd[0] == "helix-dipoles"]
+        return block, [cmd[1:] for cmd in commands if cmd and cmd[0] == "helix-dipoles"]
+
+    def test_readme_examples_parse(self):
+        _, commands = self.readme_commands()
         assert len(commands) >= 5
         for argv in commands:
             build_parser().parse_args(argv)
+
+    def test_readme_examples_run(self, tmp_path):
+        # every command runs as written, with its --out-dir moved under tmp_path,
+        # and gives what the block's comments say
+        block, commands = self.readme_commands()
+        out = {}
+        for argv in commands:
+            at = argv.index("--out-dir") + 1
+            argv[at] = str(tmp_path / argv[at])
+            assert main(argv) == 0, argv
+            assert read_keyvalue(Path(argv[at]) / "summary.txt")["status"] == "ok"
+            out[argv[0]] = Path(argv[at])
+        assert "(reports 3 bound states)" in block
+        assert read_keyvalue(out["two-body"] / "summary.txt")["bound_count"] == "3"
+        assert "(columns phi_over_2pi,V_reduced)" in block
+        assert (out["potential"] / "data.csv").read_text().split("\n", 1)[0] == \
+            "phi_over_2pi,V_reduced"
+        assert "(columns beta,E0..E3,bound_count)" in block
+        assert (out["scan"] / "scan.csv").read_text().split("\n", 1)[0] == \
+            "beta,E0,E1,E2,E3,bound_count"
 
     def test_only_given_flags_override_config(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -76,6 +76,17 @@ class TestOperator:
         assert op.is_tridiagonal()
         assert not random_sparse_symmetric(60).is_tridiagonal()
 
+    def test_far_pair_within_tridiagonal_entry_count(self):
+        # nnz <= 3n - 2 passes the entry count; the row scan still finds the
+        # pair (0, n-1) and auto takes shift-invert, not the banded solve
+        n = 40
+        mat = sp.diags(np.arange(1.0, n + 1.0)).tolil()
+        mat[0, n - 1] = mat[n - 1, 0] = -0.5
+        op = SymmetricSparseOperator(mat.tocsr())
+        assert op.nnz == n + 2 <= 3 * n - 2
+        assert op.is_tridiagonal() is False
+        assert lowest_eigenpairs(op, 2).method == "shift-invert"
+
 
 def lattice_coo_reference(index, spacing, potential):
     """The lattice operator from COO triplets, one stencil arm at a time."""
@@ -232,7 +243,7 @@ class TestLowestEigenpairs:
 
     def test_auto_routes_wedge_to_shift_invert(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.2)
-        op = assemble_hamiltonian_2d(grid, 1.0, 1.0, allow_small_box=True)
+        op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
         assert op.n > DENSE_CUTOFF
         res = lowest_eigenpairs(op, 2, 1e-10)
         assert res.method == "shift-invert"
@@ -324,7 +335,7 @@ class TestRouting:
 
     def test_small_wedge_takes_shift_invert(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.4)
-        op = assemble_hamiltonian_2d(grid, 1.0, 1.0, allow_small_box=True)
+        op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
         assert op.n == 879
         assert lowest_eigenpairs(op, 2, 1e-9).method == "shift-invert"
 
@@ -355,7 +366,7 @@ class TestNearShift:
     @pytest.fixture(scope="class")
     def mini(self, mini_wedge_solves):
         grid, dense, _ = mini_wedge_solves
-        op = assemble_hamiltonian_2d(grid, 1.0, 1.0, allow_small_box=True)
+        op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
         return op, grid.spacing**2, dense
 
     def test_wedge_operators_are_z_matrices(self, mini):
@@ -397,8 +408,8 @@ class TestNearShift:
 
     def test_good_estimate_saves_solves(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.2)
-        op = assemble_hamiltonian_2d(grid, 2.0, 1.0, allow_small_box=True)
-        coarse = assemble_hamiltonian_2d(grid.coarsened(4), 2.0, 1.0, allow_small_box=True)
+        op = assemble_hamiltonian_2d(grid, 2.0, 1.0)
+        coarse = assemble_hamiltonian_2d(grid.coarsened(4), 2.0, 1.0)
         estimate = lowest_eigenpairs(coarse, 1, 1e-9).values[0]
         near = lowest_eigenpairs(op, 2, 1e-9, estimate=estimate)
         far = lowest_eigenpairs(op, 2, 1e-9)

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from helixdipoles import threebody
-from helixdipoles.errors import DimensionError, GridError
+from helixdipoles.errors import DimensionError, GeometryError, GridError
 from helixdipoles.linalg import DENSE_CUTOFF, SymmetricSparseOperator, lowest_eigenpairs
 from helixdipoles.potential import reduced_potential
 from helixdipoles.threebody import (
@@ -45,16 +45,30 @@ PROD_BETA025_D = (1.5454, 1.5468, 3.0922)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
+class AssemblyReached(Exception):
+    """Raised in place of the wedge assembly: the request passed its checks."""
+
+
+def stop_at_assembly(*args):
+    raise AssemblyReached
+
+
 def coo_reference(grid, beta, ratio):
-    """The wedge operator assembled from COO triplets, one stencil arm at a time."""
+    """The wedge operator assembled from COO triplets, one stencil arm at a time.
+
+    Neighbours are found from the node coordinates alone, not from ``grid.index``.
+    """
     dx = grid.spacing
     phi12, phi23, phi13 = pair_separations(grid.x, grid.y)
     pot = beta * (reduced_potential(phi12, ratio) + reduced_potential(phi23, ratio)
                   + reduced_potential(phi13, ratio))
     n = grid.n_active
+    ii, jj = np.rint(grid.x / dx).astype(int), np.rint(grid.y / dx).astype(int)
+    node = -np.ones((ii.max() + 2, jj.max() + 2), dtype=np.int64)
+    node[ii, jj] = np.arange(n)
     rows, cols, vals = [np.arange(n)], [np.arange(n)], [2.0 / dx**2 + pot]
     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        neighbor = grid._index[grid.ii + di, grid.jj + dj].astype(np.int64)
+        neighbor = node[ii + di, jj + dj]
         has = neighbor >= 0
         rows.append(np.flatnonzero(has))
         cols.append(neighbor[has])
@@ -145,11 +159,24 @@ class TestWedgeGrid:
         mx, my = WedgeGrid2D(12.0, 16.0, 0.4).margin_windings()
         assert mx < 5.0
 
-    def test_small_box_rejected_unless_allowed(self):
+    @pytest.mark.parametrize("x_max, y_max, spacing", [(30.0, 40.0, 0.1), (12.0, 16.0, 0.4)])
+    def test_index_matches_node_coordinates(self, x_max, y_max, spacing):
+        grid = WedgeGrid2D(x_max, y_max, spacing)
+        ii, jj = np.nonzero(grid.index >= 0)  # row-major, as on_lattice numbers
+        np.testing.assert_array_equal(ii, np.rint(grid.x / spacing))
+        np.testing.assert_array_equal(jj, np.rint(grid.y / spacing))
+        np.testing.assert_array_equal(grid.index[ii, jj], np.arange(grid.n_active))
+
+    def test_small_box_rejected_unless_allowed(self, monkeypatch):
+        # solve_three_body checks the box once per request, before any assembly
+        monkeypatch.setattr(threebody, "assemble_hamiltonian_2d", stop_at_assembly)
         grid = WedgeGrid2D(12.0, 16.0, 0.4)
-        with pytest.raises(GridError):
-            assemble_hamiltonian_2d(grid, 1.0, 1.0)
-        assemble_hamiltonian_2d(grid, 1.0, 1.0, allow_small_box=True)
+        with pytest.raises(GridError, match="allow_small_box"):
+            solve_three_body(grid, 1.0, 1.0, 1)
+        with pytest.raises(GeometryError):  # the ratio is checked before the box
+            solve_three_body(grid, 1.0, 5.0, 1)
+        with pytest.raises(AssemblyReached):
+            solve_three_body(grid, 1.0, 1.0, 1, allow_small_box=True)
 
     def test_invalid(self):
         with pytest.raises(GridError):
@@ -169,12 +196,17 @@ class TestWedgeGrid:
         # 2 pi / sqrt2 along x and 2 pi / sqrt(3/2) along y
         clear_x = (x_max - math.sqrt(2.0) * math.pi) / (TWO_PI / math.sqrt(2.0))
         clear_y = (y_max - math.sqrt(6.0) * math.pi) / (TWO_PI / math.sqrt(1.5))
-        if min(clear_x, clear_y) < 5.0:
-            with pytest.raises(GridError, match="allow_small_box"):
-                assemble_hamiltonian_2d(grid, 1.0, 1.0)
-        else:
-            assemble_hamiltonian_2d(grid, 1.0, 1.0)
-        assert assemble_hamiltonian_2d(grid, 1.0, 1.0, allow_small_box=True).n == grid.n_active
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(threebody, "assemble_hamiltonian_2d", stop_at_assembly)
+            if min(clear_x, clear_y) < 5.0:
+                with pytest.raises(GridError, match="allow_small_box"):
+                    solve_three_body(grid, 1.0, 1.0, 1)
+            else:
+                with pytest.raises(AssemblyReached):
+                    solve_three_body(grid, 1.0, 1.0, 1)
+            with pytest.raises(AssemblyReached):
+                solve_three_body(grid, 1.0, 1.0, 1, allow_small_box=True)
+        assert assemble_hamiltonian_2d(grid, 1.0, 1.0).n == grid.n_active  # any box assembles
 
 
 class TestAssembly2D:
@@ -190,7 +222,7 @@ class TestAssembly2D:
 
     def test_symmetry(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.4)
-        op = assemble_hamiltonian_2d(grid, 1.0, 1.0, allow_small_box=True)
+        op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
         csr = op.csr
         assert (csr != csr.T).nnz == 0
         rows = np.repeat(np.arange(op.n), np.diff(csr.indptr))  # every row stores its diagonal
@@ -199,7 +231,7 @@ class TestAssembly2D:
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_stencil_csr_equals_coo_reference(self, beta):
         grid = WedgeGrid2D(12.0, 16.0, 0.4)
-        csr = assemble_hamiltonian_2d(grid, beta, 1.0, allow_small_box=True).csr
+        csr = assemble_hamiltonian_2d(grid, beta, 1.0).csr
         ref = coo_reference(grid, beta, 1.0)
         assert csr.indices.dtype == np.int32 and csr.indptr.dtype == np.int32
         assert csr.has_canonical_format
@@ -227,13 +259,13 @@ class TestAssembly2D:
 
     def test_free_wedge_spectrum_positive(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.4)
-        op = assemble_hamiltonian_2d(grid, 0.0, 1.0, allow_small_box=True)
+        op = assemble_hamiltonian_2d(grid, 0.0, 1.0)
         res = lowest_eigenpairs(op, 4, 1e-11)
         assert np.all(res.values > 0.0)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     def test_nonfinite_beta_rejected(self, beta):
-        # rejected by the assembly, before any solve
+        # rejected by solve_three_body's request checks, before any assembly
         with pytest.raises(ValueError, match="finite"):
             solve_three_body(WedgeGrid2D(12.0, 16.0, 0.4), beta, 1.0, 1,
                              allow_small_box=True)
@@ -325,7 +357,7 @@ class TestCoarseEstimate:
 class TestMiniWedgeReferences:
     def test_dense_reference_dx05(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.5)
-        op = assemble_hamiltonian_2d(grid, 1.0, 1.0, allow_small_box=True)
+        op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
         res = lowest_eigenpairs(op, 4, 1e-12, method="dense")
         np.testing.assert_allclose(res.values, MINI_E_DX05, atol=1e-8)
 
@@ -336,7 +368,7 @@ class TestMiniWedgeReferences:
     def test_lanczos_reference_dx02(self):
         # cross-route: package Lanczos against the frozen dense reference
         grid = WedgeGrid2D(12.0, 16.0, 0.2)
-        op = assemble_hamiltonian_2d(grid, 1.0, 1.0, allow_small_box=True)
+        op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
         res = lowest_eigenpairs(op, 4, 1e-11, method="lanczos")
         np.testing.assert_allclose(res.values, MINI_E_DX02, atol=1e-8)
 
@@ -416,9 +448,10 @@ class TestProductionSolves:
         # the repulsive cores push amplitude away from the mask edges
         grid = three_body_beta1.grid
         psi0 = np.abs(three_body_beta1.wavefunction(0))
+        ii, jj = np.nonzero(grid.index >= 0)
         edge = np.zeros(grid.n_active, dtype=bool)
         for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            edge |= grid._index[grid.ii + di, grid.jj + dj] < 0
+            edge |= grid.index[ii + di, jj + dj] < 0
         assert psi0[edge].max() < 0.05 * psi0.max()
 
     def test_quadrature_norm(self, three_body_beta1):
