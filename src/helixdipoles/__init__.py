@@ -59,21 +59,3 @@ from .analysis import (
     fit_harmonic_size,
     size_energy_product,
 )
-
-__all__ = [
-    "__version__",
-    "HelixDipolesError", "GeometryError", "CoincidenceError", "GridError",
-    "DimensionError", "ConvergenceError",
-    "HelixGeometry", "PhysicalDipole", "PotentialMinimum", "RATIO_MAX",
-    "cartesian_position", "reduced_potential", "reduced_potential_derivative",
-    "full_potential", "beta_from_physical", "energy_unit_joules", "find_minima",
-    "validate_geometry", "SymmetricSparseOperator", "EigenResult", "lowest_eigenpairs",
-    "Grid1D", "TwoBodySolution", "BetaScanRow", "BOUND_THRESHOLD",
-    "assemble_hamiltonian_1d", "solve_two_body", "extend_full_line", "scan_beta",
-    "JacobiAngles", "WedgeGrid2D", "ThreeBodySolution",
-    "jacobi_from_angles", "angles_from_jacobi", "pair_separations",
-    "assemble_hamiltonian_2d", "solve_three_body", "pair_distance_expectations",
-    "symmetrize_wavefunction",
-    "SizeScanRow", "HarmonicFit", "expectation_phi2", "build_size_scan",
-    "fit_harmonic_size", "size_energy_product",
-]

@@ -310,8 +310,7 @@ def _run_three_body(cfg: RunConfig) -> tuple[dict, dict]:
     if cfg.symmetrize and not (0.0 < cfg.sample_extent < math.inf
                                and 0.0 < cfg.sample_spacing < math.inf):
         raise ValueError("symmetrize needs finite sample_extent > 0 and sample_spacing > 0")
-    x_max, y_max, spacing = cfg.resolved_box()
-    grid = WedgeGrid2D(x_max=x_max, y_max=y_max, spacing=spacing)
+    grid = WedgeGrid2D(*cfg.resolved_box())
     sol = solve_three_body(
         grid, cfg.beta, cfg.ratio, cfg.k_states,
         method=cfg.solver, seed=cfg.seed,
@@ -324,7 +323,7 @@ def _run_three_body(cfg: RunConfig) -> tuple[dict, dict]:
     d12, d23, d13 = sol.distances
     summary: dict = {
         "beta": cfg.beta, "ratio": cfg.ratio,
-        "x_max": x_max, "y_max": y_max, "spacing": spacing,
+        "x_max": grid.x_max, "y_max": grid.y_max, "spacing": grid.spacing,
         "n_active_nodes": grid.n_active,
         "peak_x": grid.x[peak], "peak_y": grid.y[peak],
         "dist_12_windings": d12, "dist_23_windings": d23, "dist_13_windings": d13,

@@ -135,6 +135,21 @@ class EigenResult:
     shift_source: str | None = None
 
 
+@dataclass
+class Solution:
+    """Eigenpairs ``eigen`` of a Hamiltonian assembled on ``grid``."""
+
+    grid: object
+    eigen: EigenResult
+
+    @property
+    def energies(self) -> np.ndarray:
+        return self.eigen.values
+
+    def wavefunction(self, state: int = 0) -> np.ndarray:
+        return self.eigen.vectors[:, state]
+
+
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive."""
     idx = np.argmax(np.abs(vectors), axis=0)
@@ -143,8 +158,7 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _package(op, vals, vecs, weight, method, seed, n_matvec, factor_nnz=0,
-             shift=None, shift_source=None):
+def _package(op, vals, vecs, weight, method, seed, n_matvec, **shifted):
     order = np.argsort(vals)
     vals = np.asarray(vals, dtype=float)[order]
     vecs = np.asarray(vecs, dtype=float)[:, order]
@@ -160,9 +174,7 @@ def _package(op, vals, vecs, weight, method, seed, n_matvec, factor_nnz=0,
         method=method,
         seed=seed,
         n_matvec=n_matvec + len(vals),
-        factor_nnz=factor_nnz,
-        shift=shift,
-        shift_source=shift_source,
+        **shifted,
     )
 
 

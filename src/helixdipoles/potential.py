@@ -53,8 +53,8 @@ class HelixGeometry:
     def __post_init__(self) -> None:
         if not 0.0 < self.radius_R < math.inf:
             raise GeometryError(f"radius must be finite and positive, got {self.radius_R}")
-        if self.pitch_h < 0.0:
-            raise GeometryError(f"pitch must be non-negative, got {self.pitch_h}")
+        if not 0.0 <= self.pitch_h < math.inf:
+            raise GeometryError(f"pitch must be finite and non-negative, got {self.pitch_h}")
 
     @property
     def alpha(self) -> float:
@@ -81,8 +81,8 @@ class PhysicalDipole:
 
     def __post_init__(self) -> None:
         for name in ("mass_m", "dipole_moment_d", "vacuum_permittivity"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,19 @@ def cartesian_position(phi, geo: HelixGeometry):
     return x, y, z
 
 
-def _check_coincidence(phi: np.ndarray) -> None:
+def _fraction(phi, ratio: float):
+    """Checked separations ``phi``, ``c = (ratio/2pi)^2`` and the numerator
+    ``1 - cos(phi) - c phi^2`` and denominator ``2(1 - cos(phi)) + c phi^2``
+    of :func:`reduced_potential`."""
+    phi = np.asarray(phi, dtype=float)
     if np.any(np.abs(phi) < COINCIDENCE_EPS):
         raise CoincidenceError(
             f"separation below coincidence epsilon {COINCIDENCE_EPS:g}"
         )
+    c = (ratio / TWO_PI) ** 2
+    q2 = c * phi * phi
+    one_minus_cos = 1.0 - np.cos(phi)
+    return phi, c, one_minus_cos - q2, 2.0 * one_minus_cos + q2
 
 
 def reduced_potential(phi, ratio: float):
@@ -131,24 +139,15 @@ def reduced_potential(phi, ratio: float):
     Raises:
         CoincidenceError: if any ``|phi| < 1e-12``.
     """
-    phi = np.asarray(phi, dtype=float)
-    _check_coincidence(phi)
-    q2 = (ratio / TWO_PI) ** 2 * phi * phi
-    one_minus_cos = 1.0 - np.cos(phi)
-    num = one_minus_cos - q2
-    den = 2.0 * one_minus_cos + q2
+    _, _, num, den = _fraction(phi, ratio)
     out = num / den**2.5
     return float(out) if out.ndim == 0 else out
 
 
 def reduced_potential_derivative(phi, ratio: float):
     """Closed-form d/dphi of :func:`reduced_potential` (same domain rules)."""
-    phi = np.asarray(phi, dtype=float)
-    _check_coincidence(phi)
-    c = (ratio / TWO_PI) ** 2
+    phi, c, num, den = _fraction(phi, ratio)
     sin = np.sin(phi)
-    num = 1.0 - np.cos(phi) - c * phi * phi
-    den = 2.0 * (1.0 - np.cos(phi)) + c * phi * phi
     dnum = sin - 2.0 * c * phi
     dden = 2.0 * sin + 2.0 * c * phi
     out = den ** (-3.5) * (dnum * den - 2.5 * num * dden)

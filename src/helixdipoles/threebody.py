@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .linalg import (DEFAULT_SEED, EigenResult, SymmetricSparseOperator, check_request,
+from .linalg import (DEFAULT_SEED, Solution, SymmetricSparseOperator, check_request,
                      lowest_eigenpairs)
 from .potential import TWO_PI, reduced_potential, validate_coupling
 from .twobody import STATISTICS
@@ -83,8 +83,10 @@ def pair_separations(x, y) -> tuple:
 class WedgeGrid2D:
     """Uniform grid over {0 < x < x_max, x/sqrt(3) < y < y_max}.
 
-    Only interior wedge nodes are active; everything outside the mask is an
-    implied Dirichlet zero.  ``index``, the lattice that
+    The requested box is rounded to whole cells: ``x_max`` and ``y_max`` are
+    the lattice walls ``nx * spacing`` and ``ny * spacing``.  Only interior
+    wedge nodes are active; everything outside the mask is an implied
+    Dirichlet zero.  ``index``, the lattice that
     :meth:`SymmetricSparseOperator.on_lattice` takes, numbers the active
     nodes of the (nx+1, ny+1) box corners row-major (node m at (x[m], y[m]))
     and holds -1 elsewhere.  Nodes closer to the wedge edge y = x/sqrt(3)
@@ -98,14 +100,13 @@ class WedgeGrid2D:
         if not all(0.0 < v < math.inf for v in (x_max, y_max, spacing)):
             raise GridError("x_max, y_max and spacing must be finite and positive, "
                             f"got ({x_max}, {y_max}, {spacing})")
-        self.x_max = float(x_max)
-        self.y_max = float(y_max)
         self.spacing = float(spacing)
-
-        nx = int(round(self.x_max / self.spacing))
-        ny = int(round(self.y_max / self.spacing))
+        nx = int(round(x_max / self.spacing))
+        ny = int(round(y_max / self.spacing))
         if nx < 3 or ny < 3:
             raise GridError("box too small for the requested spacing")
+        self.x_max = nx * self.spacing
+        self.y_max = ny * self.spacing
         ii, jj = np.meshgrid(np.arange(1, nx), np.arange(1, ny), indexing="ij")
         inside = jj - ii / SQRT3 > EDGE_CUSHION
         ii, jj = ii[inside], jj[inside]
@@ -116,8 +117,8 @@ class WedgeGrid2D:
         self.index[ii, jj] = np.arange(self.n_active)
 
     def coarsened(self, factor: int) -> "WedgeGrid2D | None":
-        """The same box at ``factor`` times the spacing, or None when no grid
-        can be built at that spacing."""
+        """This box rounded to whole cells of ``factor`` times the spacing, or
+        None when no grid can be built at that spacing."""
         try:
             return WedgeGrid2D(self.x_max, self.y_max, factor * self.spacing)
         except GridError:
@@ -131,19 +132,10 @@ class WedgeGrid2D:
 
 
 @dataclass
-class ThreeBodySolution:
+class ThreeBodySolution(Solution):
     """Wedge eigenpairs and ground-state pair-distance observables."""
 
-    grid: WedgeGrid2D
-    eigen: EigenResult
     distances: tuple[float, float, float]  # <phi12>, <phi23>, <phi13> in 2pi units
-
-    @property
-    def energies(self) -> np.ndarray:
-        return self.eigen.values
-
-    def wavefunction(self, state: int = 0) -> np.ndarray:
-        return self.eigen.vectors[:, state]
 
 
 def assemble_hamiltonian_2d(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, HelixDipolesError
-from .linalg import (DEFAULT_SEED, EigenResult, SymmetricSparseOperator, check_request,
+from .linalg import (DEFAULT_SEED, Solution, SymmetricSparseOperator, check_request,
                      lowest_eigenpairs)
 from .potential import reduced_potential, validate_coupling, validate_geometry
 
@@ -66,19 +66,10 @@ def _check_resolution(grid: Grid1D) -> None:
 
 
 @dataclass
-class TwoBodySolution:
+class TwoBodySolution(Solution):
     """Eigenpairs of the relative-motion problem at one coupling strength."""
 
-    grid: Grid1D
-    eigen: EigenResult
     bound_count: int
-
-    @property
-    def energies(self) -> np.ndarray:
-        return self.eigen.values
-
-    def wavefunction(self, state: int = 0) -> np.ndarray:
-        return self.eigen.vectors[:, state]
 
 
 def assemble_hamiltonian_1d(

@@ -49,8 +49,11 @@ class TestHelixGeometry:
             HelixGeometry(radius_R=0.0, pitch_h=1.0)
         with pytest.raises(GeometryError):
             HelixGeometry(radius_R=1.0, pitch_h=-0.1)
+        for pitch in (math.nan, math.inf, -math.inf):
+            with pytest.raises(GeometryError, match="finite"):
+                HelixGeometry(radius_R=1.0, pitch_h=pitch)
 
-    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, -math.inf])
     def test_non_finite_radius_rejected(self, radius):
         with pytest.raises(GeometryError, match="finite"):
             HelixGeometry(radius_R=radius, pitch_h=1.0)
@@ -230,6 +233,11 @@ class TestBetaFromPhysical:
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             PhysicalDipole(mass_m=-1.0, dipole_moment_d=1.0)
+        for name in ("mass_m", "dipole_moment_d", "vacuum_permittivity"):
+            for bad in (math.nan, math.inf, -math.inf):
+                fields = {"mass_m": 1.0, "dipole_moment_d": 1.0, name: bad}
+                with pytest.raises(ValueError, match=name):
+                    PhysicalDipole(**fields)
 
 
 class TestEnergyUnit:

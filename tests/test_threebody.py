@@ -8,12 +8,14 @@ from hypothesis import given, strategies as st
 
 from helixdipoles import threebody
 from helixdipoles.errors import DimensionError, GeometryError, GridError
-from helixdipoles.linalg import DENSE_CUTOFF, SymmetricSparseOperator, lowest_eigenpairs
+from helixdipoles.linalg import (DENSE_CUTOFF, EigenResult, SymmetricSparseOperator,
+                                 lowest_eigenpairs)
 from helixdipoles.potential import reduced_potential
 from helixdipoles.threebody import (
     EXCHANGE_GROUP,
     FIRST_MINIMUM_XY,
     JacobiAngles,
+    ThreeBodySolution,
     WedgeGrid2D,
     angles_from_jacobi,
     assemble_hamiltonian_2d,
@@ -167,6 +169,20 @@ class TestWedgeGrid:
         np.testing.assert_array_equal(jj, np.rint(grid.y / spacing))
         np.testing.assert_array_equal(grid.index[ii, jj], np.arange(grid.n_active))
 
+    def test_box_is_the_lattice_walls(self):
+        # 30/0.7 and 40/0.7 round to 43 and 57 cells: the lattice is 30.1 x 39.9
+        grid = WedgeGrid2D(30.0, 40.0, 0.7)
+        assert grid.index.shape == (44, 58)
+        assert (grid.x_max, grid.y_max) == (43 * 0.7, 57 * 0.7)
+        assert WedgeGrid2D(12.0, 16.0, 0.4).coarsened(4).x_max == 8 * 1.6  # 7.5 cells
+        # a unit field: zero only off the lattice; both points are their own wedge image
+        ones = EigenResult(np.zeros(1), np.ones((grid.n_active, 1)), np.zeros(1))
+        sol = ThreeBodySolution(grid=grid, eigen=ones, distances=(0.0, 0.0, 0.0))
+        psi, n_outside = symmetrize_wavefunction(sol, "boson", 5.0, 39.95)
+        assert (psi, n_outside) == (0.0, 1)
+        psi, n_outside = symmetrize_wavefunction(sol, "boson", 30.05, 35.0)
+        assert psi > 0.0 and n_outside == 0
+
     def test_small_box_rejected_unless_allowed(self, monkeypatch):
         # solve_three_body checks the box once per request, before any assembly
         monkeypatch.setattr(threebody, "assemble_hamiltonian_2d", stop_at_assembly)
@@ -192,10 +208,11 @@ class TestWedgeGrid:
     @given(st.floats(3.0, 40.0), st.floats(3.0, 50.0))
     def test_margin_violation_needs_allow_small_box(self, x_max, y_max):
         grid = WedgeGrid2D(x_max, y_max, 1.0)  # coarse: at most ~1,000 nodes
-        # the one-winding chain sits at (sqrt2 pi, sqrt6 pi); a winding is
-        # 2 pi / sqrt2 along x and 2 pi / sqrt(3/2) along y
-        clear_x = (x_max - math.sqrt(2.0) * math.pi) / (TWO_PI / math.sqrt(2.0))
-        clear_y = (y_max - math.sqrt(6.0) * math.pi) / (TWO_PI / math.sqrt(1.5))
+        # the walls sit on whole cells; the one-winding chain sits at
+        # (sqrt2 pi, sqrt6 pi); a winding is 2 pi / sqrt2 along x and
+        # 2 pi / sqrt(3/2) along y
+        clear_x = (round(x_max) - math.sqrt(2.0) * math.pi) / (TWO_PI / math.sqrt(2.0))
+        clear_y = (round(y_max) - math.sqrt(6.0) * math.pi) / (TWO_PI / math.sqrt(1.5))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(threebody, "assemble_hamiltonian_2d", stop_at_assembly)
             if min(clear_x, clear_y) < 5.0:
