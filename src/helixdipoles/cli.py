@@ -295,6 +295,7 @@ def _run_two_body(cfg: RunConfig) -> tuple[dict, dict]:
             [columns[0][0]] + [psi for _, psi in columns]))
     peak = grid.nodes[int(np.argmax(np.abs(sol.wavefunction(0))))]
     summary: dict = {"beta": cfg.beta, "ratio": cfg.ratio,
+                     "n_points": grid.n_points, "spacing": grid.spacing,
                      "bound_count": sol.bound_count, "peak_phi": peak}
     for m, e in enumerate(sol.energies):
         summary[f"E{m}"] = float(e)

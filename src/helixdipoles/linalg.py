@@ -3,16 +3,20 @@
 Every Hamiltonian of the package is built row-compressed by
 :meth:`SymmetricSparseOperator.on_lattice`, symmetric with every diagonal
 entry stored by construction; that is not re-checked.  Solves are routed
-by structure alone: tridiagonal operators go to a direct banded solver,
-everything else to ARPACK's own shift-invert mode, with ``H - sigma``
-factored once by sparse LU.  ``sigma`` sits just below a caller's
-estimate of the lowest eigenvalue when one LU solve certifies that
+by structure alone: tridiagonal operators go to a direct banded solver
+(LAPACK bisection, to a tolerance scaled by the operator's own level
+spacing, then inverse iteration), everything else to ARPACK's own
+shift-invert mode, with ``H - sigma`` factored once by sparse LU.
+``sigma`` sits just below a caller's estimate of the lowest eigenvalue
+when one LU solve certifies that
 ``H - sigma`` is a nonsingular M-matrix (so ``sigma`` lies below the whole
 spectrum), and below the Gershgorin bound otherwise.  Dense LAPACK and
 plain Lanczos on the operator (``lanczos``) are only taken when forced;
 dense is capped at ``DENSE_CUTOFF`` unknowns.  ARPACK's own restart limit
 bounds the iteration; when it stops short, the pairs it did converge
-travel on the :class:`ConvergenceError`.  Start vectors come from a seeded
+travel on the :class:`ConvergenceError`.  Whatever the route, the energies
+returned are the Rayleigh quotients of the returned eigenvectors, taken
+with the matvecs of the residual check.  Start vectors come from a seeded
 generator whose seed is carried in the result, so repeated runs are
 reproducible.
 """
@@ -41,6 +45,13 @@ DEFAULT_SEED = 20177
 #: :func:`lowest_eigenpairs`).  The grid and the box, not this, set the error
 #: of the spectra; each result's residual norms carry the evidence.
 ARPACK_TOL = 1e-9
+
+#: The banded route bisects each eigenvalue to this fraction of the
+#: operator's free-lattice gap ``3 pi^2 max|H_i,i+1| / (n+1)^2`` (about 1.5e-6
+#: at h = 0.01), far coarser than LAPACK's default ``eps ||H||``.  Its
+#: inverse-iteration vectors still converge, and the reported energy is
+#: their Rayleigh quotient, whose error is quadratic in theirs.
+BISECTION_GAP_FRACTION = 1e-3
 
 #: A shift taken from an estimate ``e`` of the lowest eigenvalue sits this
 #: fraction of the way from ``e`` down to the Gershgorin bound.
@@ -158,19 +169,25 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _package(op, vals, vecs, weight, method, seed, n_matvec, **shifted):
-    order = np.argsort(vals)
-    vals = np.asarray(vals, dtype=float)[order]
-    vecs = np.asarray(vecs, dtype=float)[:, order]
+def _package(op, vecs, weight, method, seed, n_matvec, **shifted):
+    """Result for the solver's eigenvectors ``vecs``, energies their Rayleigh quotients.
+
+    ``v' H v`` of a unit vector errs only quadratically in the vector's error
+    (Parlett, *The Symmetric Eigenvalue Problem*, ch. 4), so it does not
+    carry the error of the value the solver paired with ``v``.  The ``H v``
+    it needs is the one the residual check applies, one ``op.matvec`` per
+    column.
+    """
+    vecs = np.array(vecs, dtype=float)
     vecs /= np.linalg.norm(vecs, axis=0)
-    vecs = _canonical_signs(vecs)
-    residuals = np.array(
-        [np.linalg.norm(op.matvec(vecs[:, i]) - vals[i] * vecs[:, i]) for i in range(len(vals))]
-    )
+    hv = np.column_stack([op.matvec(vecs[:, i]) for i in range(vecs.shape[1])])
+    vals = np.einsum("ij,ij->j", vecs, hv)
+    residuals = np.linalg.norm(hv - vals * vecs, axis=0)
+    order = np.argsort(vals)
     return EigenResult(
-        values=vals,
-        vectors=vecs / np.sqrt(weight),
-        residual_norms=residuals,
+        values=vals[order],
+        vectors=_canonical_signs(vecs[:, order]) / np.sqrt(weight),
+        residual_norms=residuals[order],
         method=method,
         seed=seed,
         n_matvec=n_matvec + len(vals),
@@ -208,10 +225,12 @@ def lowest_eigenpairs(
     Args:
         op: operator to diagonalize.
         k: number of eigenpairs, ``1 <= k <= n/4``.
-        tol: iterative convergence target within ``[1e-12, 1e-4]``
-            (default :data:`ARPACK_TOL`), passed to ARPACK as the relative
-            accuracy of the Ritz values it iterates on: ``E`` for
-            ``lanczos``, ``mu = 1/(E - sigma)`` for ``shift-invert``.
+        tol: ARPACK's convergence target within ``[1e-12, 1e-4]``
+            (default :data:`ARPACK_TOL`), the relative accuracy of the Ritz
+            values it iterates on: ``E`` for ``lanczos``,
+            ``mu = 1/(E - sigma)`` for ``shift-invert``.  The other routes
+            ignore it; the banded one bisects to its own absolute tolerance,
+            :data:`BISECTION_GAP_FRACTION` of the free-lattice gap.
         method: ``auto`` (direct banded solve, reported as ``tridiagonal``,
             for tridiagonal operators; shift-invert otherwise), or one of
             ``dense`` (at most ``DENSE_CUTOFF`` unknowns) / ``shift-invert`` /
@@ -226,6 +245,10 @@ def lowest_eigenpairs(
             spectrum, and falls back to the Gershgorin shift otherwise (see
             :func:`_shifted_factor`).  A wrong guess costs one extra
             factorization, never a wrong answer.
+
+    On every route each returned energy is the Rayleigh quotient ``v' H v``
+    of its unit eigenvector, not the value the solver paired with it, and
+    the pairs come sorted by it.
 
     ``n_matvec`` of the result counts the iterative operator applications
     (matvecs for ``lanczos``; for ``shift-invert``, the sparse LU solves,
@@ -248,18 +271,18 @@ def lowest_eigenpairs(
         method = "tridiagonal" if op.is_tridiagonal() else "shift-invert"
 
     if method == "dense":
-        vals, vecs = np.linalg.eigh(op.csr.toarray())
-        return _package(op, vals[:k], vecs[:, :k], quadrature_weight,
-                        "dense", None, 0)
+        vecs = np.linalg.eigh(op.csr.toarray())[1][:, :k]
+        return _package(op, vecs, quadrature_weight, "dense", None, 0)
     if method == "tridiagonal":
-        vals, vecs = eigh_tridiagonal(op.csr.diagonal(), op.csr.diagonal(1),
-                                      select="i", select_range=(0, k - 1))
-        return _package(op, vals, vecs, quadrature_weight,
-                        "tridiagonal", None, 0)
-    vals, vecs, n_mv, shifted = _arpack(op, k, tol, seed,
-                                        shift_invert=method == "shift-invert",
-                                        estimate=estimate)
-    return _package(op, vals, vecs, quadrature_weight, method, seed, n_mv, **shifted)
+        off = op.csr.diagonal(1)
+        # the free-lattice gap between the two lowest levels of an n-node chain
+        gap = 3.0 * math.pi**2 * np.max(np.abs(off), initial=0.0) / (op.n + 1) ** 2
+        vecs = eigh_tridiagonal(op.csr.diagonal(), off, select="i", select_range=(0, k - 1),
+                                tol=BISECTION_GAP_FRACTION * gap)[1]
+        return _package(op, vecs, quadrature_weight, "tridiagonal", None, 0)
+    vecs, n_mv, shifted = _arpack(op, k, tol, seed, shift_invert=method == "shift-invert",
+                                  estimate=estimate)
+    return _package(op, vecs, quadrature_weight, method, seed, n_mv, **shifted)
 
 
 def _shifted_factor(op, estimate):
@@ -319,10 +342,10 @@ def _arpack(op, k, tol, seed, shift_invert, estimate=None):
     LU solve of :func:`_shifted_factor` given as ``OPinv``, for its largest
     eigenvalues ``mu``, and ``dseupd`` maps them back by
     ``E = sigma + 1/mu`` and purifies the Ritz vectors, the partial pairs of
-    an ``ArpackNoConvergence`` included.  Returns values, vectors, the
-    operator-application count and the shift-invert fields of
-    :class:`EigenResult` (``factor_nnz``, ``shift``, ``shift_source``; empty
-    in plain mode).
+    an ``ArpackNoConvergence`` included.  Returns the Ritz vectors (their
+    energies are taken by :func:`_package`), the operator-application count
+    and the shift-invert fields of :class:`EigenResult` (``factor_nnz``,
+    ``shift``, ``shift_source``; empty in plain mode).
     """
     from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
                                      LinearOperator, eigsh)
@@ -360,10 +383,10 @@ def _arpack(op, k, tol, seed, shift_invert, estimate=None):
     mode = (dict(A=op.csr, sigma=sigma, which="LM", OPinv=applied) if shift_invert
             else dict(A=applied, which="SA"))
     try:
-        vals, vecs = eigsh(k=k, ncv=ncv, tol=tol, v0=v0, rng=rng, **mode)
+        vecs = eigsh(k=k, ncv=ncv, tol=tol, v0=v0, rng=rng, **mode)[1]
     except ArpackNoConvergence as exc:
         raise ConvergenceError(f"ARPACK did not converge: {exc}",
                                result=(exc.eigenvalues, exc.eigenvectors)) from None
     except ArpackError as exc:
         raise ConvergenceError(f"ARPACK failed: {exc}") from None
-    return vals, vecs, n_apply, shifted
+    return vecs, n_apply, shifted

@@ -247,6 +247,14 @@ class TestTwoBodyCommand:
         assert RunConfig.from_items(echoed) == cfg
         assert "solver_seed" in read_keyvalue(tmp_path / "summary.txt")
 
+    def test_summary_records_the_solved_grid(self, tmp_path):
+        # 100 / 0.03 is no whole number of cells: the grid rounds to 3,333 of them
+        assert main(["two-body", "--box-length", "100", "--spacing", "0.03",
+                     "--out-dir", str(tmp_path)]) == 0
+        summary = read_keyvalue(tmp_path / "summary.txt")
+        assert summary["n_points"] == "3332"
+        assert summary["spacing"] == _fmt(100.0 / 3333) == "0.0300030003"
+
 
 class TestThreeBodyCommand:
     def test_mini_run_with_symmetrize(self, tmp_path):

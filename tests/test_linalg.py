@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helixdipoles import linalg
 from helixdipoles.errors import ConvergenceError, DimensionError
 from helixdipoles.linalg import (
     DENSE_CUTOFF,
@@ -326,6 +328,72 @@ class TestLowestEigenpairs:
         op, _, _ = dirichlet_box(10.0, 99)
         with pytest.raises(ValueError, match="unknown method"):
             lowest_eigenpairs(op, 1, 1e-9, method="qr")
+
+
+class _CountedLU:
+    """A sparse LU factor that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.nnz, self.solves = lu, lu.nnz, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+class TestSolverContract:
+    @pytest.mark.parametrize("method", ["dense", "auto", "shift-invert", "lanczos"])
+    def test_values_are_rayleigh_quotients_and_matvecs_counted(self, method, monkeypatch):
+        # beta=20 puts 1.1e6 on the first diagonal, far above every state
+        # here; LAPACK's default bisection tolerance scales with it
+        op = assemble_hamiltonian_1d(Grid1D.from_spacing(20.0, 0.02), 20.0, 1.0)
+        k = 4
+        matvec, shifted_factor = SymmetricSparseOperator.matvec, linalg._shifted_factor
+        calls, factors = [], []
+
+        def counted_matvec(self, v):
+            calls.append(1)
+            return matvec(self, v)
+
+        def counted_factor(*args):
+            lu, sigma, source, checks = shifted_factor(*args)
+            factors.append(_CountedLU(lu))
+            return factors[-1], sigma, source, checks
+
+        monkeypatch.setattr(SymmetricSparseOperator, "matvec", counted_matvec)
+        monkeypatch.setattr(linalg, "_shifted_factor", counted_factor)
+        res = lowest_eigenpairs(op, k, 1e-11, method=method, quadrature_weight=0.5)
+        v = res.vectors
+        norms = np.einsum("ij,ij->j", v, v)
+        quotients = np.einsum("ij,ij->j", v, op.csr @ v) / norms
+        # the rounding of v'Hv: a few eps times |v|'|H||v|
+        rounding = 4.0 * np.finfo(float).eps * np.einsum(
+            "ij,ij->j", abs(v), abs(op.csr) @ abs(v)) / norms
+        assert np.all(np.abs(res.values - quotients) <= rounding)
+        assert np.all(np.diff(res.values) > 0.0)
+        # beyond the solver's own work, exactly one residual matvec per pair
+        own = {"lanczos": len(calls) - k,
+               "shift-invert": sum(lu.solves for lu in factors)}.get(method, 0)
+        assert res.n_matvec == own + k
+        if method != "lanczos":
+            assert len(calls) == k
+
+
+class TestBandedAccuracy:
+    @pytest.mark.parametrize("grid", [Grid1D(), Grid1D.from_spacing(1000.0, 0.01)],
+                             ids=["L100", "L1000"])
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 20.0])
+    def test_residuals_and_full_precision_oracle(self, grid, beta):
+        # on the L=1000 box a fixed bisection tolerance of 1e-6 leaves residuals
+        # up to 5e-10; the gap-scaled one keeps them near 1e-12 at every size
+        op = assemble_hamiltonian_1d(grid, beta, 1.0)
+        res = lowest_eigenpairs(op, 4)
+        assert res.method == "tridiagonal"
+        assert res.residual_norms.max() <= 1e-11
+        vals, vecs = eigh_tridiagonal(op.csr.diagonal(), op.csr.diagonal(1),
+                                      select="i", select_range=(0, 3))
+        oracle_residuals = np.linalg.norm(op.csr @ vecs - vals * vecs, axis=0)
+        assert np.all(np.abs(res.values - vals) <= res.residual_norms + oracle_residuals)
 
 
 class TestRouting:
