@@ -195,12 +195,13 @@ def _package(op, vecs, weight, method, seed, n_matvec, **shifted):
     )
 
 
-def check_request(k: int, n: int, method: str) -> None:
+def check_request(k: int, n: int, method: str, seed: int) -> None:
     """Reject a solve request for ``k`` pairs of an ``n``-unknown operator.
 
     Raises :class:`DimensionError` unless ``1 <= k <= max(1, n/4)``, and
     unless ``n <= DENSE_CUTOFF`` for ``method="dense"``; ``ValueError``
-    unless ``method`` is one of :data:`METHODS`.
+    unless ``method`` is one of :data:`METHODS` and unless ``seed >= 0``
+    (on every route, the seedless ones too).
     """
     if not 1 <= k <= max(1, n // 4):
         raise DimensionError(f"k={k} outside [1, n/4] for n={n}")
@@ -208,6 +209,8 @@ def check_request(k: int, n: int, method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
     if method == "dense" and n > DENSE_CUTOFF:
         raise DimensionError(f"dense solves take at most {DENSE_CUTOFF} unknowns, got n={n}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def lowest_eigenpairs(
@@ -264,7 +267,7 @@ def lowest_eigenpairs(
             ``maxiter``, 10 n) before reaching ``tol``; the pairs it did
             converge are attached to the exception as energies and vectors.
     """
-    check_request(k, op.n, method)
+    check_request(k, op.n, method, seed)
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol must lie in [1e-12, 1e-4]")
     if method == "auto":

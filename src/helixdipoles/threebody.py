@@ -6,11 +6,13 @@ The hard pair cores make the wave function vanish whenever two angles agree,
 so it suffices to solve in the ordered wedge phi1 > phi2 > phi3, i.e.
 {x > 0, y > x/sqrt(3)}, with Dirichlet closure on the wedge edges and on an
 outer rectangle.  Full-plane wave functions for identical bosons or fermions
-are recovered afterwards by reflecting across the coincidence lines.
+are recovered afterwards by summing the wedge solution over the six
+permutations of the particle angles (:func:`exchange_images`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -171,16 +173,16 @@ def solve_three_body(
 ) -> ThreeBodySolution:
     """Lowest ``k`` wedge states and the ground-state pair distances.
 
-    Once per request, before any assembly, it checks ``k`` and ``method``,
-    ``ratio``, ``beta`` and, unless ``allow_small_box``, that the box clears
-    the chain configuration by ``MIN_MARGIN_WINDINGS`` windings on each axis.
-    When the solve takes shift-invert (``auto`` or forced), the same box is
-    first solved at ``COARSE_FACTOR`` times the spacing, and its ground
-    energy is handed to :func:`lowest_eigenpairs` as the ``estimate`` that
-    places the shift.  A coarse grid that cannot be built is skipped; every
-    one that can has at least two nodes, enough for its one-pair request.
+    Once per request, before any assembly, it checks ``k``, ``method``,
+    ``seed``, ``ratio``, ``beta`` and, unless ``allow_small_box``, that the
+    box clears the chain configuration by ``MIN_MARGIN_WINDINGS`` windings on
+    each axis.  When the solve takes shift-invert (``auto`` or forced), the
+    same box is first solved at ``COARSE_FACTOR`` times the spacing, and its
+    ground energy is handed to :func:`lowest_eigenpairs` as the ``estimate``
+    that places the shift.  A coarse grid that cannot be built is skipped;
+    every one that can has at least two nodes, enough for its one-pair request.
     """
-    check_request(k, grid.n_active, method)  # before the costly assembly
+    check_request(k, grid.n_active, method, seed)  # before the costly assembly
     validate_coupling(beta, ratio)
     mx, my = grid.margin_windings()
     if not allow_small_box and (mx < MIN_MARGIN_WINDINGS or my < MIN_MARGIN_WINDINGS):
@@ -220,28 +222,18 @@ def pair_distance_expectations(
                  for phi in pair_separations(grid.x, grid.y))
 
 
-def _reflection(angle: float) -> np.ndarray:
-    two = 2.0 * angle
-    return np.array([[math.cos(two), math.sin(two)],
-                     [math.sin(two), -math.cos(two)]])
+def exchange_images(x, y):
+    """Images of the points (x, y) under the six permutations of the particle angles.
 
-
-def _rotation(angle: float) -> np.ndarray:
-    return np.array([[math.cos(angle), -math.sin(angle)],
-                     [math.sin(angle), math.cos(angle)]])
-
-
-#: The particle-exchange group acting on (x, y): identity and the two cyclic
-#: rotations are even; the three reflections (pair swaps, fixed lines x = 0
-#: and y = +-x/sqrt(3)) are odd.
-EXCHANGE_GROUP: list[tuple[np.ndarray, float]] = [
-    (np.eye(2), 1.0),
-    (_rotation(2.0 * math.pi / 3.0), 1.0),
-    (_rotation(-2.0 * math.pi / 3.0), 1.0),
-    (_reflection(math.pi / 2.0), -1.0),   # swap 1<->2: x -> -x
-    (_reflection(math.pi / 6.0), -1.0),   # swap 2<->3: line y = x/sqrt(3)
-    (_reflection(-math.pi / 6.0), -1.0),  # swap 1<->3: line y = -x/sqrt(3)
-]
+    Maps the points to angles at zero center of mass, permutes them and maps
+    back.  Yields ``(x', y', parity)`` per permutation, the identity first;
+    ``parity`` is the permutation's sign, -1 for the three pair swaps.
+    """
+    angles = angles_from_jacobi(JacobiAngles(x, y, 0.0))
+    for perm in itertools.permutations(range(3)):
+        image = jacobi_from_angles(*(angles[i] for i in perm))
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        yield image.x, image.y, (-1.0) ** inversions
 
 
 def symmetrize_wavefunction(
@@ -252,11 +244,11 @@ def symmetrize_wavefunction(
 ) -> tuple[np.ndarray, int]:
     """Sample the full-plane (anti)symmetrized ground state at the points (x, y).
 
-    Each sample point is carried around the exchange group; the zero-padded
-    bilinear interpolant of the wedge solution is summed over the orbit with
-    the permutation parity as sign for fermions (all +1 for bosons).  The
-    group sum makes bosonic output exactly reflection-invariant and forces
-    fermionic output to vanish on the coincidence lines.
+    The zero-padded bilinear interpolant of the wedge solution is summed
+    over the six :func:`exchange_images` of each point, with the permutation
+    parity as sign for fermions (all +1 for bosons).  The sum makes the
+    output even (bosons) or odd (fermions) under every exchange, to
+    rounding, so fermionic output vanishes on the coincidence lines.
 
     Returns:
         (psi, n_outside): ``psi`` with the shape of ``x`` and ``y`` broadcast
@@ -272,7 +264,7 @@ def symmetrize_wavefunction(
     nx, ny = padded.shape[0] - 1, padded.shape[1] - 1
 
     X, Y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    pts = np.stack([X.ravel(), Y.ravel()])
+    xs, ys = X.ravel(), Y.ravel()
 
     def interpolate(px, py):
         fx, fy = px / dx, py / dx
@@ -288,15 +280,15 @@ def symmetrize_wavefunction(
         return np.where(inside, v, 0.0)
 
     use_parity = statistics == "fermion"
-    total = np.zeros(pts.shape[1])
-    for mat, parity in EXCHANGE_GROUP:
-        total += (parity if use_parity else 1.0) * interpolate(*(mat @ pts))
+    total = np.zeros(xs.size)
+    for ix, iy, parity in exchange_images(xs, ys):
+        total += (parity if use_parity else 1.0) * interpolate(ix, iy)
 
     # wedge representative outside the solved box -> flagged zero; ordering
     # the particle angles phi1 >= phi2 >= phi3 maps a point into the wedge.
     # Its rounding can carry a point on an outer wall a couple of ulps out,
     # so the walls get a slack of 8 ulps (the interpolant is zero there).
-    ordered = np.sort(angles_from_jacobi(JacobiAngles(pts[0], pts[1], 0.0)), axis=0)[::-1]
+    ordered = np.sort(angles_from_jacobi(JacobiAngles(xs, ys, 0.0)), axis=0)[::-1]
     wedge = jacobi_from_angles(*ordered)
     slack = 8 * np.spacing(max(grid.x_max, grid.y_max))
     outside = (wedge.x > grid.x_max + slack) | (wedge.y > grid.y_max + slack)

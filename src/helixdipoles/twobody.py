@@ -166,7 +166,7 @@ def scan_beta(
     if not betas:
         raise ValueError("betas must be non-empty")
     validate_geometry(ratio)
-    check_request(k, grid.n_points, method)
+    check_request(k, grid.n_points, method, seed)
     _check_resolution(grid)
     rows: list[BetaScanRow] = []
     for beta in betas:

@@ -477,11 +477,13 @@ class TestInputEdges:
         MINI_WEDGE + ["--symmetrize", "--sample-spacing=-0.5"],
         MINI_WEDGE + ["--symmetrize", "--sample-extent=-1"],
         MINI_WEDGE + ["--symmetrize", "--sample-extent=nan"],
+        ["two-body", "--seed", "-1"],
+        ["scan", "--seed=-1"],
     ], ids=["two-body-k0", "three-body-k0", "phi-max-0", "n-samples-0", "n-samples-neg",
             "spacing-0", "scan-k0", "scan-k-huge", "scan-coarse-spacing",
             "wedge-box-too-small",
             "sample-spacing-0", "sample-spacing-neg", "sample-extent-neg",
-            "sample-extent-nan"])
+            "sample-extent-nan", "two-body-seed-neg", "scan-seed-neg"])
     def test_bad_input_is_config_error(self, argv, tmp_path):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         meta = read_keyvalue(tmp_path / "metadata.txt")

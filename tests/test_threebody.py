@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -12,13 +11,13 @@ from helixdipoles.linalg import (DENSE_CUTOFF, EigenResult, SymmetricSparseOpera
                                  lowest_eigenpairs)
 from helixdipoles.potential import reduced_potential
 from helixdipoles.threebody import (
-    EXCHANGE_GROUP,
     FIRST_MINIMUM_XY,
     JacobiAngles,
     ThreeBodySolution,
     WedgeGrid2D,
     angles_from_jacobi,
     assemble_hamiltonian_2d,
+    exchange_images,
     jacobi_from_angles,
     pair_distance_expectations,
     pair_separations,
@@ -113,21 +112,21 @@ class TestJacobiTransform:
         np.testing.assert_allclose(pair_separations(j.x, j.y),
                                    (p1 - p2, p2 - p3, p1 - p3), rtol=0.0, atol=1e-12)
 
-    def test_exchange_group_is_the_angle_permutations(self):
-        # each element, with its parity, is one permutation P of the angles
-        # seen through the Jacobi map: the (x, y) block of J P J^T
-        jac = np.array([[getattr(jacobi_from_angles(*e), c) for e in np.eye(3)]
-                        for c in "xyz"])
-        matched = []
-        for perm in itertools.permutations(range(3)):
-            p = np.eye(3)[list(perm)]
-            moved = jac @ p @ jac.T
-            np.testing.assert_allclose(moved[:2, 2], 0.0, atol=1e-15)  # z decouples
-            parity = round(np.linalg.det(p))
-            matched += [i for i, (mat, sign) in enumerate(EXCHANGE_GROUP)
-                        if sign == parity and np.allclose(mat, moved[:2, :2], rtol=0.0,
-                                                          atol=1e-15)]
-        assert sorted(matched) == list(range(len(EXCHANGE_GROUP))) == list(range(6))
+    @given(st.floats(-50, 50), st.floats(-50, 50))
+    def test_exchange_images_permute_the_pair_separations(self, x, y):
+        # an exchange permutes the pair distances and multiplies the product
+        # phi12 phi23 phi13 (the Vandermonde of the angles) by its sign
+        seps = pair_separations(x, y)
+        scale = 1.0 + max(abs(s) for s in seps)
+        images = list(exchange_images(x, y))
+        np.testing.assert_allclose(images[0][:2], (x, y), rtol=0.0, atol=1e-12)  # identity
+        assert sorted(parity for *_, parity in images) == [-1.0] * 3 + [1.0] * 3
+        for ix, iy, parity in images:
+            moved = pair_separations(ix, iy)
+            np.testing.assert_allclose(sorted(np.abs(moved)), sorted(np.abs(seps)),
+                                       rtol=0.0, atol=1e-12)
+            assert np.prod(moved) == pytest.approx(parity * np.prod(seps),
+                                                   rel=0.0, abs=1e-12 * scale**3)
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
     def test_ordered_angles_give_the_wedge_image(self, x, y):
@@ -135,7 +134,7 @@ class TestJacobiTransform:
         # ordering the particle angles phi1 >= phi2 >= phi3
         ordered = np.sort(angles_from_jacobi(JacobiAngles(x, y, 0.0)))[::-1]
         rep = jacobi_from_angles(*ordered)
-        gaps = [math.hypot(*(mat @ (x, y) - (rep.x, rep.y))) for mat, _ in EXCHANGE_GROUP]
+        gaps = [math.hypot(ix - rep.x, iy - rep.y) for ix, iy, _ in exchange_images(x, y)]
         assert min(gaps) < 1e-12
         assert rep.x >= 0.0 and rep.y >= rep.x / math.sqrt(3.0) - 1e-12
 
@@ -193,6 +192,12 @@ class TestWedgeGrid:
             solve_three_body(grid, 1.0, 5.0, 1)
         with pytest.raises(AssemblyReached):
             solve_three_body(grid, 1.0, 1.0, 1, allow_small_box=True)
+
+    def test_negative_seed_rejected_before_assembly(self, monkeypatch):
+        monkeypatch.setattr(threebody, "assemble_hamiltonian_2d", stop_at_assembly)
+        grid = WedgeGrid2D(12.0, 16.0, 0.4)
+        with pytest.raises(ValueError, match="seed"):
+            solve_three_body(grid, 1.0, 1.0, 1, seed=-1, allow_small_box=True)
 
     def test_invalid(self):
         with pytest.raises(GridError):
@@ -488,14 +493,16 @@ class TestMonotonicLocalization:
 
 
 class TestSymmetrization:
-    def test_boson_invariant_under_group(self, three_body_beta1):
+    @pytest.mark.parametrize("statistics", ["boson", "fermion"])
+    def test_even_or_odd_under_exchange(self, three_body_beta1, statistics):
+        # bosons keep their value at every image, fermions take its parity
         rng = np.random.default_rng(17)
         pts = rng.uniform(-15.0, 15.0, size=(2, 500))
-        base, _ = symmetrize_wavefunction(three_body_beta1, "boson", pts[0], pts[1])
-        for mat, _ in EXCHANGE_GROUP[1:]:
-            gx, gy = mat @ pts
-            moved, _ = symmetrize_wavefunction(three_body_beta1, "boson", gx, gy)
-            np.testing.assert_allclose(moved, base, atol=1e-6)
+        base, _ = symmetrize_wavefunction(three_body_beta1, statistics, pts[0], pts[1])
+        for gx, gy, parity in list(exchange_images(*pts))[1:]:
+            moved, _ = symmetrize_wavefunction(three_body_beta1, statistics, gx, gy)
+            sign = parity if statistics == "fermion" else 1.0
+            np.testing.assert_allclose(moved, sign * base, atol=1e-6)
 
     def test_fermion_vanishes_on_coincidence_lines(self, three_body_beta1):
         t = np.linspace(0.5, 12.0, 40)
@@ -513,8 +520,9 @@ class TestSymmetrization:
         x0, y0 = FIRST_MINIMUM_XY
         val0 = symmetrize_wavefunction(three_body_beta1, "boson", x0, y0)[0]
         assert val0 > 0.0
-        for mat, _ in EXCHANGE_GROUP[1:3]:
-            gx, gy = mat @ np.array([x0, y0])
+        cyclic = [(gx, gy) for gx, gy, parity in exchange_images(x0, y0) if parity > 0][1:]
+        assert len(cyclic) == 2
+        for gx, gy in cyclic:
             val = symmetrize_wavefunction(three_body_beta1, "boson", gx, gy)[0]
             assert val == pytest.approx(val0, rel=1e-10)
 
@@ -526,15 +534,15 @@ class TestSymmetrization:
         assert psi.shape == (1,) and psi[0] == 0.0
 
     def test_outer_wall_images_not_flagged(self, three_body_beta1):
-        # exchange-group images of points exactly on x = x_max and y = y_max
+        # exchange images of points exactly on x = x_max and y = y_max
         # lie on the box, not outside it, whatever the image map's rounding
         grid = three_body_beta1.grid
         t = np.linspace(0.0, 1.0, 401)
         corner = grid.x_max / math.sqrt(3.0)
         walls = np.hstack([[np.full_like(t, grid.x_max), corner + t * (grid.y_max - corner)],
                            [t * grid.x_max, np.full_like(t, grid.y_max)]])
-        for mat, _ in EXCHANGE_GROUP:
-            psi, n_outside = symmetrize_wavefunction(three_body_beta1, "boson", *(mat @ walls))
+        for gx, gy, _ in exchange_images(*walls):
+            psi, n_outside = symmetrize_wavefunction(three_body_beta1, "boson", gx, gy)
             assert n_outside == 0
             assert np.max(np.abs(psi)) < 1e-12
         outward = np.kron(np.eye(2), np.ones(len(t)))  # +x on x_max, +y on y_max
