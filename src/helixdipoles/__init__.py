@@ -40,7 +40,6 @@ from .twobody import (
     solve_two_body,
 )
 from .threebody import (
-    JacobiAngles,
     ThreeBodySolution,
     WedgeGrid2D,
     angles_from_jacobi,

@@ -16,9 +16,9 @@ dense is capped at ``DENSE_CUTOFF`` unknowns.  ARPACK's own restart limit
 bounds the iteration; when it stops short, the pairs it did converge
 travel on the :class:`ConvergenceError`.  Whatever the route, the energies
 returned are the Rayleigh quotients of the returned eigenvectors, taken
-with the matvecs of the residual check.  Start vectors come from a seeded
-generator whose seed is carried in the result, so repeated runs are
-reproducible.
+with the matvecs of the residual check.  A near-shift run starts from the
+certificate's solve; other start and restart vectors come from a seeded
+generator whose seed the result carries, so repeated runs are reproducible.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ DENSE_CUTOFF = 2000
 #: Eigensolver paths; ``auto`` picks the banded solve or ``shift-invert``.
 METHODS = ("auto", "dense", "shift-invert", "lanczos")
 
-#: Default start-vector seed for the iterative path.
+#: Default seed of the iterative paths' random start and restart vectors.
 DEFAULT_SEED = 20177
 
 #: Relative accuracy every solve of the package asks of ARPACK (see
@@ -238,7 +238,8 @@ def lowest_eigenpairs(
             for tridiagonal operators; shift-invert otherwise), or one of
             ``dense`` (at most ``DENSE_CUTOFF`` unknowns) / ``shift-invert`` /
             ``lanczos`` to force a path.
-        seed: start-vector seed for the shift-invert and Lanczos paths.
+        seed: seeds the start vector (a near shift starts from the
+            certificate's solve instead) and any restart vector.
         quadrature_weight: per-node quadrature weight used to normalize the
             returned eigenvectors as grid functions.
         estimate: a guess at the lowest eigenvalue, such as the ground
@@ -307,7 +308,7 @@ def _shifted_factor(op, estimate):
     wedge stencil.  ``H - sigma`` is symmetric, so the CSC matrix splu wants
     is the transpose view of its CSR arrays; the shifted matrix is dropped
     once factored.  Returns the factor, ``sigma``, its source (``estimate``
-    or ``gershgorin``) and the LU solves the certificate spent (0 or 1).
+    or ``gershgorin``) and the certificate's solve ``x`` (None if none ran).
     """
     from scipy.sparse.linalg import splu
 
@@ -320,7 +321,7 @@ def _shifted_factor(op, estimate):
 
     radii = np.asarray(abs(op.csr).sum(axis=1)).ravel()
     lower = float(np.min(2.0 * op.csr.diagonal() - radii))
-    checks = 0
+    x = None
     if estimate is not None and lower < estimate < math.inf and op.is_z_matrix():
         sigma = estimate - ESTIMATE_SHIFT_MARGIN * (estimate - lower)
         try:
@@ -329,12 +330,11 @@ def _shifted_factor(op, estimate):
             lu = None
         if lu is not None:
             x = lu.solve(np.ones(n))
-            checks = 1
             if np.all(x > 0.0) and np.all(op.csr @ x - sigma * x > 0.5):
-                return lu, sigma, "estimate", checks
+                return lu, sigma, "estimate", x
             del lu  # drop the rejected factor before building the next
     sigma = lower - 1e-3 * max(1.0, abs(lower))
-    return factor(sigma), sigma, "gershgorin", checks
+    return factor(sigma), sigma, "gershgorin", x
 
 
 def _arpack(op, k, tol, seed, shift_invert, estimate=None):
@@ -359,15 +359,15 @@ def _arpack(op, k, tol, seed, shift_invert, estimate=None):
     if not np.all(np.isfinite(op.csr.data)):
         raise ValueError("operator has non-finite entries")
     if shift_invert:
-        lu, sigma, source, n_apply = _shifted_factor(op, estimate)
-        apply = lu.solve
+        lu, sigma, source, x = _shifted_factor(op, estimate)
+        apply, n_apply = lu.solve, int(x is not None)
         shifted = dict(factor_nnz=lu.nnz, shift=sigma, shift_source=source)
-        # wedge at ARPACK_TOL: a certified near shift converges in 13 solves at
-        # 6 vectors (beta=2; 19 at beta=0.25); the Gershgorin shift needs 20
-        # (beta=0.25: 71 solves, 97 at 6)
-        ncv = 6 if source == "estimate" else 20
+        # wedge at ARPACK_TOL: a certified near shift, started from the certificate's
+        # solve at 2k + 4 vectors, takes 10 solves at k=1 (beta=2; 16 at beta=0.25)
+        # and 73 at k=4; the Gershgorin shift needs 20 (beta=0.25: 71 solves, 97 at 6)
+        v0, ncv = (x, 2 * k + 4) if source == "estimate" else (None, 20)
     else:
-        apply, n_apply, shifted = op.matvec, 0, {}
+        apply, n_apply, shifted, v0 = op.matvec, 0, {}, None
         # plain Lanczos restarts less in a larger space (beta=2 wedge at
         # ARPACK_TOL: 1,142 matvecs at 60, 2,602 at 20)
         ncv = 60
@@ -381,7 +381,7 @@ def _arpack(op, k, tol, seed, shift_invert, estimate=None):
     # the seeded generator also draws any restart vector ARPACK asks for
     # after a Lanczos breakdown; unseeded, those would differ run to run
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
+    v0 = rng.standard_normal(n) if v0 is None else v0
     applied = LinearOperator((n, n), matvec=counted, dtype=float)
     mode = (dict(A=op.csr, sigma=sigma, which="LM", OPinv=applied) if shift_invert
             else dict(A=applied, which="SA"))

@@ -29,13 +29,30 @@ SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
 SQRT32 = math.sqrt(1.5)
 
+
+def jacobi_from_angles(phi1, phi2, phi3) -> tuple:
+    """Orthogonal map from particle angles to relative (x, y) and center-of-mass z."""
+    x = (phi1 - phi2) / SQRT2
+    y = (phi1 + phi2) / SQRT6 - math.sqrt(2.0 / 3.0) * phi3
+    z = (phi1 + phi2 + phi3) / SQRT3
+    return x, y, z
+
+
+def angles_from_jacobi(x, y, z=0.0) -> tuple:
+    """Exact inverse of :func:`jacobi_from_angles` (transpose of the orthogonal map)."""
+    phi1 = x / SQRT2 + y / SQRT6 + z / SQRT3
+    phi2 = -x / SQRT2 + y / SQRT6 + z / SQRT3
+    phi3 = -math.sqrt(2.0 / 3.0) * y + z / SQRT3
+    return phi1, phi2, phi3
+
+
 #: Chain configuration with both pair separations at one winding.
-FIRST_MINIMUM_XY = (SQRT2 * math.pi, SQRT6 * math.pi)
+FIRST_MINIMUM_XY = jacobi_from_angles(2.0 * TWO_PI, TWO_PI, 0.0)[:2]
 
 #: One-winding shift of the coordinates: spacing of the potential valleys
-#: along x and along y.
-X_WINDING = TWO_PI / SQRT2
-Y_WINDING = TWO_PI / SQRT32
+#: along x (phi1 moved by a winding) and along y (phi3 moved back by one).
+X_WINDING = jacobi_from_angles(TWO_PI, 0.0, 0.0)[0]
+Y_WINDING = jacobi_from_angles(0.0, 0.0, -TWO_PI)[1]
 
 #: Required clearance, in windings, between the first-minimum configuration
 #: and the outer box walls.
@@ -48,31 +65,6 @@ EDGE_CUSHION = 0.5
 #: Spacing ratio of the coarse wedge whose ground energy places the
 #: shift-invert shift (beta=2: 5,723 nodes against 93,406).
 COARSE_FACTOR = 4
-
-
-@dataclass(frozen=True)
-class JacobiAngles:
-    """Relative coordinates (x, y) and center-of-mass coordinate z."""
-
-    x: float
-    y: float
-    z: float
-
-
-def jacobi_from_angles(phi1, phi2, phi3) -> JacobiAngles:
-    """Orthogonal map from particle angles to relative + center-of-mass coordinates."""
-    x = (phi1 - phi2) / SQRT2
-    y = (phi1 + phi2) / SQRT6 - math.sqrt(2.0 / 3.0) * phi3
-    z = (phi1 + phi2 + phi3) / SQRT3
-    return JacobiAngles(x=x, y=y, z=z)
-
-
-def angles_from_jacobi(j: JacobiAngles) -> tuple[float, float, float]:
-    """Exact inverse of :func:`jacobi_from_angles` (transpose of the orthogonal map)."""
-    phi1 = j.x / SQRT2 + j.y / SQRT6 + j.z / SQRT3
-    phi2 = -j.x / SQRT2 + j.y / SQRT6 + j.z / SQRT3
-    phi3 = -math.sqrt(2.0 / 3.0) * j.y + j.z / SQRT3
-    return phi1, phi2, phi3
 
 
 def pair_separations(x, y) -> tuple:
@@ -229,11 +221,15 @@ def exchange_images(x, y):
     back.  Yields ``(x', y', parity)`` per permutation, the identity first;
     ``parity`` is the permutation's sign, -1 for the three pair swaps.
     """
-    angles = angles_from_jacobi(JacobiAngles(x, y, 0.0))
+    return _permuted(angles_from_jacobi(x, y))
+
+
+def _permuted(angles):
+    """The :func:`exchange_images` of the points at particle ``angles``."""
     for perm in itertools.permutations(range(3)):
-        image = jacobi_from_angles(*(angles[i] for i in perm))
+        x, y, _ = jacobi_from_angles(*(angles[i] for i in perm))
         inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        yield image.x, image.y, (-1.0) ** inversions
+        yield x, y, (-1.0) ** inversions
 
 
 def symmetrize_wavefunction(
@@ -280,17 +276,17 @@ def symmetrize_wavefunction(
         return np.where(inside, v, 0.0)
 
     use_parity = statistics == "fermion"
+    angles = angles_from_jacobi(xs, ys)
     total = np.zeros(xs.size)
-    for ix, iy, parity in exchange_images(xs, ys):
+    for ix, iy, parity in _permuted(angles):
         total += (parity if use_parity else 1.0) * interpolate(ix, iy)
 
     # wedge representative outside the solved box -> flagged zero; ordering
     # the particle angles phi1 >= phi2 >= phi3 maps a point into the wedge.
     # Its rounding can carry a point on an outer wall a couple of ulps out,
     # so the walls get a slack of 8 ulps (the interpolant is zero there).
-    ordered = np.sort(angles_from_jacobi(JacobiAngles(xs, ys, 0.0)), axis=0)[::-1]
-    wedge = jacobi_from_angles(*ordered)
+    wx, wy, _ = jacobi_from_angles(*np.sort(angles, axis=0)[::-1])
     slack = 8 * np.spacing(max(grid.x_max, grid.y_max))
-    outside = (wedge.x > grid.x_max + slack) | (wedge.y > grid.y_max + slack)
+    outside = (wx > grid.x_max + slack) | (wy > grid.y_max + slack)
     total[outside] = 0.0
     return total.reshape(X.shape), int(outside.sum())

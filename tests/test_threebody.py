@@ -12,7 +12,8 @@ from helixdipoles.linalg import (DENSE_CUTOFF, EigenResult, SymmetricSparseOpera
 from helixdipoles.potential import reduced_potential
 from helixdipoles.threebody import (
     FIRST_MINIMUM_XY,
-    JacobiAngles,
+    X_WINDING,
+    Y_WINDING,
     ThreeBodySolution,
     WedgeGrid2D,
     angles_from_jacobi,
@@ -80,19 +81,19 @@ def coo_reference(grid, beta, ratio):
 
 class TestJacobiTransform:
     def test_chain_configuration(self):
-        j = jacobi_from_angles(2.0 * TWO_PI, TWO_PI, 0.0)
-        assert j.x == pytest.approx(math.sqrt(2.0) * math.pi, rel=1e-14)
-        assert j.y == pytest.approx(math.sqrt(6.0) * math.pi, rel=1e-14)
+        x, y, _ = jacobi_from_angles(2.0 * TWO_PI, TWO_PI, 0.0)
+        assert x == pytest.approx(math.sqrt(2.0) * math.pi, rel=1e-14)
+        assert y == pytest.approx(math.sqrt(6.0) * math.pi, rel=1e-14)
 
     def test_coincident_particles_map_to_origin(self):
-        j = jacobi_from_angles(3.3, 3.3, 3.3)
-        assert (j.x, j.y) == (0.0, 0.0)
-        assert j.z == pytest.approx(math.sqrt(3.0) * 3.3, rel=1e-14)
+        x, y, z = jacobi_from_angles(3.3, 3.3, 3.3)
+        assert (x, y) == (0.0, 0.0)
+        assert z == pytest.approx(math.sqrt(3.0) * 3.3, rel=1e-14)
 
     @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50))
     def test_orthogonality(self, p1, p2, p3):
-        j = jacobi_from_angles(p1, p2, p3)
-        assert j.x**2 + j.y**2 + j.z**2 == pytest.approx(
+        x, y, z = jacobi_from_angles(p1, p2, p3)
+        assert x**2 + y**2 + z**2 == pytest.approx(
             p1**2 + p2**2 + p3**2, rel=1e-12, abs=1e-12
         )
 
@@ -100,16 +101,16 @@ class TestJacobiTransform:
         rng = np.random.default_rng(5)
         for _ in range(1000):
             angles = rng.uniform(-40.0, 40.0, size=3)
-            back = angles_from_jacobi(jacobi_from_angles(*angles))
+            back = angles_from_jacobi(*jacobi_from_angles(*angles))
             np.testing.assert_allclose(back, angles, atol=1e-12)
 
     def test_zero_maps_to_zero(self):
-        assert angles_from_jacobi(JacobiAngles(0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
+        assert angles_from_jacobi(0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
 
     @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50))
     def test_pair_separations_invert_the_map(self, p1, p2, p3):
-        j = jacobi_from_angles(p1, p2, p3)
-        np.testing.assert_allclose(pair_separations(j.x, j.y),
+        x, y, _ = jacobi_from_angles(p1, p2, p3)
+        np.testing.assert_allclose(pair_separations(x, y),
                                    (p1 - p2, p2 - p3, p1 - p3), rtol=0.0, atol=1e-12)
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
@@ -132,11 +133,10 @@ class TestJacobiTransform:
     def test_ordered_angles_give_the_wedge_image(self, x, y):
         # symmetrize_wavefunction finds a sample's wedge representative by
         # ordering the particle angles phi1 >= phi2 >= phi3
-        ordered = np.sort(angles_from_jacobi(JacobiAngles(x, y, 0.0)))[::-1]
-        rep = jacobi_from_angles(*ordered)
-        gaps = [math.hypot(ix - rep.x, iy - rep.y) for ix, iy, _ in exchange_images(x, y)]
+        rx, ry, _ = jacobi_from_angles(*np.sort(angles_from_jacobi(x, y))[::-1])
+        gaps = [math.hypot(ix - rx, iy - ry) for ix, iy, _ in exchange_images(x, y)]
         assert min(gaps) < 1e-12
-        assert rep.x >= 0.0 and rep.y >= rep.x / math.sqrt(3.0) - 1e-12
+        assert rx >= 0.0 and ry >= rx / math.sqrt(3.0) - 1e-12
 
     def test_pair_separations_at_peak(self):
         x, y = FIRST_MINIMUM_XY
@@ -144,6 +144,16 @@ class TestJacobiTransform:
         assert phi12 == pytest.approx(TWO_PI, rel=1e-14)
         assert phi23 == pytest.approx(TWO_PI, rel=1e-14)
         assert phi13 == pytest.approx(2.0 * TWO_PI, rel=1e-14)
+
+    @given(st.floats(-50, 50), st.floats(-50, 50))
+    def test_windings_shift_one_pair_separation_by_one_winding(self, x, y):
+        # X_WINDING and Y_WINDING are the images of one-winding shifts of phi1
+        # and of -phi3, so each moves one pair separation by exactly 2 pi
+        phi12, phi23, _ = pair_separations(x, y)
+        assert pair_separations(x + X_WINDING, y)[0] - phi12 == pytest.approx(
+            TWO_PI, rel=0.0, abs=1e-12)
+        assert pair_separations(x, y + Y_WINDING)[1] - phi23 == pytest.approx(
+            TWO_PI, rel=0.0, abs=1e-12)
 
 
 class TestWedgeGrid:
