@@ -9,10 +9,11 @@ the directory.  A run first deletes ``summary.txt``, ``metadata.txt`` and
 every CSV its subcommand can write, then computes, and writes the CSVs,
 ``summary.txt`` and ``metadata.txt`` only after the whole computation
 succeeded.  Runs are always seeded and serial, so repeated runs produce
-byte-identical files.
+byte-identical files at a fixed BLAS thread count.
 
-Exit codes: 0 success, 2 configuration error (``config_error``) or an output
-file that cannot be written (``write_error``), 3 invalid geometry
+Exit codes: 0 success, 2 configuration error (``config_error``, a problem
+too large for memory included) or an output file that cannot be written
+(``write_error``), 3 invalid geometry
 (``geometry_error``), 4 eigensolver non-convergence (``not_converged``; the
 pairs that did converge are flagged in ``summary.txt``, no CSV is written).
 A failure is recorded in ``metadata.txt`` with its status and error message
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from ._csvcells import format_block
@@ -229,8 +231,6 @@ def _metadata(cfg: RunConfig, extra: dict) -> dict:
     record = {key: value for key, value in cfg.to_items() if key in taken}
     record["package_version"] = __version__
     record["numpy_version"] = np.__version__
-    import scipy
-
     record["scipy_version"] = scipy.__version__
     record.update(extra)
     return record
@@ -308,9 +308,12 @@ def _run_two_body(cfg: RunConfig) -> tuple[dict, dict]:
 
 
 def _run_three_body(cfg: RunConfig) -> tuple[dict, dict]:
-    if cfg.symmetrize and not (0.0 < cfg.sample_extent < math.inf
-                               and 0.0 < cfg.sample_spacing < math.inf):
-        raise ValueError("symmetrize needs finite sample_extent > 0 and sample_spacing > 0")
+    if cfg.symmetrize:  # the sample grid comes first, so an oversized one fails at once
+        if not (0.0 < cfg.sample_extent < math.inf and 0.0 < cfg.sample_spacing < math.inf):
+            raise ValueError("symmetrize needs finite sample_extent > 0 and sample_spacing > 0")
+        samples = np.arange(-cfg.sample_extent, cfg.sample_extent + 0.5 * cfg.sample_spacing,
+                            cfg.sample_spacing)
+        xg, yg = np.meshgrid(samples, samples, indexing="ij")
     grid = WedgeGrid2D(*cfg.resolved_box())
     sol = solve_three_body(
         grid, cfg.beta, cfg.ratio, cfg.k_states,
@@ -332,11 +335,6 @@ def _run_three_body(cfg: RunConfig) -> tuple[dict, dict]:
     for m, e in enumerate(sol.energies):
         summary[f"E{m}"] = float(e)
     if cfg.symmetrize:
-        samples = np.arange(
-            -cfg.sample_extent, cfg.sample_extent + 0.5 * cfg.sample_spacing,
-            cfg.sample_spacing,
-        )
-        xg, yg = np.meshgrid(samples, samples, indexing="ij")
         psi_map, n_outside = symmetrize_wavefunction(sol, cfg.statistics, xg, yg)
         tables["symmetrized.csv"] = (["x", "y", "psi"], np.column_stack(
             [xg.ravel(), yg.ravel(), psi_map.ravel()]))
@@ -408,6 +406,7 @@ _FAILURES = {
     HelixDipolesError: (2, "config_error", "bad configuration"),
     ValueError: (2, "config_error", "bad configuration"),
     OSError: (2, "write_error", "cannot write output"),
+    MemoryError: (2, "config_error", "problem too large for memory"),
 }
 
 

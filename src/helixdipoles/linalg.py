@@ -41,9 +41,10 @@ METHODS = ("auto", "dense", "shift-invert", "lanczos")
 #: Default seed of the iterative paths' random start and restart vectors.
 DEFAULT_SEED = 20177
 
-#: Relative accuracy every solve of the package asks of ARPACK (see
-#: :func:`lowest_eigenpairs`).  The grid and the box, not this, set the error
-#: of the spectra; each result's residual norms carry the evidence.
+#: Relative accuracy every ARPACK run asks of its Ritz values: ``E`` under
+#: ``lanczos``, ``mu = 1/(E - sigma)`` under shift-invert; the banded and dense
+#: routes never read it.  The grid and the box, not this, set the error of the
+#: spectra; each result's residual norms carry the evidence.
 ARPACK_TOL = 1e-9
 
 #: The banded route bisects each eigenvalue to this fraction of the
@@ -216,7 +217,6 @@ def check_request(k: int, n: int, method: str, seed: int) -> None:
 def lowest_eigenpairs(
     op: SymmetricSparseOperator,
     k: int,
-    tol: float = ARPACK_TOL,
     *,
     method: str = "auto",
     seed: int = DEFAULT_SEED,
@@ -228,12 +228,6 @@ def lowest_eigenpairs(
     Args:
         op: operator to diagonalize.
         k: number of eigenpairs, ``1 <= k <= n/4``.
-        tol: ARPACK's convergence target within ``[1e-12, 1e-4]``
-            (default :data:`ARPACK_TOL`), the relative accuracy of the Ritz
-            values it iterates on: ``E`` for ``lanczos``,
-            ``mu = 1/(E - sigma)`` for ``shift-invert``.  The other routes
-            ignore it; the banded one bisects to its own absolute tolerance,
-            :data:`BISECTION_GAP_FRACTION` of the free-lattice gap.
         method: ``auto`` (direct banded solve, reported as ``tridiagonal``,
             for tridiagonal operators; shift-invert otherwise), or one of
             ``dense`` (at most ``DENSE_CUTOFF`` unknowns) / ``shift-invert`` /
@@ -263,14 +257,14 @@ def lowest_eigenpairs(
 
     Raises:
         DimensionError, ValueError: the request fails :func:`check_request`,
-            or ``tol`` lies outside ``[1e-12, 1e-4]`` (``ValueError``).
+            or the operator holds a NaN or an infinity (``ValueError``).
         ConvergenceError: ARPACK spent its restart limit (scipy's default
-            ``maxiter``, 10 n) before reaching ``tol``; the pairs it did
-            converge are attached to the exception as energies and vectors.
+            ``maxiter``, 10 n) before reaching :data:`ARPACK_TOL`; the pairs it
+            did converge are attached to the exception as energies and vectors.
     """
     check_request(k, op.n, method, seed)
-    if not 1e-12 <= tol <= 1e-4:
-        raise ValueError("tol must lie in [1e-12, 1e-4]")
+    if not np.all(np.isfinite(op.csr.data)):
+        raise ValueError("operator has non-finite entries")
     if method == "auto":
         method = "tridiagonal" if op.is_tridiagonal() else "shift-invert"
 
@@ -284,7 +278,7 @@ def lowest_eigenpairs(
         vecs = eigh_tridiagonal(op.csr.diagonal(), off, select="i", select_range=(0, k - 1),
                                 tol=BISECTION_GAP_FRACTION * gap)[1]
         return _package(op, vecs, quadrature_weight, "tridiagonal", None, 0)
-    vecs, n_mv, shifted = _arpack(op, k, tol, seed, shift_invert=method == "shift-invert",
+    vecs, n_mv, shifted = _arpack(op, k, seed, shift_invert=method == "shift-invert",
                                   estimate=estimate)
     return _package(op, vecs, quadrature_weight, method, seed, n_mv, **shifted)
 
@@ -337,7 +331,7 @@ def _shifted_factor(op, estimate):
     return factor(sigma), sigma, "gershgorin", x
 
 
-def _arpack(op, k, tol, seed, shift_invert, estimate=None):
+def _arpack(op, k, seed, shift_invert, estimate=None):
     """ARPACK's implicitly restarted Lanczos for the ``k`` lowest eigenpairs.
 
     Plain mode iterates on ``H`` for its smallest eigenvalues.  Shift-invert
@@ -356,8 +350,6 @@ def _arpack(op, k, tol, seed, shift_invert, estimate=None):
     n = op.n
     if n < 2:
         raise DimensionError("iterative eigensolvers need at least 2 unknowns")
-    if not np.all(np.isfinite(op.csr.data)):
-        raise ValueError("operator has non-finite entries")
     if shift_invert:
         lu, sigma, source, x = _shifted_factor(op, estimate)
         apply, n_apply = lu.solve, int(x is not None)
@@ -386,7 +378,7 @@ def _arpack(op, k, tol, seed, shift_invert, estimate=None):
     mode = (dict(A=op.csr, sigma=sigma, which="LM", OPinv=applied) if shift_invert
             else dict(A=applied, which="SA"))
     try:
-        vecs = eigsh(k=k, ncv=ncv, tol=tol, v0=v0, rng=rng, **mode)[1]
+        vecs = eigsh(k=k, ncv=ncv, tol=ARPACK_TOL, v0=v0, rng=rng, **mode)[1]
     except ArpackNoConvergence as exc:
         raise ConvergenceError(f"ARPACK did not converge: {exc}",
                                result=(exc.eigenvalues, exc.eigenvectors)) from None

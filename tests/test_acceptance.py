@@ -248,9 +248,9 @@ def test_criterion_06_asymptotic_identity():
 
 def test_criterion_07_oracle_equivalence(mini_wedge_solves):
     def compare(op, k, weight, method="lanczos"):
-        dense = lowest_eigenpairs(op, k, 1e-12, method="dense",
+        dense = lowest_eigenpairs(op, k, method="dense",
                                   quadrature_weight=weight)
-        iterative = lowest_eigenpairs(op, k, 1e-12, method=method,
+        iterative = lowest_eigenpairs(op, k, method=method,
                                       quadrature_weight=weight)
         dv = float(np.abs(dense.values - iterative.values).max())
         scale = math.sqrt(weight)
@@ -297,7 +297,7 @@ def test_criterion_08_analytic_spectra():
     errors = {}
     for dx in (0.05, 0.025, 0.0125):
         grid = Grid1D.from_spacing(length, dx)
-        res = lowest_eigenpairs(assemble_hamiltonian_1d(grid, 0.0, 1.0), 5, 1e-12)
+        res = lowest_eigenpairs(assemble_hamiltonian_1d(grid, 0.0, 1.0), 5)
         errors[dx] = np.abs(res.values - exact)
     orders = np.concatenate([
         np.log2(errors[0.05] / errors[0.025]),

@@ -446,6 +446,22 @@ class TestExitCodes:
         assert not (tmp_path / "summary.txt").exists()
         assert read_keyvalue(tmp_path / "metadata.txt")["status"] == "geometry_error"
 
+    def test_oversized_request_is_config_error(self, tmp_path, capsys):
+        # find_minima's scan grid would take 711 PiB, beyond any address space
+        assert main(["potential", "--phi-max", "1e14", "--out-dir", str(tmp_path)]) == 2
+        assert read_keyvalue(tmp_path / "metadata.txt")["status"] == "config_error"
+        assert "problem too large for memory" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_oversized_sample_grid_rejected_before_the_solve(self, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("wedge solved before the sample grid was built")
+
+        monkeypatch.setattr("helixdipoles.cli.solve_three_body", no_solve)
+        argv = MINI_WEDGE + ["--symmetrize", "--sample-extent", "1e300"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert read_keyvalue(tmp_path / "metadata.txt")["status"] == "config_error"
+
     def test_convergence_failure(self, tmp_path, monkeypatch):
         import numpy as np
 

@@ -17,7 +17,7 @@ from helixdipoles.linalg import (
     lowest_eigenpairs,
 )
 from helixdipoles.potential import reduced_potential
-from helixdipoles.threebody import WedgeGrid2D, assemble_hamiltonian_2d
+from helixdipoles.threebody import WedgeGrid2D, assemble_hamiltonian_2d, solve_three_body
 from helixdipoles.twobody import Grid1D, assemble_hamiltonian_1d
 
 
@@ -160,7 +160,7 @@ class TestLowestEigenpairs:
         # second-order stencil: continuum error E_m (m pi dx / L)^2 / 12
         bound = 1.5 * continuum * (m * math.pi * dx / length) ** 2 / 12.0
         for method in ("dense", "auto", "shift-invert", "lanczos"):
-            res = lowest_eigenpairs(op, 5, 1e-11, method=method)
+            res = lowest_eigenpairs(op, 5, method=method)
             np.testing.assert_allclose(res.values, discrete, rtol=1e-10)
             assert np.all(np.abs(res.values - continuum) < bound)
             assert res.method == {"auto": "tridiagonal"}.get(method, method)
@@ -168,62 +168,62 @@ class TestLowestEigenpairs:
     def test_harmonic_oscillator_vs_dense_oracle(self):
         length, n, omega, center = 20.0, 999, 1.0, 10.0
         op, _, dx = dirichlet_box(length, n, lambda x: 0.5 * omega**2 * (x - center) ** 2)
-        dense = lowest_eigenpairs(op, 4, 1e-12, method="dense")
-        lanczos = lowest_eigenpairs(op, 4, 1e-12, method="lanczos")
+        dense = lowest_eigenpairs(op, 4, method="dense")
+        lanczos = lowest_eigenpairs(op, 4, method="lanczos")
         np.testing.assert_allclose(lanczos.values, dense.values, atol=1e-9)
         ladder = omega * (np.arange(4) + 0.5)
         np.testing.assert_allclose(dense.values, ladder, atol=5e-4)
 
     def test_random_operator_iterative_matches_dense(self):
         op = random_sparse_symmetric(500)
-        dense = lowest_eigenpairs(op, 5, 1e-12, method="dense")
-        lanczos = lowest_eigenpairs(op, 5, 1e-12, method="lanczos")
+        dense = lowest_eigenpairs(op, 5, method="dense")
+        lanczos = lowest_eigenpairs(op, 5, method="lanczos")
         np.testing.assert_allclose(lanczos.values, dense.values, atol=1e-9)
         for i in range(5):
             assert align(dense.vectors[:, i], lanczos.vectors[:, i]) < 1e-6
 
     def test_values_sorted_and_normalized(self):
         op = random_sparse_symmetric(400, seed=3)
-        res = lowest_eigenpairs(op, 6, 1e-10, method="lanczos", quadrature_weight=0.25)
+        res = lowest_eigenpairs(op, 6, method="lanczos", quadrature_weight=0.25)
         assert np.all(np.diff(res.values) >= 0.0)
         norms = 0.25 * np.sum(res.vectors**2, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
     def test_orthonormality(self):
         op = random_sparse_symmetric(400, seed=5)
-        res = lowest_eigenpairs(op, 6, 1e-11, method="lanczos", quadrature_weight=0.1)
+        res = lowest_eigenpairs(op, 6, method="lanczos", quadrature_weight=0.1)
         gram = 0.1 * res.vectors.T @ res.vectors
         off_diag = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off_diag)) < 1e-8
 
     def test_residual_norms(self):
         op = random_sparse_symmetric(500, seed=9)
-        res = lowest_eigenpairs(op, 4, 1e-11, method="lanczos")
+        res = lowest_eigenpairs(op, 4, method="lanczos")
         norm_est = float(np.abs(res.values).max())
-        assert np.all(res.residual_norms <= 1e-11 * max(norm_est, 1.0) * 50)
+        assert np.all(res.residual_norms <= linalg.ARPACK_TOL * max(norm_est, 1.0) * 50)
 
     def test_dirichlet_convergence_order(self):
         length = 10.0
         errors = []
         for n in (199, 399, 799):
             op, _, _ = dirichlet_box(length, n)
-            res = lowest_eigenpairs(op, 1, 1e-12)
+            res = lowest_eigenpairs(op, 1)
             errors.append(abs(res.values[0] - math.pi**2 / (2.0 * length**2)))
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 < coarse / fine < 4.5
 
     def test_determinism(self):
         op = random_sparse_symmetric(600, seed=13)
-        a = lowest_eigenpairs(op, 3, 1e-10, method="lanczos", seed=123)
-        b = lowest_eigenpairs(op, 3, 1e-10, method="lanczos", seed=123)
+        a = lowest_eigenpairs(op, 3, method="lanczos", seed=123)
+        b = lowest_eigenpairs(op, 3, method="lanczos", seed=123)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.vectors, b.vectors)
         assert a.seed == 123
 
     def test_shift_invert_determinism(self):
         op = random_sparse_symmetric(600, seed=13)
-        a = lowest_eigenpairs(op, 3, 1e-10, method="shift-invert", seed=123)
-        b = lowest_eigenpairs(op, 3, 1e-10, method="shift-invert", seed=123)
+        a = lowest_eigenpairs(op, 3, method="shift-invert", seed=123)
+        b = lowest_eigenpairs(op, 3, method="shift-invert", seed=123)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.vectors, b.vectors)
         assert a.seed == 123 and a.method == "shift-invert"
@@ -233,35 +233,35 @@ class TestLowestEigenpairs:
     @pytest.mark.parametrize("method", ["dense", "lanczos"])
     def test_factor_nnz_zero_off_the_lu_path(self, method):
         op = random_sparse_symmetric(400, seed=3)
-        assert lowest_eigenpairs(op, 2, 1e-10, method=method).factor_nnz == 0
+        assert lowest_eigenpairs(op, 2, method=method).factor_nnz == 0
 
     def test_shift_invert_below_diagonal_spectrum(self):
         # the Gershgorin bound of a diagonal operator is its lowest eigenvalue,
         # so the shift must sit strictly below it for the factor to exist
         diag = np.linspace(-2.0, 5.0, 200)
         op = SymmetricSparseOperator(sp.diags(diag, format="csr"))
-        res = lowest_eigenpairs(op, 3, 1e-10, method="shift-invert")
+        res = lowest_eigenpairs(op, 3, method="shift-invert")
         np.testing.assert_allclose(res.values, diag[:3], atol=1e-10)
 
     def test_auto_routes_wedge_to_shift_invert(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.2)
         op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
         assert op.n > DENSE_CUTOFF
-        res = lowest_eigenpairs(op, 2, 1e-10)
+        res = lowest_eigenpairs(op, 2)
         assert res.method == "shift-invert"
-        lanczos = lowest_eigenpairs(op, 2, 1e-11, method="lanczos")
+        lanczos = lowest_eigenpairs(op, 2, method="lanczos")
         np.testing.assert_allclose(res.values, lanczos.values, atol=1e-9)
 
     @pytest.mark.parametrize("method, maxiter", [("shift-invert", 5), ("lanczos", 2)],
                              ids=["shift-invert", "lanczos"])
     def test_nonconvergence_reports_converged_pairs(self, monkeypatch, method, maxiter):
-        # a real ARPACK stop: too few restarts to converge all k pairs at tol 1e-12
+        # a real ARPACK stop: too few restarts to converge all k pairs at ARPACK_TOL
         import scipy.sparse.linalg as spla
 
         monkeypatch.setattr(spla, "eigsh", functools.partial(spla.eigsh, maxiter=maxiter))
         op = random_sparse_symmetric(800, seed=21)
         with pytest.raises(ConvergenceError) as err:
-            lowest_eigenpairs(op, 4, 1e-12, method=method)
+            lowest_eigenpairs(op, 4, method=method)
         values, vectors = err.value.result
         assert 1 <= values.size <= 4
         assert vectors.shape == (800, values.size)
@@ -285,49 +285,49 @@ class TestLowestEigenpairs:
         monkeypatch.setattr(spla, "eigsh", stalled)
         op = random_sparse_symmetric(200)
         with pytest.raises(ConvergenceError) as err:
-            lowest_eigenpairs(op, 2, 1e-9, method=method)
+            lowest_eigenpairs(op, 2, method=method)
         if stop == "failed":  # nothing converged: no partial result
             assert err.value.result is None and "ARPACK failed" in str(err.value)
             return
         values, vectors = err.value.result
         assert values.shape == (1,) and vectors.shape == (200, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", linalg.METHODS)
+    def test_non_finite_operator_rejected(self, method, bad):
+        mat = sp.diags([np.r_[1.0, bad, np.ones(98)]], [0], format="csr")
+        with pytest.raises(ValueError, match="non-finite"):
+            lowest_eigenpairs(SymmetricSparseOperator(mat), 2, method=method)
+
     @pytest.mark.parametrize("method", ["shift-invert", "lanczos"])
     def test_arpack_rejects_bad_operators(self, method):
-        mat = sp.diags([np.r_[1.0, np.nan, np.ones(98)]], [0], format="csr")
-        with pytest.raises(ValueError):
-            lowest_eigenpairs(SymmetricSparseOperator(mat), 2, 1e-9, method=method)
         one = SymmetricSparseOperator(sp.identity(1, format="csr"))
         with pytest.raises(DimensionError):
-            lowest_eigenpairs(one, 1, 1e-9, method=method)
+            lowest_eigenpairs(one, 1, method=method)
 
     def test_input_validation(self):
         op = random_sparse_symmetric(100)
         with pytest.raises(DimensionError):
-            lowest_eigenpairs(op, 26, 1e-9)  # k > n/4
+            lowest_eigenpairs(op, 26)  # k > n/4
         with pytest.raises(DimensionError):
-            lowest_eigenpairs(op, 0, 1e-9)
-        with pytest.raises(ValueError):
-            lowest_eigenpairs(op, 2, 1e-3)
-        with pytest.raises(ValueError):
-            lowest_eigenpairs(op, 2, 1e-13)
+            lowest_eigenpairs(op, 0)
 
     def test_forced_tridiagonal_on_general_operator_rejected(self):
         # the banded route is taken by auto alone, never forced
         op = random_sparse_symmetric(300)
         with pytest.raises(ValueError, match="unknown method"):
-            lowest_eigenpairs(op, 2, 1e-9, method="tridiagonal")
+            lowest_eigenpairs(op, 2, method="tridiagonal")
 
     def test_forced_dense_capped(self):
         op, _, _ = dirichlet_box(10.0, DENSE_CUTOFF + 1)
         with pytest.raises(DimensionError, match="dense"):
-            lowest_eigenpairs(op, 1, 1e-9, method="dense")
-        assert lowest_eigenpairs(op, 1, 1e-9).method == "tridiagonal"
+            lowest_eigenpairs(op, 1, method="dense")
+        assert lowest_eigenpairs(op, 1).method == "tridiagonal"
 
     def test_unknown_method_rejected(self):
         op, _, _ = dirichlet_box(10.0, 99)
         with pytest.raises(ValueError, match="unknown method"):
-            lowest_eigenpairs(op, 1, 1e-9, method="qr")
+            lowest_eigenpairs(op, 1, method="qr")
 
 
 class _CountedLU:
@@ -362,7 +362,7 @@ class TestSolverContract:
 
         monkeypatch.setattr(SymmetricSparseOperator, "matvec", counted_matvec)
         monkeypatch.setattr(linalg, "_shifted_factor", counted_factor)
-        res = lowest_eigenpairs(op, k, 1e-11, method=method, quadrature_weight=0.5)
+        res = lowest_eigenpairs(op, k, method=method, quadrature_weight=0.5)
         v = res.vectors
         norms = np.einsum("ij,ij->j", v, v)
         quotients = np.einsum("ij,ij->j", v, op.csr @ v) / norms
@@ -377,6 +377,23 @@ class TestSolverContract:
         assert res.n_matvec == own + k
         if method != "lanczos":
             assert len(calls) == k
+
+    def test_every_arpack_run_gets_the_one_tolerance(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        eigsh, tols = spla.eigsh, []
+
+        def recorded(*args, tol, **kwargs):
+            tols.append(tol)
+            return eigsh(*args, tol=tol, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", recorded)
+        grid = WedgeGrid2D(12.0, 16.0, 0.2)
+        sol = solve_three_body(grid, 1.0, 1.0, 2, allow_small_box=True)
+        assert sol.eigen.shift_source == "estimate"  # coarse solve, then near-shift fine solve
+        assert tols == [linalg.ARPACK_TOL] * 2
+        lowest_eigenpairs(random_sparse_symmetric(300), 2, method="lanczos")
+        assert tols == [linalg.ARPACK_TOL] * 3
 
 
 class TestBandedAccuracy:
@@ -399,13 +416,13 @@ class TestBandedAccuracy:
 class TestRouting:
     def test_small_tridiagonal_takes_banded_solver(self):
         op, _, _ = dirichlet_box(10.0, 999)
-        assert lowest_eigenpairs(op, 2, 1e-9).method == "tridiagonal"
+        assert lowest_eigenpairs(op, 2).method == "tridiagonal"
 
     def test_small_wedge_takes_shift_invert(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.4)
         op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
         assert op.n == 879
-        assert lowest_eigenpairs(op, 2, 1e-9).method == "shift-invert"
+        assert lowest_eigenpairs(op, 2).method == "shift-invert"
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 60), st.data(), st.integers(0, 2**32 - 1))
@@ -417,9 +434,9 @@ class TestRouting:
         mat = (mat + mat.T + sp.coo_matrix(([1.0, 1.0], ([0, n - 1], [n - 1, 0])),
                                            shape=(n, n))).tocsr()
         op = SymmetricSparseOperator(mat)
-        res = lowest_eigenpairs(op, k, 1e-9)
+        res = lowest_eigenpairs(op, k)
         assert res.method == "shift-invert"
-        dense = lowest_eigenpairs(op, k, 1e-12, method="dense")
+        dense = lowest_eigenpairs(op, k, method="dense")
         np.testing.assert_allclose(res.values, dense.values, rtol=0.0, atol=1e-8)
 
 
@@ -449,7 +466,7 @@ class TestNearShift:
         lower = gershgorin_bound(op)
         sigma = dense.values[0] + above
         estimate = (sigma - ESTIMATE_SHIFT_MARGIN * lower) / (1.0 - ESTIMATE_SHIFT_MARGIN)
-        res = lowest_eigenpairs(op, 4, 1e-10, estimate=estimate, quadrature_weight=weight)
+        res = lowest_eigenpairs(op, 4, estimate=estimate, quadrature_weight=weight)
         assert res.shift_source == "gershgorin"
         assert res.shift < lower < dense.values[0]
         np.testing.assert_allclose(res.values, dense.values, rtol=0.0, atol=1e-9)
@@ -459,7 +476,7 @@ class TestNearShift:
     def test_estimate_just_above_ground_keeps_a_shift_below_it(self, mini):
         # an estimate 0.05 above E0 gives sigma = e - 0.05 (e - g), here 0.03 below E0
         op, weight, dense = mini
-        res = lowest_eigenpairs(op, 4, 1e-10, estimate=dense.values[0] + 0.05,
+        res = lowest_eigenpairs(op, 4, estimate=dense.values[0] + 0.05,
                                 quadrature_weight=weight)
         assert res.shift_source == "estimate"
         assert gershgorin_bound(op) < res.shift < dense.values[0]
@@ -469,7 +486,7 @@ class TestNearShift:
     @given(st.floats(-3.0, 1.0))
     def test_kept_shift_always_below_spectrum(self, mini, estimate):
         op, weight, dense = mini
-        res = lowest_eigenpairs(op, 2, 1e-10, estimate=estimate, quadrature_weight=weight)
+        res = lowest_eigenpairs(op, 2, estimate=estimate, quadrature_weight=weight)
         if res.shift_source == "estimate":
             assert res.shift < dense.values[0]
         np.testing.assert_allclose(res.values, dense.values[:2], rtol=0.0, atol=1e-9)
@@ -478,9 +495,9 @@ class TestNearShift:
         grid = WedgeGrid2D(12.0, 16.0, 0.2)
         op = assemble_hamiltonian_2d(grid, 2.0, 1.0)
         coarse = assemble_hamiltonian_2d(grid.coarsened(4), 2.0, 1.0)
-        estimate = lowest_eigenpairs(coarse, 1, 1e-9).values[0]
-        near = lowest_eigenpairs(op, 2, 1e-9, estimate=estimate)
-        far = lowest_eigenpairs(op, 2, 1e-9)
+        estimate = lowest_eigenpairs(coarse, 1).values[0]
+        near = lowest_eigenpairs(op, 2, estimate=estimate)
+        far = lowest_eigenpairs(op, 2)
         assert (near.shift_source, far.shift_source) == ("estimate", "gershgorin")
         assert far.shift < near.shift < near.values[0]
         bound = near.residual_norms + far.residual_norms  # symmetric residual bound
@@ -491,7 +508,7 @@ class TestNearShift:
     def beta2(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.2)
         coarse = assemble_hamiltonian_2d(grid.coarsened(4), 2.0, 1.0)
-        estimate = lowest_eigenpairs(coarse, 1, 1e-9).values[0]
+        estimate = lowest_eigenpairs(coarse, 1).values[0]
         return assemble_hamiltonian_2d(grid, 2.0, 1.0), estimate
 
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -514,9 +531,9 @@ class TestNearShift:
 
     def test_non_z_matrix_estimate_ignored(self):
         op = random_sparse_symmetric(400, seed=11)
-        e0 = lowest_eigenpairs(op, 1, 1e-12, method="dense").values[0]
-        plain = lowest_eigenpairs(op, 2, 1e-10, method="shift-invert")
-        hinted = lowest_eigenpairs(op, 2, 1e-10, method="shift-invert", estimate=e0 - 1e-3)
+        e0 = lowest_eigenpairs(op, 1, method="dense").values[0]
+        plain = lowest_eigenpairs(op, 2, method="shift-invert")
+        hinted = lowest_eigenpairs(op, 2, method="shift-invert", estimate=e0 - 1e-3)
         assert hinted.shift_source == plain.shift_source == "gershgorin"
         assert hinted.shift == plain.shift
         assert hinted.n_matvec == plain.n_matvec  # no certificate solve was spent
@@ -527,7 +544,7 @@ class TestNearShift:
         op = SymmetricSparseOperator(sp.diags(np.arange(40.0), format="csr"))
         estimate = 2.0 / (1.0 - ESTIMATE_SHIFT_MARGIN)
         assert estimate - ESTIMATE_SHIFT_MARGIN * estimate == 2.0
-        res = lowest_eigenpairs(op, 3, 1e-10, method="shift-invert", estimate=estimate)
+        res = lowest_eigenpairs(op, 3, method="shift-invert", estimate=estimate)
         assert res.shift_source == "gershgorin" and res.shift < 0.0
         np.testing.assert_allclose(res.values, [0.0, 1.0, 2.0], rtol=0.0, atol=1e-10)
 
@@ -535,8 +552,8 @@ class TestNearShift:
     def test_unusable_estimate_ignored(self, mini, estimate):
         # NaN, infinities and estimates at or below the Gershgorin bound
         op, _, _ = mini
-        plain = lowest_eigenpairs(op, 1, 1e-10)
-        hinted = lowest_eigenpairs(op, 1, 1e-10, estimate=estimate)
+        plain = lowest_eigenpairs(op, 1)
+        hinted = lowest_eigenpairs(op, 1, estimate=estimate)
         assert hinted.shift_source == "gershgorin"
         assert hinted.n_matvec == plain.n_matvec
 
@@ -544,5 +561,5 @@ class TestNearShift:
                                         "lanczos"])
     def test_estimate_unused_off_shift_invert(self, method):
         op, _, _ = dirichlet_box(10.0, 199)
-        res = lowest_eigenpairs(op, 2, 1e-10, method=method, estimate=0.0)
+        res = lowest_eigenpairs(op, 2, method=method, estimate=0.0)
         assert res.shift is None and res.shift_source is None

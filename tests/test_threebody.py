@@ -283,7 +283,7 @@ class TestAssembly2D:
         index[1:-1, 1:-1] = np.arange((n_x - 1) * (n_y - 1)).reshape(n_x - 1, n_y - 1)
         pot = beta * reduced_potential(math.sqrt(2.0) * h * np.arange(1, n_x), 1.0)
         op = SymmetricSparseOperator.on_lattice(index, h, np.repeat(pot, n_y - 1))
-        e0 = lowest_eigenpairs(op, 1, 1e-12, method="dense").values[0]
+        e0 = lowest_eigenpairs(op, 1, method="dense").values[0]
         pair = solve_two_body(Grid1D(n_x * math.sqrt(2.0) * h, n_x - 1), beta / 2.0, 1.0, 1,
                               method="dense")
         e_y = (1.0 - math.cos(math.pi / n_y)) / h**2
@@ -292,7 +292,7 @@ class TestAssembly2D:
     def test_free_wedge_spectrum_positive(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.4)
         op = assemble_hamiltonian_2d(grid, 0.0, 1.0)
-        res = lowest_eigenpairs(op, 4, 1e-11)
+        res = lowest_eigenpairs(op, 4)
         assert np.all(res.values > 0.0)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
@@ -390,7 +390,7 @@ class TestMiniWedgeReferences:
     def test_dense_reference_dx05(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.5)
         op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
-        res = lowest_eigenpairs(op, 4, 1e-12, method="dense")
+        res = lowest_eigenpairs(op, 4, method="dense")
         np.testing.assert_allclose(res.values, MINI_E_DX05, atol=1e-8)
 
     def test_dense_reference_dx04(self, mini_wedge_solves):
@@ -401,7 +401,7 @@ class TestMiniWedgeReferences:
         # cross-route: package Lanczos against the frozen dense reference
         grid = WedgeGrid2D(12.0, 16.0, 0.2)
         op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
-        res = lowest_eigenpairs(op, 4, 1e-11, method="lanczos")
+        res = lowest_eigenpairs(op, 4, method="lanczos")
         np.testing.assert_allclose(res.values, MINI_E_DX02, atol=1e-8)
 
     def test_iterative_matches_dense(self, mini_wedge_solves):

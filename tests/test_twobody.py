@@ -66,7 +66,7 @@ class TestAssembly:
         op = assemble_hamiltonian_1d(grid, 0.0, 1.0)
         from helixdipoles.linalg import lowest_eigenpairs
 
-        res = lowest_eigenpairs(op, 1, 1e-11)
+        res = lowest_eigenpairs(op, 1)
         analytic = math.pi**2 / (2.0 * 100.0**2)
         assert res.values[0] == pytest.approx(analytic, rel=1e-5)
 
