@@ -244,17 +244,20 @@ def find_minima(
 ) -> list[PotentialMinimum]:
     """Locate the attractive minima of the reduced potential.
 
-    Scans (0, 2pi*max_windings] in steps of ``MINIMA_SCAN_STEP``, brackets
-    every minus-to-plus sign change of the analytic derivative, and bisects
-    each bracket on the analytic derivative down to floating-point
+    Scans (0, min(2pi*max_windings, phi*)] in steps of ``MINIMA_SCAN_STEP``,
+    brackets every minus-to-plus sign change of the analytic derivative, and
+    bisects each bracket on the analytic derivative down to floating-point
     resolution.  No derivative threshold is applied afterwards: at small
     ratios the wells are so sharp that V' at the bisected minimum is still
     1e-10 to 1e-5.  Only attractive minima (negative value) are reported:
     for small ratios the potential also has a shallow positive local minimum
     on the repulsive shoulder before the first winding, which is not a
-    pair-binding feature.  The oscillation outlasts the monotone tail of V'
-    up to about 4pi/ratio^2 windings, so small ratios have minima far out
-    (at ratio 0.1, still at winding 1,000).
+    pair-binding feature.  No minimum lies beyond phi* = max(12pi^2/ratio^2,
+    20/3) (118.4 rad at ratio 1): with u = 1 - cos(phi), c = (ratio/2pi)^2,
+    V' = 3 (2u + c phi^2)^(-7/2) (c^2 phi^3 + 2c phi^2 sin(phi) - 3c phi u - u sin(phi)),
+    whose bracket is >= c phi^2 (c phi - 2) - 6c phi - 2 > 0 once c phi >= 3
+    and phi > 20/3.  Small ratios still have minima far out (at ratio 0.1,
+    still at winding 1,000).
 
     Args:
         ratio: pitch-to-radius ratio, must satisfy :func:`validate_geometry`.
@@ -269,7 +272,8 @@ def find_minima(
         raise ValueError("max_windings must be >= 1")
 
     phi_hi = TWO_PI * max_windings
-    grid = np.arange(MINIMA_SCAN_STEP, phi_hi + MINIMA_SCAN_STEP, MINIMA_SCAN_STEP)
+    stop = min(phi_hi, max(12.0 * math.pi**2 / ratio**2, 20.0 / 3.0))
+    grid = np.arange(MINIMA_SCAN_STEP, stop + MINIMA_SCAN_STEP, MINIMA_SCAN_STEP)
     deriv = reduced_potential_derivative(grid, ratio)
     # minimum bracketed where the derivative crosses - to +
     crossing = np.flatnonzero((deriv[:-1] < 0.0) & (deriv[1:] >= 0.0))

@@ -199,16 +199,14 @@ def solve_three_body(
     return sol
 
 
-def pair_distance_expectations(
-    sol: ThreeBodySolution, state: int = 0
-) -> tuple[float, float, float]:
-    """Expectation values of the pair angle differences, in units of 2pi.
+def pair_distance_expectations(sol: ThreeBodySolution) -> tuple[float, float, float]:
+    """Ground-state expectation values of the pair angle differences, in units of 2pi.
 
     The wedge enforces the ordering phi1 > phi2 > phi3, so all three are
     positive, and <phi13> = <phi12> + <phi23> holds by linearity.
     """
     grid = sol.grid
-    weight = sol.wavefunction(state) ** 2 * grid.spacing**2
+    weight = sol.wavefunction(0) ** 2 * grid.spacing**2
     weight = weight / weight.sum()
     return tuple(float(np.dot(weight, phi)) / TWO_PI
                  for phi in pair_separations(grid.x, grid.y))

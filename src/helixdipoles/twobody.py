@@ -32,7 +32,8 @@ STATISTICS = ("boson", "fermion")
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform interior grid on (0, phi_max) with implied zero boundaries."""
+    """Uniform interior grid on (0, phi_max) with implied zero boundaries; a
+    spacing above ``MAX_SPACING`` is refused when the grid is built."""
 
     phi_max: float = 100.0
     n_points: int = 9999
@@ -40,6 +41,10 @@ class Grid1D:
     def __post_init__(self) -> None:
         if not 0.0 < self.phi_max < math.inf or self.n_points < 3:
             raise GridError("need finite phi_max > 0 and at least 3 interior points")
+        if self.spacing > MAX_SPACING:
+            raise GridError(
+                f"spacing {self.spacing:g} > {MAX_SPACING} under-resolves the potential wells"
+            )
 
     @classmethod
     def from_spacing(cls, phi_max: float, spacing: float) -> "Grid1D":
@@ -58,13 +63,6 @@ class Grid1D:
         return self.spacing * np.arange(1, self.n_points + 1)
 
 
-def _check_resolution(grid: Grid1D) -> None:
-    if grid.spacing > MAX_SPACING:
-        raise GridError(
-            f"spacing {grid.spacing:g} > {MAX_SPACING} under-resolves the potential wells"
-        )
-
-
 @dataclass
 class TwoBodySolution(Solution):
     """Eigenpairs of the relative-motion problem at one coupling strength."""
@@ -81,7 +79,6 @@ def assemble_hamiltonian_1d(
     are the lattice border.  ``beta = 0`` gives the bare box.
     """
     validate_coupling(beta, ratio)
-    _check_resolution(grid)
     index = np.pad(np.arange(grid.n_points, dtype=np.int32), 1, constant_values=-1)
     return SymmetricSparseOperator.on_lattice(
         index, grid.spacing, beta * reduced_potential(grid.nodes, ratio))
@@ -157,17 +154,16 @@ def scan_beta(
     """Independent solves for each coupling in ``betas``, in input order.
 
     Package errors and ``ValueError`` from a solve are recorded per row and
-    do not abort the scan; any other exception propagates.  The geometry,
-    the solve request (``k``, ``method``) and the grid resolution
-    do not depend on the coupling, so they are checked once, before the
-    first solve, and raise.
+    do not abort the scan; any other exception propagates.  The geometry
+    and the solve request (``k``, ``method``) do not depend on the coupling,
+    so they are checked once, before the first solve, and raise; the grid's
+    resolution was checked when ``grid`` was built.
     """
     betas = list(betas)
     if not betas:
         raise ValueError("betas must be non-empty")
     validate_geometry(ratio)
     check_request(k, grid.n_points, method, seed)
-    _check_resolution(grid)
     rows: list[BetaScanRow] = []
     for beta in betas:
         try:

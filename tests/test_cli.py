@@ -446,12 +446,38 @@ class TestExitCodes:
         assert not (tmp_path / "summary.txt").exists()
         assert read_keyvalue(tmp_path / "metadata.txt")["status"] == "geometry_error"
 
-    def test_oversized_request_is_config_error(self, tmp_path, capsys):
-        # find_minima's scan grid would take 711 PiB, beyond any address space
-        assert main(["potential", "--phi-max", "1e14", "--out-dir", str(tmp_path)]) == 2
+    def test_oversized_request_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # the symmetrization sample grid would take 182 TiB, beyond any address space
+        def no_solve(*args, **kwargs):
+            raise AssertionError("wedge solved before the sample grid was built")
+
+        monkeypatch.setattr("helixdipoles.cli.solve_three_body", no_solve)
+        argv = MINI_WEDGE + ["--symmetrize", "--sample-spacing", "1e-5"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         assert read_keyvalue(tmp_path / "metadata.txt")["status"] == "config_error"
         assert "problem too large for memory" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_potential_far_range_scans_only_to_the_last_possible_minimum(self, tmp_path):
+        # V' > 0 beyond 118.4 rad at ratio 1, so phi_max = 1e14 costs no more
+        # than phi_max = 118.4 in the minima scan
+        assert main(["potential", "--phi-max", "1e14", "--out-dir", str(tmp_path)]) == 0
+        assert read_keyvalue(tmp_path / "summary.txt")["n_minima_in_range"] == "13"
+
+    def test_potential_minima_scan_memory_is_bounded(self, tmp_path):
+        # the unbounded scan of the 319 windings behind phi_max = 2000 peaked
+        # at 198.5 MB; VmHWM is the child's own peak, while its ru_maxrss
+        # would carry over the peak of the process that spawned it
+        src = str(Path(helixdipoles.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["potential", "--phi-max", "2000", "--out-dir", str(tmp_path)]
+        code = ("import re; from pathlib import Path; from helixdipoles.cli import main; "
+                f"assert main({argv!r}) == 0; "
+                "print(re.search(r'VmHWM:\\s*(\\d+) kB', "
+                "Path('/proc/self/status').read_text()).group(1))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert int(out) / 1024 < 100.0
 
     def test_oversized_sample_grid_rejected_before_the_solve(self, tmp_path, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -505,6 +531,19 @@ class TestInputEdges:
         meta = read_keyvalue(tmp_path / "metadata.txt")
         assert meta["status"] == "config_error"
         assert not list(tmp_path.glob("*.csv"))  # rejected before any solve
+
+    @pytest.mark.parametrize("problem, solver", [("two-body", "solve_two_body"),
+                                                 ("scan", "scan_beta"),
+                                                 ("fit", "build_size_scan")])
+    def test_coarse_spacing_rejected_before_any_solve(self, problem, solver, tmp_path,
+                                                      capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved on an under-resolving grid")
+
+        monkeypatch.setattr(f"helixdipoles.cli.{solver}", no_solve)
+        assert main([problem, "--spacing", "0.5", "--out-dir", str(tmp_path)]) == 2
+        assert read_keyvalue(tmp_path / "metadata.txt")["status"] == "config_error"
+        assert "spacing 0.5 > 0.2 under-resolves the potential wells" in capsys.readouterr().err
 
     def test_scan_bad_ratio_is_geometry_error(self, tmp_path):
         assert main(["scan", "--ratio=-1", "--out-dir", str(tmp_path)]) == 3

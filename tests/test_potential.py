@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helixdipoles.errors import CoincidenceError, GeometryError
 from helixdipoles.potential import (
+    MINIMA_SCAN_STEP,
     RATIO_MAX,
     HelixGeometry,
     PhysicalDipole,
+    PotentialMinimum,
     beta_from_physical,
     cartesian_position,
     energy_unit_joules,
@@ -280,6 +282,37 @@ class TestValidateGeometry:
             validate_geometry(-1.0)
 
 
+def _scan_stop(ratio):
+    """phi* = max(12 pi^2 / ratio^2, 20/3), beyond which V' > 0."""
+    return max(12.0 * math.pi**2 / ratio**2, 20.0 / 3.0)
+
+
+def _unbounded_minima(ratio, windings, block=1 << 18):
+    """Reference minima from a scan of all of (0, 2pi*windings], in blocks."""
+    phi_hi = TWO_PI * windings
+    grid = np.arange(MINIMA_SCAN_STEP, phi_hi + MINIMA_SCAN_STEP, MINIMA_SCAN_STEP)
+    deriv = np.concatenate([reduced_potential_derivative(grid[i:i + block], ratio)
+                            for i in range(0, grid.size, block)])
+    minima = []
+    for i in np.flatnonzero((deriv[:-1] < 0.0) & (deriv[1:] >= 0.0)):
+        lo, hi = grid[i], grid[i + 1]
+        flo = reduced_potential_derivative(lo, ratio)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            fmid = reduced_potential_derivative(mid, ratio)
+            if flo * fmid <= 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        phi = 0.5 * (lo + hi)
+        value = reduced_potential(phi, ratio)
+        if value < 0.0 and phi <= phi_hi:
+            minima.append(PotentialMinimum(phi, value, math.ceil(phi / TWO_PI)))
+    return minima
+
+
 class TestFindMinima:
     def test_first_minimum_ratio1(self):
         minima = find_minima(1.0, 1)
@@ -324,6 +357,20 @@ class TestFindMinima:
         # oscillation outlasts the monotone tail to about 4pi/ratio^2 windings
         minima = find_minima(ratio, windings)
         assert [m.winding_index for m in minima] == list(range(1, windings + 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.05, RATIO_MAX, exclude_max=True))
+    def test_derivative_positive_beyond_the_scan_stop(self, ratio):
+        # the bound in find_minima's docstring: V' > 0 beyond phi*, so no
+        # minimum lies there; samples at most 1.2 rad apart, under the 2pi period
+        phi_star = _scan_stop(ratio)
+        phi = np.linspace(phi_star, 6.0 * phi_star, 200_001)[1:]
+        assert np.all(reduced_potential_derivative(phi, ratio) > 0.0)
+
+    @pytest.mark.parametrize("ratio", [0.3, 0.5, 1.0, 2.0, 3.0, 4.0, 4.4])
+    def test_stopped_scan_matches_unbounded_scan(self, ratio):
+        for windings in sorted({1, 3, math.ceil(2.0 * _scan_stop(ratio) / TWO_PI)}):
+            assert find_minima(ratio, windings) == _unbounded_minima(ratio, windings)
 
     def test_invalid_inputs(self):
         with pytest.raises(GeometryError):

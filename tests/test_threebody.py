@@ -471,11 +471,6 @@ class TestProductionSolves:
             d12, d23, _ = sol.distances
             assert abs(d12 - d23) < 0.02
 
-    def test_excited_state_distances(self, three_body_beta1):
-        d12, d23, d13 = pair_distance_expectations(three_body_beta1, state=1)
-        assert d13 == pytest.approx(d12 + d23, abs=1e-10)
-        assert d12 > 0.0 and d23 > 0.0
-
     def test_wedge_dirichlet_suppression(self, three_body_beta1):
         # the repulsive cores push amplitude away from the mask edges
         grid = three_body_beta1.grid

@@ -52,6 +52,13 @@ class TestGrid1D:
         with pytest.raises(GridError):
             Grid1D.from_spacing(10.0, spacing)
 
+    def test_coarse_spacing_rejected_when_built(self):
+        # the resolution rule belongs to the grid: no under-resolving grid exists
+        with pytest.raises(GridError, match="under-resolves"):
+            Grid1D.from_spacing(100.0, 0.25)
+        with pytest.raises(GridError, match="spacing 0.25 > 0.2"):
+            Grid1D(phi_max=100.0, n_points=399)
+
     @given(st.sampled_from([math.nan, math.inf, -math.inf]))
     def test_non_finite_phi_max_rejected(self, phi_max):
         with pytest.raises(GridError, match="finite"):
