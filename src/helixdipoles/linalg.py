@@ -19,14 +19,32 @@ returned are the Rayleigh quotients of the returned eigenvectors, taken
 with the matvecs of the residual check.  A near-shift run starts from the
 certificate's solve; other start and restart vectors come from a seeded
 generator whose seed the result carries, so repeated runs are reproducible.
+
+Every ARPACK route (the shifted factor, the certificate's solve and
+``eigsh``) runs with numpy's and scipy's bundled OpenBLAS at one thread and
+restores their counts after.  A Lanczos run makes tens of skinny BLAS-2
+calls, which threads only stall: on the beta=2 wedge (n = 93,406, 2 vCPU)
+ARPACK's 11 ``dsaupd`` calls took 162-176 ms on two threads against
+21-23 ms on one, and ``dseupd`` 11-15 ms against 1 ms.  Threads also change
+the rounding, so at one thread the outputs no longer depend on the
+ambient count; the banded route is unthreaded, and the dense one keeps the
+ambient count.  The limit is process-wide: a concurrent caller's BLAS runs
+single-threaded while a sparse solve runs.  Where no bundled OpenBLAS is
+found (MKL, Accelerate, a system BLAS) nothing is limited.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
@@ -331,6 +349,62 @@ def _shifted_factor(op, estimate):
     return factor(sigma), sigma, "gershgorin", x
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of each OpenBLAS numpy and scipy load.
+
+    Searched once, in the wheels' ``numpy.libs``/``scipy.libs`` directories;
+    empty where numpy and scipy bring no OpenBLAS of their own (MKL,
+    Accelerate, a system BLAS).
+    """
+    found = []
+    for mod in (np, scipy):
+        libdir = Path(mod.__file__).resolve().parent.parent / f"{mod.__name__}.libs"
+        for path in sorted(libdir.glob("*openblas*")):
+            lib = ctypes.CDLL(str(path))
+            for prefix in ("scipy_openblas", "openblas"):
+                for suffix in ("64_", ""):
+                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                    put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                    if get is None or put is None:
+                        continue
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    found.append((get, put))
+    return tuple(found)
+
+
+_one_thread_lock = threading.Lock()
+_one_thread_users = 0
+_ambient_threads = ()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every found OpenBLAS at one thread, then restore the counts.
+
+    The first of overlapping users saves the ambient counts and the last one
+    out restores them, so concurrent solves neither leave the process at one
+    thread nor lift the limit under one another.
+    """
+    global _one_thread_users, _ambient_threads
+    with _one_thread_lock:
+        if _one_thread_users == 0:
+            _ambient_threads = tuple((put, get()) for get, put in _openblas_threads())
+            for put, _ in _ambient_threads:
+                put(1)
+        _one_thread_users += 1
+    try:
+        yield
+    finally:
+        with _one_thread_lock:
+            _one_thread_users -= 1
+            if _one_thread_users == 0:
+                for put, count in _ambient_threads:
+                    put(count)
+
+
+@_one_blas_thread()
 def _arpack(op, k, seed, shift_invert, estimate=None):
     """ARPACK's implicitly restarted Lanczos for the ``k`` lowest eigenpairs.
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import shlex
@@ -761,3 +762,21 @@ class TestDeterminism:
         assert [p.name for p in outputs[0]] == [p.name for p in outputs[1]]
         for a, b in zip(*outputs):
             assert a.read_bytes() == b.read_bytes(), f"{a.name} differs between runs"
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the default beta=2 wedge: the 12x16 box at h=0.4 or 0.2 stays below
+        # OpenBLAS's threading thresholds and would pass even without the limit
+        src = str(Path(helixdipoles.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "helixdipoles.cli", "three-body",
+                            "--beta", "2", "--k", "1", "--out-dir", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            files = sorted(p for p in out.iterdir()
+                           if p.suffix == ".csv" or p.name == "summary.txt")
+            digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                            for p in files})
+        assert "wavefunction2d.csv" in digests[0] and "summary.txt" in digests[0]
+        assert digests[0] == digests[1]

@@ -396,6 +396,76 @@ class TestSolverContract:
         assert tols == [linalg.ARPACK_TOL] * 3
 
 
+def blas_threads():
+    return [get() for get, _ in linalg._openblas_threads()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every found OpenBLAS at two threads for the test; yields the counts it reads back."""
+    found = linalg._openblas_threads()
+    if not found:
+        pytest.skip("numpy and scipy bring no OpenBLAS of their own")
+    saved = blas_threads()
+    for _, put in found:
+        put(2)
+    yield blas_threads()
+    for (_, put), count in zip(found, saved):
+        put(count)
+
+
+def mini_wedge_operator():
+    return assemble_hamiltonian_2d(WedgeGrid2D(12.0, 16.0, 0.4), 1.0, 1.0)
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("method", ["shift-invert", "lanczos"])
+    def test_arpack_runs_on_one_thread_and_restores(self, monkeypatch, two_blas_threads,
+                                                    method):
+        import scipy.sparse.linalg as spla
+
+        eigsh, inside = spla.eigsh, []
+
+        def recorded(*args, **kwargs):
+            inside.append(blas_threads())
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", recorded)
+        lowest_eigenpairs(mini_wedge_operator(), 2, method=method)
+        assert inside == [[1] * len(two_blas_threads)]
+        assert blas_threads() == two_blas_threads
+
+    def test_counts_restored_when_arpack_stops(self, monkeypatch, two_blas_threads):
+        import scipy.sparse.linalg as spla
+
+        def stalled(A, k, **kwargs):
+            raise spla.ArpackNoConvergence("stalled", np.array([2.0]), np.ones((A.shape[0], 1)))
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        with pytest.raises(ConvergenceError):
+            lowest_eigenpairs(mini_wedge_operator(), 2, method="shift-invert")
+        assert blas_threads() == two_blas_threads
+
+    def test_overlapping_users_restore_once_the_last_leaves(self, two_blas_threads):
+        first, second = linalg._one_blas_thread(), linalg._one_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        try:  # the second user still runs at one thread
+            assert blas_threads() == [1] * len(two_blas_threads)
+        finally:
+            second.__exit__(None, None, None)
+        assert blas_threads() == two_blas_threads
+
+    def test_no_openblas_found_gives_the_same_pairs(self, monkeypatch):
+        op = mini_wedge_operator()
+        limited = lowest_eigenpairs(op, 2, method="shift-invert")
+        monkeypatch.setattr(linalg, "_openblas_threads", lambda: ())
+        plain = lowest_eigenpairs(op, 2, method="shift-invert")
+        np.testing.assert_array_equal(plain.values, limited.values)
+        np.testing.assert_array_equal(plain.vectors, limited.vectors)
+
+
 class TestBandedAccuracy:
     @pytest.mark.parametrize("grid", [Grid1D(), Grid1D.from_spacing(1000.0, 0.01)],
                              ids=["L100", "L1000"])
