@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_SEED
 from .potential import find_minima
 from .twobody import Grid1D, solve_two_body
 
@@ -56,9 +55,6 @@ def build_size_scan(
     betas,
     grid: Grid1D,
     ratio: float,
-    *,
-    method: str = "auto",
-    seed: int = DEFAULT_SEED,
 ) -> list[SizeScanRow]:
     """Ground-state solve per coupling; pairs E0 with <phi^2> and phi0."""
     minima = find_minima(ratio, 1)
@@ -67,7 +63,7 @@ def build_size_scan(
     phi0 = minima[0].phi_k
     rows = []
     for beta in betas:
-        sol = solve_two_body(grid, beta, ratio, 1, method=method, seed=seed)
+        sol = solve_two_body(grid, beta, ratio, 1)
         rows.append(
             SizeScanRow(
                 beta=float(beta),

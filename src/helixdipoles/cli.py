@@ -10,9 +10,9 @@ every CSV its subcommand can write, then computes, and writes the CSVs,
 ``summary.txt`` and ``metadata.txt`` only after the whole computation
 succeeded.  Runs are always seeded and serial, so repeated runs produce
 byte-identical files.  Where numpy's and scipy's bundled OpenBLAS are found,
-the files do not depend on its thread count either (the sparse eigensolve
-runs on one thread); with another BLAS, or under ``--solver dense``, they
-hold only at a fixed count.
+the files do not depend on its thread count either (every eigensolve that
+calls it runs on one thread); with another BLAS they hold only at a fixed
+count.
 
 Exit codes: 0 success, 2 configuration error (``config_error``, a problem
 too large for memory included) or an output file that cannot be written
@@ -49,7 +49,6 @@ from .twobody import STATISTICS, Grid1D, extend_full_line, scan_beta, solve_two_
 OUTDIR_ENV = "HELIX_DIPOLES_OUTDIR"
 
 _BODIES = ("two-body", "three-body")
-_SOLVING = _BODIES + ("scan", "fit")
 _HALF_LINE = ("two-body", "scan", "fit")
 _WEDGE = ("three-body",)
 
@@ -90,11 +89,10 @@ class RunConfig:
     phi_max: float = _flag(3.0 * TWO_PI, "largest separation sampled", on=("potential",))
     n_samples: int = _flag(2000, "number of curve samples", on=("potential",))
     out_dir: str = _flag("runs", f"output directory (or ${OUTDIR_ENV})")
-    seed: int = _flag(DEFAULT_SEED, "eigensolver start-vector seed", on=_SOLVING)
-    solver: str = _flag("auto", "eigensolver path; auto picks by operator structure, "
-                        "a banded solve for two-body and shift-invert for three-body; "
+    seed: int = _flag(DEFAULT_SEED, "eigensolver start-vector seed", on=_WEDGE)
+    solver: str = _flag("auto", "eigensolver path; auto is shift-invert on the wedge, "
                         f"dense takes at most {DENSE_CUTOFF} unknowns",
-                        on=_SOLVING, choices=METHODS)
+                        on=_WEDGE, choices=METHODS)
     allow_small_box: bool = _flag(False, "skip the five-winding wall-clearance check",
                                   on=_WEDGE)
     symmetrize: bool = _flag(False, "export the full-plane (anti)symmetrized wave function",
@@ -287,8 +285,7 @@ def _run_potential(cfg: RunConfig) -> tuple[dict, dict]:
 def _run_two_body(cfg: RunConfig) -> tuple[dict, dict]:
     unit = _energy_unit(cfg)
     grid = Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d)
-    sol = solve_two_body(grid, cfg.beta, cfg.ratio, cfg.k_states,
-                         method=cfg.solver, seed=cfg.seed)
+    sol = solve_two_body(grid, cfg.beta, cfg.ratio, cfg.k_states)
     header = ["phi"] + [f"psi{m}" for m in range(cfg.k_states)]
     tables = {"wavefunctions.csv": (header, np.column_stack(
         [grid.nodes] + [sol.wavefunction(m) for m in range(cfg.k_states)]))}
@@ -350,8 +347,7 @@ def _run_three_body(cfg: RunConfig) -> tuple[dict, dict]:
 def _run_scan(cfg: RunConfig) -> tuple[dict, dict]:
     betas = cfg.betas or tuple(round(0.1 * i, 10) for i in range(1, 15))
     grid = Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d)
-    rows = scan_beta(betas, grid, cfg.ratio, cfg.k_states,
-                     method=cfg.solver, seed=cfg.seed)
+    rows = scan_beta(betas, grid, cfg.ratio, cfg.k_states)
     header = ["beta"] + [f"E{m}" for m in range(cfg.k_states)] + ["bound_count"]
     csv_rows = []
     failures = []
@@ -370,8 +366,7 @@ def _run_scan(cfg: RunConfig) -> tuple[dict, dict]:
 def _run_fit(cfg: RunConfig) -> tuple[dict, dict]:
     betas = cfg.betas or (5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0)
     grid = Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d)
-    rows = build_size_scan(betas, grid, cfg.ratio,
-                           method=cfg.solver, seed=cfg.seed)
+    rows = build_size_scan(betas, grid, cfg.ratio)
     tables = {"size_scan.csv": (["beta", "E0", "phi2", "phi0"],
                                 [[r.beta, r.energy, r.phi2, r.phi0] for r in rows])}
     fit = fit_harmonic_size(rows, beta_range=(min(betas), max(betas)))
@@ -384,8 +379,7 @@ def _run_fit(cfg: RunConfig) -> tuple[dict, dict]:
         "beta_min": fit.beta_range[0], "beta_max": fit.beta_range[1],
     }
     if cfg.product_betas:
-        prows = build_size_scan(cfg.product_betas, grid, cfg.ratio,
-                                method=cfg.solver, seed=cfg.seed)
+        prows = build_size_scan(cfg.product_betas, grid, cfg.ratio)
         tables["product.csv"] = (["E", "product"], size_energy_product(prows))
         summary["n_product_rows"] = len(prows)
     return tables, summary

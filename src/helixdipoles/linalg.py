@@ -21,16 +21,17 @@ certificate's solve; other start and restart vectors come from a seeded
 generator whose seed the result carries, so repeated runs are reproducible.
 
 Every ARPACK route (the shifted factor, the certificate's solve and
-``eigsh``) runs with numpy's and scipy's bundled OpenBLAS at one thread and
-restores their counts after.  A Lanczos run makes tens of skinny BLAS-2
-calls, which threads only stall: on the beta=2 wedge (n = 93,406, 2 vCPU)
-ARPACK's 11 ``dsaupd`` calls took 162-176 ms on two threads against
-21-23 ms on one, and ``dseupd`` 11-15 ms against 1 ms.  Threads also change
-the rounding, so at one thread the outputs no longer depend on the
-ambient count; the banded route is unthreaded, and the dense one keeps the
-ambient count.  The limit is process-wide: a concurrent caller's BLAS runs
-single-threaded while a sparse solve runs.  Where no bundled OpenBLAS is
-found (MKL, Accelerate, a system BLAS) nothing is limited.
+``eigsh``) and the dense ``eigh`` run with numpy's and scipy's bundled
+OpenBLAS at one thread and restore their counts after.  A Lanczos run
+makes tens of skinny BLAS-2 calls, which threads only stall: on the beta=2
+wedge (n = 93,406, 2 vCPU) ARPACK's 11 ``dsaupd`` calls took 162-176 ms on
+two threads against 21-23 ms on one, and ``dseupd`` 11-15 ms against 1 ms.
+Threads also change the rounding, so at one thread the outputs no longer
+depend on the ambient count; the banded route is unthreaded.  The forced
+dense route pays for that: its ``eigh`` at n = 2000 took 1.6-1.7 s on one
+thread against 1.0 s on two.  The limit is process-wide: a concurrent
+caller's BLAS runs single-threaded while a solve runs.  Where no bundled
+OpenBLAS is found (MKL, Accelerate, a system BLAS) nothing is limited.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def _package(op, vecs, weight, method, seed, n_matvec, **shifted):
     )
 
 
-def check_request(k: int, n: int, method: str, seed: int) -> None:
+def check_request(k: int, n: int, method: str = "auto", seed: int = DEFAULT_SEED) -> None:
     """Reject a solve request for ``k`` pairs of an ``n``-unknown operator.
 
     Raises :class:`DimensionError` unless ``1 <= k <= max(1, n/4)``, and
@@ -252,8 +253,8 @@ def lowest_eigenpairs(
             ``lanczos`` to force a path.
         seed: seeds the start vector (a near shift starts from the
             certificate's solve instead) and any restart vector.
-        quadrature_weight: per-node quadrature weight used to normalize the
-            returned eigenvectors as grid functions.
+        quadrature_weight: per-node quadrature weight, finite and > 0, used
+            to normalize the returned eigenvectors as grid functions.
         estimate: a guess at the lowest eigenvalue, such as the ground
             energy of a coarser grid.  Only the shift-invert path reads it:
             it places ``sigma`` just below the guess when a one-solve
@@ -275,19 +276,23 @@ def lowest_eigenpairs(
 
     Raises:
         DimensionError, ValueError: the request fails :func:`check_request`,
-            or the operator holds a NaN or an infinity (``ValueError``).
+            the quadrature weight is not finite and positive, or the operator
+            holds a NaN or an infinity (``ValueError``).
         ConvergenceError: ARPACK spent its restart limit (scipy's default
             ``maxiter``, 10 n) before reaching :data:`ARPACK_TOL`; the pairs it
             did converge are attached to the exception as energies and vectors.
     """
     check_request(k, op.n, method, seed)
+    if not 0.0 < quadrature_weight < math.inf:
+        raise ValueError(f"quadrature_weight must be finite and > 0, got {quadrature_weight}")
     if not np.all(np.isfinite(op.csr.data)):
         raise ValueError("operator has non-finite entries")
     if method == "auto":
         method = "tridiagonal" if op.is_tridiagonal() else "shift-invert"
 
     if method == "dense":
-        vecs = np.linalg.eigh(op.csr.toarray())[1][:, :k]
+        with _one_blas_thread():
+            vecs = np.linalg.eigh(op.csr.toarray())[1][:, :k]
         return _package(op, vecs, quadrature_weight, "dense", None, 0)
     if method == "tridiagonal":
         off = op.csr.diagonal(1)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, HelixDipolesError
-from .linalg import (DEFAULT_SEED, Solution, SymmetricSparseOperator, check_request,
-                     lowest_eigenpairs)
+from .linalg import Solution, SymmetricSparseOperator, check_request, lowest_eigenpairs
 from .potential import reduced_potential, validate_coupling, validate_geometry
 
 #: A state counts as bound when its reduced energy is below this threshold;
@@ -90,20 +89,18 @@ def solve_two_body(
     ratio: float,
     k: int,
     *,
-    method: str = "auto",
-    seed: int = DEFAULT_SEED,
+    seed: int | None = None,
 ) -> TwoBodySolution:
     """Lowest ``k`` states of the half-line relative-motion problem.
 
-    The returned wave functions live on ``grid.nodes`` (phi > 0 only) and are
-    unit-normalized under the trapezoidal grid quadrature.
+    The tridiagonal operator always takes the banded solve, which draws no
+    random numbers: ``seed`` is ignored, and stays only because
+    ``perfbench/record_references.py`` still passes one.  The returned wave
+    functions live on ``grid.nodes`` (phi > 0 only) and are unit-normalized
+    under the trapezoidal grid quadrature.
     """
     op = assemble_hamiltonian_1d(grid, beta, ratio)
-    eigen = lowest_eigenpairs(
-        op, k,
-        method=method, seed=seed,
-        quadrature_weight=grid.spacing,
-    )
+    eigen = lowest_eigenpairs(op, k, quadrature_weight=grid.spacing)
     bound_count = int(np.sum(eigen.values < BOUND_THRESHOLD))
     return TwoBodySolution(grid=grid, eigen=eigen, bound_count=bound_count)
 
@@ -147,27 +144,24 @@ def scan_beta(
     grid: Grid1D,
     ratio: float,
     k: int,
-    *,
-    method: str = "auto",
-    seed: int = DEFAULT_SEED,
 ) -> list[BetaScanRow]:
     """Independent solves for each coupling in ``betas``, in input order.
 
     Package errors and ``ValueError`` from a solve are recorded per row and
     do not abort the scan; any other exception propagates.  The geometry
-    and the solve request (``k``, ``method``) do not depend on the coupling,
-    so they are checked once, before the first solve, and raise; the grid's
-    resolution was checked when ``grid`` was built.
+    and ``k`` do not depend on the coupling, so they are checked once,
+    before the first solve, and raise; the grid's resolution was checked
+    when ``grid`` was built.
     """
     betas = list(betas)
     if not betas:
         raise ValueError("betas must be non-empty")
     validate_geometry(ratio)
-    check_request(k, grid.n_points, method, seed)
+    check_request(k, grid.n_points)
     rows: list[BetaScanRow] = []
     for beta in betas:
         try:
-            sol = solve_two_body(grid, beta, ratio, k, method=method, seed=seed)
+            sol = solve_two_body(grid, beta, ratio, k)
             rows.append(BetaScanRow(beta, sol.energies, sol.bound_count))
         except (HelixDipolesError, ValueError) as exc:  # row error, scan continues
             rows.append(BetaScanRow(beta, None, None, error=str(exc)))

@@ -520,13 +520,12 @@ class TestInputEdges:
         MINI_WEDGE + ["--symmetrize", "--sample-spacing=-0.5"],
         MINI_WEDGE + ["--symmetrize", "--sample-extent=-1"],
         MINI_WEDGE + ["--symmetrize", "--sample-extent=nan"],
-        ["two-body", "--seed", "-1"],
-        ["scan", "--seed=-1"],
+        MINI_WEDGE + ["--seed", "-1"],
     ], ids=["two-body-k0", "three-body-k0", "phi-max-0", "n-samples-0", "n-samples-neg",
             "spacing-0", "scan-k0", "scan-k-huge", "scan-coarse-spacing",
             "wedge-box-too-small",
             "sample-spacing-0", "sample-spacing-neg", "sample-extent-neg",
-            "sample-extent-nan", "two-body-seed-neg", "scan-seed-neg"])
+            "sample-extent-nan", "three-body-seed-neg"])
     def test_bad_input_is_config_error(self, argv, tmp_path):
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         meta = read_keyvalue(tmp_path / "metadata.txt")
@@ -563,10 +562,18 @@ class TestInputEdges:
             assert meta["status"] == "config_error"
             assert "finite" in meta["error"]
 
-    @pytest.mark.parametrize("flag", ["--seed=1", "--tol=1e-8", "--solver=lanczos"])
-    def test_potential_takes_no_solver_flags(self, flag, capsys):
+    # the half-line problems always take the banded solve, which draws no seed
+    @pytest.mark.parametrize("argv", [
+        ["potential", "--seed=1"], ["potential", "--tol=1e-8"],
+        ["potential", "--solver=lanczos"],
+        ["two-body", "--seed", "1"], ["two-body", "--solver", "dense"],
+        ["scan", "--seed=-1"], ["scan", "--solver=lanczos"],
+        ["fit", "--seed=1"], ["fit", "--solver=shift-invert"],
+    ], ids=["--seed=1", "--tol=1e-8", "--solver=lanczos", "two-body-seed",
+            "two-body-solver", "scan-seed-neg", "scan-solver", "fit-seed", "fit-solver"])
+    def test_potential_takes_no_solver_flags(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["potential", flag])
+            build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -590,7 +597,7 @@ class TestGeneratedParser:
     PHYSICAL = {"--mass-kg": "mass_kg", "--radius-m": "radius_m"}
     FLAGS = {
         "potential": {**COMMON, "--phi-max": "phi_max", "--n-samples": "n_samples"},
-        "two-body": {**COMMON, **SOLVER, **PHYSICAL, "--beta": "beta",
+        "two-body": {**COMMON, **PHYSICAL, "--beta": "beta",
                      "--box-length": "box_length", "--spacing": "spacing_1d",
                      "--k": "k_states", "--statistics": "statistics",
                      "--full-line": "emit_full_line"},
@@ -600,9 +607,9 @@ class TestGeneratedParser:
                        "--allow-small-box": "allow_small_box",
                        "--symmetrize": "symmetrize", "--sample-extent": "sample_extent",
                        "--sample-spacing": "sample_spacing"},
-        "scan": {**COMMON, **SOLVER, "--betas": "betas", "--box-length": "box_length",
+        "scan": {**COMMON, "--betas": "betas", "--box-length": "box_length",
                  "--spacing": "spacing_1d", "--k": "k_states"},
-        "fit": {**COMMON, **SOLVER, "--betas": "betas",
+        "fit": {**COMMON, "--betas": "betas",
                 "--product-betas": "product_betas", "--box-length": "box_length",
                 "--spacing": "spacing_1d"},
     }
@@ -710,6 +717,32 @@ class TestMainEntry:
         _, rows = read_csv(out / "scan.csv")
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["two-body", "--box-length", "40", "--spacing", "0.05"],
+        ["scan", "--betas", "0.5,1", "--box-length", "40", "--spacing", "0.05"],
+        SMALL_FIT,
+    ], ids=["two-body", "scan", "fit"])
+    def test_half_line_ignores_shared_solver_settings(self, argv, tmp_path):
+        # the shared file of test_metadata_echoes_only_its_settings: its solver
+        # settings are three-body's, so they change neither the outputs nor the echo
+        outputs = []
+        for text in ("solver = lanczos\nseed = 5\nbeta = 2.0\n", "beta = 2.0\n"):
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(text)
+            out = tmp_path / str(len(outputs))
+            assert main(argv + ["--config", str(cfg_file), "--out-dir", str(out)]) == 0
+            meta = read_keyvalue(out / "metadata.txt")
+            assert "solver" not in meta and "seed" not in meta
+            assert meta["problem"] == argv[0] and meta["status"] == "ok"
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "metadata.txt"})
+        assert outputs[0] == outputs[1]
+        if argv[0] == "two-body":
+            summary = read_keyvalue(tmp_path / "0" / "summary.txt")
+            assert summary["beta"] == "2"
+            assert summary["solver_method"] == "tridiagonal"
+            assert summary["solver_seed"] == "none"
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTDIR_ENV, str(tmp_path / "from_env"))
         code = main(["potential", "--ratio", "1.0", "--n-samples", "50"])
@@ -765,18 +798,21 @@ class TestDeterminism:
 
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # the default beta=2 wedge: the 12x16 box at h=0.4 or 0.2 stays below
-        # OpenBLAS's threading thresholds and would pass even without the limit
+        # OpenBLAS's threading thresholds under ARPACK and would pass even
+        # without the limit; the dense eigh of the h=0.4 box does not
         src = str(Path(helixdipoles.__file__).resolve().parents[1])
-        digests = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-            subprocess.run([sys.executable, "-m", "helixdipoles.cli", "three-body",
-                            "--beta", "2", "--k", "1", "--out-dir", str(out)],
-                           env=env, check=True, capture_output=True, timeout=300)
-            files = sorted(p for p in out.iterdir()
-                           if p.suffix == ".csv" or p.name == "summary.txt")
-            digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                            for p in files})
-        assert "wavefunction2d.csv" in digests[0] and "summary.txt" in digests[0]
-        assert digests[0] == digests[1]
+        for name, flags in [("default", ["--beta", "2", "--k", "1"]),
+                            ("dense", MINI_WEDGE[1:] + ["--solver", "dense", "--k", "2"])]:
+            digests = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{name}-threads{threads}"
+                env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+                subprocess.run([sys.executable, "-m", "helixdipoles.cli", "three-body",
+                                *flags, "--out-dir", str(out)],
+                               env=env, check=True, capture_output=True, timeout=300)
+                files = sorted(p for p in out.iterdir()
+                               if p.suffix == ".csv" or p.name == "summary.txt")
+                digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                for p in files})
+            assert "wavefunction2d.csv" in digests[0] and "summary.txt" in digests[0]
+            assert digests[0] == digests[1], name

@@ -312,6 +312,20 @@ class TestLowestEigenpairs:
         with pytest.raises(DimensionError):
             lowest_eigenpairs(op, 0)
 
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("method", linalg.METHODS)
+    def test_bad_quadrature_weight_rejected_before_the_solve(self, method, weight,
+                                                             monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved with a bad quadrature weight")
+
+        for owner, name in [(linalg, "eigh_tridiagonal"), (linalg, "_arpack"),
+                            (np.linalg, "eigh")]:
+            monkeypatch.setattr(owner, name, no_solve)
+        op, _, _ = dirichlet_box(10.0, 99)
+        with pytest.raises(ValueError, match="quadrature_weight"):
+            lowest_eigenpairs(op, 2, method=method, quadrature_weight=weight)
+
     def test_forced_tridiagonal_on_general_operator_rejected(self):
         # the banded route is taken by auto alone, never forced
         op = random_sparse_symmetric(300)
@@ -432,6 +446,18 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(spla, "eigsh", recorded)
         lowest_eigenpairs(mini_wedge_operator(), 2, method=method)
+        assert inside == [[1] * len(two_blas_threads)]
+        assert blas_threads() == two_blas_threads
+
+    def test_dense_runs_on_one_thread_and_restores(self, monkeypatch, two_blas_threads):
+        eigh, inside = np.linalg.eigh, []
+
+        def recorded(*args, **kwargs):
+            inside.append(blas_threads())
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        lowest_eigenpairs(mini_wedge_operator(), 2, method="dense")
         assert inside == [[1] * len(two_blas_threads)]
         assert blas_threads() == two_blas_threads
 
