@@ -9,10 +9,9 @@ the directory.  A run first deletes ``summary.txt``, ``metadata.txt`` and
 every CSV its subcommand can write, then computes, and writes the CSVs,
 ``summary.txt`` and ``metadata.txt`` only after the whole computation
 succeeded.  Runs are always seeded and serial, so repeated runs produce
-byte-identical files.  Where numpy's and scipy's bundled OpenBLAS are found,
-the files do not depend on its thread count either (every eigensolve that
-calls it runs on one thread); with another BLAS they hold only at a fixed
-count.
+byte-identical files.  Every solve runs in one scope on scipy's bundled
+OpenBLAS at one thread, so the files do not depend on the thread count
+either; with another BLAS they hold only at a fixed count.
 
 Exit codes: 0 success, 2 configuration error (``config_error``, a problem
 too large for memory included) or an output file that cannot be written

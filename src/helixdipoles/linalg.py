@@ -20,18 +20,16 @@ with the matvecs of the residual check.  A near-shift run starts from the
 certificate's solve; other start and restart vectors come from a seeded
 generator whose seed the result carries, so repeated runs are reproducible.
 
-Every ARPACK route (the shifted factor, the certificate's solve and
-``eigsh``) and the dense ``eigh`` run with numpy's and scipy's bundled
-OpenBLAS at one thread and restore their counts after.  A Lanczos run
-makes tens of skinny BLAS-2 calls, which threads only stall: on the beta=2
-wedge (n = 93,406, 2 vCPU) ARPACK's 11 ``dsaupd`` calls took 162-176 ms on
-two threads against 21-23 ms on one, and ``dseupd`` 11-15 ms against 1 ms.
-Threads also change the rounding, so at one thread the outputs no longer
-depend on the ambient count; the banded route is unthreaded.  The forced
-dense route pays for that: its ``eigh`` at n = 2000 took 1.6-1.7 s on one
-thread against 1.0 s on two.  The limit is process-wide: a concurrent
-caller's BLAS runs single-threaded while a solve runs.  Where no bundled
-OpenBLAS is found (MKL, Accelerate, a system BLAS) nothing is limited.
+Every solve runs in one scope, on scipy's bundled OpenBLAS (the PyPI
+wheel's) at one thread, and restores the count after; every route calls
+only scipy's LAPACK and BLAS.  A Lanczos run makes tens of skinny BLAS-2
+calls, which threads only stall: on the beta=2 wedge (n = 93,406, 2 vCPU)
+ARPACK's 11 ``dsaupd`` calls took 162-176 ms on two threads against
+21-23 ms on one, and ``dseupd`` 11-15 ms against 1 ms.  Threads also
+change the rounding, so at one thread the outputs no longer depend on the
+ambient count.  The limit is process-wide: a concurrent caller's scipy
+BLAS runs single-threaded while a solve runs.  Where scipy brings no
+OpenBLAS of its own (MKL, Accelerate, a system BLAS) nothing is limited.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import numbers
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -47,7 +46,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from .errors import ConvergenceError, DimensionError
 
@@ -215,21 +214,26 @@ def _package(op, vecs, weight, method, seed, n_matvec, **shifted):
     )
 
 
+def _is_count(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer, ``bool`` excluded."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def check_request(k: int, n: int, method: str = "auto", seed: int = DEFAULT_SEED) -> None:
     """Reject a solve request for ``k`` pairs of an ``n``-unknown operator.
 
-    Raises :class:`DimensionError` unless ``1 <= k <= max(1, n/4)``, and
-    unless ``n <= DENSE_CUTOFF`` for ``method="dense"``; ``ValueError``
-    unless ``method`` is one of :data:`METHODS` and unless ``seed >= 0``
-    (on every route, the seedless ones too).
+    Raises :class:`DimensionError` unless ``k`` is an integer (see
+    :func:`_is_count`) in ``[1, max(1, n/4)]`` and ``n <= DENSE_CUTOFF`` for
+    ``method="dense"``; ``ValueError`` unless ``method`` is one of :data:`METHODS`
+    and ``seed`` an integer ``>= 0`` (on every route, the seedless ones too).
     """
-    if not 1 <= k <= max(1, n // 4):
-        raise DimensionError(f"k={k} outside [1, n/4] for n={n}")
+    if not _is_count(k) or not 1 <= k <= max(1, n // 4):
+        raise DimensionError(f"k={k} outside the integers in [1, n/4] for n={n}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "dense" and n > DENSE_CUTOFF:
         raise DimensionError(f"dense solves take at most {DENSE_CUTOFF} unknowns, got n={n}")
-    if seed < 0:
+    if not _is_count(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
@@ -290,20 +294,21 @@ def lowest_eigenpairs(
     if method == "auto":
         method = "tridiagonal" if op.is_tridiagonal() else "shift-invert"
 
-    if method == "dense":
-        with _one_blas_thread():
-            vecs = np.linalg.eigh(op.csr.toarray())[1][:, :k]
-        return _package(op, vecs, quadrature_weight, "dense", None, 0)
-    if method == "tridiagonal":
-        off = op.csr.diagonal(1)
-        # the free-lattice gap between the two lowest levels of an n-node chain
-        gap = 3.0 * math.pi**2 * np.max(np.abs(off), initial=0.0) / (op.n + 1) ** 2
-        vecs = eigh_tridiagonal(op.csr.diagonal(), off, select="i", select_range=(0, k - 1),
-                                tol=BISECTION_GAP_FRACTION * gap)[1]
-        return _package(op, vecs, quadrature_weight, "tridiagonal", None, 0)
-    vecs, n_mv, shifted = _arpack(op, k, seed, shift_invert=method == "shift-invert",
-                                  estimate=estimate)
-    return _package(op, vecs, quadrature_weight, method, seed, n_mv, **shifted)
+    with _one_blas_thread():
+        if method == "dense":
+            vecs = eigh(op.csr.toarray(), subset_by_index=(0, k - 1))[1]
+            return _package(op, vecs, quadrature_weight, "dense", None, 0)
+        if method == "tridiagonal":
+            off = op.csr.diagonal(1)
+            # the free-lattice gap between the two lowest levels of an n-node chain
+            gap = 3.0 * math.pi**2 * np.max(np.abs(off), initial=0.0) / (op.n + 1) ** 2
+            vecs = eigh_tridiagonal(op.csr.diagonal(), off, select="i",
+                                    select_range=(0, k - 1),
+                                    tol=BISECTION_GAP_FRACTION * gap)[1]
+            return _package(op, vecs, quadrature_weight, "tridiagonal", None, 0)
+        vecs, n_mv, shifted = _arpack(op, k, seed, shift_invert=method == "shift-invert",
+                                      estimate=estimate)
+        return _package(op, vecs, quadrature_weight, method, seed, n_mv, **shifted)
 
 
 def _shifted_factor(op, estimate):
@@ -356,26 +361,21 @@ def _shifted_factor(op, estimate):
 
 @functools.cache
 def _openblas_threads():
-    """(get, set) thread-count functions of each OpenBLAS numpy and scipy load.
+    """(get, set) thread-count functions of the OpenBLAS scipy loads.
 
-    Searched once, in the wheels' ``numpy.libs``/``scipy.libs`` directories;
-    empty where numpy and scipy bring no OpenBLAS of their own (MKL,
-    Accelerate, a system BLAS).
+    Searched once, in the wheel's ``scipy.libs`` directory; empty where scipy
+    brings no OpenBLAS of its own (MKL, Accelerate, a system BLAS).
     """
     found = []
-    for mod in (np, scipy):
-        libdir = Path(mod.__file__).resolve().parent.parent / f"{mod.__name__}.libs"
-        for path in sorted(libdir.glob("*openblas*")):
-            lib = ctypes.CDLL(str(path))
-            for prefix in ("scipy_openblas", "openblas"):
-                for suffix in ("64_", ""):
-                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                    put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                    if get is None or put is None:
-                        continue
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    found.append((get, put))
+    for path in sorted((Path(scipy.__file__).resolve().parent.parent / "scipy.libs")
+                       .glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        get = getattr(lib, "scipy_openblas_get_num_threads", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            found.append((get, put))
     return tuple(found)
 
 
@@ -386,7 +386,7 @@ _ambient_threads = ()
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block with every found OpenBLAS at one thread, then restore the counts.
+    """Run the block with scipy's OpenBLAS at one thread, then restore the counts.
 
     The first of overlapping users saves the ambient counts and the last one
     out restores them, so concurrent solves neither leave the process at one
@@ -409,7 +409,6 @@ def _one_blas_thread():
                     put(count)
 
 
-@_one_blas_thread()
 def _arpack(op, k, seed, shift_invert, estimate=None):
     """ARPACK's implicitly restarted Lanczos for the ``k`` lowest eigenpairs.
 

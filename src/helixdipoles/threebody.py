@@ -203,12 +203,13 @@ def pair_distance_expectations(sol: ThreeBodySolution) -> tuple[float, float, fl
     """Ground-state expectation values of the pair angle differences, in units of 2pi.
 
     The wedge enforces the ordering phi1 > phi2 > phi3, so all three are
-    positive, and <phi13> = <phi12> + <phi23> holds by linearity.
+    positive, and <phi13> = <phi12> + <phi23> holds by linearity.  Elementwise
+    sums, not a BLAS ``dot``, keep them independent of the BLAS thread count.
     """
     grid = sol.grid
     weight = sol.wavefunction(0) ** 2 * grid.spacing**2
     weight = weight / weight.sum()
-    return tuple(float(np.dot(weight, phi)) / TWO_PI
+    return tuple(float(np.sum(weight * phi)) / TWO_PI
                  for phi in pair_separations(grid.x, grid.y))
 
 

@@ -17,7 +17,8 @@ from helixdipoles.linalg import (
     lowest_eigenpairs,
 )
 from helixdipoles.potential import reduced_potential
-from helixdipoles.threebody import WedgeGrid2D, assemble_hamiltonian_2d, solve_three_body
+from helixdipoles.threebody import (WedgeGrid2D, assemble_hamiltonian_2d,
+                                    pair_distance_expectations, solve_three_body)
 from helixdipoles.twobody import Grid1D, assemble_hamiltonian_1d
 
 
@@ -312,6 +313,34 @@ class TestLowestEigenpairs:
         with pytest.raises(DimensionError):
             lowest_eigenpairs(op, 0)
 
+    @pytest.mark.parametrize("operator, k, kwargs, error", [
+        ("wedge", 2.5, {}, DimensionError),
+        ("tridiagonal", 1.5, {}, DimensionError),
+        ("wedge", 1.5, dict(method="dense"), DimensionError),
+        ("wedge", True, {}, DimensionError),
+        ("tridiagonal", True, {}, DimensionError),
+        ("wedge", 2, dict(seed=1.5), ValueError),
+        ("wedge", 2, dict(seed=True), ValueError),
+        ("tridiagonal", 2, dict(seed=np.float64(3.0)), ValueError),
+    ])
+    def test_non_integer_k_or_seed_rejected_before_the_solve(self, operator, k, kwargs,
+                                                             error, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a non-integer request")
+
+        for name in ("eigh_tridiagonal", "_arpack", "eigh"):
+            monkeypatch.setattr(linalg, name, no_solve)
+        op = mini_wedge_operator() if operator == "wedge" else dirichlet_box(10.0, 99)[0]
+        with pytest.raises(error):
+            lowest_eigenpairs(op, k, **kwargs)
+
+    def test_numpy_integer_k_and_seed_accepted(self):
+        op = mini_wedge_operator()
+        plain = lowest_eigenpairs(op, 2, seed=3)
+        numpy_ints = lowest_eigenpairs(op, np.int64(2), seed=np.uint32(3))
+        np.testing.assert_array_equal(numpy_ints.vectors, plain.vectors)
+        assert lowest_eigenpairs(dirichlet_box(10.0, 99)[0], np.int32(2)).values.shape == (2,)
+
     @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("method", linalg.METHODS)
     def test_bad_quadrature_weight_rejected_before_the_solve(self, method, weight,
@@ -319,9 +348,8 @@ class TestLowestEigenpairs:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved with a bad quadrature weight")
 
-        for owner, name in [(linalg, "eigh_tridiagonal"), (linalg, "_arpack"),
-                            (np.linalg, "eigh")]:
-            monkeypatch.setattr(owner, name, no_solve)
+        for name in ("eigh_tridiagonal", "_arpack", "eigh"):
+            monkeypatch.setattr(linalg, name, no_solve)
         op, _, _ = dirichlet_box(10.0, 99)
         with pytest.raises(ValueError, match="quadrature_weight"):
             lowest_eigenpairs(op, 2, method=method, quadrature_weight=weight)
@@ -416,10 +444,10 @@ def blas_threads():
 
 @pytest.fixture
 def two_blas_threads():
-    """Every found OpenBLAS at two threads for the test; yields the counts it reads back."""
+    """scipy's OpenBLAS at two threads for the test; yields the counts it reads back."""
     found = linalg._openblas_threads()
     if not found:
-        pytest.skip("numpy and scipy bring no OpenBLAS of their own")
+        pytest.skip("scipy brings no OpenBLAS of its own")
     saved = blas_threads()
     for _, put in found:
         put(2)
@@ -432,34 +460,46 @@ def mini_wedge_operator():
     return assemble_hamiltonian_2d(WedgeGrid2D(12.0, 16.0, 0.4), 1.0, 1.0)
 
 
+def threads_inside(monkeypatch, owner, solver, op, method):
+    """Thread counts ``owner.<solver>`` sees, once per call, in one solve of ``op``."""
+    solve, inside = getattr(owner, solver), []
+
+    def recorded(*args, **kwargs):
+        inside.append(blas_threads())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(owner, solver, recorded)
+    lowest_eigenpairs(op, 2, method=method)
+    return inside
+
+
 class TestOneBlasThread:
     @pytest.mark.parametrize("method", ["shift-invert", "lanczos"])
     def test_arpack_runs_on_one_thread_and_restores(self, monkeypatch, two_blas_threads,
                                                     method):
         import scipy.sparse.linalg as spla
 
-        eigsh, inside = spla.eigsh, []
-
-        def recorded(*args, **kwargs):
-            inside.append(blas_threads())
-            return eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(spla, "eigsh", recorded)
-        lowest_eigenpairs(mini_wedge_operator(), 2, method=method)
+        inside = threads_inside(monkeypatch, spla, "eigsh", mini_wedge_operator(), method)
         assert inside == [[1] * len(two_blas_threads)]
         assert blas_threads() == two_blas_threads
 
     def test_dense_runs_on_one_thread_and_restores(self, monkeypatch, two_blas_threads):
-        eigh, inside = np.linalg.eigh, []
-
-        def recorded(*args, **kwargs):
-            inside.append(blas_threads())
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recorded)
-        lowest_eigenpairs(mini_wedge_operator(), 2, method="dense")
+        inside = threads_inside(monkeypatch, linalg, "eigh", mini_wedge_operator(), "dense")
         assert inside == [[1] * len(two_blas_threads)]
         assert blas_threads() == two_blas_threads
+
+    def test_banded_runs_on_one_thread_and_restores(self, monkeypatch, two_blas_threads):
+        op = dirichlet_box(10.0, 99)[0]
+        inside = threads_inside(monkeypatch, linalg, "eigh_tridiagonal", op, "auto")
+        assert inside == [[1] * len(two_blas_threads)]
+        assert blas_threads() == two_blas_threads
+
+    def test_pair_distances_do_not_depend_on_the_thread_count(self, two_blas_threads,
+                                                             three_body_beta2):
+        ambient = pair_distance_expectations(three_body_beta2)
+        with linalg._one_blas_thread():
+            limited = pair_distance_expectations(three_body_beta2)
+        assert ambient == limited
 
     def test_counts_restored_when_arpack_stops(self, monkeypatch, two_blas_threads):
         import scipy.sparse.linalg as spla
