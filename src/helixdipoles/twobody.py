@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, HelixDipolesError
-from .linalg import Solution, SymmetricSparseOperator, check_request, lowest_eigenpairs
+from .linalg import (Solution, SymmetricSparseOperator, _is_count, check_request,
+                     lowest_eigenpairs)
 from .potential import reduced_potential, validate_coupling, validate_geometry
 
 #: A state counts as bound when its reduced energy is below this threshold;
@@ -32,14 +33,17 @@ STATISTICS = ("boson", "fermion")
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform interior grid on (0, phi_max) with implied zero boundaries; a
-    spacing above ``MAX_SPACING`` is refused when the grid is built."""
+    non-integer ``n_points`` or a spacing above ``MAX_SPACING`` is refused
+    when the grid is built."""
 
     phi_max: float = 100.0
     n_points: int = 9999
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.phi_max < math.inf or self.n_points < 3:
-            raise GridError("need finite phi_max > 0 and at least 3 interior points")
+        if not (0.0 < self.phi_max < math.inf and _is_count(self.n_points)
+                and self.n_points >= 3):
+            raise GridError("need finite phi_max > 0 and an integer n_points >= 3, "
+                            f"got ({self.phi_max}, {self.n_points!r})")
         if self.spacing > MAX_SPACING:
             raise GridError(
                 f"spacing {self.spacing:g} > {MAX_SPACING} under-resolves the potential wells"

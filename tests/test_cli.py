@@ -680,19 +680,31 @@ class TestReadmeLibraryExample:
         assert tuple(np.round(names["three"].distances, 3)) == (1.014, 1.014, 2.027)
 
 
+def fresh_python(code):
+    """Stdout of ``code`` run by a new interpreter on this checkout's package."""
+    src = str(Path(helixdipoles.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout.strip()
+
+
 class TestImportCost:
     def test_cli_import_skips_heavy_scipy_modules(self):
         # importing scipy.optimize or scipy.sparse.linalg costs every short
         # run memory and start-up time; ARPACK is imported inside the
         # iterative eigensolver only
-        src = str(Path(helixdipoles.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, helixdipoles.cli; "
-                "print(sorted(m for m in sys.modules "
-                "if m.startswith(('scipy.optimize', 'scipy.sparse.linalg'))))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=60).stdout
-        assert out.strip() == "[]"
+        out = fresh_python("import sys, helixdipoles.cli; "
+                           "print(sorted(m for m in sys.modules "
+                           "if m.startswith(('scipy.optimize', 'scipy.sparse.linalg'))))")
+        assert out == "[]"
+
+    def test_package_root_holds_only_the_version(self):
+        # names are imported from their modules, so the root loads no numpy or scipy
+        out = fresh_python("import sys, helixdipoles; "
+                           "print(helixdipoles.__version__, "
+                           "[n for n in vars(helixdipoles) if not n.startswith('_')], "
+                           "sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
+        assert out == f"{helixdipoles.__version__} [] []"
 
 
 class TestMainEntry:

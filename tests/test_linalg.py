@@ -1,5 +1,9 @@
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +21,7 @@ from helixdipoles.linalg import (
     lowest_eigenpairs,
 )
 from helixdipoles.potential import reduced_potential
-from helixdipoles.threebody import (WedgeGrid2D, assemble_hamiltonian_2d,
-                                    pair_distance_expectations, solve_three_body)
+from helixdipoles.threebody import WedgeGrid2D, assemble_hamiltonian_2d, solve_three_body
 from helixdipoles.twobody import Grid1D, assemble_hamiltonian_1d
 
 
@@ -494,12 +497,28 @@ class TestOneBlasThread:
         assert inside == [[1] * len(two_blas_threads)]
         assert blas_threads() == two_blas_threads
 
-    def test_pair_distances_do_not_depend_on_the_thread_count(self, two_blas_threads,
-                                                             three_body_beta2):
-        ambient = pair_distance_expectations(three_body_beta2)
-        with linalg._one_blas_thread():
-            limited = pair_distance_expectations(three_body_beta2)
-        assert ambient == limited
+    def test_pair_distances_do_not_depend_on_the_thread_count(self):
+        # numpy's OpenBLAS, which no scope here drives, would serve a BLAS call
+        # in the distances, so each count gets its own interpreter; a seeded
+        # random state on the default wedge (n = 93,406) needs no eigensolve
+        code = ("import numpy as np\n"
+                "from helixdipoles.linalg import EigenResult\n"
+                "from helixdipoles.threebody import (ThreeBodySolution, WedgeGrid2D,\n"
+                "                                    pair_distance_expectations)\n"
+                "grid = WedgeGrid2D()\n"
+                "psi = np.random.default_rng(0).standard_normal((grid.n_active, 1))\n"
+                "sol = ThreeBodySolution(grid, EigenResult(np.zeros(1), psi, np.zeros(1)),\n"
+                "                        (0.0, 0.0, 0.0))\n"
+                "print(repr(pair_distance_expectations(sol)))\n")
+        src = str(Path(linalg.__file__).resolve().parents[1])
+        distances = {
+            subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                           text=True, timeout=60,
+                           env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+                           ).stdout
+            for threads in ("1", "2")
+        }
+        assert len(distances) == 1
 
     def test_counts_restored_when_arpack_stops(self, monkeypatch, two_blas_threads):
         import scipy.sparse.linalg as spla

@@ -47,6 +47,15 @@ class TestGrid1D:
         with pytest.raises(GridError):
             Grid1D(phi_max=-1.0)
 
+    @pytest.mark.parametrize("n_points", [9999.5, 1e4, "99"])
+    def test_non_integer_n_points_rejected(self, n_points):
+        # 9999.5 would solve 10,000 nodes with the wall at 100.005, not phi_max
+        with pytest.raises(GridError, match="integer n_points"):
+            Grid1D(100.0, n_points)
+
+    def test_numpy_integer_n_points_accepted(self):
+        assert Grid1D(100.0, np.int64(9999)).spacing == Grid1D().spacing
+
     @pytest.mark.parametrize("spacing", [0.0, -0.01, math.nan, math.inf])
     def test_from_spacing_rejects_bad_spacing(self, spacing):
         with pytest.raises(GridError):
