@@ -37,11 +37,11 @@ import scipy
 from . import __version__
 from ._csvcells import format_block
 from .analysis import build_size_scan, fit_harmonic_size, size_energy_product
-from .errors import ConvergenceError, GeometryError, HelixDipolesError
+from .errors import ConvergenceError, GeometryError, HelixDipolesError, check_positive, is_integer
 from .linalg import DEFAULT_SEED, DENSE_CUTOFF, METHODS
 from .potential import (TWO_PI, HelixGeometry, energy_unit_joules, find_minima,
                         reduced_potential, validate_geometry)
-from .threebody import WedgeGrid2D, solve_three_body, symmetrize_wavefunction
+from .threebody import WedgeGrid2D, default_box, solve_three_body, symmetrize_wavefunction
 from .twobody import STATISTICS, Grid1D, extend_full_line, scan_beta, solve_two_body
 
 #: Environment variable overriding the default output directory.
@@ -63,10 +63,8 @@ class RunConfig:
     """Flat run configuration; every field has a default.
 
     The one declaration of each setting: :func:`_flag` fields are also flags.
-    ``x_max``/``y_max``/``spacing_2d`` default to ``None`` ("auto"), resolved
-    per coupling strength: (30, 40, 0.1) for beta >= 1 and (60, 90, 0.15)
-    below (weakly bound states need the larger box).  Runs are always seeded
-    and serial.
+    ``x_max``/``y_max``/``spacing_2d`` default to ``None`` ("auto"), taken from
+    :func:`.threebody.default_box` of the coupling.  Runs are always seeded and serial.
     """
 
     problem: str = "two-body"
@@ -105,15 +103,8 @@ class RunConfig:
     radius_m: float = _flag(0.0, "helix radius [m]", on=("two-body",))
 
     def resolved_box(self) -> tuple[float, float, float]:
-        if self.beta >= 1.0:
-            auto = (30.0, 40.0, 0.1)
-        else:
-            auto = (60.0, 90.0, 0.15)
-        return (
-            self.x_max if self.x_max is not None else auto[0],
-            self.y_max if self.y_max is not None else auto[1],
-            self.spacing_2d if self.spacing_2d is not None else auto[2],
-        )
+        given = (self.x_max, self.y_max, self.spacing_2d)
+        return tuple(auto if v is None else v for v, auto in zip(given, default_box(self.beta)))
 
     def to_items(self) -> list[tuple[str, str]]:
         """Serialize every field as (key, value-string), round-trip exact."""
@@ -258,15 +249,16 @@ def _energy_unit(cfg: RunConfig) -> float | None:
     """
     if cfg.mass_kg == 0.0 and cfg.radius_m == 0.0:
         return None
-    if not (0.0 < cfg.mass_kg < math.inf and 0.0 < cfg.radius_m < math.inf):
-        raise ValueError("energies in joules need finite positive mass_kg and radius_m")
+    check_positive(ValueError, mass_kg=cfg.mass_kg, radius_m=cfg.radius_m)
+    validate_geometry(cfg.ratio)  # before the ratio scales the pitch
     return energy_unit_joules(cfg.mass_kg, HelixGeometry(cfg.radius_m, cfg.ratio * cfg.radius_m))
 
 
 def _run_potential(cfg: RunConfig) -> tuple[dict, dict]:
     validate_geometry(cfg.ratio)
-    if cfg.n_samples < 1 or not 0.0 < cfg.phi_max < math.inf:
-        raise ValueError("potential needs n_samples >= 1 and finite phi_max > 0")
+    check_positive(ValueError, phi_max=cfg.phi_max)
+    if not (is_integer(cfg.n_samples) and cfg.n_samples >= 1):
+        raise ValueError(f"n_samples must be an integer >= 1, got {cfg.n_samples!r}")
     step = cfg.phi_max / cfg.n_samples
     phi = step * np.arange(1, cfg.n_samples + 1)
     values = reduced_potential(phi, cfg.ratio)
@@ -308,8 +300,8 @@ def _run_two_body(cfg: RunConfig) -> tuple[dict, dict]:
 
 def _run_three_body(cfg: RunConfig) -> tuple[dict, dict]:
     if cfg.symmetrize:  # the sample grid comes first, so an oversized one fails at once
-        if not (0.0 < cfg.sample_extent < math.inf and 0.0 < cfg.sample_spacing < math.inf):
-            raise ValueError("symmetrize needs finite sample_extent > 0 and sample_spacing > 0")
+        check_positive(ValueError, sample_extent=cfg.sample_extent,
+                       sample_spacing=cfg.sample_spacing)
         samples = np.arange(-cfg.sample_extent, cfg.sample_extent + 0.5 * cfg.sample_spacing,
                             cfg.sample_spacing)
         xg, yg = np.meshgrid(samples, samples, indexing="ij")

@@ -37,7 +37,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import numbers
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -48,7 +47,7 @@ import scipy
 import scipy.sparse as sp
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from .errors import ConvergenceError, DimensionError
+from .errors import ConvergenceError, DimensionError, check_positive, is_integer
 
 #: Largest operator a forced dense solve accepts (n^2 doubles: 32 MB).
 DENSE_CUTOFF = 2000
@@ -214,26 +213,20 @@ def _package(op, vecs, weight, method, seed, n_matvec, **shifted):
     )
 
 
-def _is_count(x) -> bool:
-    """Whether ``x`` is a Python or numpy integer, ``bool`` excluded."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 def check_request(k: int, n: int, method: str = "auto", seed: int = DEFAULT_SEED) -> None:
     """Reject a solve request for ``k`` pairs of an ``n``-unknown operator.
 
-    Raises :class:`DimensionError` unless ``k`` is an integer (see
-    :func:`_is_count`) in ``[1, max(1, n/4)]`` and ``n <= DENSE_CUTOFF`` for
-    ``method="dense"``; ``ValueError`` unless ``method`` is one of :data:`METHODS`
-    and ``seed`` an integer ``>= 0`` (on every route, the seedless ones too).
+    Raises :class:`DimensionError` unless ``k`` is an integer in ``[1, max(1, n/4)]`` and
+    ``n <= DENSE_CUTOFF`` for ``method="dense"``; ``ValueError`` unless ``method`` is one
+    of :data:`METHODS` and ``seed`` an integer ``>= 0`` (every route, seedless ones too).
     """
-    if not _is_count(k) or not 1 <= k <= max(1, n // 4):
+    if not is_integer(k) or not 1 <= k <= max(1, n // 4):
         raise DimensionError(f"k={k} outside the integers in [1, n/4] for n={n}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "dense" and n > DENSE_CUTOFF:
         raise DimensionError(f"dense solves take at most {DENSE_CUTOFF} unknowns, got n={n}")
-    if not _is_count(seed) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
@@ -287,8 +280,7 @@ def lowest_eigenpairs(
             did converge are attached to the exception as energies and vectors.
     """
     check_request(k, op.n, method, seed)
-    if not 0.0 < quadrature_weight < math.inf:
-        raise ValueError(f"quadrature_weight must be finite and > 0, got {quadrature_weight}")
+    check_positive(ValueError, quadrature_weight=quadrature_weight)
     if not np.all(np.isfinite(op.csr.data)):
         raise ValueError("operator has non-finite entries")
     if method == "auto":

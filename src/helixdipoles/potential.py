@@ -23,7 +23,7 @@ import numpy as np
 from scipy.constants import epsilon_0 as EPSILON_0
 from scipy.constants import hbar as HBAR
 
-from .errors import CoincidenceError, GeometryError
+from .errors import CoincidenceError, GeometryError, check_positive, is_integer
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,10 +51,8 @@ class HelixGeometry:
     pitch_h: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.radius_R < math.inf:
-            raise GeometryError(f"radius must be finite and positive, got {self.radius_R}")
-        if not 0.0 <= self.pitch_h < math.inf:
-            raise GeometryError(f"pitch must be finite and non-negative, got {self.pitch_h}")
+        check_positive(GeometryError, radius_R=self.radius_R)
+        check_positive(GeometryError, allow_zero=True, pitch_h=self.pitch_h)
 
     @property
     def alpha(self) -> float:
@@ -80,9 +78,7 @@ class PhysicalDipole:
     vacuum_permittivity: float = EPSILON_0
 
     def __post_init__(self) -> None:
-        for name in ("mass_m", "dipole_moment_d", "vacuum_permittivity"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and strictly positive")
+        check_positive(ValueError, **vars(self))  # every field
 
 
 @dataclass(frozen=True)
@@ -178,8 +174,7 @@ def energy_unit_joules(mass_m: float, geo: HelixGeometry) -> float:
     ``mu = m/2`` is the reduced mass of a pair of particles of mass
     ``mass_m`` (kg); this is the one place it is defined.
     """
-    if not 0.0 < mass_m < math.inf:
-        raise ValueError(f"mass_m must be finite and positive, got {mass_m}")
+    check_positive(ValueError, mass_m=mass_m)
     mu = mass_m / 2.0
     return HBAR**2 / (mu * geo.alpha**2)
 
@@ -199,12 +194,11 @@ def validate_geometry(ratio: float) -> None:
     """Check that ``ratio`` admits a repulsive short-range interaction.
 
     Raises:
-        GeometryError: if ``ratio <= 0`` or ``ratio >= sqrt(2)*pi`` (the
-            latter makes the short-range potential attractive, so pairs
-            would collapse into the regime this model excludes).
+        GeometryError: unless ``0 < ratio < sqrt(2)*pi`` (a ratio at or
+            above the bound makes the short-range potential attractive, so
+            pairs would collapse into the regime this model excludes).
     """
-    if not ratio > 0.0:
-        raise GeometryError(f"pitch-to-radius ratio must be positive, got {ratio}")
+    check_positive(GeometryError, ratio=ratio)
     if ratio >= RATIO_MAX:
         raise GeometryError(
             f"ratio {ratio:g} >= sqrt(2)*pi ~ {RATIO_MAX:.6f}: "
@@ -216,8 +210,7 @@ def validate_coupling(beta: float, ratio: float) -> None:
     """:func:`validate_geometry` on ``ratio``, then ``ValueError`` unless ``beta``
     is finite and >= 0."""
     validate_geometry(ratio)
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ValueError(f"coupling strength beta must be finite and >= 0, got {beta}")
+    check_positive(ValueError, allow_zero=True, beta=beta)
 
 
 def _refine_minimum(ratio: float, lo: float, hi: float) -> float:
@@ -261,15 +254,15 @@ def find_minima(
 
     Args:
         ratio: pitch-to-radius ratio, must satisfy :func:`validate_geometry`.
-        max_windings: scan extent in full turns (>= 1).
+        max_windings: scan extent in full turns, an integer >= 1.
 
     Returns:
         Minima sorted by position; may be empty for large ratios where the
         winding pockets are too shallow to form.
     """
     validate_geometry(ratio)
-    if max_windings < 1:
-        raise ValueError("max_windings must be >= 1")
+    if not (is_integer(max_windings) and max_windings >= 1):
+        raise ValueError(f"max_windings must be an integer >= 1, got {max_windings!r}")
 
     phi_hi = TWO_PI * max_windings
     stop = min(phi_hi, max(12.0 * math.pi**2 / ratio**2, 20.0 / 3.0))

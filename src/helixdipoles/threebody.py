@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, check_positive
 from .linalg import (DEFAULT_SEED, Solution, SymmetricSparseOperator, check_request,
                      lowest_eigenpairs)
 from .potential import TWO_PI, reduced_potential, validate_coupling
@@ -62,9 +62,18 @@ MIN_MARGIN_WINDINGS = 5.0
 #: boundary nodes (see :class:`WedgeGrid2D`).
 EDGE_CUSHION = 0.5
 
+STRONG_BOX = (30.0, 40.0, 0.1)  #: default (x_max, y_max, spacing) for beta >= 1
+WEAK_BOX = (60.0, 90.0, 0.15)  #: below, where the weakly bound states are larger
+
 #: Spacing ratio of the coarse wedge whose ground energy places the
 #: shift-invert shift (beta=2: 5,723 nodes against 93,406).
 COARSE_FACTOR = 4
+
+
+def default_box(beta: float) -> tuple[float, float, float]:
+    """The box at coupling ``beta`` (``ValueError`` unless finite and >= 0)."""
+    check_positive(ValueError, allow_zero=True, beta=beta)
+    return STRONG_BOX if beta >= 1.0 else WEAK_BOX
 
 
 def pair_separations(x, y) -> tuple:
@@ -90,10 +99,9 @@ class WedgeGrid2D:
     cannot distinguish such a sliver from the coincidence line itself).
     """
 
-    def __init__(self, x_max: float = 30.0, y_max: float = 40.0, spacing: float = 0.1):
-        if not all(0.0 < v < math.inf for v in (x_max, y_max, spacing)):
-            raise GridError("x_max, y_max and spacing must be finite and positive, "
-                            f"got ({x_max}, {y_max}, {spacing})")
+    def __init__(self, x_max: float = STRONG_BOX[0], y_max: float = STRONG_BOX[1],
+                 spacing: float = STRONG_BOX[2]):
+        check_positive(GridError, x_max=x_max, y_max=y_max, spacing=spacing)
         self.spacing = float(spacing)
         nx = int(round(x_max / self.spacing))
         ny = int(round(y_max / self.spacing))

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, HelixDipolesError
-from .linalg import (Solution, SymmetricSparseOperator, _is_count, check_request,
-                     lowest_eigenpairs)
+from .errors import GridError, HelixDipolesError, check_positive, is_integer
+from .linalg import Solution, SymmetricSparseOperator, check_request, lowest_eigenpairs
 from .potential import reduced_potential, validate_coupling, validate_geometry
 
 #: A state counts as bound when its reduced energy is below this threshold;
@@ -40,20 +39,16 @@ class Grid1D:
     n_points: int = 9999
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.phi_max < math.inf and _is_count(self.n_points)
-                and self.n_points >= 3):
-            raise GridError("need finite phi_max > 0 and an integer n_points >= 3, "
-                            f"got ({self.phi_max}, {self.n_points!r})")
+        check_positive(GridError, phi_max=self.phi_max)
+        if not (is_integer(self.n_points) and self.n_points >= 3):
+            raise GridError(f"need an integer n_points >= 3, got {self.n_points!r}")
         if self.spacing > MAX_SPACING:
-            raise GridError(
-                f"spacing {self.spacing:g} > {MAX_SPACING} under-resolves the potential wells"
-            )
+            raise GridError(f"spacing {self.spacing:g} > {MAX_SPACING} "
+                            "under-resolves the potential wells")
 
     @classmethod
     def from_spacing(cls, phi_max: float, spacing: float) -> "Grid1D":
-        if not (0.0 < phi_max < math.inf and 0.0 < spacing < math.inf):
-            raise GridError(f"phi_max and spacing must be finite and > 0, "
-                            f"got ({phi_max}, {spacing})")
+        check_positive(GridError, phi_max=phi_max, spacing=spacing)
         return cls(phi_max=phi_max, n_points=int(round(phi_max / spacing)) - 1)
 
     @property

@@ -1,0 +1,124 @@
+"""The one rule for scalar inputs (:mod:`helixdipoles.errors`), at every site.
+
+A value that is not a real number, not finite or out of range raises the
+package's own error type at the entry point that takes it, never a bare
+``TypeError``; through :func:`helixdipoles.cli.run` it ends as exit 2 or 3
+with a ``metadata.txt`` record.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from helixdipoles.cli import RunConfig, run
+from helixdipoles.errors import DimensionError, GeometryError, GridError, check_positive, is_integer
+from helixdipoles.linalg import SymmetricSparseOperator, lowest_eigenpairs
+from helixdipoles.potential import (HelixGeometry, PhysicalDipole, energy_unit_joules,
+                                    find_minima, validate_coupling, validate_geometry)
+from helixdipoles.threebody import WedgeGrid2D, default_box
+from helixdipoles.twobody import Grid1D
+
+#: Not a real number, not finite, or negative: refused everywhere.
+BAD = ["1", None, True, 1j, math.nan, math.inf, -math.inf, -1]
+
+
+def _chain(n=8):
+    """A free n-node chain: tridiagonal, so k=1 takes the banded solve."""
+    index = np.pad(np.arange(n, dtype=np.int32), 1, constant_values=-1)
+    return SymmetricSparseOperator.on_lattice(index, 1.0, np.zeros(n))
+
+
+def _dipole(**bad):
+    return PhysicalDipole(**{"mass_m": 1.0, "dipole_moment_d": 1.0, **bad})
+
+
+#: site: (call with the value, error type, whether zero is accepted)
+SCALARS = {
+    "Grid1D-phi_max": (lambda v: Grid1D(v, 99), GridError, False),
+    "from_spacing-phi_max": (lambda v: Grid1D.from_spacing(v, 0.1), GridError, False),
+    "from_spacing-spacing": (lambda v: Grid1D.from_spacing(10.0, v), GridError, False),
+    "WedgeGrid2D-x_max": (lambda v: WedgeGrid2D(v, 16.0, 0.4), GridError, False),
+    "WedgeGrid2D-y_max": (lambda v: WedgeGrid2D(12.0, v, 0.4), GridError, False),
+    "WedgeGrid2D-spacing": (lambda v: WedgeGrid2D(12.0, 16.0, v), GridError, False),
+    "HelixGeometry-radius_R": (lambda v: HelixGeometry(v, 1.0), GeometryError, False),
+    "HelixGeometry-pitch_h": (lambda v: HelixGeometry(1.0, v), GeometryError, True),
+    "PhysicalDipole-mass_m": (lambda v: _dipole(mass_m=v), ValueError, False),
+    "PhysicalDipole-dipole_moment_d": (lambda v: _dipole(dipole_moment_d=v), ValueError, False),
+    "PhysicalDipole-vacuum_permittivity": (lambda v: _dipole(vacuum_permittivity=v),
+                                           ValueError, False),
+    "energy_unit_joules-mass_m": (lambda v: energy_unit_joules(v, HelixGeometry(1e-6, 1e-6)),
+                                  ValueError, False),
+    "validate_geometry-ratio": (validate_geometry, GeometryError, False),
+    "validate_coupling-beta": (lambda v: validate_coupling(v, 1.0), ValueError, True),
+    "default_box-beta": (default_box, ValueError, True),
+    "lowest_eigenpairs-quadrature_weight": (
+        lambda v: lowest_eigenpairs(_chain(), 1, quadrature_weight=v), ValueError, False),
+}
+
+#: count site: (call with the value, error type, whether zero is accepted)
+COUNTS = {
+    "Grid1D-n_points": (lambda v: Grid1D(100.0, v), GridError, False),
+    "find_minima-max_windings": (lambda v: find_minima(1.0, v), ValueError, False),
+    "check_request-k": (lambda v: lowest_eigenpairs(_chain(), v), DimensionError, False),
+    "check_request-seed": (lambda v: lowest_eigenpairs(_chain(), 1, seed=v), ValueError, True),
+}
+
+
+def _cases(sites, extra):
+    for site, (call, error, zero_ok) in sites.items():
+        for value in BAD + extra + ([] if zero_ok else [0]):
+            yield pytest.param(call, error, value, id=f"{site}-{value!r}")
+
+
+@pytest.mark.parametrize("call, error, value",
+                         [*_cases(SCALARS, [np.float64(-2.0)]), *_cases(COUNTS, [2.5])])
+def test_bad_input_raises_the_package_error(call, error, value):
+    # pytest.raises lets any other type through, a TypeError included
+    with pytest.raises(error):
+        call(value)
+
+
+def test_the_rule_accepts_numpy_numbers_and_names_the_value():
+    check_positive(ValueError, a=np.float32(0.5), b=3, c=np.int64(2))
+    check_positive(ValueError, allow_zero=True, a=0, b=-0.0)
+    with pytest.raises(GridError, match=r"^spacing must be finite and > 0, got '0.1'$"):
+        check_positive(GridError, x_max=1.0, spacing="0.1")
+    with pytest.raises(ValueError, match=r"^beta must be finite and >= 0, got "):
+        check_positive(ValueError, allow_zero=True, beta=np.True_)
+    assert is_integer(np.int64(3)) and not is_integer(True) and not is_integer(3.0)
+
+
+#: RunConfig field: (settings that reach it, exit code); every value of BAD_FIELD
+#: is refused before any solve
+FIELDS = {
+    "beta": ({}, 2),
+    "beta-three-body": ({"problem": "three-body"}, 2),
+    "ratio": ({}, 3),
+    "ratio-joules": ({"mass_kg": 2.2e-25, "radius_m": 1e-6}, 3),
+    "box_length": ({}, 2),
+    "spacing_1d": ({}, 2),
+    "x_max": ({"problem": "three-body"}, 2),
+    "y_max": ({"problem": "three-body"}, 2),
+    "spacing_2d": ({"problem": "three-body"}, 2),
+    "phi_max": ({"problem": "potential"}, 2),
+    "n_samples": ({"problem": "potential"}, 2),
+    "mass_kg": ({"radius_m": 1e-6}, 2),
+    "radius_m": ({"mass_kg": 2.2e-25}, 2),
+    "sample_extent": ({"problem": "three-body", "symmetrize": True}, 2),
+    "sample_spacing": ({"problem": "three-body", "symmetrize": True}, 2),
+}
+BAD_FIELD = ["1", None, True, math.nan, -1.0]
+AUTO = ("x_max", "y_max", "spacing_2d")  # where None is "auto", a valid box
+
+
+@pytest.mark.parametrize("case, value", [
+    *[(case, value) for case in FIELDS for value in BAD_FIELD
+      if not (value is None and case in AUTO)], ("n_samples", 2.5)])
+def test_bad_run_config_is_recorded(case, value, tmp_path):
+    settings, code = FIELDS[case]
+    cfg = RunConfig(out_dir=str(tmp_path), **settings, **{case.split("-")[0]: value})
+    assert run(cfg) == code
+    meta = (tmp_path / "metadata.txt").read_text().splitlines()
+    assert f"status = {'geometry_error' if code == 3 else 'config_error'}" in meta
+    assert not list(tmp_path.glob("*.csv"))
