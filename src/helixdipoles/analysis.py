@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_count
 from .potential import find_minima
 from .twobody import Grid1D, solve_two_body
-
-#: Coupling range over which the harmonic scaling form is fitted.
-LARGE_BETA_RANGE = (5.0, 20.0)
 
 
 @dataclass(frozen=True)
@@ -33,7 +31,7 @@ class SizeScanRow:
 
 @dataclass(frozen=True)
 class HarmonicFit:
-    """Least-squares coefficients of phi2 ~ c1/sqrt(beta) + c2*phi0^2."""
+    """Least-squares phi2 ~ c1/sqrt(beta) + c2*phi0^2 over the couplings in ``beta_range``."""
 
     c1: float
     c2: float
@@ -75,24 +73,17 @@ def build_size_scan(
     return rows
 
 
-def fit_harmonic_size(
-    rows: list[SizeScanRow],
-    beta_range: tuple[float, float] = LARGE_BETA_RANGE,
-) -> HarmonicFit:
+def fit_harmonic_size(rows: list[SizeScanRow]) -> HarmonicFit:
     """Fit <phi^2> against the basis {1/sqrt(beta), phi0^2}, linearly.
 
     phi0 enters as a known regressor, not a fitted location.  Requires at
-    least four rows, all inside ``beta_range``.
+    least four rows; the fit window is the rows' own coupling range.
 
     Raises:
-        ValueError: too few rows, rows outside the range, or a degenerate
-            design matrix (all couplings equal).
+        ValueError: too few rows, or a degenerate design matrix (all couplings equal).
     """
-    if len(rows) < 4:
-        raise ValueError("need at least 4 rows to fit")
+    check_count(ValueError, 4, n_rows=len(rows))
     betas = np.array([r.beta for r in rows])
-    if np.any(betas < beta_range[0]) or np.any(betas > beta_range[1]):
-        raise ValueError(f"all couplings must lie within {beta_range}")
     design = np.column_stack([1.0 / np.sqrt(betas), np.array([r.phi0 for r in rows]) ** 2])
     target = np.array([r.phi2 for r in rows])
     coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
@@ -103,7 +94,7 @@ def fit_harmonic_size(
         c1=float(coef[0]),
         c2=float(coef[1]),
         residual_rms=residual_rms,
-        beta_range=(float(beta_range[0]), float(beta_range[1])),
+        beta_range=(float(betas.min()), float(betas.max())),
     )
 
 

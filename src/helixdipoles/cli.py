@@ -37,10 +37,11 @@ import scipy
 from . import __version__
 from ._csvcells import format_block
 from .analysis import build_size_scan, fit_harmonic_size, size_energy_product
-from .errors import ConvergenceError, GeometryError, HelixDipolesError, check_positive, is_integer
+from .errors import (ConvergenceError, GeometryError, HelixDipolesError, check_count,
+                     check_positive, is_real)
 from .linalg import DEFAULT_SEED, DENSE_CUTOFF, METHODS
 from .potential import (TWO_PI, HelixGeometry, energy_unit_joules, find_minima,
-                        reduced_potential, validate_geometry)
+                        reduced_potential, validate_coupling, validate_geometry)
 from .threebody import WedgeGrid2D, default_box, solve_three_body, symmetrize_wavefunction
 from .twobody import STATISTICS, Grid1D, extend_full_line, scan_beta, solve_two_body
 
@@ -135,7 +136,7 @@ def _format_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
-        return ",".join(repr(float(v)) for v in value)
+        return ",".join(repr(float(v)) if is_real(v) else repr(v) for v in value)
     return str(value)
 
 
@@ -257,8 +258,7 @@ def _energy_unit(cfg: RunConfig) -> float | None:
 def _run_potential(cfg: RunConfig) -> tuple[dict, dict]:
     validate_geometry(cfg.ratio)
     check_positive(ValueError, phi_max=cfg.phi_max)
-    if not (is_integer(cfg.n_samples) and cfg.n_samples >= 1):
-        raise ValueError(f"n_samples must be an integer >= 1, got {cfg.n_samples!r}")
+    check_count(ValueError, 1, n_samples=cfg.n_samples)
     step = cfg.phi_max / cfg.n_samples
     phi = step * np.arange(1, cfg.n_samples + 1)
     values = reduced_potential(phi, cfg.ratio)
@@ -357,10 +357,12 @@ def _run_scan(cfg: RunConfig) -> tuple[dict, dict]:
 def _run_fit(cfg: RunConfig) -> tuple[dict, dict]:
     betas = cfg.betas or (5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0)
     grid = Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d)
+    for beta in (*betas, *cfg.product_betas):  # every coupling, before any solve
+        validate_coupling(beta, cfg.ratio)
     rows = build_size_scan(betas, grid, cfg.ratio)
     tables = {"size_scan.csv": (["beta", "E0", "phi2", "phi0"],
                                 [[r.beta, r.energy, r.phi2, r.phi0] for r in rows])}
-    fit = fit_harmonic_size(rows, beta_range=(min(betas), max(betas)))
+    fit = fit_harmonic_size(rows)
     mean_phi2 = float(np.mean([r.phi2 for r in rows]))
     summary: dict = {
         "ratio": cfg.ratio,

@@ -1,10 +1,10 @@
-"""Exception types shared across the package, and the one rule for scalar inputs:
-every scalar is a finite real > 0 (>= 0 where zero is allowed), never a ``bool``
-(:func:`check_positive`), and every count an integer (:func:`is_integer`); anything
-else raises the checking site's own error type, not ``TypeError``; nothing is converted."""
+"""Exception types shared across the package, and the one rule for scalar inputs
+(:func:`is_real`, :func:`check_positive`, :func:`check_count`): a value that breaks it
+raises the checking site's own error type, never ``TypeError``; nothing is converted."""
 
 import math
 import numbers
+import sys
 
 
 class HelixDipolesError(Exception):
@@ -44,9 +44,22 @@ def is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def is_real(x) -> bool:
+    """Whether ``x`` is a real number with a float value (NaN and +-inf included), ``bool``
+    excluded: an integer beyond the float range, such as 10**400, has none."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and (not is_integer(x) or -sys.float_info.max <= x <= sys.float_info.max))
+
+
 def check_positive(error: type[Exception], allow_zero: bool = False, **values) -> None:
-    """Raise ``error`` for the first of ``values`` (by name) that breaks the rule."""
+    """Raise ``error`` for the first of ``values`` (by name) not real, finite and > 0 (>= 0)."""
     for name, value in values.items():
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not (real and (0 <= value if allow_zero else 0 < value) and value < math.inf):
+        if not (is_real(value) and (0 <= value if allow_zero else 0 < value) and value < math.inf):
             raise error(f"{name} must be finite and >{'=' * allow_zero} 0, got {value!r}")
+
+
+def check_count(error: type[Exception], minimum: int, **values) -> None:
+    """:func:`check_positive` for counts: integers >= ``minimum`` with a float value."""
+    for name, value in values.items():
+        if not (is_integer(value) and is_real(value) and value >= minimum):
+            raise error(f"need an integer {name} >= {minimum}, got {value!r}")

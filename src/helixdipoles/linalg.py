@@ -47,7 +47,7 @@ import scipy
 import scipy.sparse as sp
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from .errors import ConvergenceError, DimensionError, check_positive, is_integer
+from .errors import ConvergenceError, DimensionError, check_count, check_positive, is_integer
 
 #: Largest operator a forced dense solve accepts (n^2 doubles: 32 MB).
 DENSE_CUTOFF = 2000
@@ -221,13 +221,12 @@ def check_request(k: int, n: int, method: str = "auto", seed: int = DEFAULT_SEED
     of :data:`METHODS` and ``seed`` an integer ``>= 0`` (every route, seedless ones too).
     """
     if not is_integer(k) or not 1 <= k <= max(1, n // 4):
-        raise DimensionError(f"k={k} outside the integers in [1, n/4] for n={n}")
+        raise DimensionError(f"k={k!r} outside the integers in [1, n/4] for n={n}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "dense" and n > DENSE_CUTOFF:
         raise DimensionError(f"dense solves take at most {DENSE_CUTOFF} unknowns, got n={n}")
-    if not is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    check_count(ValueError, 0, seed=seed)
 
 
 def lowest_eigenpairs(
@@ -418,8 +417,7 @@ def _arpack(op, k, seed, shift_invert, estimate=None):
                                      LinearOperator, eigsh)
 
     n = op.n
-    if n < 2:
-        raise DimensionError("iterative eigensolvers need at least 2 unknowns")
+    check_count(DimensionError, 2, unknowns=n)  # what an iterative eigensolver needs
     if shift_invert:
         lu, sigma, source, x = _shifted_factor(op, estimate)
         apply, n_apply = lu.solve, int(x is not None)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.constants import epsilon_0 as EPSILON_0
 from scipy.constants import hbar as HBAR
 
-from .errors import CoincidenceError, GeometryError, check_positive, is_integer
+from .errors import CoincidenceError, GeometryError, check_count, check_positive
 
 TWO_PI = 2.0 * math.pi
 
@@ -261,8 +261,7 @@ def find_minima(
         winding pockets are too shallow to form.
     """
     validate_geometry(ratio)
-    if not (is_integer(max_windings) and max_windings >= 1):
-        raise ValueError(f"max_windings must be an integer >= 1, got {max_windings!r}")
+    check_count(ValueError, 1, max_windings=max_windings)
 
     phi_hi = TWO_PI * max_windings
     stop = min(phi_hi, max(12.0 * math.pi**2 / ratio**2, 20.0 / 3.0))

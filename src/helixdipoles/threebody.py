@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, check_positive
+from .errors import GridError, check_count, check_positive
 from .linalg import (DEFAULT_SEED, Solution, SymmetricSparseOperator, check_request,
                      lowest_eigenpairs)
 from .potential import TWO_PI, reduced_potential, validate_coupling
-from .twobody import STATISTICS
+from .twobody import exchange_sign
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -105,8 +105,7 @@ class WedgeGrid2D:
         self.spacing = float(spacing)
         nx = int(round(x_max / self.spacing))
         ny = int(round(y_max / self.spacing))
-        if nx < 3 or ny < 3:
-            raise GridError("box too small for the requested spacing")
+        check_count(GridError, 3, x_cells=nx, y_cells=ny)  # the box at this spacing
         self.x_max = nx * self.spacing
         self.y_max = ny * self.spacing
         ii, jj = np.meshgrid(np.arange(1, nx), np.arange(1, ny), indexing="ij")
@@ -228,15 +227,11 @@ def exchange_images(x, y):
     back.  Yields ``(x', y', parity)`` per permutation, the identity first;
     ``parity`` is the permutation's sign, -1 for the three pair swaps.
     """
-    return _permuted(angles_from_jacobi(x, y))
-
-
-def _permuted(angles):
-    """The :func:`exchange_images` of the points at particle ``angles``."""
+    angles = angles_from_jacobi(x, y)
     for perm in itertools.permutations(range(3)):
-        x, y, _ = jacobi_from_angles(*(angles[i] for i in perm))
+        ix, iy, _ = jacobi_from_angles(*(angles[i] for i in perm))
         inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        yield x, y, (-1.0) ** inversions
+        yield ix, iy, (-1.0) ** inversions
 
 
 def symmetrize_wavefunction(
@@ -248,10 +243,10 @@ def symmetrize_wavefunction(
     """Sample the full-plane (anti)symmetrized ground state at the points (x, y).
 
     The zero-padded bilinear interpolant of the wedge solution is summed
-    over the six :func:`exchange_images` of each point, with the permutation
-    parity as sign for fermions (all +1 for bosons).  The sum makes the
-    output even (bosons) or odd (fermions) under every exchange, to
-    rounding, so fermionic output vanishes on the coincidence lines.
+    over the six :func:`exchange_images` of each point, each odd permutation
+    weighted by :func:`.twobody.exchange_sign` (-1 for fermions, +1 for bosons).
+    The sum makes the output even (bosons) or odd (fermions) under every
+    exchange, to rounding, so fermionic output vanishes on the coincidence lines.
 
     Returns:
         (psi, n_outside): ``psi`` with the shape of ``x`` and ``y`` broadcast
@@ -259,8 +254,7 @@ def symmetrize_wavefunction(
         lies outside the solved box (those samples are zero and flagged
         rather than extrapolated).
     """
-    if statistics not in STATISTICS:
-        raise ValueError(f"statistics must be one of {STATISTICS}")
+    sign = exchange_sign(statistics)
     grid = sol.grid
     padded = np.append(sol.wavefunction(0), 0.0)[grid.index]  # -1 picks the appended zero
     dx = grid.spacing
@@ -282,17 +276,15 @@ def symmetrize_wavefunction(
              + tx * ty * padded[i0c + 1, j0c + 1])
         return np.where(inside, v, 0.0)
 
-    use_parity = statistics == "fermion"
-    angles = angles_from_jacobi(xs, ys)
     total = np.zeros(xs.size)
-    for ix, iy, parity in _permuted(angles):
-        total += (parity if use_parity else 1.0) * interpolate(ix, iy)
+    for ix, iy, parity in exchange_images(xs, ys):
+        total += (sign if parity < 0 else 1.0) * interpolate(ix, iy)
 
     # wedge representative outside the solved box -> flagged zero; ordering
     # the particle angles phi1 >= phi2 >= phi3 maps a point into the wedge.
     # Its rounding can carry a point on an outer wall a couple of ulps out,
     # so the walls get a slack of 8 ulps (the interpolant is zero there).
-    wx, wy, _ = jacobi_from_angles(*np.sort(angles, axis=0)[::-1])
+    wx, wy, _ = jacobi_from_angles(*np.sort(angles_from_jacobi(xs, ys), axis=0)[::-1])
     slack = 8 * np.spacing(max(grid.x_max, grid.y_max))
     outside = (wx > grid.x_max + slack) | (wy > grid.y_max + slack)
     total[outside] = 0.0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, HelixDipolesError, check_positive, is_integer
+from .errors import GridError, HelixDipolesError, check_count, check_positive, is_real
 from .linalg import Solution, SymmetricSparseOperator, check_request, lowest_eigenpairs
 from .potential import reduced_potential, validate_coupling, validate_geometry
 
@@ -26,7 +26,14 @@ BOUND_THRESHOLD = -1e-3
 #: Spacings above this under-resolve the winding-scale potential wells.
 MAX_SPACING = 0.2
 
-STATISTICS = ("boson", "fermion")
+STATISTICS = {"boson": 1.0, "fermion": -1.0}
+
+
+def exchange_sign(statistics: str) -> float:
+    """The factor a wave function takes under a pair exchange, by ``STATISTICS`` name."""
+    if statistics not in STATISTICS:
+        raise ValueError(f"statistics must be one of {tuple(STATISTICS)}")
+    return STATISTICS[statistics]
 
 
 @dataclass(frozen=True)
@@ -40,8 +47,7 @@ class Grid1D:
 
     def __post_init__(self) -> None:
         check_positive(GridError, phi_max=self.phi_max)
-        if not (is_integer(self.n_points) and self.n_points >= 3):
-            raise GridError(f"need an integer n_points >= 3, got {self.n_points!r}")
+        check_count(GridError, 3, n_points=self.n_points)
         if self.spacing > MAX_SPACING:
             raise GridError(f"spacing {self.spacing:g} > {MAX_SPACING} "
                             "under-resolves the potential wells")
@@ -116,10 +122,8 @@ def extend_full_line(
     the full line, endpoints included, and the wave function renormalized to
     unit full-line quadrature norm.
     """
-    if statistics not in STATISTICS:
-        raise ValueError(f"statistics must be one of {STATISTICS}")
+    sign = exchange_sign(statistics)
     psi_half = sol.wavefunction(state)
-    sign = 1.0 if statistics == "boson" else -1.0
     grid = sol.grid
     phi = np.concatenate([-grid.nodes[::-1], [0.0], grid.nodes])
     phi = np.concatenate([[-grid.phi_max], phi, [grid.phi_max]])
@@ -147,16 +151,17 @@ def scan_beta(
     """Independent solves for each coupling in ``betas``, in input order.
 
     Package errors and ``ValueError`` from a solve are recorded per row and
-    do not abort the scan; any other exception propagates.  The geometry
-    and ``k`` do not depend on the coupling, so they are checked once,
-    before the first solve, and raise; the grid's resolution was checked
-    when ``grid`` was built.
+    do not abort the scan; any other exception propagates.  The geometry,
+    ``k`` and the type of each coupling (:func:`.errors.is_real`) are checked
+    once, before the first solve, and raise; the grid's resolution was
+    checked when ``grid`` was built.
     """
     betas = list(betas)
-    if not betas:
-        raise ValueError("betas must be non-empty")
+    check_count(ValueError, 1, n_betas=len(betas))
     validate_geometry(ratio)
     check_request(k, grid.n_points)
+    if not all(map(is_real, betas)):
+        raise ValueError(f"couplings must be real numbers, got {betas!r}")
     rows: list[BetaScanRow] = []
     for beta in betas:
         try:

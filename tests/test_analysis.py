@@ -97,10 +97,10 @@ class TestHarmonicFit:
         with pytest.raises(ValueError):
             fit_harmonic_size(rows)
 
-    def test_out_of_range_rejected(self):
-        rows = [SizeScanRow(b, -1.0, 40.0, 6.2) for b in (1.0, 6.0, 9.0, 12.0)]
-        with pytest.raises(ValueError):
-            fit_harmonic_size(rows, beta_range=(5.0, 20.0))
+    def test_window_is_the_rows_coupling_range(self):
+        rows = [SizeScanRow(b, -1.0, 3.0 / math.sqrt(b) + 6.2**2, 6.2)
+                for b in (5.0, 7.5, 10.0, 12.5, 15.0)]
+        assert fit_harmonic_size(rows).beta_range == (5.0, 15.0)
 
     def test_degenerate_design(self):
         rows = [SizeScanRow(7.0, -1.0, 40.0, 6.2) for _ in range(5)]

@@ -6,10 +6,15 @@ package's own error type at the entry point that takes it, never a bare
 with a ``metadata.txt`` record.
 """
 
+import dataclasses
 import math
+import numbers
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helixdipoles.cli import RunConfig, run
 from helixdipoles.errors import DimensionError, GeometryError, GridError, check_positive, is_integer
@@ -19,8 +24,8 @@ from helixdipoles.potential import (HelixGeometry, PhysicalDipole, energy_unit_j
 from helixdipoles.threebody import WedgeGrid2D, default_box
 from helixdipoles.twobody import Grid1D
 
-#: Not a real number, not finite, or negative: refused everywhere.
-BAD = ["1", None, True, 1j, math.nan, math.inf, -math.inf, -1]
+#: Not a real number, not finite, negative, or beyond the float range: refused everywhere.
+BAD = ["1", None, True, 1j, math.nan, math.inf, -math.inf, -1, 10**400]
 
 
 def _chain(n=8):
@@ -122,3 +127,63 @@ def test_bad_run_config_is_recorded(case, value, tmp_path):
     meta = (tmp_path / "metadata.txt").read_text().splitlines()
     assert f"status = {'geometry_error' if code == 3 else 'config_error'}" in meta
     assert not list(tmp_path.glob("*.csv"))
+
+
+#: RunConfig field: small valid values; every valid draw solves on a tiny grid
+#: (the three-body box is 12 x 16 at h = 0.4, with the clearance check off)
+VALID = {
+    "ratio": [1.0, np.float64(0.5)], "beta": [1.0, 2],
+    "box_length": [10.0, 12], "spacing_1d": [0.2, 0.1],
+    "x_max": [12.0, None], "y_max": [16.0, None], "spacing_2d": [0.4],
+    "k_states": [1, np.int64(2)], "seed": [0, np.int64(7)],
+    "phi_max": [5.0, 20.0], "n_samples": [10, np.int64(7)],
+    "sample_extent": [1.0], "sample_spacing": [0.5],
+    "mass_kg": [0.0, 2.2e-25], "radius_m": [0.0, 1e-6],
+}
+HOSTILE = ["1", None, True, 1j, math.nan, math.inf, -math.inf, -1, 10**400,
+           np.float64(-2.0), np.True_]
+#: Couplings a scan solves, or records as a failed row (the last three)
+COUPLINGS = [0.5, 2, np.float32(0.25), 7.5, 12.5, -1.0, math.nan, math.inf]
+STATUS = {0: "ok", 2: "config_error", 3: "geometry_error", 4: "not_converged"}
+
+
+@st.composite
+def run_configs(draw):
+    fields = {name: draw(st.sampled_from(values)) for name, values in VALID.items()}
+    for name in draw(st.lists(st.sampled_from(sorted(VALID)), max_size=2, unique=True)):
+        # None is a valid "auto" box, so it is not hostile there
+        fields[name] = draw(st.sampled_from([v for v in HOSTILE
+                                             if v is not None or name not in AUTO]))
+    couplings = st.one_of(st.lists(st.sampled_from(COUPLINGS[:5]), min_size=4, max_size=5),
+                          st.lists(st.sampled_from(COUPLINGS + HOSTILE), max_size=4)).map(tuple)
+    return RunConfig(problem=draw(st.sampled_from(["potential", "two-body", "three-body",
+                                                   "scan", "fit"])),
+                     betas=draw(couplings), product_betas=draw(couplings),
+                     statistics=draw(st.sampled_from(["boson", "fermion"])),
+                     symmetrize=draw(st.booleans()), emit_full_line=draw(st.booleans()),
+                     allow_small_box=True, **fields)
+
+
+def _tiny(**settings):
+    return RunConfig(**{"box_length": 10.0, "spacing_1d": 0.2, "k_states": 1, **settings})
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(run_configs())
+@example(_tiny(box_length=10**400))
+@example(_tiny(problem="scan", betas=("1", 0.5)))
+@example(_tiny(problem="scan", betas=(None, 0.5)))
+@example(_tiny(problem="scan", betas=(10**400, 0.5)))
+def test_run_never_raises_and_records_its_status(cfg):
+    with tempfile.TemporaryDirectory() as out:
+        code = run(dataclasses.replace(cfg, out_dir=out))
+        assert code in STATUS
+        meta = (Path(out) / "metadata.txt").read_text().splitlines()
+        assert f"status = {STATUS[code]}" in meta
+        if code == 0 and cfg.problem == "scan" and cfg.betas:
+            # only real couplings are solved, each written as its own float
+            assert all(isinstance(b, numbers.Real) and not isinstance(b, bool)
+                       for b in cfg.betas)
+            lines = (Path(out) / "scan.csv").read_text().splitlines()[1:]
+            assert [line.split(",")[0] for line in lines] == [
+                f"{float(b):.12g}" for b in cfg.betas]
