@@ -46,7 +46,7 @@ def expectation_phi2(psi: np.ndarray, grid: Grid1D) -> float:
     ``spacing * sum(phi_i^2 psi_i^2)`` over the interior nodes.
     """
     phi = grid.nodes
-    return float(grid.spacing * np.sum(phi * phi * psi * psi))
+    return float(grid.weight * np.sum(phi * phi * psi * psi))
 
 
 def build_size_scan(

@@ -43,7 +43,8 @@ from .linalg import DEFAULT_SEED, DENSE_CUTOFF, METHODS
 from .potential import (TWO_PI, HelixGeometry, energy_unit_joules, find_minima,
                         reduced_potential, validate_coupling, validate_geometry)
 from .threebody import WedgeGrid2D, default_box, solve_three_body, symmetrize_wavefunction
-from .twobody import STATISTICS, Grid1D, extend_full_line, scan_beta, solve_two_body
+from .twobody import (STATISTICS, Grid1D, exchange_sign, extend_full_line, scan_beta,
+                      solve_two_body)
 
 #: Environment variable overriding the default output directory.
 OUTDIR_ENV = "HELIX_DIPOLES_OUTDIR"
@@ -133,11 +134,9 @@ def _format_value(value) -> str:
         return "auto"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, tuple):
         return ",".join(repr(float(v)) if is_real(v) else repr(v) for v in value)
-    return str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def _optional_float(raw: str) -> float | None:
@@ -274,6 +273,7 @@ def _run_potential(cfg: RunConfig) -> tuple[dict, dict]:
 
 
 def _run_two_body(cfg: RunConfig) -> tuple[dict, dict]:
+    exchange_sign(cfg.statistics)  # every input before the solve
     unit = _energy_unit(cfg)
     grid = Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d)
     sol = solve_two_body(grid, cfg.beta, cfg.ratio, cfg.k_states)
@@ -299,9 +299,10 @@ def _run_two_body(cfg: RunConfig) -> tuple[dict, dict]:
 
 
 def _run_three_body(cfg: RunConfig) -> tuple[dict, dict]:
+    exchange_sign(cfg.statistics)  # every input before the solve
+    check_positive(ValueError, sample_extent=cfg.sample_extent,
+                   sample_spacing=cfg.sample_spacing)
     if cfg.symmetrize:  # the sample grid comes first, so an oversized one fails at once
-        check_positive(ValueError, sample_extent=cfg.sample_extent,
-                       sample_spacing=cfg.sample_spacing)
         samples = np.arange(-cfg.sample_extent, cfg.sample_extent + 0.5 * cfg.sample_spacing,
                             cfg.sample_spacing)
         xg, yg = np.meshgrid(samples, samples, indexing="ij")

@@ -47,7 +47,7 @@ import scipy
 import scipy.sparse as sp
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from .errors import ConvergenceError, DimensionError, check_count, check_positive, is_integer
+from .errors import ConvergenceError, DimensionError, check_count, is_integer
 
 #: Largest operator a forced dense solve accepts (n^2 doubles: 32 MB).
 DENSE_CUTOFF = 2000
@@ -145,10 +145,8 @@ class SymmetricSparseOperator:
 class EigenResult:
     """Lowest eigenpairs of a symmetric operator.
 
-    ``vectors[:, i]`` is normalized as a grid function, so that
-    ``w * sum(vectors[:, i]**2) == 1`` for the quadrature weight ``w`` given
-    to :func:`lowest_eigenpairs`; residual norms are plain 2-norms
-    ``|H v - E v|`` of the unit-2-norm eigenvectors.  ``shift`` is the
+    ``vectors[:, i]`` has unit 2-norm, on every route; residual norms are
+    the 2-norms ``|H v - E v|`` of these vectors.  ``shift`` is the
     ``sigma`` of the shift-invert path and ``shift_source`` where it came
     from, ``estimate`` or ``gershgorin`` (both None on the other paths).
     """
@@ -176,7 +174,8 @@ class Solution:
         return self.eigen.values
 
     def wavefunction(self, state: int = 0) -> np.ndarray:
-        return self.eigen.vectors[:, state]
+        """State ``state`` as a grid function: ``grid.weight * sum(psi**2) == 1``."""
+        return self.eigen.vectors[:, state] / math.sqrt(self.grid.weight)
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
@@ -187,7 +186,7 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def _package(op, vecs, weight, method, seed, n_matvec, **shifted):
+def _package(op, vecs, method, seed, n_matvec, **shifted):
     """Result for the solver's eigenvectors ``vecs``, energies their Rayleigh quotients.
 
     ``v' H v`` of a unit vector errs only quadratically in the vector's error
@@ -204,7 +203,7 @@ def _package(op, vecs, weight, method, seed, n_matvec, **shifted):
     order = np.argsort(vals)
     return EigenResult(
         values=vals[order],
-        vectors=_canonical_signs(vecs[:, order]) / np.sqrt(weight),
+        vectors=_canonical_signs(vecs[:, order]),
         residual_norms=residuals[order],
         method=method,
         seed=seed,
@@ -235,7 +234,6 @@ def lowest_eigenpairs(
     *,
     method: str = "auto",
     seed: int = DEFAULT_SEED,
-    quadrature_weight: float = 1.0,
     estimate: float | None = None,
 ) -> EigenResult:
     """Compute the ``k`` lowest eigenpairs of a symmetric sparse operator.
@@ -249,8 +247,6 @@ def lowest_eigenpairs(
             ``lanczos`` to force a path.
         seed: seeds the start vector (a near shift starts from the
             certificate's solve instead) and any restart vector.
-        quadrature_weight: per-node quadrature weight, finite and > 0, used
-            to normalize the returned eigenvectors as grid functions.
         estimate: a guess at the lowest eigenvalue, such as the ground
             energy of a coarser grid.  Only the shift-invert path reads it:
             it places ``sigma`` just below the guess when a one-solve
@@ -259,9 +255,9 @@ def lowest_eigenpairs(
             :func:`_shifted_factor`).  A wrong guess costs one extra
             factorization, never a wrong answer.
 
-    On every route each returned energy is the Rayleigh quotient ``v' H v``
-    of its unit eigenvector, not the value the solver paired with it, and
-    the pairs come sorted by it.
+    On every route each returned eigenvector has unit 2-norm, and each energy
+    is its Rayleigh quotient ``v' H v``, not the value the solver paired with
+    it; the pairs come sorted by it.
 
     ``n_matvec`` of the result counts the iterative operator applications
     (matvecs for ``lanczos``; for ``shift-invert``, the sparse LU solves,
@@ -272,14 +268,12 @@ def lowest_eigenpairs(
 
     Raises:
         DimensionError, ValueError: the request fails :func:`check_request`,
-            the quadrature weight is not finite and positive, or the operator
-            holds a NaN or an infinity (``ValueError``).
+            or the operator holds a NaN or an infinity (``ValueError``).
         ConvergenceError: ARPACK spent its restart limit (scipy's default
             ``maxiter``, 10 n) before reaching :data:`ARPACK_TOL`; the pairs it
             did converge are attached to the exception as energies and vectors.
     """
     check_request(k, op.n, method, seed)
-    check_positive(ValueError, quadrature_weight=quadrature_weight)
     if not np.all(np.isfinite(op.csr.data)):
         raise ValueError("operator has non-finite entries")
     if method == "auto":
@@ -288,7 +282,7 @@ def lowest_eigenpairs(
     with _one_blas_thread():
         if method == "dense":
             vecs = eigh(op.csr.toarray(), subset_by_index=(0, k - 1))[1]
-            return _package(op, vecs, quadrature_weight, "dense", None, 0)
+            return _package(op, vecs, "dense", None, 0)
         if method == "tridiagonal":
             off = op.csr.diagonal(1)
             # the free-lattice gap between the two lowest levels of an n-node chain
@@ -296,10 +290,10 @@ def lowest_eigenpairs(
             vecs = eigh_tridiagonal(op.csr.diagonal(), off, select="i",
                                     select_range=(0, k - 1),
                                     tol=BISECTION_GAP_FRACTION * gap)[1]
-            return _package(op, vecs, quadrature_weight, "tridiagonal", None, 0)
+            return _package(op, vecs, "tridiagonal", None, 0)
         vecs, n_mv, shifted = _arpack(op, k, seed, shift_invert=method == "shift-invert",
                                       estimate=estimate)
-        return _package(op, vecs, quadrature_weight, method, seed, n_mv, **shifted)
+        return _package(op, vecs, method, seed, n_mv, **shifted)
 
 
 def _shifted_factor(op, estimate):

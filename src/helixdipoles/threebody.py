@@ -22,7 +22,7 @@ from .errors import GridError, check_count, check_positive
 from .linalg import (DEFAULT_SEED, Solution, SymmetricSparseOperator, check_request,
                      lowest_eigenpairs)
 from .potential import TWO_PI, reduced_potential, validate_coupling
-from .twobody import exchange_sign
+from .twobody import exchange_sign, whole_cells
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -103,8 +103,8 @@ class WedgeGrid2D:
                  spacing: float = STRONG_BOX[2]):
         check_positive(GridError, x_max=x_max, y_max=y_max, spacing=spacing)
         self.spacing = float(spacing)
-        nx = int(round(x_max / self.spacing))
-        ny = int(round(y_max / self.spacing))
+        self.weight = self.spacing**2  # the quadrature weight of one node
+        nx, ny = whole_cells(x_max, spacing), whole_cells(y_max, spacing)
         check_count(GridError, 3, x_cells=nx, y_cells=ny)  # the box at this spacing
         self.x_max = nx * self.spacing
         self.y_max = ny * self.spacing
@@ -195,12 +195,7 @@ def solve_three_body(
         coarse_op = assemble_hamiltonian_2d(coarse, beta, ratio)
         estimate = float(lowest_eigenpairs(coarse_op, 1, seed=seed).values[0])
     op = assemble_hamiltonian_2d(grid, beta, ratio)
-    eigen = lowest_eigenpairs(
-        op, k,
-        method=method, seed=seed,
-        quadrature_weight=grid.spacing**2,
-        estimate=estimate,
-    )
+    eigen = lowest_eigenpairs(op, k, method=method, seed=seed, estimate=estimate)
     sol = ThreeBodySolution(grid=grid, eigen=eigen, distances=(0.0, 0.0, 0.0))
     sol.distances = pair_distance_expectations(sol)
     return sol
@@ -214,9 +209,9 @@ def pair_distance_expectations(sol: ThreeBodySolution) -> tuple[float, float, fl
     sums, not a BLAS ``dot``, keep them independent of the BLAS thread count.
     """
     grid = sol.grid
-    weight = sol.wavefunction(0) ** 2 * grid.spacing**2
-    weight = weight / weight.sum()
-    return tuple(float(np.sum(weight * phi)) / TWO_PI
+    density = sol.wavefunction(0) ** 2 * grid.weight
+    density = density / density.sum()
+    return tuple(float(np.sum(density * phi)) / TWO_PI
                  for phi in pair_separations(grid.x, grid.y))
 
 

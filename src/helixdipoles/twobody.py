@@ -36,6 +36,14 @@ def exchange_sign(statistics: str) -> float:
     return STATISTICS[statistics]
 
 
+def whole_cells(extent: float, spacing: float) -> int:
+    """``extent / spacing`` rounded, the box rule of both grids; ``GridError`` unless finite."""
+    cells = float(extent) / float(spacing)
+    if not math.isfinite(cells):
+        raise GridError(f"box {extent!r} / spacing {spacing!r} overflows the cell count")
+    return round(cells)
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform interior grid on (0, phi_max) with implied zero boundaries; a
@@ -55,11 +63,13 @@ class Grid1D:
     @classmethod
     def from_spacing(cls, phi_max: float, spacing: float) -> "Grid1D":
         check_positive(GridError, phi_max=phi_max, spacing=spacing)
-        return cls(phi_max=phi_max, n_points=int(round(phi_max / spacing)) - 1)
+        return cls(phi_max=phi_max, n_points=whole_cells(phi_max, spacing) - 1)
 
     @property
     def spacing(self) -> float:
         return self.phi_max / (self.n_points + 1)
+
+    weight = spacing  # the quadrature weight of one node
 
     @property
     def nodes(self) -> np.ndarray:
@@ -100,12 +110,12 @@ def solve_two_body(
 
     The tridiagonal operator always takes the banded solve, which draws no
     random numbers: ``seed`` is ignored, and stays only because
-    ``perfbench/record_references.py`` still passes one.  The returned wave
-    functions live on ``grid.nodes`` (phi > 0 only) and are unit-normalized
+    ``perfbench/record_references.py`` still passes one.  Its ``wavefunction``
+    states live on ``grid.nodes`` (phi > 0 only) and are unit-normalized
     under the trapezoidal grid quadrature.
     """
     op = assemble_hamiltonian_1d(grid, beta, ratio)
-    eigen = lowest_eigenpairs(op, k, quadrature_weight=grid.spacing)
+    eigen = lowest_eigenpairs(op, k)
     bound_count = int(np.sum(eigen.values < BOUND_THRESHOLD))
     return TwoBodySolution(grid=grid, eigen=eigen, bound_count=bound_count)
 
@@ -128,7 +138,7 @@ def extend_full_line(
     phi = np.concatenate([-grid.nodes[::-1], [0.0], grid.nodes])
     phi = np.concatenate([[-grid.phi_max], phi, [grid.phi_max]])
     psi = np.concatenate([[0.0], sign * psi_half[::-1], [0.0], psi_half, [0.0]])
-    norm = math.sqrt(grid.spacing * float(np.sum(psi**2)))
+    norm = math.sqrt(grid.weight * float(np.sum(psi**2)))
     return phi, psi / norm
 
 

@@ -40,8 +40,6 @@ def mini_wedge_solves():
 
     grid = WedgeGrid2D(x_max=12.0, y_max=16.0, spacing=0.4)
     op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
-    dense = lowest_eigenpairs(op, 4, method="dense",
-                              quadrature_weight=grid.spacing**2)
-    lanczos = lowest_eigenpairs(op, 4, method="lanczos",
-                                quadrature_weight=grid.spacing**2)
+    dense = lowest_eigenpairs(op, 4, method="dense")
+    lanczos = lowest_eigenpairs(op, 4, method="lanczos")
     return grid, dense, lanczos

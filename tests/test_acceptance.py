@@ -247,37 +247,25 @@ def test_criterion_06_asymptotic_identity():
 # --- 7. eigensolver oracle equivalence ----------------------------------------
 
 def test_criterion_07_oracle_equivalence(mini_wedge_solves):
-    def compare(op, k, weight, method="lanczos"):
-        dense = lowest_eigenpairs(op, k, method="dense",
-                                  quadrature_weight=weight)
-        iterative = lowest_eigenpairs(op, k, method=method,
-                                      quadrature_weight=weight)
-        dv = float(np.abs(dense.values - iterative.values).max())
-        scale = math.sqrt(weight)
-        vv = max(
-            min(np.linalg.norm((dense.vectors[:, i] - iterative.vectors[:, i]) * scale),
-                np.linalg.norm((dense.vectors[:, i] + iterative.vectors[:, i]) * scale))
-            for i in range(k)
-        )
-        return dv, vv
+    def differences(dense, iterative):
+        # unit eigenvectors: the 2-norm gap over the sign ambiguity
+        vv = max(min(np.linalg.norm(d - v), np.linalg.norm(d + v))
+                 for d, v in zip(dense.vectors.T, iterative.vectors.T))
+        return float(np.abs(dense.values - iterative.values).max()), vv
+
+    def compare(op, k, method="lanczos"):
+        return differences(lowest_eigenpairs(op, k, method="dense"),
+                           lowest_eigenpairs(op, k, method=method))
 
     grid1d = Grid1D.from_spacing(100.0, 0.05)
-    dv1, vv1 = compare(assemble_hamiltonian_1d(grid1d, 2.0, 1.0), 3, grid1d.spacing)
+    dv1, vv1 = compare(assemble_hamiltonian_1d(grid1d, 2.0, 1.0), 3)
 
     wedge, dense2, lanczos2 = mini_wedge_solves
-    dv2 = float(np.abs(dense2.values - lanczos2.values).max())
-    w = wedge.spacing
-    vv2 = max(
-        min(np.linalg.norm((dense2.vectors[:, i] - lanczos2.vectors[:, i]) * w),
-            np.linalg.norm((dense2.vectors[:, i] + lanczos2.vectors[:, i]) * w))
-        for i in range(4)
-    )
+    dv2, vv2 = differences(dense2, lanczos2)
 
     # the shift-invert path against the same dense oracle
-    dv1s, vv1s = compare(assemble_hamiltonian_1d(grid1d, 2.0, 1.0), 3, grid1d.spacing,
-                         "shift-invert")
-    dv2s, vv2s = compare(assemble_hamiltonian_2d(wedge, 1.0, 1.0),
-                         4, w**2, "shift-invert")
+    dv1s, vv1s = compare(assemble_hamiltonian_1d(grid1d, 2.0, 1.0), 3, "shift-invert")
+    dv2s, vv2s = compare(assemble_hamiltonian_2d(wedge, 1.0, 1.0), 4, "shift-invert")
 
     ok = max(dv1, dv2) <= 1e-9 and max(vv1, vv2) <= 1e-6
     ok &= max(dv1s, dv2s) <= 1e-9 and max(vv1s, vv2s) <= 1e-6

@@ -489,6 +489,26 @@ class TestExitCodes:
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         assert read_keyvalue(tmp_path / "metadata.txt")["status"] == "config_error"
 
+    @pytest.mark.parametrize("settings", [
+        {"problem": "three-body", "x_max": 12.0, "y_max": 16.0, "spacing_2d": 0.4,
+         "allow_small_box": True, "symmetrize": True},
+        {"problem": "two-body", "emit_full_line": True},
+    ], ids=["three-body-symmetrize", "two-body-full-line"])
+    def test_unknown_statistics_rejected_before_the_solve(self, settings, tmp_path,
+                                                          monkeypatch):
+        import helixdipoles.cli as cli
+
+        solves = []
+        for name in ("solve_three_body", "solve_two_body"):
+            def counted(*args, _solve=getattr(cli, name), **kwargs):
+                solves.append(1)
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        assert run(RunConfig(statistics="majorana", out_dir=str(tmp_path), **settings)) == 2
+        assert len(solves) == 0
+        assert read_keyvalue(tmp_path / "metadata.txt")["status"] == "config_error"
+
     def test_convergence_failure(self, tmp_path, monkeypatch):
         import numpy as np
 

@@ -57,8 +57,6 @@ SCALARS = {
     "validate_geometry-ratio": (validate_geometry, GeometryError, False),
     "validate_coupling-beta": (lambda v: validate_coupling(v, 1.0), ValueError, True),
     "default_box-beta": (default_box, ValueError, True),
-    "lowest_eigenpairs-quadrature_weight": (
-        lambda v: lowest_eigenpairs(_chain(), 1, quadrature_weight=v), ValueError, False),
 }
 
 #: count site: (call with the value, error type, whether zero is accepted)
@@ -82,6 +80,15 @@ def test_bad_input_raises_the_package_error(call, error, value):
     # pytest.raises lets any other type through, a TypeError included
     with pytest.raises(error):
         call(value)
+
+
+@pytest.mark.parametrize("build", [lambda: Grid1D.from_spacing(1e300, 1e-10),
+                                   lambda: WedgeGrid2D(1e300, 16.0, 1e-10)],
+                         ids=["Grid1D.from_spacing", "WedgeGrid2D"])
+def test_a_cell_count_beyond_the_float_range_is_a_grid_error(build):
+    with pytest.raises(GridError,
+                       match=r"^box 1e\+300 / spacing 1e-10 overflows the cell count$"):
+        build()
 
 
 def test_the_rule_accepts_numpy_numbers_and_names_the_value():
@@ -174,12 +181,21 @@ def _tiny(**settings):
 @example(_tiny(problem="scan", betas=("1", 0.5)))
 @example(_tiny(problem="scan", betas=(None, 0.5)))
 @example(_tiny(problem="scan", betas=(10**400, 0.5)))
+@example(_tiny(box_length=1e300, spacing_1d=1e-10))
+@example(RunConfig(problem="three-body", x_max=1e300, spacing_2d=1e-10, allow_small_box=True))
 def test_run_never_raises_and_records_its_status(cfg):
     with tempfile.TemporaryDirectory() as out:
-        code = run(dataclasses.replace(cfg, out_dir=out))
+        cfg = dataclasses.replace(cfg, out_dir=out)
+        code = run(cfg)
         assert code in STATUS
         meta = (Path(out) / "metadata.txt").read_text().splitlines()
         assert f"status = {STATUS[code]}" in meta
+        if code == 0:  # the echoed settings read back as the ones given
+            names = {f.name for f in dataclasses.fields(RunConfig)}
+            echoed = {k: v for k, v in (line.split(" = ", 1) for line in meta) if k in names}
+            parsed = RunConfig.from_items(echoed)
+            for name in echoed:
+                np.testing.assert_equal(getattr(parsed, name), getattr(cfg, name), err_msg=name)
         if code == 0 and cfg.problem == "scan" and cfg.betas:
             # only real couplings are solved, each written as its own float
             assert all(isinstance(b, numbers.Real) and not isinstance(b, bool)

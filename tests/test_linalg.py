@@ -188,15 +188,15 @@ class TestLowestEigenpairs:
 
     def test_values_sorted_and_normalized(self):
         op = random_sparse_symmetric(400, seed=3)
-        res = lowest_eigenpairs(op, 6, method="lanczos", quadrature_weight=0.25)
+        res = lowest_eigenpairs(op, 6, method="lanczos")
         assert np.all(np.diff(res.values) >= 0.0)
-        norms = 0.25 * np.sum(res.vectors**2, axis=0)
+        norms = np.sum(res.vectors**2, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
     def test_orthonormality(self):
         op = random_sparse_symmetric(400, seed=5)
-        res = lowest_eigenpairs(op, 6, method="lanczos", quadrature_weight=0.1)
-        gram = 0.1 * res.vectors.T @ res.vectors
+        res = lowest_eigenpairs(op, 6, method="lanczos")
+        gram = res.vectors.T @ res.vectors
         off_diag = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off_diag)) < 1e-8
 
@@ -344,19 +344,6 @@ class TestLowestEigenpairs:
         np.testing.assert_array_equal(numpy_ints.vectors, plain.vectors)
         assert lowest_eigenpairs(dirichlet_box(10.0, 99)[0], np.int32(2)).values.shape == (2,)
 
-    @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("method", linalg.METHODS)
-    def test_bad_quadrature_weight_rejected_before_the_solve(self, method, weight,
-                                                             monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved with a bad quadrature weight")
-
-        for name in ("eigh_tridiagonal", "_arpack", "eigh"):
-            monkeypatch.setattr(linalg, name, no_solve)
-        op, _, _ = dirichlet_box(10.0, 99)
-        with pytest.raises(ValueError, match="quadrature_weight"):
-            lowest_eigenpairs(op, 2, method=method, quadrature_weight=weight)
-
     def test_forced_tridiagonal_on_general_operator_rejected(self):
         # the banded route is taken by auto alone, never forced
         op = random_sparse_symmetric(300)
@@ -407,9 +394,10 @@ class TestSolverContract:
 
         monkeypatch.setattr(SymmetricSparseOperator, "matvec", counted_matvec)
         monkeypatch.setattr(linalg, "_shifted_factor", counted_factor)
-        res = lowest_eigenpairs(op, k, method=method, quadrature_weight=0.5)
+        res = lowest_eigenpairs(op, k, method=method)
         v = res.vectors
         norms = np.einsum("ij,ij->j", v, v)
+        np.testing.assert_allclose(norms, 1.0, rtol=0.0, atol=1e-12)  # unit on every route
         quotients = np.einsum("ij,ij->j", v, op.csr @ v) / norms
         # the rounding of v'Hv: a few eps times |v|'|H||v|
         rounding = 4.0 * np.finfo(float).eps * np.einsum(
@@ -607,7 +595,7 @@ class TestNearShift:
     def mini(self, mini_wedge_solves):
         grid, dense, _ = mini_wedge_solves
         op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
-        return op, grid.spacing**2, dense
+        return op, dense
 
     def test_wedge_operators_are_z_matrices(self, mini):
         assert mini[0].is_z_matrix()
@@ -617,22 +605,21 @@ class TestNearShift:
     def test_shift_above_ground_rejected(self, mini, above):
         # the estimate that puts sigma `above` E0 (between E0 and E1 for the
         # first two, between E1 and E2 for the last) is refused by the certificate
-        op, weight, dense = mini
+        op, dense = mini
         lower = gershgorin_bound(op)
         sigma = dense.values[0] + above
         estimate = (sigma - ESTIMATE_SHIFT_MARGIN * lower) / (1.0 - ESTIMATE_SHIFT_MARGIN)
-        res = lowest_eigenpairs(op, 4, estimate=estimate, quadrature_weight=weight)
+        res = lowest_eigenpairs(op, 4, estimate=estimate)
         assert res.shift_source == "gershgorin"
         assert res.shift < lower < dense.values[0]
         np.testing.assert_allclose(res.values, dense.values, rtol=0.0, atol=1e-9)
         for i in range(4):
-            assert align(res.vectors[:, i], dense.vectors[:, i]) * math.sqrt(weight) < 1e-6
+            assert align(res.vectors[:, i], dense.vectors[:, i]) < 1e-6
 
     def test_estimate_just_above_ground_keeps_a_shift_below_it(self, mini):
         # an estimate 0.05 above E0 gives sigma = e - 0.05 (e - g), here 0.03 below E0
-        op, weight, dense = mini
-        res = lowest_eigenpairs(op, 4, estimate=dense.values[0] + 0.05,
-                                quadrature_weight=weight)
+        op, dense = mini
+        res = lowest_eigenpairs(op, 4, estimate=dense.values[0] + 0.05)
         assert res.shift_source == "estimate"
         assert gershgorin_bound(op) < res.shift < dense.values[0]
         np.testing.assert_allclose(res.values, dense.values, rtol=0.0, atol=1e-9)
@@ -640,8 +627,8 @@ class TestNearShift:
     @settings(max_examples=25, deadline=None)
     @given(st.floats(-3.0, 1.0))
     def test_kept_shift_always_below_spectrum(self, mini, estimate):
-        op, weight, dense = mini
-        res = lowest_eigenpairs(op, 2, estimate=estimate, quadrature_weight=weight)
+        op, dense = mini
+        res = lowest_eigenpairs(op, 2, estimate=estimate)
         if res.shift_source == "estimate":
             assert res.shift < dense.values[0]
         np.testing.assert_allclose(res.values, dense.values[:2], rtol=0.0, atol=1e-9)
@@ -706,7 +693,7 @@ class TestNearShift:
     @pytest.mark.parametrize("estimate", [math.nan, math.inf, -math.inf, -1e9])
     def test_unusable_estimate_ignored(self, mini, estimate):
         # NaN, infinities and estimates at or below the Gershgorin bound
-        op, _, _ = mini
+        op, _ = mini
         plain = lowest_eigenpairs(op, 1)
         hinted = lowest_eigenpairs(op, 1, estimate=estimate)
         assert hinted.shift_source == "gershgorin"

@@ -404,11 +404,10 @@ class TestMiniWedgeReferences:
         np.testing.assert_allclose(res.values, MINI_E_DX02, atol=1e-8)
 
     def test_iterative_matches_dense(self, mini_wedge_solves):
-        grid, dense, lanczos = mini_wedge_solves
+        _, dense, lanczos = mini_wedge_solves
         np.testing.assert_allclose(lanczos.values, dense.values, atol=1e-9)
-        w = grid.spacing  # rescale quadrature-normalized columns to unit 2-norm
         for i in range(4):
-            du, dl = dense.vectors[:, i] * w, lanczos.vectors[:, i] * w
+            du, dl = dense.vectors[:, i], lanczos.vectors[:, i]
             assert min(np.linalg.norm(du - dl), np.linalg.norm(du + dl)) < 1e-6
 
 
@@ -481,8 +480,9 @@ class TestProductionSolves:
         assert psi0[edge].max() < 0.05 * psi0.max()
 
     def test_quadrature_norm(self, three_body_beta1):
-        w = three_body_beta1.grid.spacing**2
-        norms = w * np.sum(three_body_beta1.eigen.vectors**2, axis=0)
+        sol = three_body_beta1
+        assert sol.grid.weight == sol.grid.spacing**2
+        norms = [sol.grid.weight * np.sum(sol.wavefunction(m) ** 2) for m in range(2)]
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
 
 

@@ -130,9 +130,10 @@ class TestSolve:
         assert sol.energies[0] == pytest.approx(E0_BETA1_DX0005, abs=1e-8)
 
     def test_wavefunctions_normalized(self, two_body_beta1):
-        dx = two_body_beta1.grid.spacing
+        grid = two_body_beta1.grid
+        assert grid.weight == grid.spacing
         for m in range(4):
-            norm = dx * np.sum(two_body_beta1.wavefunction(m) ** 2)
+            norm = grid.weight * np.sum(two_body_beta1.wavefunction(m) ** 2)
             assert norm == pytest.approx(1.0, abs=1e-10)
 
     def test_node_counting(self, two_body_beta1):
