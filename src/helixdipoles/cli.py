@@ -43,8 +43,8 @@ from .linalg import DEFAULT_SEED, DENSE_CUTOFF, METHODS
 from .potential import (TWO_PI, HelixGeometry, energy_unit_joules, find_minima,
                         reduced_potential, validate_coupling, validate_geometry)
 from .threebody import WedgeGrid2D, default_box, solve_three_body, symmetrize_wavefunction
-from .twobody import (STATISTICS, Grid1D, exchange_sign, extend_full_line, scan_beta,
-                      solve_two_body)
+from .twobody import (HALF_LINE, STATISTICS, Grid1D, exchange_sign, extend_full_line,
+                      scan_beta, solve_two_body)
 
 #: Environment variable overriding the default output directory.
 OUTDIR_ENV = "HELIX_DIPOLES_OUTDIR"
@@ -77,8 +77,8 @@ class RunConfig:
         on=("scan", "fit"))
     product_betas: tuple[float, ...] = _flag(
         (), "comma-separated weak couplings for the size-energy product", on=("fit",))
-    box_length: float = _flag(Grid1D.phi_max, "half-line box size L", on=_HALF_LINE)
-    spacing_1d: float = _flag(Grid1D().spacing, "grid spacing", on=_HALF_LINE, flag="spacing")
+    box_length: float = _flag(HALF_LINE[0], "half-line box size L", on=_HALF_LINE)
+    spacing_1d: float = _flag(HALF_LINE[1], "grid spacing", on=_HALF_LINE, flag="spacing")
     x_max: float | None = _flag(None, "box extent in x", on=_WEDGE)
     y_max: float | None = _flag(None, "box extent in y", on=_WEDGE)
     spacing_2d: float | None = _flag(None, "grid spacing", on=_WEDGE, flag="spacing")
@@ -275,7 +275,7 @@ def _run_potential(cfg: RunConfig) -> tuple[dict, dict]:
 def _run_two_body(cfg: RunConfig) -> tuple[dict, dict]:
     exchange_sign(cfg.statistics)  # every input before the solve
     unit = _energy_unit(cfg)
-    grid = Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d)
+    grid = Grid1D(cfg.box_length, cfg.spacing_1d)
     sol = solve_two_body(grid, cfg.beta, cfg.ratio, cfg.k_states)
     header = ["phi"] + [f"psi{m}" for m in range(cfg.k_states)]
     tables = {"wavefunctions.csv": (header, np.column_stack(
@@ -338,7 +338,7 @@ def _run_three_body(cfg: RunConfig) -> tuple[dict, dict]:
 
 def _run_scan(cfg: RunConfig) -> tuple[dict, dict]:
     betas = cfg.betas or tuple(round(0.1 * i, 10) for i in range(1, 15))
-    grid = Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d)
+    grid = Grid1D(cfg.box_length, cfg.spacing_1d)
     rows = scan_beta(betas, grid, cfg.ratio, cfg.k_states)
     header = ["beta"] + [f"E{m}" for m in range(cfg.k_states)] + ["bound_count"]
     csv_rows = []
@@ -357,7 +357,7 @@ def _run_scan(cfg: RunConfig) -> tuple[dict, dict]:
 
 def _run_fit(cfg: RunConfig) -> tuple[dict, dict]:
     betas = cfg.betas or (5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0)
-    grid = Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d)
+    grid = Grid1D(cfg.box_length, cfg.spacing_1d)
     for beta in (*betas, *cfg.product_betas):  # every coupling, before any solve
         validate_coupling(beta, cfg.ratio)
     rows = build_size_scan(betas, grid, cfg.ratio)

@@ -47,7 +47,7 @@ import scipy
 import scipy.sparse as sp
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from .errors import ConvergenceError, DimensionError, check_count, is_integer
+from .errors import ConvergenceError, DimensionError, check_count, is_integer, is_real
 
 #: Largest operator a forced dense solve accepts (n^2 doubles: 32 MB).
 DENSE_CUTOFF = 2000
@@ -174,7 +174,10 @@ class Solution:
         return self.eigen.values
 
     def wavefunction(self, state: int = 0) -> np.ndarray:
-        """State ``state`` as a grid function: ``grid.weight * sum(psi**2) == 1``."""
+        """State ``state`` in [0, k) as a grid function: ``grid.weight * sum(psi**2) == 1``."""
+        check_count(DimensionError, 0, state=state)
+        if state >= self.eigen.vectors.shape[1]:
+            raise DimensionError(f"state {state} >= k={self.eigen.vectors.shape[1]}")
         return self.eigen.vectors[:, state] / math.sqrt(self.grid.weight)
 
 
@@ -251,9 +254,9 @@ def lowest_eigenpairs(
             energy of a coarser grid.  Only the shift-invert path reads it:
             it places ``sigma`` just below the guess when a one-solve
             certificate shows that ``sigma`` still lies below the whole
-            spectrum, and falls back to the Gershgorin shift otherwise (see
-            :func:`_shifted_factor`).  A wrong guess costs one extra
-            factorization, never a wrong answer.
+            spectrum, and falls back to the Gershgorin shift otherwise, NaN
+            and +-inf included (see :func:`_shifted_factor`).  A wrong guess
+            costs one extra factorization, never a wrong answer.
 
     On every route each returned eigenvector has unit 2-norm, and each energy
     is its Rayleigh quotient ``v' H v``, not the value the solver paired with
@@ -267,13 +270,16 @@ def lowest_eigenpairs(
     ``shift_source`` are None.
 
     Raises:
-        DimensionError, ValueError: the request fails :func:`check_request`,
-            or the operator holds a NaN or an infinity (``ValueError``).
+        DimensionError, ValueError: the request fails :func:`check_request`, or
+            (``ValueError``) ``estimate`` is neither None nor :func:`.errors.is_real`,
+            or the operator holds a NaN or an infinity.
         ConvergenceError: ARPACK spent its restart limit (scipy's default
             ``maxiter``, 10 n) before reaching :data:`ARPACK_TOL`; the pairs it
             did converge are attached to the exception as energies and vectors.
     """
     check_request(k, op.n, method, seed)
+    if not (estimate is None or is_real(estimate)):
+        raise ValueError(f"estimate must be a real number or None, got {estimate!r}")
     if not np.all(np.isfinite(op.csr.data)):
         raise ValueError("operator has non-finite entries")
     if method == "auto":

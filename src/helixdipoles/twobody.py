@@ -26,6 +26,8 @@ BOUND_THRESHOLD = -1e-3
 #: Spacings above this under-resolve the winding-scale potential wells.
 MAX_SPACING = 0.2
 
+HALF_LINE = (100.0, 0.01)  #: default (phi_max, spacing) of the two-body grid
+
 STATISTICS = {"boson": 1.0, "fermion": -1.0}
 
 
@@ -44,37 +46,30 @@ def whole_cells(extent: float, spacing: float) -> int:
     return round(cells)
 
 
-@dataclass(frozen=True)
 class Grid1D:
-    """Uniform interior grid on (0, phi_max) with implied zero boundaries; a
-    non-integer ``n_points`` or a spacing above ``MAX_SPACING`` is refused
-    when the grid is built."""
+    """Uniform interior grid on (0, phi_max) with implied zero boundaries.
 
-    phi_max: float = 100.0
-    n_points: int = 9999
+    The box is cut into ``whole_cells(phi_max, spacing)`` cells and keeps
+    ``phi_max``, so the spacing solved, ``phi_max / cells``, can differ from
+    the one asked for; one above ``MAX_SPACING`` is refused.  ``index``, the
+    lattice :meth:`SymmetricSparseOperator.on_lattice` takes, numbers the
+    interior nodes inside a border of -1 (the walls at 0 and ``phi_max``).
+    """
 
-    def __post_init__(self) -> None:
-        check_positive(GridError, phi_max=self.phi_max)
+    def __init__(self, phi_max: float = HALF_LINE[0], spacing: float = HALF_LINE[1]):
+        check_positive(GridError, phi_max=phi_max, spacing=spacing)
+        cells = whole_cells(phi_max, spacing)
+        self.n_points = cells - 1
         check_count(GridError, 3, n_points=self.n_points)
+        self.phi_max = float(phi_max)
+        self.spacing = self.phi_max / cells
         if self.spacing > MAX_SPACING:
             raise GridError(f"spacing {self.spacing:g} > {MAX_SPACING} "
                             "under-resolves the potential wells")
-
-    @classmethod
-    def from_spacing(cls, phi_max: float, spacing: float) -> "Grid1D":
-        check_positive(GridError, phi_max=phi_max, spacing=spacing)
-        return cls(phi_max=phi_max, n_points=whole_cells(phi_max, spacing) - 1)
-
-    @property
-    def spacing(self) -> float:
-        return self.phi_max / (self.n_points + 1)
-
-    weight = spacing  # the quadrature weight of one node
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """Interior node positions; the endpoints 0 and phi_max are excluded."""
-        return self.spacing * np.arange(1, self.n_points + 1)
+        self.weight = self.spacing  # the quadrature weight of one node
+        self.nodes = self.spacing * np.arange(1, cells)  # the walls 0 and phi_max excluded
+        self.index = -np.ones(cells + 1, dtype=np.int32)
+        self.index[1:-1] = np.arange(self.n_points)
 
 
 @dataclass
@@ -93,9 +88,8 @@ def assemble_hamiltonian_1d(
     are the lattice border.  ``beta = 0`` gives the bare box.
     """
     validate_coupling(beta, ratio)
-    index = np.pad(np.arange(grid.n_points, dtype=np.int32), 1, constant_values=-1)
     return SymmetricSparseOperator.on_lattice(
-        index, grid.spacing, beta * reduced_potential(grid.nodes, ratio))
+        grid.index, grid.spacing, beta * reduced_potential(grid.nodes, ratio))
 
 
 def solve_two_body(

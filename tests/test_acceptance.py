@@ -216,7 +216,7 @@ def test_criterion_06_asymptotic_identity():
     # closed-form check on manufactured exponential states
     worst = 0.0
     for kappa in (0.5, 1.0, 2.0):
-        grid = Grid1D(phi_max=50.0 / kappa, n_points=200_000)
+        grid = Grid1D(50.0 / kappa, 50.0 / kappa / 200_001)
         psi = np.exp(-kappa * grid.nodes)
         psi /= math.sqrt(grid.spacing * np.sum(psi**2))
         worst = max(worst, abs(expectation_phi2(psi, grid) * 2.0 * kappa**2 - 1.0))
@@ -257,7 +257,7 @@ def test_criterion_07_oracle_equivalence(mini_wedge_solves):
         return differences(lowest_eigenpairs(op, k, method="dense"),
                            lowest_eigenpairs(op, k, method=method))
 
-    grid1d = Grid1D.from_spacing(100.0, 0.05)
+    grid1d = Grid1D(100.0, 0.05)
     dv1, vv1 = compare(assemble_hamiltonian_1d(grid1d, 2.0, 1.0), 3)
 
     wedge, dense2, lanczos2 = mini_wedge_solves
@@ -284,7 +284,7 @@ def test_criterion_08_analytic_spectra():
     exact = np.array([m**2 * math.pi**2 / (2.0 * length**2) for m in range(1, 6)])
     errors = {}
     for dx in (0.05, 0.025, 0.0125):
-        grid = Grid1D.from_spacing(length, dx)
+        grid = Grid1D(length, dx)
         res = lowest_eigenpairs(assemble_hamiltonian_1d(grid, 0.0, 1.0), 5)
         errors[dx] = np.abs(res.values - exact)
     orders = np.concatenate([

@@ -27,7 +27,7 @@ def normalized(psi, grid):
 
 class TestExpectationPhi2:
     def test_point_mass(self):
-        grid = Grid1D.from_spacing(20.0, 0.01)
+        grid = Grid1D(20.0, 0.01)
         psi = np.zeros(grid.n_points)
         i = int(np.argmin(np.abs(grid.nodes - TWO_PI)))
         psi[i] = 1.0
@@ -36,13 +36,13 @@ class TestExpectationPhi2:
 
     def test_box_ground_state_closed_form(self):
         length = 30.0
-        grid = Grid1D.from_spacing(length, 0.001)
+        grid = Grid1D(length, 0.001)
         psi = normalized(np.sin(math.pi * grid.nodes / length), grid)
         exact = length**2 * (1.0 / 3.0 - 1.0 / (2.0 * math.pi**2))
         assert expectation_phi2(psi, grid) == pytest.approx(exact, rel=1e-6)
 
     def test_simpson_consistency(self):
-        grid = Grid1D.from_spacing(100.0, 0.01)
+        grid = Grid1D(100.0, 0.01)
         sol = solve_two_body(grid, 1.0, 1.0, 1)
         psi = sol.wavefunction(0)
         trapz = expectation_phi2(psi, grid)
@@ -64,7 +64,7 @@ class TestExpectationPhi2:
         # endpoint defect below the 0.1% target
         for kappa in (0.5, 1.0, 2.0):
             length = 50.0 / kappa
-            grid = Grid1D(phi_max=length, n_points=200_000)
+            grid = Grid1D(length, length / 200_001)
             psi = normalized(np.exp(-kappa * grid.nodes), grid)
             product = expectation_phi2(psi, grid) * 2.0 * kappa**2
             assert 0.999 < product < 1.001
@@ -115,7 +115,7 @@ class TestSizeScan:
         assert all(a > b for a, b in zip(phi2, phi2[1:]))
 
     def test_phi0_taken_from_first_minimum(self):
-        rows = build_size_scan((5.0,), Grid1D.from_spacing(60.0, 0.02), 1.0)
+        rows = build_size_scan((5.0,), Grid1D(60.0, 0.02), 1.0)
         assert rows[0].phi0 == pytest.approx(find_minima(1.0, 1)[0].phi_k, abs=1e-12)
 
 

@@ -27,7 +27,7 @@ from helixdipoles.cli import (
     run,
 )
 from helixdipoles.errors import ConvergenceError
-from helixdipoles.twobody import Grid1D
+from helixdipoles.twobody import HALF_LINE, Grid1D
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,11 +97,13 @@ class TestRunConfig:
             RunConfig.from_items({"no_such_knob": "1"})
 
     def test_half_line_defaults_are_the_default_grid(self):
-        # one source: the default Grid1D, whose spacing is exactly 0.01
+        # one source: HALF_LINE, whose box cuts into whole cells of exactly 0.01
         cfg = RunConfig()
-        assert (cfg.box_length, cfg.spacing_1d) == (Grid1D().phi_max, Grid1D().spacing)
+        assert (cfg.box_length, cfg.spacing_1d) == HALF_LINE
         assert (repr(cfg.box_length), repr(cfg.spacing_1d)) == ("100.0", "0.01")
-        assert Grid1D.from_spacing(cfg.box_length, cfg.spacing_1d) == Grid1D()
+        grid = Grid1D(cfg.box_length, cfg.spacing_1d)
+        assert (grid.phi_max, grid.spacing) == HALF_LINE
+        assert grid.nodes.tobytes() == Grid1D().nodes.tobytes()
 
     def test_resolved_box_depends_on_coupling(self):
         assert RunConfig(beta=1.0).resolved_box() == (30.0, 40.0, 0.1)
@@ -564,6 +566,21 @@ class TestInputEdges:
         assert main([problem, "--spacing", "0.5", "--out-dir", str(tmp_path)]) == 2
         assert read_keyvalue(tmp_path / "metadata.txt")["status"] == "config_error"
         assert "spacing 0.5 > 0.2 under-resolves the potential wells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem, solver", [("two-body", "solve_two_body"),
+                                                 ("scan", "scan_beta"),
+                                                 ("fit", "build_size_scan")])
+    def test_unbuildable_grid_rejected_before_any_solve(self, problem, solver, tmp_path,
+                                                        monkeypatch):
+        # 1e305 cells is a finite count, but numpy refuses arrays that long at once
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved on a grid that cannot be built")
+
+        monkeypatch.setattr(f"helixdipoles.cli.{solver}", no_solve)
+        argv = [problem, "--box-length", "1e300", "--spacing", "1e-5"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert read_keyvalue(tmp_path / "metadata.txt")["status"] == "config_error"
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_scan_bad_ratio_is_geometry_error(self, tmp_path):
         assert main(["scan", "--ratio=-1", "--out-dir", str(tmp_path)]) == 3

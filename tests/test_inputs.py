@@ -17,12 +17,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helixdipoles.cli import RunConfig, run
-from helixdipoles.errors import DimensionError, GeometryError, GridError, check_positive, is_integer
+from helixdipoles.errors import (DimensionError, GeometryError, GridError, check_positive,
+                                 is_integer, is_real)
 from helixdipoles.linalg import SymmetricSparseOperator, lowest_eigenpairs
 from helixdipoles.potential import (HelixGeometry, PhysicalDipole, energy_unit_joules,
                                     find_minima, validate_coupling, validate_geometry)
 from helixdipoles.threebody import WedgeGrid2D, default_box
-from helixdipoles.twobody import Grid1D
+from helixdipoles.twobody import Grid1D, extend_full_line, solve_two_body
 
 #: Not a real number, not finite, negative, or beyond the float range: refused everywhere.
 BAD = ["1", None, True, 1j, math.nan, math.inf, -math.inf, -1, 10**400]
@@ -34,15 +35,19 @@ def _chain(n=8):
     return SymmetricSparseOperator.on_lattice(index, 1.0, np.zeros(n))
 
 
+def _pair():
+    """The two lowest two-body states on a 49-node box."""
+    return solve_two_body(Grid1D(10.0, 0.2), 1.0, 1.0, 2)
+
+
 def _dipole(**bad):
     return PhysicalDipole(**{"mass_m": 1.0, "dipole_moment_d": 1.0, **bad})
 
 
 #: site: (call with the value, error type, whether zero is accepted)
 SCALARS = {
-    "Grid1D-phi_max": (lambda v: Grid1D(v, 99), GridError, False),
-    "from_spacing-phi_max": (lambda v: Grid1D.from_spacing(v, 0.1), GridError, False),
-    "from_spacing-spacing": (lambda v: Grid1D.from_spacing(10.0, v), GridError, False),
+    "Grid1D-phi_max": (lambda v: Grid1D(v, 0.1), GridError, False),
+    "Grid1D-spacing": (lambda v: Grid1D(10.0, v), GridError, False),
     "WedgeGrid2D-x_max": (lambda v: WedgeGrid2D(v, 16.0, 0.4), GridError, False),
     "WedgeGrid2D-y_max": (lambda v: WedgeGrid2D(12.0, v, 0.4), GridError, False),
     "WedgeGrid2D-spacing": (lambda v: WedgeGrid2D(12.0, 16.0, v), GridError, False),
@@ -61,10 +66,10 @@ SCALARS = {
 
 #: count site: (call with the value, error type, whether zero is accepted)
 COUNTS = {
-    "Grid1D-n_points": (lambda v: Grid1D(100.0, v), GridError, False),
     "find_minima-max_windings": (lambda v: find_minima(1.0, v), ValueError, False),
     "check_request-k": (lambda v: lowest_eigenpairs(_chain(), v), DimensionError, False),
     "check_request-seed": (lambda v: lowest_eigenpairs(_chain(), 1, seed=v), ValueError, True),
+    "wavefunction-state": (lambda v: _pair().wavefunction(v), DimensionError, True),
 }
 
 
@@ -82,9 +87,25 @@ def test_bad_input_raises_the_package_error(call, error, value):
         call(value)
 
 
-@pytest.mark.parametrize("build", [lambda: Grid1D.from_spacing(1e300, 1e-10),
+def test_a_state_beyond_those_computed_is_a_dimension_error():
+    sol = _pair()
+    assert sol.wavefunction(np.int64(1)).tobytes() == sol.wavefunction(1).tobytes()
+    with pytest.raises(DimensionError, match=r"^state 2 >= k=2$"):
+        sol.wavefunction(2)
+    with pytest.raises(DimensionError):
+        extend_full_line(sol, "boson", -2)
+
+
+@pytest.mark.parametrize("value", [v for v in BAD if v is not None and not is_real(v)])
+def test_estimate_is_none_or_a_real_number(value):
+    # NaN, +-inf and any real guess stay accepted: they fall back to the Gershgorin shift
+    with pytest.raises(ValueError, match=r"^estimate must be a real number or None, got "):
+        lowest_eigenpairs(_chain(), 1, estimate=value)
+
+
+@pytest.mark.parametrize("build", [lambda: Grid1D(1e300, 1e-10),
                                    lambda: WedgeGrid2D(1e300, 16.0, 1e-10)],
-                         ids=["Grid1D.from_spacing", "WedgeGrid2D"])
+                         ids=["Grid1D", "WedgeGrid2D"])
 def test_a_cell_count_beyond_the_float_range_is_a_grid_error(build):
     with pytest.raises(GridError,
                        match=r"^box 1e\+300 / spacing 1e-10 overflows the cell count$"):

@@ -378,7 +378,7 @@ class TestSolverContract:
     def test_values_are_rayleigh_quotients_and_matvecs_counted(self, method, monkeypatch):
         # beta=20 puts 1.1e6 on the first diagonal, far above every state
         # here; LAPACK's default bisection tolerance scales with it
-        op = assemble_hamiltonian_1d(Grid1D.from_spacing(20.0, 0.02), 20.0, 1.0)
+        op = assemble_hamiltonian_1d(Grid1D(20.0, 0.02), 20.0, 1.0)
         k = 4
         matvec, shifted_factor = SymmetricSparseOperator.matvec, linalg._shifted_factor
         calls, factors = [], []
@@ -540,7 +540,7 @@ class TestOneBlasThread:
 
 
 class TestBandedAccuracy:
-    @pytest.mark.parametrize("grid", [Grid1D(), Grid1D.from_spacing(1000.0, 0.01)],
+    @pytest.mark.parametrize("grid", [Grid1D(), Grid1D(1000.0, 0.01)],
                              ids=["L100", "L1000"])
     @pytest.mark.parametrize("beta", [0.1, 1.0, 20.0])
     def test_residuals_and_full_precision_oracle(self, grid, beta):

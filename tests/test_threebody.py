@@ -284,7 +284,8 @@ class TestAssembly2D:
         pot = beta * reduced_potential(math.sqrt(2.0) * h * np.arange(1, n_x), 1.0)
         op = SymmetricSparseOperator.on_lattice(index, h, np.repeat(pot, n_y - 1))
         e0 = lowest_eigenpairs(op, 1, method="dense").values[0]
-        pair = solve_two_body(Grid1D(n_x * math.sqrt(2.0) * h, n_x - 1), beta / 2.0, 1.0, 1)
+        length = n_x * math.sqrt(2.0) * h
+        pair = solve_two_body(Grid1D(length, length / n_x), beta / 2.0, 1.0, 1)
         e_y = (1.0 - math.cos(math.pi / n_y)) / h**2
         assert e0 == pytest.approx(2.0 * pair.energies[0] + e_y, rel=0.0, abs=1e-12)
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from helixdipoles import twobody
 from helixdipoles.errors import GeometryError, GridError
+from helixdipoles.linalg import SymmetricSparseOperator
 from helixdipoles.potential import reduced_potential
 from helixdipoles.twobody import (
     BOUND_THRESHOLD,
@@ -34,46 +35,49 @@ class TestGrid1D:
         assert grid.spacing == pytest.approx(0.01, rel=1e-12)
 
     def test_nodes_exclude_boundaries(self):
-        grid = Grid1D.from_spacing(10.0, 0.1)
+        grid = Grid1D(10.0, 0.1)
         assert grid.nodes[0] == pytest.approx(0.1)
         assert grid.nodes[-1] == pytest.approx(10.0 - 0.1)
         assert grid.n_points == 99
 
     def test_spacing_relation(self):
-        grid = Grid1D(phi_max=50.0, n_points=499)
+        grid = Grid1D(50.0, 50.0 / 500)
         assert grid.spacing == pytest.approx(50.0 / 500.0, rel=1e-14)
 
     def test_invalid(self):
         with pytest.raises(GridError):
             Grid1D(phi_max=-1.0)
 
-    @pytest.mark.parametrize("n_points", [9999.5, 1e4, "99"])
-    def test_non_integer_n_points_rejected(self, n_points):
-        # 9999.5 would solve 10,000 nodes with the wall at 100.005, not phi_max
-        with pytest.raises(GridError, match="integer n_points"):
-            Grid1D(100.0, n_points)
-
-    def test_numpy_integer_n_points_accepted(self):
-        assert Grid1D(100.0, np.int64(9999)).spacing == Grid1D().spacing
-
     @pytest.mark.parametrize("spacing", [0.0, -0.01, math.nan, math.inf])
-    def test_from_spacing_rejects_bad_spacing(self, spacing):
+    def test_bad_spacing_rejected(self, spacing):
         with pytest.raises(GridError):
-            Grid1D.from_spacing(10.0, spacing)
+            Grid1D(10.0, spacing)
 
     def test_coarse_spacing_rejected_when_built(self):
         # the resolution rule belongs to the grid: no under-resolving grid exists
         with pytest.raises(GridError, match="under-resolves"):
-            Grid1D.from_spacing(100.0, 0.25)
+            Grid1D(100.0, 0.25)
         with pytest.raises(GridError, match="spacing 0.25 > 0.2"):
-            Grid1D(phi_max=100.0, n_points=399)
+            Grid1D(100.0, 100.0 / 400)
 
     @given(st.sampled_from([math.nan, math.inf, -math.inf]))
     def test_non_finite_phi_max_rejected(self, phi_max):
         with pytest.raises(GridError, match="finite"):
-            Grid1D(phi_max=phi_max, n_points=99)
-        with pytest.raises(GridError, match="finite"):
-            Grid1D.from_spacing(phi_max, 0.1)
+            Grid1D(phi_max, 0.1)
+
+    def test_index_is_the_lattice_of_the_assembly(self):
+        # 100 / 0.03 is not a whole number of cells: 3,333 cells, 3,332 nodes
+        grid = Grid1D(100.0, 0.03)
+        padded = np.pad(np.arange(3332, dtype=np.int32), 1, constant_values=-1)
+        assert grid.index.dtype == padded.dtype
+        np.testing.assert_array_equal(grid.index, padded)
+        csr = assemble_hamiltonian_1d(grid, 1.0, 1.0).csr
+        want = SymmetricSparseOperator.on_lattice(
+            padded, grid.spacing, reduced_potential(grid.nodes, 1.0)).csr
+        for got, ref in ((csr.data, want.data), (csr.indices, want.indices),
+                         (csr.indptr, want.indptr)):
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestAssembly:
@@ -97,7 +101,7 @@ class TestAssembly:
         assert reduced_potential(node, 1.0) == pytest.approx(-1.0, abs=0.01)
 
     def test_tridiagonal_symmetric(self):
-        op = assemble_hamiltonian_1d(Grid1D.from_spacing(20.0, 0.05), 1.0, 1.0)
+        op = assemble_hamiltonian_1d(Grid1D(20.0, 0.05), 1.0, 1.0)
         assert op.is_tridiagonal()
         csr = op.csr
         assert (csr != csr.T).nnz == 0
@@ -106,7 +110,7 @@ class TestAssembly:
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(GridError):
-            assemble_hamiltonian_1d(Grid1D.from_spacing(100.0, 0.25), 1.0, 1.0)
+            assemble_hamiltonian_1d(Grid1D(100.0, 0.25), 1.0, 1.0)
 
     def test_invalid_parameters(self):
         with pytest.raises(GeometryError):
@@ -126,7 +130,7 @@ class TestSolve:
         assert two_body_beta1.bound_count == 3
 
     def test_fine_grid_ground_state(self):
-        sol = solve_two_body(Grid1D.from_spacing(100.0, 0.005), 1.0, 1.0, 1)
+        sol = solve_two_body(Grid1D(100.0, 0.005), 1.0, 1.0, 1)
         assert sol.energies[0] == pytest.approx(E0_BETA1_DX0005, abs=1e-8)
 
     def test_wavefunctions_normalized(self, two_body_beta1):
@@ -161,14 +165,14 @@ class TestSolve:
     def test_grid_convergence_second_order(self):
         energies = {}
         for dx in (0.04, 0.02, 0.01):
-            sol = solve_two_body(Grid1D.from_spacing(100.0, dx), 1.0, 1.0, 1)
+            sol = solve_two_body(Grid1D(100.0, dx), 1.0, 1.0, 1)
             energies[dx] = sol.energies[0]
         ratio = (energies[0.04] - energies[0.02]) / (energies[0.02] - energies[0.01])
         assert 3.5 < ratio < 4.5
 
     def test_box_wall_artifact(self, two_body_beta1):
         # near-threshold states are box artifacts; genuinely bound states are not
-        wide = solve_two_body(Grid1D.from_spacing(150.0, 0.01), 1.0, 1.0, 6)
+        wide = solve_two_body(Grid1D(150.0, 0.01), 1.0, 1.0, 6)
         narrow = two_body_beta1
         rel = np.abs(wide.energies - narrow.energies) / np.abs(narrow.energies)
         shallow = np.abs(narrow.energies) < 1e-3
@@ -221,7 +225,7 @@ class TestScanBeta:
         assert rows[0].bound_count == 2
 
     def test_row_errors_recorded(self):
-        rows = scan_beta([0.5, -1.0], Grid1D.from_spacing(40.0, 0.05), 1.0, 2)
+        rows = scan_beta([0.5, -1.0], Grid1D(40.0, 0.05), 1.0, 2)
         assert rows[0].error is None
         assert rows[1].error is not None and rows[1].energies is None
 
@@ -231,7 +235,7 @@ class TestScanBeta:
 
         monkeypatch.setattr(twobody, "solve_two_body", broken)
         with pytest.raises(RuntimeError):
-            scan_beta([0.5], Grid1D.from_spacing(40.0, 0.05), 1.0, 2)
+            scan_beta([0.5], Grid1D(40.0, 0.05), 1.0, 2)
 
     def test_empty_betas_rejected(self):
         with pytest.raises(ValueError):
