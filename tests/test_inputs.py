@@ -46,7 +46,8 @@ def _dipole(**bad):
 
 #: site: (call with the value, error type, whether zero is accepted)
 SCALARS = {
-    "Grid1D-phi_max": (lambda v: Grid1D(v, 0.1), GridError, False),
+    "Grid1D-phi_max": (lambda v: Grid1D(v), GridError, False),  # the default spacing
+    "from_spacing-phi_max": (lambda v: Grid1D(v, 0.1), GridError, False),  # a spacing given
     "Grid1D-spacing": (lambda v: Grid1D(10.0, v), GridError, False),
     "WedgeGrid2D-x_max": (lambda v: WedgeGrid2D(v, 16.0, 0.4), GridError, False),
     "WedgeGrid2D-y_max": (lambda v: WedgeGrid2D(12.0, v, 0.4), GridError, False),
