@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_count
+from .errors import check_count, check_positive
 from .potential import find_minima
 from .twobody import Grid1D, solve_two_body
 
@@ -84,6 +84,7 @@ def fit_harmonic_size(rows: list[SizeScanRow]) -> HarmonicFit:
     """
     check_count(ValueError, 4, n_rows=len(rows))
     betas = np.array([r.beta for r in rows])
+    check_positive(ValueError, beta=float(betas.min()))  # the basis takes 1/sqrt(beta)
     design = np.column_stack([1.0 / np.sqrt(betas), np.array([r.phi0 for r in rows]) ** 2])
     target = np.array([r.phi2 for r in rows])
     coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)

@@ -360,6 +360,7 @@ def _run_fit(cfg: RunConfig) -> tuple[dict, dict]:
     grid = Grid1D(cfg.box_length, cfg.spacing_1d)
     for beta in (*betas, *cfg.product_betas):  # every coupling, before any solve
         validate_coupling(beta, cfg.ratio)
+    check_positive(ValueError, beta=min(betas))  # the fit basis takes 1/sqrt(beta)
     rows = build_size_scan(betas, grid, cfg.ratio)
     tables = {"size_scan.csv": (["beta", "E0", "phi2", "phi0"],
                                 [[r.beta, r.energy, r.phi2, r.phi0] for r in rows])}
@@ -408,15 +409,14 @@ def run(cfg: RunConfig) -> int:
     the subcommand can write, runs it, then writes its CSVs, ``summary.txt``
     and ``metadata.txt``.  A failure leaves only its records.
     """
-    if cfg.problem not in _COMMANDS:
-        print(f"error: unknown problem {cfg.problem!r}", file=sys.stderr)
-        return 2
-    runner, _, csv_names = _COMMANDS[cfg.problem]
+    runner, _, csv_names = _COMMANDS.get(cfg.problem, (None, None, ()))
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name in ("summary.txt", "metadata.txt", *csv_names):
             (out / name).unlink(missing_ok=True)
+        if runner is None:
+            raise ValueError(f"unknown problem {cfg.problem!r}")
         tables, summary = runner(cfg)
         for name, (header, rows) in tables.items():
             emit_csv(header, rows, out / name)

@@ -251,25 +251,23 @@ def symmetrize_wavefunction(
     """
     sign = exchange_sign(statistics)
     grid = sol.grid
-    padded = np.append(sol.wavefunction(0), 0.0)[grid.index]  # -1 picks the appended zero
+    # grid.index -1 picks the appended zero; cell index -1 wraps to the far zero margin
+    field = np.pad(np.append(sol.wavefunction(0), 0.0)[grid.index], (0, 1))
     dx = grid.spacing
-    nx, ny = padded.shape[0] - 1, padded.shape[1] - 1
+    nx, ny = (n - 1 for n in grid.index.shape)
 
     X, Y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     xs, ys = X.ravel(), Y.ravel()
 
     def interpolate(px, py):
         fx, fy = px / dx, py / dx
-        i0 = np.floor(fx).astype(np.int64)
-        j0 = np.floor(fy).astype(np.int64)
-        inside = (i0 >= 0) & (i0 < nx) & (j0 >= 0) & (j0 < ny)
-        i0c, j0c = np.clip(i0, 0, nx - 1), np.clip(j0, 0, ny - 1)
-        tx, ty = fx - i0c, fy - j0c
-        v = ((1 - tx) * (1 - ty) * padded[i0c, j0c]
-             + tx * (1 - ty) * padded[i0c + 1, j0c]
-             + (1 - tx) * ty * padded[i0c, j0c + 1]
-             + tx * ty * padded[i0c + 1, j0c + 1])
-        return np.where(inside, v, 0.0)
+        i0 = np.clip(np.floor(fx), -1, nx).astype(np.int64)
+        j0 = np.clip(np.floor(fy), -1, ny).astype(np.int64)
+        tx, ty = fx - i0, fy - j0
+        return ((1 - tx) * (1 - ty) * field[i0, j0]
+                + tx * (1 - ty) * field[i0 + 1, j0]
+                + (1 - tx) * ty * field[i0, j0 + 1]
+                + tx * ty * field[i0 + 1, j0 + 1])
 
     total = np.zeros(xs.size)
     for ix, iy, parity in exchange_images(xs, ys):

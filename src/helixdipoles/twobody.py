@@ -34,7 +34,7 @@ STATISTICS = {"boson": 1.0, "fermion": -1.0}
 def exchange_sign(statistics: str) -> float:
     """The factor a wave function takes under a pair exchange, by ``STATISTICS`` name."""
     if statistics not in STATISTICS:
-        raise ValueError(f"statistics must be one of {tuple(STATISTICS)}")
+        raise ValueError(f"statistics must be one of {tuple(STATISTICS)}, got {statistics!r}")
     return STATISTICS[statistics]
 
 

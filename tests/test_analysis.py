@@ -107,6 +107,13 @@ class TestHarmonicFit:
         with pytest.raises(ValueError):
             fit_harmonic_size(rows)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+    def test_basis_needs_positive_couplings(self, beta):
+        # 1/sqrt(beta) would warn, then fail inside LAPACK with a misleading message
+        rows = [SizeScanRow(b, -1.0, 40.0, 6.2) for b in (beta, 5.0, 10.0, 15.0)]
+        with pytest.raises(ValueError, match=r"^beta must be finite and > 0, got "):
+            fit_harmonic_size(rows)
+
 
 class TestSizeScan:
     def test_phi2_strictly_decreasing_in_beta(self):

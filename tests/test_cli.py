@@ -343,6 +343,18 @@ class TestFitCommand:
         assert p_header == ["E", "product"]
         assert len(p_rows) == 2
 
+    def test_zero_fit_coupling_rejected_before_any_solve(self, tmp_path, monkeypatch):
+        # the fit basis takes 1/sqrt(beta): 0 would warn, then fail inside LAPACK
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the fit couplings were checked")
+
+        monkeypatch.setattr("helixdipoles.cli.build_size_scan", no_solve)
+        assert main(["fit", "--betas", "0,5,10,15", "--out-dir", str(tmp_path)]) == 2
+        meta = read_keyvalue(tmp_path / "metadata.txt")
+        assert meta["status"] == "config_error"
+        assert meta["error"] == "beta must be finite and > 0, got 0.0"
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestPhysicalMode:
     def test_energies_in_joules(self, tmp_path):
@@ -403,6 +415,9 @@ SMALL_FIT = ["fit", "--betas", "5,7.5,10,12.5", "--box-length", "40", "--spacing
 class TestExitCodes:
     def test_unknown_problem(self, tmp_path):
         assert run(RunConfig(problem="four-body", out_dir=str(tmp_path))) == 2
+        meta = read_keyvalue(tmp_path / "metadata.txt")
+        assert meta["problem"] == "four-body" and meta["status"] == "config_error"
+        assert meta["error"] == "unknown problem 'four-body'"
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         (tmp_path / "wavefunctions.csv").mkdir()

@@ -205,6 +205,8 @@ def _tiny(**settings):
 @example(_tiny(problem="scan", betas=(10**400, 0.5)))
 @example(_tiny(box_length=1e300, spacing_1d=1e-10))
 @example(RunConfig(problem="three-body", x_max=1e300, spacing_2d=1e-10, allow_small_box=True))
+@example(_tiny(problem="fit", betas=(0.0, 5.0, 10.0, 15.0)))
+@example(RunConfig(problem="nope"))
 def test_run_never_raises_and_records_its_status(cfg):
     with tempfile.TemporaryDirectory() as out:
         cfg = dataclasses.replace(cfg, out_dir=out)

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from helixdipoles import threebody
+from helixdipoles.cli import RunConfig
 from helixdipoles.errors import DimensionError, GeometryError, GridError
 from helixdipoles.linalg import (DENSE_CUTOFF, EigenResult, SymmetricSparseOperator,
                                  lowest_eigenpairs)
@@ -538,7 +539,7 @@ class TestSymmetrization:
         assert n_outside == 1
         assert psi.shape == (1,) and psi[0] == 0.0
 
-    def test_outer_wall_images_not_flagged(self, three_body_beta1):
+    def test_outer_wall_images_not_flagged(self, three_body_beta1, three_body_beta2):
         # exchange images of points exactly on x = x_max and y = y_max
         # lie on the box, not outside it, whatever the image map's rounding
         grid = three_body_beta1.grid
@@ -554,6 +555,15 @@ class TestSymmetrization:
         _, n_beyond = symmetrize_wavefunction(three_body_beta1, "boson",
                                               *(walls + 1e-9 * outward))
         assert n_beyond == 2 * len(t)
+        # nor is any sample of the CLI's default grid on the default beta=2 box
+        cfg = RunConfig(beta=2.0)
+        box = three_body_beta2.grid
+        assert (box.x_max, box.y_max, box.spacing) == cfg.resolved_box()
+        samples = np.arange(-cfg.sample_extent, cfg.sample_extent + 0.5 * cfg.sample_spacing,
+                            cfg.sample_spacing)
+        psi, n_outside = symmetrize_wavefunction(three_body_beta2, "fermion",
+                                                 samples[:, None], samples[None, :])
+        assert psi.shape == (samples.size,) * 2 and n_outside == 0
 
     def test_points_broadcast_together(self, three_body_beta1):
         # a column of x against a row of y samples the product grid
@@ -566,6 +576,6 @@ class TestSymmetrization:
         np.testing.assert_array_equal(grid_psi, psi)
 
     def test_statistics_validated(self, three_body_beta1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r", got 'majorana'$"):
             symmetrize_wavefunction(three_body_beta1, "majorana",
                                     np.array([1.0]), np.array([2.0]))
