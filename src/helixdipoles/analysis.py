@@ -39,14 +39,14 @@ class HarmonicFit:
     beta_range: tuple[float, float]
 
 
-def expectation_phi2(psi: np.ndarray, grid: Grid1D) -> float:
-    """Trapezoidal <phi^2> of a grid wave function normalized on ``grid``.
-
-    The implied zero boundary values make the trapezoidal rule collapse to
-    ``spacing * sum(phi_i^2 psi_i^2)`` over the interior nodes.
-    """
-    phi = grid.nodes
-    return float(grid.weight * np.sum(phi * phi * psi * psi))
+def check_fit_window(betas) -> None:
+    """Refuse couplings the harmonic basis cannot fit: at least four, each finite
+    and > 0 (the basis takes 1/sqrt(beta)), at least two of them distinct."""
+    check_count(ValueError, 4, betas=len(betas))
+    for beta in betas:
+        check_positive(ValueError, beta=beta)
+    if len(set(betas)) < 2:
+        raise ValueError(f"betas must hold two distinct couplings, got {tuple(betas)!r}")
 
 
 def build_size_scan(
@@ -54,7 +54,8 @@ def build_size_scan(
     grid: Grid1D,
     ratio: float,
 ) -> list[SizeScanRow]:
-    """Ground-state solve per coupling; pairs E0 with <phi^2> and phi0."""
+    """Ground-state solve per coupling: E0, the trapezoidal <phi^2> (with zero walls,
+    :meth:`.linalg.Solution.expectation` of ``grid.nodes**2``) and phi0."""
     minima = find_minima(ratio, 1)
     if not minima:
         raise ValueError(f"no attractive minimum for ratio {ratio}")
@@ -62,41 +63,31 @@ def build_size_scan(
     rows = []
     for beta in betas:
         sol = solve_two_body(grid, beta, ratio, 1)
-        rows.append(
-            SizeScanRow(
-                beta=float(beta),
-                energy=float(sol.energies[0]),
-                phi2=expectation_phi2(sol.wavefunction(0), grid),
-                phi0=phi0,
-            )
-        )
+        rows.append(SizeScanRow(float(beta), float(sol.energies[0]),
+                                sol.expectation(grid.nodes**2), phi0))
     return rows
 
 
 def fit_harmonic_size(rows: list[SizeScanRow]) -> HarmonicFit:
     """Fit <phi^2> against the basis {1/sqrt(beta), phi0^2}, linearly.
 
-    phi0 enters as a known regressor, not a fitted location.  Requires at
-    least four rows; the fit window is the rows' own coupling range.
+    phi0 enters as a known regressor, not a fitted location.  The fit window
+    is the rows' own coupling range.
 
     Raises:
-        ValueError: too few rows, or a degenerate design matrix (all couplings equal).
+        ValueError: the rows' couplings fail :func:`check_fit_window`, or the
+            design matrix is degenerate anyway (rows built by hand).
     """
-    check_count(ValueError, 4, n_rows=len(rows))
-    betas = np.array([r.beta for r in rows])
-    check_positive(ValueError, beta=float(betas.min()))  # the basis takes 1/sqrt(beta)
+    betas = [r.beta for r in rows]
+    check_fit_window(betas)
     design = np.column_stack([1.0 / np.sqrt(betas), np.array([r.phi0 for r in rows]) ** 2])
     target = np.array([r.phi2 for r in rows])
     coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < 2:
-        raise ValueError("degenerate design matrix: couplings do not vary")
+        raise ValueError("degenerate design matrix: the basis columns are dependent")
     residual_rms = float(np.sqrt(np.mean((target - design @ coef) ** 2)))
-    return HarmonicFit(
-        c1=float(coef[0]),
-        c2=float(coef[1]),
-        residual_rms=residual_rms,
-        beta_range=(float(betas.min()), float(betas.max())),
-    )
+    return HarmonicFit(float(coef[0]), float(coef[1]), residual_rms,
+                       (float(min(betas)), float(max(betas))))
 
 
 def size_energy_product(rows: list[SizeScanRow]) -> np.ndarray:

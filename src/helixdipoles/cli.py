@@ -36,7 +36,7 @@ import scipy
 
 from . import __version__
 from ._csvcells import format_block
-from .analysis import build_size_scan, fit_harmonic_size, size_energy_product
+from .analysis import build_size_scan, check_fit_window, fit_harmonic_size, size_energy_product
 from .errors import (ConvergenceError, GeometryError, HelixDipolesError, check_count,
                      check_positive, is_real)
 from .linalg import DEFAULT_SEED, DENSE_CUTOFF, METHODS
@@ -360,7 +360,7 @@ def _run_fit(cfg: RunConfig) -> tuple[dict, dict]:
     grid = Grid1D(cfg.box_length, cfg.spacing_1d)
     for beta in (*betas, *cfg.product_betas):  # every coupling, before any solve
         validate_coupling(beta, cfg.ratio)
-    check_positive(ValueError, beta=min(betas))  # the fit basis takes 1/sqrt(beta)
+    check_fit_window(betas)
     rows = build_size_scan(betas, grid, cfg.ratio)
     tables = {"size_scan.csv": (["beta", "E0", "phi2", "phi0"],
                                 [[r.beta, r.energy, r.phi2, r.phi0] for r in rows])}

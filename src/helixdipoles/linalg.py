@@ -180,13 +180,15 @@ class Solution:
             raise DimensionError(f"state {state} >= k={self.eigen.vectors.shape[1]}")
         return self.eigen.vectors[:, state] / math.sqrt(self.grid.weight)
 
+    def expectation(self, values) -> float:
+        """Ground-state mean ``sum(values * v**2)`` of node ``values``; elementwise, no BLAS."""
+        return float(np.sum(values * self.eigen.vectors[:, 0] ** 2))
+
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive."""
     idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    return vectors * signs
+    return vectors * np.sign(vectors[idx, np.arange(vectors.shape[1])])
 
 
 def _package(op, vecs, method, seed, n_matvec, **shifted):

@@ -196,23 +196,19 @@ def solve_three_body(
         estimate = float(lowest_eigenpairs(coarse_op, 1, seed=seed).values[0])
     op = assemble_hamiltonian_2d(grid, beta, ratio)
     eigen = lowest_eigenpairs(op, k, method=method, seed=seed, estimate=estimate)
-    sol = ThreeBodySolution(grid=grid, eigen=eigen, distances=(0.0, 0.0, 0.0))
-    sol.distances = pair_distance_expectations(sol)
-    return sol
+    distances = pair_distance_expectations(Solution(grid, eigen))
+    return ThreeBodySolution(grid=grid, eigen=eigen, distances=distances)
 
 
-def pair_distance_expectations(sol: ThreeBodySolution) -> tuple[float, float, float]:
+def pair_distance_expectations(sol: Solution) -> tuple[float, float, float]:
     """Ground-state expectation values of the pair angle differences, in units of 2pi.
 
-    The wedge enforces the ordering phi1 > phi2 > phi3, so all three are
-    positive, and <phi13> = <phi12> + <phi23> holds by linearity.  Elementwise
-    sums, not a BLAS ``dot``, keep them independent of the BLAS thread count.
+    :meth:`.linalg.Solution.expectation` of each separation.  The wedge enforces
+    the ordering phi1 > phi2 > phi3, so all three are positive, and
+    <phi13> = <phi12> + <phi23> holds by linearity.
     """
-    grid = sol.grid
-    density = sol.wavefunction(0) ** 2 * grid.weight
-    density = density / density.sum()
-    return tuple(float(np.sum(density * phi)) / TWO_PI
-                 for phi in pair_separations(grid.x, grid.y))
+    return tuple(sol.expectation(phi) / TWO_PI
+                 for phi in pair_separations(sol.grid.x, sol.grid.y))
 
 
 def exchange_images(x, y):

@@ -4,8 +4,19 @@ session-scoped so the acceptance criteria and module tests reuse them."""
 import numpy as np
 import pytest
 
+from helixdipoles.linalg import EigenResult, Solution
 from helixdipoles.threebody import WedgeGrid2D, solve_three_body
 from helixdipoles.twobody import Grid1D, solve_two_body
+
+
+@pytest.fixture(scope="session")
+def as_solution():
+    """Wraps a grid function on ``grid`` as a one-state ``Solution``: its unit vector."""
+    def wrap(grid, psi):
+        psi = np.asarray(psi, dtype=float)
+        unit = psi / np.sqrt(np.sum(psi**2))
+        return Solution(grid, EigenResult(np.zeros(1), unit[:, None], np.zeros(1)))
+    return wrap
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,6 @@ import pytest
 
 from helixdipoles.analysis import (
     build_size_scan,
-    expectation_phi2,
     fit_harmonic_size,
     size_energy_product,
 )
@@ -212,14 +211,13 @@ def test_criterion_05_harmonic_scaling():
 
 # --- 6. asymptotic size-energy identity ---------------------------------------
 
-def test_criterion_06_asymptotic_identity():
+def test_criterion_06_asymptotic_identity(as_solution):
     # closed-form check on manufactured exponential states
     worst = 0.0
     for kappa in (0.5, 1.0, 2.0):
         grid = Grid1D(50.0 / kappa, 50.0 / kappa / 200_001)
-        psi = np.exp(-kappa * grid.nodes)
-        psi /= math.sqrt(grid.spacing * np.sum(psi**2))
-        worst = max(worst, abs(expectation_phi2(psi, grid) * 2.0 * kappa**2 - 1.0))
+        phi2 = as_solution(grid, np.exp(-kappa * grid.nodes)).expectation(grid.nodes**2)
+        worst = max(worst, abs(phi2 * 2.0 * kappa**2 - 1.0))
     synthetic_ok = worst < 1e-3
 
     # solver data: plateau over a weak-binding window, then growth toward 0-

@@ -8,7 +8,6 @@ from helixdipoles.analysis import (
     HarmonicFit,
     SizeScanRow,
     build_size_scan,
-    expectation_phi2,
     fit_harmonic_size,
     size_energy_product,
 )
@@ -21,31 +20,27 @@ TWO_PI = 2.0 * math.pi
 PHI2_BETA1 = 40.59329775
 
 
-def normalized(psi, grid):
-    return psi / math.sqrt(grid.spacing * np.sum(psi**2))
-
-
 class TestExpectationPhi2:
-    def test_point_mass(self):
+    def test_point_mass(self, as_solution):
         grid = Grid1D(20.0, 0.01)
         psi = np.zeros(grid.n_points)
         i = int(np.argmin(np.abs(grid.nodes - TWO_PI)))
         psi[i] = 1.0
-        psi = normalized(psi, grid)
-        assert expectation_phi2(psi, grid) == pytest.approx(grid.nodes[i] ** 2, rel=1e-12)
+        sol = as_solution(grid, psi)
+        assert sol.expectation(grid.nodes**2) == pytest.approx(grid.nodes[i] ** 2, rel=1e-12)
 
-    def test_box_ground_state_closed_form(self):
+    def test_box_ground_state_closed_form(self, as_solution):
         length = 30.0
         grid = Grid1D(length, 0.001)
-        psi = normalized(np.sin(math.pi * grid.nodes / length), grid)
+        sol = as_solution(grid, np.sin(math.pi * grid.nodes / length))
         exact = length**2 * (1.0 / 3.0 - 1.0 / (2.0 * math.pi**2))
-        assert expectation_phi2(psi, grid) == pytest.approx(exact, rel=1e-6)
+        assert sol.expectation(grid.nodes**2) == pytest.approx(exact, rel=1e-6)
 
     def test_simpson_consistency(self):
         grid = Grid1D(100.0, 0.01)
         sol = solve_two_body(grid, 1.0, 1.0, 1)
         psi = sol.wavefunction(0)
-        trapz = expectation_phi2(psi, grid)
+        trapz = sol.expectation(grid.nodes**2)
         full_phi = np.concatenate([[0.0], grid.nodes, [grid.phi_max]])
         full_psi = np.concatenate([[0.0], psi, [0.0]])
         simp = simpson(full_phi**2 * full_psi**2, x=full_phi)
@@ -54,19 +49,17 @@ class TestExpectationPhi2:
     def test_reference_value(self):
         grid = Grid1D()
         sol = solve_two_body(grid, 1.0, 1.0, 1)
-        assert expectation_phi2(sol.wavefunction(0), grid) == pytest.approx(
-            PHI2_BETA1, rel=1e-6
-        )
+        assert sol.expectation(grid.nodes**2) == pytest.approx(PHI2_BETA1, rel=1e-6)
 
-    def test_exponential_identity(self):
+    def test_exponential_identity(self, as_solution):
         # <phi^2> = 1 / (2 kappa^2) for a bare exponential on a half line;
         # the box spans 50 decay lengths and the spacing keeps the half-cell
         # endpoint defect below the 0.1% target
         for kappa in (0.5, 1.0, 2.0):
             length = 50.0 / kappa
             grid = Grid1D(length, length / 200_001)
-            psi = normalized(np.exp(-kappa * grid.nodes), grid)
-            product = expectation_phi2(psi, grid) * 2.0 * kappa**2
+            sol = as_solution(grid, np.exp(-kappa * grid.nodes))
+            product = sol.expectation(grid.nodes**2) * 2.0 * kappa**2
             assert 0.999 < product < 1.001
 
 
@@ -105,6 +98,14 @@ class TestHarmonicFit:
     def test_degenerate_design(self):
         rows = [SizeScanRow(7.0, -1.0, 40.0, 6.2) for _ in range(5)]
         with pytest.raises(ValueError):
+            fit_harmonic_size(rows)
+
+    def test_dependent_basis_columns(self):
+        # distinct couplings, but phi0^2 built as 2/sqrt(beta): the window rule
+        # passes these rows and the rank check after the solve refuses them
+        rows = [SizeScanRow(b, -1.0, 40.0, math.sqrt(2.0 / math.sqrt(b)))
+                for b in (4.0, 16.0, 64.0, 256.0)]
+        with pytest.raises(ValueError, match=r"^degenerate design matrix"):
             fit_harmonic_size(rows)
 
     @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])

@@ -344,16 +344,22 @@ class TestFitCommand:
         assert len(p_rows) == 2
 
     def test_zero_fit_coupling_rejected_before_any_solve(self, tmp_path, monkeypatch):
-        # the fit basis takes 1/sqrt(beta): 0 would warn, then fail inside LAPACK
+        # the fit basis takes 1/sqrt(beta): 0 would warn, then fail inside LAPACK;
+        # two couplings, or four equal ones, would fail only after every solve
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the fit couplings were checked")
 
         monkeypatch.setattr("helixdipoles.cli.build_size_scan", no_solve)
-        assert main(["fit", "--betas", "0,5,10,15", "--out-dir", str(tmp_path)]) == 2
-        meta = read_keyvalue(tmp_path / "metadata.txt")
-        assert meta["status"] == "config_error"
-        assert meta["error"] == "beta must be finite and > 0, got 0.0"
-        assert not list(tmp_path.glob("*.csv"))
+        for betas, error in [
+                ("0,5,10,15", "beta must be finite and > 0, got 0.0"),
+                ("5,10", "need an integer betas >= 4, got 2"),
+                ("5,5,5,5", "betas must hold two distinct couplings, got (5.0, 5.0, 5.0, 5.0)")]:
+            out = tmp_path / betas
+            assert main(["fit", "--betas", betas, "--out-dir", str(out)]) == 2
+            meta = read_keyvalue(out / "metadata.txt")
+            assert meta["status"] == "config_error"
+            assert meta["error"] == error
+            assert not list(out.glob("*.csv"))
 
 
 class TestPhysicalMode:
@@ -683,12 +689,6 @@ class TestGeneratedParser:
         block = block.split("```", 1)[0].replace("\\\n", " ")
         commands = [shlex.split(line, comments=True) for line in block.splitlines()]
         return block, [cmd[1:] for cmd in commands if cmd and cmd[0] == "helix-dipoles"]
-
-    def test_readme_examples_parse(self):
-        _, commands = self.readme_commands()
-        assert len(commands) >= 5
-        for argv in commands:
-            build_parser().parse_args(argv)
 
     def test_readme_examples_run(self, tmp_path):
         # every command runs as written, with its --out-dir moved under tmp_path,

@@ -61,6 +61,7 @@ SCALARS = {
     "energy_unit_joules-mass_m": (lambda v: energy_unit_joules(v, HelixGeometry(1e-6, 1e-6)),
                                   ValueError, False),
     "validate_geometry-ratio": (validate_geometry, GeometryError, False),
+    "find_minima-ratio": (lambda v: find_minima(v, 1), GeometryError, False),
     "validate_coupling-beta": (lambda v: validate_coupling(v, 1.0), ValueError, True),
     "default_box-beta": (default_box, ValueError, True),
 }
@@ -77,14 +78,15 @@ COUNTS = {
 def _cases(sites, extra):
     for site, (call, error, zero_ok) in sites.items():
         for value in BAD + extra + ([] if zero_ok else [0]):
-            yield pytest.param(call, error, value, id=f"{site}-{value!r}")
+            yield pytest.param(call, error, site.split("-", 1)[1], value, id=f"{site}-{value!r}")
 
 
-@pytest.mark.parametrize("call, error, value",
+@pytest.mark.parametrize("call, error, name, value",
                          [*_cases(SCALARS, [np.float64(-2.0)]), *_cases(COUNTS, [2.5])])
-def test_bad_input_raises_the_package_error(call, error, value):
-    # pytest.raises lets any other type through, a TypeError included
-    with pytest.raises(error):
+def test_bad_input_raises_the_package_error(call, error, name, value):
+    # pytest.raises lets any other type through, a TypeError included; the
+    # message names the field refused
+    with pytest.raises(error, match=rf"\b{name}\b"):
         call(value)
 
 

@@ -17,6 +17,7 @@ from helixdipoles.errors import ConvergenceError, DimensionError
 from helixdipoles.linalg import (
     DENSE_CUTOFF,
     ESTIMATE_SHIFT_MARGIN,
+    Solution,
     SymmetricSparseOperator,
     lowest_eigenpairs,
 )
@@ -378,7 +379,8 @@ class TestSolverContract:
     def test_values_are_rayleigh_quotients_and_matvecs_counted(self, method, monkeypatch):
         # beta=20 puts 1.1e6 on the first diagonal, far above every state
         # here; LAPACK's default bisection tolerance scales with it
-        op = assemble_hamiltonian_1d(Grid1D(20.0, 0.02), 20.0, 1.0)
+        grid = Grid1D(20.0, 0.02)
+        op = assemble_hamiltonian_1d(grid, 20.0, 1.0)
         k = 4
         matvec, shifted_factor = SymmetricSparseOperator.matvec, linalg._shifted_factor
         calls, factors = [], []
@@ -398,6 +400,7 @@ class TestSolverContract:
         v = res.vectors
         norms = np.einsum("ij,ij->j", v, v)
         np.testing.assert_allclose(norms, 1.0, rtol=0.0, atol=1e-12)  # unit on every route
+        assert abs(Solution(grid, res).expectation(np.ones(op.n)) - 1.0) <= 1e-12
         quotients = np.einsum("ij,ij->j", v, op.csr @ v) / norms
         # the rounding of v'Hv: a few eps times |v|'|H||v|
         rounding = 4.0 * np.finfo(float).eps * np.einsum(
@@ -490,13 +493,12 @@ class TestOneBlasThread:
         # in the distances, so each count gets its own interpreter; a seeded
         # random state on the default wedge (n = 93,406) needs no eigensolve
         code = ("import numpy as np\n"
-                "from helixdipoles.linalg import EigenResult\n"
-                "from helixdipoles.threebody import (ThreeBodySolution, WedgeGrid2D,\n"
-                "                                    pair_distance_expectations)\n"
+                "from helixdipoles.linalg import EigenResult, Solution\n"
+                "from helixdipoles.threebody import WedgeGrid2D, pair_distance_expectations\n"
                 "grid = WedgeGrid2D()\n"
                 "psi = np.random.default_rng(0).standard_normal((grid.n_active, 1))\n"
-                "sol = ThreeBodySolution(grid, EigenResult(np.zeros(1), psi, np.zeros(1)),\n"
-                "                        (0.0, 0.0, 0.0))\n"
+                "psi /= np.sqrt(np.sum(psi**2))  # a unit vector, as every solve returns\n"
+                "sol = Solution(grid, EigenResult(np.zeros(1), psi, np.zeros(1)))\n"
                 "print(repr(pair_distance_expectations(sol)))\n")
         src = str(Path(linalg.__file__).resolve().parents[1])
         distances = {

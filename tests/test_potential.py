@@ -46,15 +46,6 @@ class TestHelixGeometry:
         geo = HelixGeometry(radius_R=radius, pitch_h=pitch)
         assert geo.alpha**2 == pytest.approx(radius**2 + (pitch / TWO_PI) ** 2, rel=1e-14)
 
-    def test_invalid(self):
-        with pytest.raises(GeometryError):
-            HelixGeometry(radius_R=0.0, pitch_h=1.0)
-        with pytest.raises(GeometryError):
-            HelixGeometry(radius_R=1.0, pitch_h=-0.1)
-        for pitch in (math.nan, math.inf, -math.inf):
-            with pytest.raises(GeometryError, match="finite"):
-                HelixGeometry(radius_R=1.0, pitch_h=pitch)
-
     @pytest.mark.parametrize("radius", [math.inf, math.nan, -math.inf])
     def test_non_finite_radius_rejected(self, radius):
         with pytest.raises(GeometryError, match="finite"):
@@ -371,9 +362,3 @@ class TestFindMinima:
     def test_stopped_scan_matches_unbounded_scan(self, ratio):
         for windings in sorted({1, 3, math.ceil(2.0 * _scan_stop(ratio) / TWO_PI)}):
             assert find_minima(ratio, windings) == _unbounded_minima(ratio, windings)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(GeometryError):
-            find_minima(4.5, 3)
-        with pytest.raises(ValueError):
-            find_minima(1.0, 0)

@@ -210,10 +210,6 @@ class TestWedgeGrid:
         with pytest.raises(ValueError, match="seed"):
             solve_three_body(grid, 1.0, 1.0, 1, seed=-1, allow_small_box=True)
 
-    def test_invalid(self):
-        with pytest.raises(GridError):
-            WedgeGrid2D(-1.0, 16.0, 0.4)
-
     @given(NON_FINITE, st.integers(0, 2))
     def test_non_finite_box_rejected(self, bad, position):
         args = [12.0, 16.0, 0.4]

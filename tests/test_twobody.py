@@ -44,10 +44,6 @@ class TestGrid1D:
         grid = Grid1D(50.0, 50.0 / 500)
         assert grid.spacing == pytest.approx(50.0 / 500.0, rel=1e-14)
 
-    def test_invalid(self):
-        with pytest.raises(GridError):
-            Grid1D(phi_max=-1.0)
-
     @pytest.mark.parametrize("spacing", [0.0, -0.01, math.nan, math.inf])
     def test_bad_spacing_rejected(self, spacing):
         with pytest.raises(GridError):
