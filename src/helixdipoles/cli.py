@@ -82,7 +82,8 @@ class RunConfig:
     x_max: float | None = _flag(None, "box extent in x", on=_WEDGE)
     y_max: float | None = _flag(None, "box extent in y", on=_WEDGE)
     spacing_2d: float | None = _flag(None, "grid spacing", on=_WEDGE, flag="spacing")
-    k_states: int = _flag(4, "number of states (per coupling for scan)",
+    k_states: int = _flag(4, "number of states; two-body and scan (per coupling) solve "
+                          "the bound ones, at most this many",
                           on=_BODIES + ("scan",), flag="k")
     statistics: str = _flag("boson", "exchange symmetry", on=_BODIES, choices=STATISTICS)
     phi_max: float = _flag(3.0 * TWO_PI, "largest separation sampled", on=("potential",))
@@ -277,11 +278,12 @@ def _run_two_body(cfg: RunConfig) -> tuple[dict, dict]:
     unit = _energy_unit(cfg)
     grid = Grid1D(cfg.box_length, cfg.spacing_1d)
     sol = solve_two_body(grid, cfg.beta, cfg.ratio, cfg.k_states)
-    header = ["phi"] + [f"psi{m}" for m in range(cfg.k_states)]
+    states = range(len(sol.energies))  # the bound ones, at most k, or the lowest alone
+    header = ["phi"] + [f"psi{m}" for m in states]
     tables = {"wavefunctions.csv": (header, np.column_stack(
-        [grid.nodes] + [sol.wavefunction(m) for m in range(cfg.k_states)]))}
+        [grid.nodes] + [sol.wavefunction(m) for m in states]))}
     if cfg.emit_full_line:
-        columns = [extend_full_line(sol, cfg.statistics, m) for m in range(cfg.k_states)]
+        columns = [extend_full_line(sol, cfg.statistics, m) for m in states]
         tables["wavefunctions_full_line.csv"] = (header, np.column_stack(
             [columns[0][0]] + [psi for _, psi in columns]))
     peak = grid.nodes[int(np.argmax(np.abs(sol.wavefunction(0))))]
@@ -344,8 +346,9 @@ def _run_scan(cfg: RunConfig) -> tuple[dict, dict]:
     csv_rows = []
     failures = []
     for row in rows:
-        if row.error is None:
-            csv_rows.append([row.beta, *row.energies, row.bound_count])
+        if row.error is None:  # nan for the states not solved, those not bound
+            unsolved = [math.nan] * (cfg.k_states - len(row.energies))
+            csv_rows.append([row.beta, *row.energies, *unsolved, row.bound_count])
         else:
             csv_rows.append([row.beta] + [math.nan] * cfg.k_states + [-1])
             failures.append((row.beta, row.error))

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one rule for scalar inputs
-(:func:`is_real`, :func:`check_positive`, :func:`check_count`): a value that breaks it
-raises the checking site's own error type, never ``TypeError``; nothing is converted."""
+(:func:`is_real`, :func:`check_finite`, :func:`check_positive`, :func:`check_count`):
+a value that breaks it raises the checking site's own error type, never
+``TypeError``; nothing is converted."""
 
 import math
 import numbers
@@ -56,6 +57,13 @@ def check_positive(error: type[Exception], allow_zero: bool = False, **values) -
     for name, value in values.items():
         if not (is_real(value) and (0 <= value if allow_zero else 0 < value) and value < math.inf):
             raise error(f"{name} must be finite and >{'=' * allow_zero} 0, got {value!r}")
+
+
+def check_finite(error: type[Exception], **values) -> None:
+    """Raise ``error`` for the first of ``values`` (by name) not a finite real number."""
+    for name, value in values.items():
+        if not (is_real(value) and -math.inf < value < math.inf):
+            raise error(f"{name} must be a finite real number, got {value!r}")
 
 
 def check_count(error: type[Exception], minimum: int, **values) -> None:

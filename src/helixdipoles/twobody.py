@@ -100,7 +100,15 @@ def solve_two_body(
     *,
     seed: int | None = None,
 ) -> TwoBodySolution:
-    """Lowest ``k`` states of the half-line relative-motion problem.
+    """The bound states of the half-line relative-motion problem, at most ``k``.
+
+    One Sturm count gives the number of states below ``BOUND_THRESHOLD``;
+    the ``min(k, count)`` lowest are solved, and the lowest one alone when
+    none is bound, so that a solution always holds a state.  The levels
+    above the threshold are left out: on the default box they are its own
+    levels near (m pi / L)^2 / 2.  ``bound_count`` is the number of states
+    solved that lie below the threshold, so it reads 0 for that lone state
+    and ``k`` whenever ``k`` or more are bound.
 
     The tridiagonal operator always takes the banded solve, which draws no
     random numbers: ``seed`` is ignored, and stays only because
@@ -109,7 +117,7 @@ def solve_two_body(
     under the trapezoidal grid quadrature.
     """
     op = assemble_hamiltonian_1d(grid, beta, ratio)
-    eigen = lowest_eigenpairs(op, k)
+    eigen = lowest_eigenpairs(op, k, below=BOUND_THRESHOLD)
     bound_count = int(np.sum(eigen.values < BOUND_THRESHOLD))
     return TwoBodySolution(grid=grid, eigen=eigen, bound_count=bound_count)
 
@@ -138,7 +146,11 @@ def extend_full_line(
 
 @dataclass
 class BetaScanRow:
-    """One row of a coupling-strength scan; ``error`` set if the solve failed."""
+    """One row of a coupling-strength scan; ``error`` set if the solve failed.
+
+    ``energies`` are those of :func:`solve_two_body`: the bound states, at
+    most ``k``, or the lowest level alone when none is bound.
+    """
 
     beta: float
     energies: np.ndarray | None
@@ -152,7 +164,7 @@ def scan_beta(
     ratio: float,
     k: int,
 ) -> list[BetaScanRow]:
-    """Independent solves for each coupling in ``betas``, in input order.
+    """Independent :func:`solve_two_body` solves for each coupling in ``betas``, in input order.
 
     Package errors and ``ValueError`` from a solve are recorded per row and
     do not abort the scan; any other exception propagates.  The geometry,

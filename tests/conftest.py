@@ -4,9 +4,9 @@ session-scoped so the acceptance criteria and module tests reuse them."""
 import numpy as np
 import pytest
 
-from helixdipoles.linalg import EigenResult, Solution
+from helixdipoles.linalg import EigenResult, Solution, lowest_eigenpairs
 from helixdipoles.threebody import WedgeGrid2D, solve_three_body
-from helixdipoles.twobody import Grid1D, solve_two_body
+from helixdipoles.twobody import Grid1D, assemble_hamiltonian_1d, solve_two_body
 
 
 @pytest.fixture(scope="session")
@@ -21,8 +21,15 @@ def as_solution():
 
 @pytest.fixture(scope="session")
 def two_body_beta1():
-    """Default-grid solve at beta=1, h=R; six states cover the bound set."""
+    """Default-grid solve at beta=1, h=R: its three bound states, though six are allowed."""
     return solve_two_body(Grid1D(), beta=1.0, ratio=1.0, k=6)
+
+
+@pytest.fixture(scope="session")
+def box_levels_beta1():
+    """The six lowest levels of the same operator, the three box levels above E = 0 included."""
+    grid = Grid1D()
+    return Solution(grid, lowest_eigenpairs(assemble_hamiltonian_1d(grid, 1.0, 1.0), 6))
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +53,6 @@ def three_body_beta025():
 @pytest.fixture(scope="session")
 def mini_wedge_solves():
     """Iterative and dense solves of the same small wedge operator."""
-    from helixdipoles.linalg import lowest_eigenpairs
     from helixdipoles.threebody import assemble_hamiltonian_2d
 
     grid = WedgeGrid2D(x_max=12.0, y_max=16.0, spacing=0.4)

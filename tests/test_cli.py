@@ -229,7 +229,7 @@ class TestTwoBodyCommand:
                         out_dir=str(tmp_path), emit_full_line=True)
         assert run(cfg) == 0
         header, rows = read_csv(tmp_path / "wavefunctions.csv")
-        assert header == ["phi", "psi0", "psi1", "psi2", "psi3"]
+        assert header == ["phi", "psi0", "psi1", "psi2"]  # the 3 bound states of --k 4
         assert len(rows) == 9999
         summary = read_keyvalue(tmp_path / "summary.txt")
         assert summary["bound_count"] == "3"
@@ -237,6 +237,20 @@ class TestTwoBodyCommand:
         full_header, full_rows = read_csv(tmp_path / "wavefunctions_full_line.csv")
         assert full_header == header
         assert len(full_rows) == 2 * 9999 + 3
+
+    @pytest.mark.parametrize("beta, states, bound", [("20", 4, "4"), ("1e-6", 1, "0")])
+    def test_writes_the_bound_states_at_most_k_or_the_lowest_level(self, beta, states, bound,
+                                                                    tmp_path):
+        # beta=20 binds 14 states, of which --k 4 are written; 1e-6 binds none
+        assert main(["two-body", "--beta", beta, "--k", "4", "--full-line",
+                     "--mass-kg", "1e-26", "--radius-m", "1e-6", "--out-dir", str(tmp_path)]) == 0
+        psi = [f"psi{m}" for m in range(states)]
+        assert read_csv(tmp_path / "wavefunctions.csv")[0] == ["phi", *psi]
+        assert read_csv(tmp_path / "wavefunctions_full_line.csv")[0] == ["phi", *psi]
+        summary = read_keyvalue(tmp_path / "summary.txt")
+        assert summary["bound_count"] == bound
+        energies = {key for key in summary if key.startswith("E")}
+        assert energies == {f"E{m}{unit}" for m in range(states) for unit in ("", "_joules")}
 
     def test_metadata_round_trip(self, tmp_path):
         import dataclasses
@@ -318,6 +332,8 @@ class TestScanCommand:
         assert header == ["beta", "E0", "E1", "E2", "E3", "bound_count"]
         assert [float(r[0]) for r in rows] == [0.5, 1.0]
         assert rows[1][-1] == "3"
+        # the states that are not bound read nan
+        assert rows[0][3:] == ["nan", "nan", "2"] and rows[1][4:] == ["nan", "3"]
 
     def test_failed_rows_flagged(self, tmp_path):
         cfg = RunConfig(problem="scan", betas=(0.5, -2.0), k_states=2,

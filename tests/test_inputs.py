@@ -19,11 +19,12 @@ from hypothesis import example, given, settings, strategies as st
 from helixdipoles.cli import RunConfig, run
 from helixdipoles.errors import (DimensionError, GeometryError, GridError, check_positive,
                                  is_integer, is_real)
-from helixdipoles.linalg import SymmetricSparseOperator, lowest_eigenpairs
+from helixdipoles.linalg import (Solution, SymmetricSparseOperator, count_below,
+                                lowest_eigenpairs)
 from helixdipoles.potential import (HelixGeometry, PhysicalDipole, energy_unit_joules,
                                     find_minima, validate_coupling, validate_geometry)
 from helixdipoles.threebody import WedgeGrid2D, default_box
-from helixdipoles.twobody import Grid1D, extend_full_line, solve_two_body
+from helixdipoles.twobody import Grid1D, assemble_hamiltonian_1d, extend_full_line
 
 #: Not a real number, not finite, negative, or beyond the float range: refused everywhere.
 BAD = ["1", None, True, 1j, math.nan, math.inf, -math.inf, -1, 10**400]
@@ -36,8 +37,9 @@ def _chain(n=8):
 
 
 def _pair():
-    """The two lowest two-body states on a 49-node box."""
-    return solve_two_body(Grid1D(10.0, 0.2), 1.0, 1.0, 2)
+    """The two lowest two-body levels on a 49-node box."""
+    grid = Grid1D(10.0, 0.2)
+    return Solution(grid, lowest_eigenpairs(assemble_hamiltonian_1d(grid, 1.0, 1.0), 2))
 
 
 def _dipole(**bad):
@@ -104,6 +106,15 @@ def test_estimate_is_none_or_a_real_number(value):
     # NaN, +-inf and any real guess stay accepted: they fall back to the Gershgorin shift
     with pytest.raises(ValueError, match=r"^estimate must be a real number or None, got "):
         lowest_eigenpairs(_chain(), 1, estimate=value)
+
+
+@pytest.mark.parametrize("value", [v for v in BAD
+                                   if v is not None and not (is_real(v) and math.isfinite(v))])
+def test_an_energy_to_count_below_is_a_finite_real_number(value):
+    with pytest.raises(ValueError, match=r"^below must be a finite real number, got "):
+        lowest_eigenpairs(_chain(), 1, below=value)
+    with pytest.raises(ValueError, match=r"^energy must be a finite real number, got "):
+        count_below(_chain(), value)
 
 
 @pytest.mark.parametrize("build", [lambda: Grid1D(1e300, 1e-10),

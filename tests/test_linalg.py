@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,11 +19,12 @@ from helixdipoles.linalg import (
     ESTIMATE_SHIFT_MARGIN,
     Solution,
     SymmetricSparseOperator,
+    count_below,
     lowest_eigenpairs,
 )
 from helixdipoles.potential import reduced_potential
 from helixdipoles.threebody import WedgeGrid2D, assemble_hamiltonian_2d, solve_three_body
-from helixdipoles.twobody import Grid1D, assemble_hamiltonian_1d
+from helixdipoles.twobody import BOUND_THRESHOLD, Grid1D, assemble_hamiltonian_1d
 
 
 def tridiagonal(diag, off):
@@ -556,6 +557,52 @@ class TestBandedAccuracy:
                                       select="i", select_range=(0, 3))
         oracle_residuals = np.linalg.norm(op.csr @ vecs - vals * vecs, axis=0)
         assert np.all(np.abs(res.values - vals) <= res.residual_norms + oracle_residuals)
+
+
+class TestCountBelow:
+    """The Sturm count of the banded route against every eigenvalue of the dense matrix."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        op = assemble_hamiltonian_1d(Grid1D(20.0, 0.1), 5.0, 1.0)
+        return op, eigh(op.csr.toarray(), eigvals_only=True)
+
+    def test_counts_match_the_dense_oracle(self, small):
+        op, levels = small
+        below_all = levels[0] - 1.0
+        between = 0.5 * (levels[2] + levels[3])
+        above_many = 0.5 * (levels[9] + levels[10])
+        # -1e6 lies below the Gershgorin floor itself, where no bisection runs
+        for energy, count in ((-1e6, 0), (below_all, 0), (between, 3), (above_many, 10),
+                              (BOUND_THRESHOLD, int(np.sum(levels < BOUND_THRESHOLD)))):
+            assert count_below(op, energy) == count == int(np.sum(levels <= energy))
+
+    def test_off_the_banded_route_refused(self):
+        op = mini_wedge_operator()
+        with pytest.raises(ValueError, match="tridiagonal"):
+            count_below(op, 0.0)
+        with pytest.raises(ValueError, match="banded route"):
+            lowest_eigenpairs(op, 1, below=0.0)
+        with pytest.raises(ValueError, match="banded route"):
+            lowest_eigenpairs(dirichlet_box(10.0, 99)[0], 1, method="dense", below=0.0)
+
+    def test_by_value_matches_by_index(self):
+        # beta=1.898 of the benchmark pool holds exactly four bound states, so
+        # below= bisects them by value on the bound bracket
+        op = assemble_hamiltonian_1d(Grid1D(), 1.898, 1.0)
+        assert count_below(op, BOUND_THRESHOLD) == 4
+        by_value = lowest_eigenpairs(op, 4, below=BOUND_THRESHOLD)
+        by_index = lowest_eigenpairs(op, 4)
+        np.testing.assert_allclose(by_value.values, by_index.values, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(by_value.vectors), np.abs(by_index.vectors),
+                                   rtol=0.0, atol=1e-9)
+
+    def test_below_keeps_the_levels_under_it_at_most_k_or_the_lowest_one(self, small):
+        op, levels = small
+        between = 0.5 * (levels[2] + levels[3])
+        for below, k, kept in ((between, 5, 3), (between, 2, 2), (levels[0] - 1.0, 3, 1)):
+            res = lowest_eigenpairs(op, k, below=below)
+            np.testing.assert_allclose(res.values, levels[:kept], rtol=0.0, atol=1e-10)
 
 
 class TestRouting:

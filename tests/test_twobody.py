@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh
 
 from helixdipoles import twobody
 from helixdipoles.errors import GeometryError, GridError
-from helixdipoles.linalg import SymmetricSparseOperator
+from helixdipoles.linalg import SymmetricSparseOperator, lowest_eigenpairs
 from helixdipoles.potential import reduced_potential
 from helixdipoles.twobody import (
     BOUND_THRESHOLD,
@@ -120,26 +121,42 @@ class TestAssembly:
             solve_two_body(Grid1D(), beta, 1.0, 2)
 
 
+def _box_levels(grid, beta, k):
+    """The ``k`` lowest levels of the two-body operator, bound or not."""
+    return lowest_eigenpairs(assemble_hamiltonian_1d(grid, beta, 1.0), k)
+
+
 class TestSolve:
-    def test_reference_spectrum(self, two_body_beta1):
-        np.testing.assert_allclose(two_body_beta1.energies, E_BETA1_DX001, atol=1e-8)
+    def test_reference_spectrum(self, box_levels_beta1, two_body_beta1):
+        np.testing.assert_allclose(box_levels_beta1.energies, E_BETA1_DX001, atol=1e-8)
         assert two_body_beta1.bound_count == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 20.0), st.integers(1, 6))
+    def test_the_bound_states_at_most_k_or_the_lowest_level(self, beta, k):
+        grid = Grid1D(20.0, 0.1)
+        levels = eigh(assemble_hamiltonian_1d(grid, beta, 1.0).csr.toarray(), eigvals_only=True)
+        count = int(np.sum(levels < BOUND_THRESHOLD))
+        sol = solve_two_body(grid, beta, 1.0, k)
+        kept = max(1, min(k, count))
+        np.testing.assert_allclose(sol.energies, levels[:kept], rtol=0.0, atol=1e-10)
+        assert sol.bound_count == min(k, count)
 
     def test_fine_grid_ground_state(self):
         sol = solve_two_body(Grid1D(100.0, 0.005), 1.0, 1.0, 1)
         assert sol.energies[0] == pytest.approx(E0_BETA1_DX0005, abs=1e-8)
 
-    def test_wavefunctions_normalized(self, two_body_beta1):
-        grid = two_body_beta1.grid
+    def test_wavefunctions_normalized(self, box_levels_beta1):
+        grid = box_levels_beta1.grid
         assert grid.weight == grid.spacing
         for m in range(4):
-            norm = grid.weight * np.sum(two_body_beta1.wavefunction(m) ** 2)
+            norm = grid.weight * np.sum(box_levels_beta1.wavefunction(m) ** 2)
             assert norm == pytest.approx(1.0, abs=1e-10)
 
-    def test_node_counting(self, two_body_beta1):
+    def test_node_counting(self, box_levels_beta1):
         # m-th eigenstate has exactly m interior sign changes
         for m in range(4):
-            psi = two_body_beta1.wavefunction(m)
+            psi = box_levels_beta1.wavefunction(m)
             live = psi[np.abs(psi) > 1e-8 * np.abs(psi).max()]
             changes = int(np.sum(live[:-1] * live[1:] < 0.0))
             assert changes == m
@@ -166,11 +183,11 @@ class TestSolve:
         ratio = (energies[0.04] - energies[0.02]) / (energies[0.02] - energies[0.01])
         assert 3.5 < ratio < 4.5
 
-    def test_box_wall_artifact(self, two_body_beta1):
+    def test_box_wall_artifact(self, box_levels_beta1):
         # near-threshold states are box artifacts; genuinely bound states are not
-        wide = solve_two_body(Grid1D(150.0, 0.01), 1.0, 1.0, 6)
-        narrow = two_body_beta1
-        rel = np.abs(wide.energies - narrow.energies) / np.abs(narrow.energies)
+        wide = _box_levels(Grid1D(150.0, 0.01), 1.0, 6)
+        narrow = box_levels_beta1
+        rel = np.abs(wide.values - narrow.energies) / np.abs(narrow.energies)
         shallow = np.abs(narrow.energies) < 1e-3
         assert shallow.any()
         assert np.all(rel[shallow] > 0.10)
@@ -212,12 +229,13 @@ class TestScanBeta:
         grid = Grid1D()
         rows = scan_beta([1e-6], grid, 1.0, 4)
         box = np.array([m**2 * math.pi**2 / (2.0 * grid.phi_max**2) for m in range(1, 5)])
-        np.testing.assert_allclose(rows[0].energies, box, rtol=1e-2)
+        np.testing.assert_allclose(_box_levels(grid, 1e-6, 4).values, box, rtol=1e-2)
         assert rows[0].bound_count == 0
 
     def test_spot_check_beta_half(self):
         rows = scan_beta([0.5], Grid1D(), 1.0, 4)
-        np.testing.assert_allclose(rows[0].energies, E_BETA05_DX001, atol=1e-8)
+        np.testing.assert_allclose(_box_levels(Grid1D(), 0.5, 4).values, E_BETA05_DX001,
+                                   atol=1e-8)
         assert rows[0].bound_count == 2
 
     def test_row_errors_recorded(self):
