@@ -39,7 +39,7 @@ from ._csvcells import format_block
 from .analysis import build_size_scan, check_fit_window, fit_harmonic_size, size_energy_product
 from .errors import (ConvergenceError, GeometryError, HelixDipolesError, check_count,
                      check_positive, is_real)
-from .linalg import DEFAULT_SEED, DENSE_CUTOFF, METHODS
+from .linalg import DEFAULT_SEED, METHODS
 from .potential import (TWO_PI, HelixGeometry, energy_unit_joules, find_minima,
                         reduced_potential, validate_coupling, validate_geometry)
 from .threebody import WedgeGrid2D, default_box, solve_three_body, symmetrize_wavefunction
@@ -90,8 +90,7 @@ class RunConfig:
     n_samples: int = _flag(2000, "number of curve samples", on=("potential",))
     out_dir: str = _flag("runs", f"output directory (or ${OUTDIR_ENV})")
     seed: int = _flag(DEFAULT_SEED, "eigensolver start-vector seed", on=_WEDGE)
-    solver: str = _flag("auto", "eigensolver path; auto is shift-invert on the wedge, "
-                        f"dense takes at most {DENSE_CUTOFF} unknowns",
+    solver: str = _flag("auto", "eigensolver path; auto is shift-invert on the wedge",
                         on=_WEDGE, choices=METHODS)
     allow_small_box: bool = _flag(False, "skip the five-winding wall-clearance check",
                                   on=_WEDGE)

@@ -14,13 +14,13 @@ by index over the whole Gershgorin interval.
 ``sigma`` sits just below a caller's estimate of the lowest eigenvalue
 when one LU solve certifies that
 ``H - sigma`` is a nonsingular M-matrix (so ``sigma`` lies below the whole
-spectrum), and below the Gershgorin bound otherwise.  Dense LAPACK and
-plain Lanczos on the operator (``lanczos``) are only taken when forced;
-dense is capped at ``DENSE_CUTOFF`` unknowns.  ARPACK's own restart limit
-bounds the iteration; when it stops short, the pairs it did converge
-travel on the :class:`ConvergenceError`.  Whatever the route, the energies
-returned are the Rayleigh quotients of the returned eigenvectors, taken
-with the matvecs of the residual check.  A near-shift run starts from the
+spectrum), and below the Gershgorin bound otherwise.  The one other
+choice, plain Lanczos on the operator (``lanczos``), is only taken when
+forced; the dense oracle the routes are checked against lives in the test
+suite.  ARPACK's own restart limit bounds the iteration; when it stops
+short, the pairs it did converge travel on the :class:`ConvergenceError`.
+Whatever the route, the energies returned are the Rayleigh quotients of
+the returned eigenvectors, taken with the matvecs of the residual check.  A near-shift run starts from the
 certificate's solve; other start and restart vectors come from a seeded
 generator whose seed the result carries, so repeated runs are reproducible.
 
@@ -49,23 +49,21 @@ from pathlib import Path
 import numpy as np
 import scipy
 import scipy.sparse as sp
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import (ConvergenceError, DimensionError, check_count, check_finite,
                      is_integer, is_real)
 
-#: Largest operator a forced dense solve accepts (n^2 doubles: 32 MB).
-DENSE_CUTOFF = 2000
-
-#: Eigensolver paths; ``auto`` picks the banded solve or ``shift-invert``.
-METHODS = ("auto", "dense", "shift-invert", "lanczos")
+#: Eigensolver choices: ``auto`` picks the banded solve or shift-invert by the
+#: operator's structure; ``lanczos`` forces plain Lanczos on the operator.
+METHODS = ("auto", "lanczos")
 
 #: Default seed of the iterative paths' random start and restart vectors.
 DEFAULT_SEED = 20177
 
 #: Relative accuracy every ARPACK run asks of its Ritz values: ``E`` under
-#: ``lanczos``, ``mu = 1/(E - sigma)`` under shift-invert; the banded and dense
-#: routes never read it.  The grid and the box, not this, set the error of the
+#: ``lanczos``, ``mu = 1/(E - sigma)`` under shift-invert; the banded route
+#: never reads it.  The grid and the box, not this, set the error of the
 #: spectra; each result's residual norms carry the evidence.
 ARPACK_TOL = 1e-9
 
@@ -159,7 +157,7 @@ class EigenResult:
     values: np.ndarray
     vectors: np.ndarray
     residual_norms: np.ndarray
-    method: str = "dense"
+    method: str
     seed: int | None = None
     n_matvec: int = 0
     factor_nnz: int = 0
@@ -225,16 +223,14 @@ def _package(op, vecs, method, seed, n_matvec, **shifted):
 def check_request(k: int, n: int, method: str = "auto", seed: int = DEFAULT_SEED) -> None:
     """Reject a solve request for ``k`` pairs of an ``n``-unknown operator.
 
-    Raises :class:`DimensionError` unless ``k`` is an integer in ``[1, max(1, n/4)]`` and
-    ``n <= DENSE_CUTOFF`` for ``method="dense"``; ``ValueError`` unless ``method`` is one
-    of :data:`METHODS` and ``seed`` an integer ``>= 0`` (every route, seedless ones too).
+    Raises :class:`DimensionError` unless ``k`` is an integer in ``[1, max(1, n/4)]``;
+    ``ValueError`` unless ``method`` is one of :data:`METHODS` and ``seed`` an integer
+    ``>= 0`` (every route, seedless ones too).
     """
     if not is_integer(k) or not 1 <= k <= max(1, n // 4):
         raise DimensionError(f"k={k!r} outside the integers in [1, n/4] for n={n}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method == "dense" and n > DENSE_CUTOFF:
-        raise DimensionError(f"dense solves take at most {DENSE_CUTOFF} unknowns, got n={n}")
     check_count(ValueError, 0, seed=seed)
 
 
@@ -253,9 +249,8 @@ def lowest_eigenpairs(
         op: operator to diagonalize.
         k: number of eigenpairs, ``1 <= k <= n/4``.
         method: ``auto`` (direct banded solve, reported as ``tridiagonal``,
-            for tridiagonal operators; shift-invert otherwise), or one of
-            ``dense`` (at most ``DENSE_CUTOFF`` unknowns) / ``shift-invert`` /
-            ``lanczos`` to force a path.
+            for tridiagonal operators; ``shift-invert`` otherwise), or
+            ``lanczos`` to force plain Lanczos on the operator.
         seed: seeds the start vector (a near shift starts from the
             certificate's solve instead) and any restart vector.
         estimate: a guess at the lowest eigenvalue, such as the ground
@@ -304,9 +299,6 @@ def lowest_eigenpairs(
                              f"not {method!r}")
 
     with _one_blas_thread():
-        if method == "dense":
-            vecs = eigh(op.csr.toarray(), subset_by_index=(0, k - 1))[1]
-            return _package(op, vecs, "dense", None, 0)
         if method == "tridiagonal":
             return _package(op, _banded(op, k, below), "tridiagonal", None, 0)
         vecs, n_mv, shifted = _arpack(op, k, seed, shift_invert=method == "shift-invert",
@@ -317,7 +309,8 @@ def lowest_eigenpairs(
 def _gershgorin(op) -> tuple[float, float]:
     """The Gershgorin bound ``g = min_i (2 a_ii - sum_j |a_ij|)``, below which no
     eigenvalue of ``op`` lies, and the floor ``g - 1e-3 max(1, |g|)`` below every disc."""
-    radii = np.asarray(abs(op.csr).sum(axis=1)).ravel()
+    # the stored diagonal, a precondition of the operator, leaves no row empty for reduceat
+    radii = np.add.reduceat(np.abs(op.csr.data), op.csr.indptr[:-1])
     lower = float(np.min(2.0 * op.csr.diagonal() - radii))
     return lower, lower - 1e-3 * max(1.0, abs(lower))
 

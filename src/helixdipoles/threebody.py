@@ -175,7 +175,7 @@ def solve_three_body(
     Once per request, before any assembly, it checks ``k``, ``method``,
     ``seed``, ``ratio``, ``beta`` and, unless ``allow_small_box``, that the
     box clears the chain configuration by ``MIN_MARGIN_WINDINGS`` windings on
-    each axis.  When the solve takes shift-invert (``auto`` or forced), the
+    each axis.  Under ``auto``, which takes shift-invert on the wedge, the
     same box is first solved at ``COARSE_FACTOR`` times the spacing, and its
     ground energy is handed to :func:`lowest_eigenpairs` as the ``estimate``
     that places the shift.  A coarse grid that cannot be built is skipped;
@@ -189,7 +189,7 @@ def solve_three_body(
             f"box clears the first-minimum configuration by ({mx:.2f}, {my:.2f}) "
             f"windings; need {MIN_MARGIN_WINDINGS:g} (pass allow_small_box to override)"
         )
-    coarse = grid.coarsened(COARSE_FACTOR) if method in ("auto", "shift-invert") else None
+    coarse = grid.coarsened(COARSE_FACTOR) if method == "auto" else None
     estimate = None
     if coarse is not None:
         coarse_op = assemble_hamiltonian_2d(coarse, beta, ratio)

@@ -3,6 +3,7 @@ session-scoped so the acceptance criteria and module tests reuse them."""
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from helixdipoles.linalg import EigenResult, Solution, lowest_eigenpairs
 from helixdipoles.threebody import WedgeGrid2D, solve_three_body
@@ -15,8 +16,19 @@ def as_solution():
     def wrap(grid, psi):
         psi = np.asarray(psi, dtype=float)
         unit = psi / np.sqrt(np.sum(psi**2))
-        return Solution(grid, EigenResult(np.zeros(1), unit[:, None], np.zeros(1)))
+        eigen = EigenResult(np.zeros(1), unit[:, None], np.zeros(1), method="given")
+        return Solution(grid, eigen)
     return wrap
+
+
+@pytest.fixture(scope="session")
+def dense_oracle():
+    """The ``k`` lowest eigenpairs of an operator by dense LAPACK, the check on every route."""
+    def solve(op, k):
+        values, vectors = eigh(op.csr.toarray(), subset_by_index=(0, k - 1))
+        residuals = np.linalg.norm(op.csr @ vectors - vectors * values, axis=0)
+        return EigenResult(values, vectors, residuals, method="dense")
+    return solve
 
 
 @pytest.fixture(scope="session")
@@ -51,12 +63,12 @@ def three_body_beta025():
 
 
 @pytest.fixture(scope="session")
-def mini_wedge_solves():
-    """Iterative and dense solves of the same small wedge operator."""
+def mini_wedge_solves(dense_oracle):
+    """The dense oracle's and plain Lanczos's solves of the same small wedge operator."""
     from helixdipoles.threebody import assemble_hamiltonian_2d
 
     grid = WedgeGrid2D(x_max=12.0, y_max=16.0, spacing=0.4)
     op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
-    dense = lowest_eigenpairs(op, 4, method="dense")
+    dense = dense_oracle(op, 4)
     lanczos = lowest_eigenpairs(op, 4, method="lanczos")
     return grid, dense, lanczos

@@ -244,7 +244,7 @@ def test_criterion_06_asymptotic_identity(as_solution):
 
 # --- 7. eigensolver oracle equivalence ----------------------------------------
 
-def test_criterion_07_oracle_equivalence(mini_wedge_solves):
+def test_criterion_07_oracle_equivalence(mini_wedge_solves, dense_oracle):
     def differences(dense, iterative):
         # unit eigenvectors: the 2-norm gap over the sign ambiguity
         vv = max(min(np.linalg.norm(d - v), np.linalg.norm(d + v))
@@ -252,8 +252,7 @@ def test_criterion_07_oracle_equivalence(mini_wedge_solves):
         return float(np.abs(dense.values - iterative.values).max()), vv
 
     def compare(op, k, method="lanczos"):
-        return differences(lowest_eigenpairs(op, k, method="dense"),
-                           lowest_eigenpairs(op, k, method=method))
+        return differences(dense_oracle(op, k), lowest_eigenpairs(op, k, method=method))
 
     grid1d = Grid1D(100.0, 0.05)
     dv1, vv1 = compare(assemble_hamiltonian_1d(grid1d, 2.0, 1.0), 3)
@@ -261,17 +260,18 @@ def test_criterion_07_oracle_equivalence(mini_wedge_solves):
     wedge, dense2, lanczos2 = mini_wedge_solves
     dv2, vv2 = differences(dense2, lanczos2)
 
-    # the shift-invert path against the same dense oracle
-    dv1s, vv1s = compare(assemble_hamiltonian_1d(grid1d, 2.0, 1.0), 3, "shift-invert")
-    dv2s, vv2s = compare(assemble_hamiltonian_2d(wedge, 1.0, 1.0), 4, "shift-invert")
+    # auto's routes, banded on the half line and shift-invert on the wedge,
+    # against the same dense oracle
+    dv1a, vv1a = compare(assemble_hamiltonian_1d(grid1d, 2.0, 1.0), 3, "auto")
+    dv2a, vv2a = compare(assemble_hamiltonian_2d(wedge, 1.0, 1.0), 4, "auto")
 
     ok = max(dv1, dv2) <= 1e-9 and max(vv1, vv2) <= 1e-6
-    ok &= max(dv1s, dv2s) <= 1e-9 and max(vv1s, vv2s) <= 1e-6
+    ok &= max(dv1a, dv2a) <= 1e-9 and max(vv1a, vv2a) <= 1e-6
     report("7 (oracle equivalence)", ok,
            f"1d coarse: values {dv1:.2e}, vectors {vv1:.2e}; "
            f"mini wedge: values {dv2:.2e}, vectors {vv2:.2e}; "
-           f"shift-invert 1d: values {dv1s:.2e}, vectors {vv1s:.2e}; "
-           f"shift-invert mini wedge: values {dv2s:.2e}, vectors {vv2s:.2e}")
+           f"banded 1d: values {dv1a:.2e}, vectors {vv1a:.2e}; "
+           f"shift-invert mini wedge: values {dv2a:.2e}, vectors {vv2a:.2e}")
     assert ok
 
 
@@ -338,7 +338,7 @@ def test_criterion_10_determinism(tmp_path):
         dict(problem="three-body", beta=1.0, x_max=12.0, y_max=16.0,
              spacing_2d=0.4, k_states=2, allow_small_box=True, solver="lanczos"),
         dict(problem="three-body", beta=1.0, x_max=12.0, y_max=16.0,
-             spacing_2d=0.4, k_states=2, allow_small_box=True, solver="shift-invert"),
+             spacing_2d=0.4, k_states=2, allow_small_box=True, solver="auto"),
     ]
     stable = True
     details = []

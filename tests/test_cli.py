@@ -297,7 +297,7 @@ class TestThreeBodyCommand:
     def test_factor_fill_reported_for_shift_invert_only(self, tmp_path):
         common = dict(problem="three-body", beta=1.0, x_max=12.0, y_max=16.0,
                       spacing_2d=0.4, k_states=1, allow_small_box=True)
-        assert run(RunConfig(solver="shift-invert", out_dir=str(tmp_path / "si"),
+        assert run(RunConfig(solver="auto", out_dir=str(tmp_path / "si"),
                              **common)) == 0
         fill = int(read_keyvalue(tmp_path / "si" / "summary.txt")["factor_nnz"])
         assert fill >= 4261  # the mini wedge operator's own nnz
@@ -640,9 +640,9 @@ class TestInputEdges:
     @pytest.mark.parametrize("argv", [
         ["potential", "--seed=1"], ["potential", "--tol=1e-8"],
         ["potential", "--solver=lanczos"],
-        ["two-body", "--seed", "1"], ["two-body", "--solver", "dense"],
+        ["two-body", "--seed", "1"], ["two-body", "--solver", "auto"],
         ["scan", "--seed=-1"], ["scan", "--solver=lanczos"],
-        ["fit", "--seed=1"], ["fit", "--solver=shift-invert"],
+        ["fit", "--seed=1"], ["fit", "--solver=auto"],
     ], ids=["--seed=1", "--tol=1e-8", "--solver=lanczos", "two-body-seed",
             "two-body-solver", "scan-seed-neg", "scan-solver", "fit-seed", "fit-solver"])
     def test_potential_takes_no_solver_flags(self, argv, capsys):
@@ -845,13 +845,23 @@ class TestMainEntry:
         assert main(["potential", "--config", str(cfg_file)]) == 2
 
     @pytest.mark.parametrize("line", ["statistics = bosn", "solver = lanczoz",
-                                      "symmetrize = yes"])
+                                      "symmetrize = yes", "solver = dense",
+                                      "solver = shift-invert"])
     def test_config_value_outside_choices(self, line, tmp_path):
         # the flags reject these through argparse; a config file must too
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(line + "\n")
         argv = ["three-body", "--config", str(cfg_file), "--out-dir", str(tmp_path)]
         assert main(argv) == 2
+        assert not (tmp_path / "metadata.txt").exists()
+
+    @pytest.mark.parametrize("solver", ["dense", "shift-invert"])
+    def test_solver_takes_auto_or_lanczos(self, solver, tmp_path, capsys):
+        # the dense oracle lives in the tests, and auto alone takes shift-invert
+        with pytest.raises(SystemExit) as exc:
+            main(["three-body", "--solver", solver, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
         assert not (tmp_path / "metadata.txt").exists()
 
 
@@ -879,11 +889,10 @@ class TestDeterminism:
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # the default beta=2 wedge: the 12x16 box at h=0.4 or 0.2 stays below
         # OpenBLAS's threading thresholds under ARPACK and would pass even
-        # without the limit; the dense eigh of the h=0.4 box does not, and
-        # neither does the banded solve of the L=300 half line (n = 29,999)
+        # without the limit; the banded solve of the L=300 half line
+        # (n = 29,999) does not
         src = str(Path(helixdipoles.__file__).resolve().parents[1])
         for name, args in [("default", ["three-body", "--beta", "2", "--k", "1"]),
-                           ("dense", MINI_WEDGE + ["--solver", "dense", "--k", "2"]),
                            ("banded", ["two-body", "--beta", "0.3", "--box-length", "300"])]:
             digests = []
             for threads in ("1", "2"):

@@ -8,14 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import eigh, eigh_tridiagonal
-from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helixdipoles import linalg
 from helixdipoles.errors import ConvergenceError, DimensionError
 from helixdipoles.linalg import (
-    DENSE_CUTOFF,
     ESTIMATE_SHIFT_MARGIN,
     Solution,
     SymmetricSparseOperator,
@@ -46,6 +45,18 @@ def dirichlet_box(length, n, potential=None):
         diag = diag + potential(nodes)
     off = np.full(n - 1, -0.5 / dx**2)
     return tridiagonal(diag, off), nodes, dx
+
+
+def with_corner_zeros(diag):
+    """A diagonal operator that also stores zeros at (0, n-1) and (n-1, 0).
+
+    Its spectrum and Gershgorin bound are the diagonal's, zeros on it
+    included, but it is not tridiagonal, so ``auto`` takes shift-invert.
+    """
+    n = len(diag)
+    rows, cols = np.r_[np.arange(n), 0, n - 1], np.r_[np.arange(n), n - 1, 0]
+    return SymmetricSparseOperator(sp.csr_matrix((np.r_[diag, 0.0, 0.0], (rows, cols)),
+                                                 shape=(n, n)))
 
 
 def align(u, v):
@@ -154,9 +165,21 @@ class TestOnLattice:
         rows = np.repeat(np.arange(op.n), np.diff(csr.indptr))  # every row stores its diagonal
         assert np.array_equal(np.unique(rows[rows == csr.indices]), np.arange(op.n))
 
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9)),
+           st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
+    def test_gershgorin_bound_matches_the_row_sums(self, mask, spacing, seed):
+        # the segment sums over the stored entries against a row sum of |H|
+        assume(mask.any())
+        potential = np.random.default_rng(seed).uniform(-3.0, 3.0, int(mask.sum()))
+        op = SymmetricSparseOperator.on_lattice(numbered(mask), spacing, potential)
+        lower, floor = linalg._gershgorin(op)
+        assert lower == gershgorin_bound(op)
+        assert floor < lower
+
 
 class TestLowestEigenpairs:
-    def test_box_spectrum_all_paths(self):
+    def test_box_spectrum_all_paths(self, dense_oracle):
         length, n = 10.0, 999
         op, _, dx = dirichlet_box(length, n)
         # the discrete Dirichlet Laplacian spectrum is known in closed form
@@ -165,24 +188,25 @@ class TestLowestEigenpairs:
         continuum = m**2 * math.pi**2 / (2.0 * length**2)
         # second-order stencil: continuum error E_m (m pi dx / L)^2 / 12
         bound = 1.5 * continuum * (m * math.pi * dx / length) ** 2 / 12.0
-        for method in ("dense", "auto", "shift-invert", "lanczos"):
-            res = lowest_eigenpairs(op, 5, method=method)
+        solves = {method: lowest_eigenpairs(op, 5, method=method) for method in linalg.METHODS}
+        solves["dense"] = dense_oracle(op, 5)
+        for method, res in solves.items():
             np.testing.assert_allclose(res.values, discrete, rtol=1e-10)
             assert np.all(np.abs(res.values - continuum) < bound)
             assert res.method == {"auto": "tridiagonal"}.get(method, method)
 
-    def test_harmonic_oscillator_vs_dense_oracle(self):
+    def test_harmonic_oscillator_vs_dense_oracle(self, dense_oracle):
         length, n, omega, center = 20.0, 999, 1.0, 10.0
         op, _, dx = dirichlet_box(length, n, lambda x: 0.5 * omega**2 * (x - center) ** 2)
-        dense = lowest_eigenpairs(op, 4, method="dense")
+        dense = dense_oracle(op, 4)
         lanczos = lowest_eigenpairs(op, 4, method="lanczos")
         np.testing.assert_allclose(lanczos.values, dense.values, atol=1e-9)
         ladder = omega * (np.arange(4) + 0.5)
         np.testing.assert_allclose(dense.values, ladder, atol=5e-4)
 
-    def test_random_operator_iterative_matches_dense(self):
+    def test_random_operator_iterative_matches_dense(self, dense_oracle):
         op = random_sparse_symmetric(500)
-        dense = lowest_eigenpairs(op, 5, method="dense")
+        dense = dense_oracle(op, 5)
         lanczos = lowest_eigenpairs(op, 5, method="lanczos")
         np.testing.assert_allclose(lanczos.values, dense.values, atol=1e-9)
         for i in range(5):
@@ -228,39 +252,41 @@ class TestLowestEigenpairs:
 
     def test_shift_invert_determinism(self):
         op = random_sparse_symmetric(600, seed=13)
-        a = lowest_eigenpairs(op, 3, method="shift-invert", seed=123)
-        b = lowest_eigenpairs(op, 3, method="shift-invert", seed=123)
+        a = lowest_eigenpairs(op, 3, seed=123)
+        b = lowest_eigenpairs(op, 3, seed=123)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.vectors, b.vectors)
         assert a.seed == 123 and a.method == "shift-invert"
         assert a.n_matvec > 3  # LU solves plus the k residual matvecs
         assert a.factor_nnz == b.factor_nnz >= op.nnz  # L and U hold A's pattern
 
-    @pytest.mark.parametrize("method", ["dense", "lanczos"])
+    @pytest.mark.parametrize("method", ["tridiagonal", "lanczos"])
     def test_factor_nnz_zero_off_the_lu_path(self, method):
-        op = random_sparse_symmetric(400, seed=3)
-        assert lowest_eigenpairs(op, 2, method=method).factor_nnz == 0
+        op = (dirichlet_box(10.0, 99)[0] if method == "tridiagonal"
+              else random_sparse_symmetric(400, seed=3))
+        res = lowest_eigenpairs(op, 2, method="lanczos" if method == "lanczos" else "auto")
+        assert res.method == method and res.factor_nnz == 0
 
     def test_shift_invert_below_diagonal_spectrum(self):
         # the Gershgorin bound of a diagonal operator is its lowest eigenvalue,
         # so the shift must sit strictly below it for the factor to exist
         diag = np.linspace(-2.0, 5.0, 200)
-        op = SymmetricSparseOperator(sp.diags(diag, format="csr"))
-        res = lowest_eigenpairs(op, 3, method="shift-invert")
+        res = lowest_eigenpairs(with_corner_zeros(diag), 3)
+        assert res.method == "shift-invert"
         np.testing.assert_allclose(res.values, diag[:3], atol=1e-10)
 
     def test_auto_routes_wedge_to_shift_invert(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.2)
         op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
-        assert op.n > DENSE_CUTOFF
         res = lowest_eigenpairs(op, 2)
         assert res.method == "shift-invert"
         lanczos = lowest_eigenpairs(op, 2, method="lanczos")
         np.testing.assert_allclose(res.values, lanczos.values, atol=1e-9)
 
-    @pytest.mark.parametrize("method, maxiter", [("shift-invert", 5), ("lanczos", 2)],
+    @pytest.mark.parametrize("method, maxiter", [("auto", 5), ("lanczos", 2)],
                              ids=["shift-invert", "lanczos"])
-    def test_nonconvergence_reports_converged_pairs(self, monkeypatch, method, maxiter):
+    def test_nonconvergence_reports_converged_pairs(self, monkeypatch, dense_oracle, method,
+                                                    maxiter):
         # a real ARPACK stop: too few restarts to converge all k pairs at ARPACK_TOL
         import scipy.sparse.linalg as spla
 
@@ -271,12 +297,12 @@ class TestLowestEigenpairs:
         values, vectors = err.value.result
         assert 1 <= values.size <= 4
         assert vectors.shape == (800, values.size)
-        dense = np.linalg.eigvalsh(op.csr.toarray())[:4]
+        dense = dense_oracle(op, 4).values
         np.testing.assert_allclose(np.sort(values), dense[:values.size], atol=1e-8)
         residuals = np.linalg.norm(op.csr @ vectors - vectors * values, axis=0)
         assert residuals.max() < 1e-6
 
-    @pytest.mark.parametrize("method, stop", [("shift-invert", "stalled"),
+    @pytest.mark.parametrize("method, stop", [("auto", "stalled"),
                                               ("lanczos", "stalled"),
                                               ("lanczos", "failed")],
                              ids=["shift-invert", "lanczos", "arpack-error"])
@@ -299,14 +325,18 @@ class TestLowestEigenpairs:
         assert values.shape == (1,) and vectors.shape == (200, 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("method", linalg.METHODS)
+    @pytest.mark.parametrize("method", ["auto", "shift-invert", "lanczos"])
     def test_non_finite_operator_rejected(self, method, bad):
-        mat = sp.diags([np.r_[1.0, bad, np.ones(98)]], [0], format="csr")
+        # "shift-invert": auto on an operator it does not take for tridiagonal
+        diag = np.r_[1.0, bad, np.ones(98)]
+        op = (with_corner_zeros(diag) if method == "shift-invert"
+              else SymmetricSparseOperator(sp.diags([diag], [0], format="csr")))
         with pytest.raises(ValueError, match="non-finite"):
-            lowest_eigenpairs(SymmetricSparseOperator(mat), 2, method=method)
+            lowest_eigenpairs(op, 2, method="lanczos" if method == "lanczos" else "auto")
 
-    @pytest.mark.parametrize("method", ["shift-invert", "lanczos"])
+    @pytest.mark.parametrize("method", ["lanczos"])
     def test_arpack_rejects_bad_operators(self, method):
+        # every 1x1 operator is tridiagonal, so only a forced Lanczos run reaches ARPACK
         one = SymmetricSparseOperator(sp.identity(1, format="csr"))
         with pytest.raises(DimensionError):
             lowest_eigenpairs(one, 1, method=method)
@@ -321,7 +351,7 @@ class TestLowestEigenpairs:
     @pytest.mark.parametrize("operator, k, kwargs, error", [
         ("wedge", 2.5, {}, DimensionError),
         ("tridiagonal", 1.5, {}, DimensionError),
-        ("wedge", 1.5, dict(method="dense"), DimensionError),
+        ("wedge", 1, dict(method="dense"), ValueError),  # unknown method
         ("wedge", True, {}, DimensionError),
         ("tridiagonal", True, {}, DimensionError),
         ("wedge", 2, dict(seed=1.5), ValueError),
@@ -333,7 +363,7 @@ class TestLowestEigenpairs:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved a non-integer request")
 
-        for name in ("eigh_tridiagonal", "_arpack", "eigh"):
+        for name in ("eigh_tridiagonal", "_arpack"):
             monkeypatch.setattr(linalg, name, no_solve)
         op = mini_wedge_operator() if operator == "wedge" else dirichlet_box(10.0, 99)[0]
         with pytest.raises(error):
@@ -352,16 +382,12 @@ class TestLowestEigenpairs:
         with pytest.raises(ValueError, match="unknown method"):
             lowest_eigenpairs(op, 2, method="tridiagonal")
 
-    def test_forced_dense_capped(self):
-        op, _, _ = dirichlet_box(10.0, DENSE_CUTOFF + 1)
-        with pytest.raises(DimensionError, match="dense"):
-            lowest_eigenpairs(op, 1, method="dense")
-        assert lowest_eigenpairs(op, 1).method == "tridiagonal"
-
     def test_unknown_method_rejected(self):
+        # the dense oracle lives in the tests, and auto alone takes shift-invert
         op, _, _ = dirichlet_box(10.0, 99)
-        with pytest.raises(ValueError, match="unknown method"):
-            lowest_eigenpairs(op, 1, method="qr")
+        for method in ("qr", "dense", "shift-invert"):
+            with pytest.raises(ValueError, match="unknown method"):
+                lowest_eigenpairs(op, 1, method=method)
 
 
 class _CountedLU:
@@ -376,12 +402,17 @@ class _CountedLU:
 
 
 class TestSolverContract:
-    @pytest.mark.parametrize("method", ["dense", "auto", "shift-invert", "lanczos"])
+    @pytest.mark.parametrize("method", ["auto", "shift-invert", "lanczos"])
     def test_values_are_rayleigh_quotients_and_matvecs_counted(self, method, monkeypatch):
         # beta=20 puts 1.1e6 on the first diagonal, far above every state
-        # here; LAPACK's default bisection tolerance scales with it
-        grid = Grid1D(20.0, 0.02)
-        op = assemble_hamiltonian_1d(grid, 20.0, 1.0)
+        # here; LAPACK's default bisection tolerance scales with it.
+        # "shift-invert": auto on the mini wedge, the route it takes there
+        if method == "shift-invert":
+            grid = WedgeGrid2D(12.0, 16.0, 0.4)
+            op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
+        else:
+            grid = Grid1D(20.0, 0.02)
+            op = assemble_hamiltonian_1d(grid, 20.0, 1.0)
         k = 4
         matvec, shifted_factor = SymmetricSparseOperator.matvec, linalg._shifted_factor
         calls, factors = [], []
@@ -397,7 +428,8 @@ class TestSolverContract:
 
         monkeypatch.setattr(SymmetricSparseOperator, "matvec", counted_matvec)
         monkeypatch.setattr(linalg, "_shifted_factor", counted_factor)
-        res = lowest_eigenpairs(op, k, method=method)
+        res = lowest_eigenpairs(op, k, method="lanczos" if method == "lanczos" else "auto")
+        assert res.method == {"auto": "tridiagonal"}.get(method, method)
         v = res.vectors
         norms = np.einsum("ij,ij->j", v, v)
         np.testing.assert_allclose(norms, 1.0, rtol=0.0, atol=1e-12)  # unit on every route
@@ -469,17 +501,12 @@ def threads_inside(monkeypatch, owner, solver, op, method):
 
 
 class TestOneBlasThread:
-    @pytest.mark.parametrize("method", ["shift-invert", "lanczos"])
+    @pytest.mark.parametrize("method", [pytest.param("auto", id="shift-invert"), "lanczos"])
     def test_arpack_runs_on_one_thread_and_restores(self, monkeypatch, two_blas_threads,
                                                     method):
         import scipy.sparse.linalg as spla
 
         inside = threads_inside(monkeypatch, spla, "eigsh", mini_wedge_operator(), method)
-        assert inside == [[1] * len(two_blas_threads)]
-        assert blas_threads() == two_blas_threads
-
-    def test_dense_runs_on_one_thread_and_restores(self, monkeypatch, two_blas_threads):
-        inside = threads_inside(monkeypatch, linalg, "eigh", mini_wedge_operator(), "dense")
         assert inside == [[1] * len(two_blas_threads)]
         assert blas_threads() == two_blas_threads
 
@@ -499,7 +526,7 @@ class TestOneBlasThread:
                 "grid = WedgeGrid2D()\n"
                 "psi = np.random.default_rng(0).standard_normal((grid.n_active, 1))\n"
                 "psi /= np.sqrt(np.sum(psi**2))  # a unit vector, as every solve returns\n"
-                "sol = Solution(grid, EigenResult(np.zeros(1), psi, np.zeros(1)))\n"
+                "sol = Solution(grid, EigenResult(np.zeros(1), psi, np.zeros(1), 'given'))\n"
                 "print(repr(pair_distance_expectations(sol)))\n")
         src = str(Path(linalg.__file__).resolve().parents[1])
         distances = {
@@ -519,7 +546,7 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(spla, "eigsh", stalled)
         with pytest.raises(ConvergenceError):
-            lowest_eigenpairs(mini_wedge_operator(), 2, method="shift-invert")
+            lowest_eigenpairs(mini_wedge_operator(), 2)
         assert blas_threads() == two_blas_threads
 
     def test_overlapping_users_restore_once_the_last_leaves(self, two_blas_threads):
@@ -535,9 +562,9 @@ class TestOneBlasThread:
 
     def test_no_openblas_found_gives_the_same_pairs(self, monkeypatch):
         op = mini_wedge_operator()
-        limited = lowest_eigenpairs(op, 2, method="shift-invert")
+        limited = lowest_eigenpairs(op, 2)
         monkeypatch.setattr(linalg, "_openblas_threads", lambda: ())
-        plain = lowest_eigenpairs(op, 2, method="shift-invert")
+        plain = lowest_eigenpairs(op, 2)
         np.testing.assert_array_equal(plain.values, limited.values)
         np.testing.assert_array_equal(plain.vectors, limited.vectors)
 
@@ -563,9 +590,9 @@ class TestCountBelow:
     """The Sturm count of the banded route against every eigenvalue of the dense matrix."""
 
     @pytest.fixture(scope="class")
-    def small(self):
+    def small(self, dense_oracle):
         op = assemble_hamiltonian_1d(Grid1D(20.0, 0.1), 5.0, 1.0)
-        return op, eigh(op.csr.toarray(), eigvals_only=True)
+        return op, dense_oracle(op, op.n).values
 
     def test_counts_match_the_dense_oracle(self, small):
         op, levels = small
@@ -584,7 +611,7 @@ class TestCountBelow:
         with pytest.raises(ValueError, match="banded route"):
             lowest_eigenpairs(op, 1, below=0.0)
         with pytest.raises(ValueError, match="banded route"):
-            lowest_eigenpairs(dirichlet_box(10.0, 99)[0], 1, method="dense", below=0.0)
+            lowest_eigenpairs(dirichlet_box(10.0, 99)[0], 1, method="lanczos", below=0.0)
 
     def test_by_value_matches_by_index(self):
         # beta=1.898 of the benchmark pool holds exactly four bound states, so
@@ -618,7 +645,7 @@ class TestRouting:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 60), st.data(), st.integers(0, 2**32 - 1))
-    def test_auto_matches_dense_oracle(self, n, data, seed):
+    def test_auto_matches_dense_oracle(self, dense_oracle, n, data, seed):
         # random couplings plus a corner entry, so the operator is never tridiagonal
         k = data.draw(st.integers(1, max(1, n // 4)))
         rng = np.random.default_rng(seed)
@@ -628,7 +655,7 @@ class TestRouting:
         op = SymmetricSparseOperator(mat)
         res = lowest_eigenpairs(op, k)
         assert res.method == "shift-invert"
-        dense = lowest_eigenpairs(op, k, method="dense")
+        dense = dense_oracle(op, k)
         np.testing.assert_allclose(res.values, dense.values, rtol=0.0, atol=1e-8)
 
 
@@ -720,11 +747,11 @@ class TestNearShift:
         op, estimate = beta2
         assert lowest_eigenpairs(op, k, estimate=estimate).n_matvec < random_start
 
-    def test_non_z_matrix_estimate_ignored(self):
+    def test_non_z_matrix_estimate_ignored(self, dense_oracle):
         op = random_sparse_symmetric(400, seed=11)
-        e0 = lowest_eigenpairs(op, 1, method="dense").values[0]
-        plain = lowest_eigenpairs(op, 2, method="shift-invert")
-        hinted = lowest_eigenpairs(op, 2, method="shift-invert", estimate=e0 - 1e-3)
+        e0 = dense_oracle(op, 1).values[0]
+        plain = lowest_eigenpairs(op, 2)
+        hinted = lowest_eigenpairs(op, 2, estimate=e0 - 1e-3)
         assert hinted.shift_source == plain.shift_source == "gershgorin"
         assert hinted.shift == plain.shift
         assert hinted.n_matvec == plain.n_matvec  # no certificate solve was spent
@@ -732,10 +759,11 @@ class TestNearShift:
 
     def test_exactly_singular_shift_falls_back(self):
         # sigma lands on the eigenvalue 2 of a diagonal operator (Gershgorin bound 0)
-        op = SymmetricSparseOperator(sp.diags(np.arange(40.0), format="csr"))
+        op = with_corner_zeros(np.arange(40.0))
         estimate = 2.0 / (1.0 - ESTIMATE_SHIFT_MARGIN)
         assert estimate - ESTIMATE_SHIFT_MARGIN * estimate == 2.0
-        res = lowest_eigenpairs(op, 3, method="shift-invert", estimate=estimate)
+        res = lowest_eigenpairs(op, 3, estimate=estimate)
+        assert res.method == "shift-invert"
         assert res.shift_source == "gershgorin" and res.shift < 0.0
         np.testing.assert_allclose(res.values, [0.0, 1.0, 2.0], rtol=0.0, atol=1e-10)
 
@@ -748,8 +776,7 @@ class TestNearShift:
         assert hinted.shift_source == "gershgorin"
         assert hinted.n_matvec == plain.n_matvec
 
-    @pytest.mark.parametrize("method", ["dense", pytest.param("auto", id="tridiagonal"),
-                                        "lanczos"])
+    @pytest.mark.parametrize("method", [pytest.param("auto", id="tridiagonal"), "lanczos"])
     def test_estimate_unused_off_shift_invert(self, method):
         op, _, _ = dirichlet_box(10.0, 199)
         res = lowest_eigenpairs(op, 2, method=method, estimate=0.0)

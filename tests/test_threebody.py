@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 from helixdipoles import threebody
 from helixdipoles.cli import RunConfig
 from helixdipoles.errors import DimensionError, GeometryError, GridError
-from helixdipoles.linalg import (DENSE_CUTOFF, EigenResult, SymmetricSparseOperator,
-                                 lowest_eigenpairs)
+from helixdipoles.linalg import EigenResult, SymmetricSparseOperator, lowest_eigenpairs
 from helixdipoles.potential import reduced_potential
 from helixdipoles.threebody import (
     FIRST_MINIMUM_XY,
@@ -186,7 +185,7 @@ class TestWedgeGrid:
         assert (grid.x_max, grid.y_max) == (43 * 0.7, 57 * 0.7)
         assert WedgeGrid2D(12.0, 16.0, 0.4).coarsened(4).x_max == 8 * 1.6  # 7.5 cells
         # a unit field: zero only off the lattice; both points are their own wedge image
-        ones = EigenResult(np.zeros(1), np.ones((grid.n_active, 1)), np.zeros(1))
+        ones = EigenResult(np.zeros(1), np.ones((grid.n_active, 1)), np.zeros(1), method="given")
         sol = ThreeBodySolution(grid=grid, eigen=ones, distances=(0.0, 0.0, 0.0))
         psi, n_outside = symmetrize_wavefunction(sol, "boson", 5.0, 39.95)
         assert (psi, n_outside) == (0.0, 1)
@@ -268,7 +267,7 @@ class TestAssembly2D:
         np.testing.assert_array_equal(csr.indices, ref.indices)
         assert csr.data.tobytes() == ref.data.tobytes()
 
-    def test_pair_reduced_mass_convention(self):
+    def test_pair_reduced_mass_convention(self, dense_oracle):
         # Only the pair-12 term, beta V(sqrt(2) x), on a rectangle in x, y > 0:
         # the problem separates.  With phi12 = sqrt(2) x the kinetic term along
         # x is -(d/dphi12)^2, twice the two-body one, because every particle
@@ -280,7 +279,7 @@ class TestAssembly2D:
         index[1:-1, 1:-1] = np.arange((n_x - 1) * (n_y - 1)).reshape(n_x - 1, n_y - 1)
         pot = beta * reduced_potential(math.sqrt(2.0) * h * np.arange(1, n_x), 1.0)
         op = SymmetricSparseOperator.on_lattice(index, h, np.repeat(pot, n_y - 1))
-        e0 = lowest_eigenpairs(op, 1, method="dense").values[0]
+        e0 = dense_oracle(op, 1).values[0]
         length = n_x * math.sqrt(2.0) * h
         pair = solve_two_body(Grid1D(length, length / n_x), beta / 2.0, 1.0, 1)
         e_y = (1.0 - math.cos(math.pi / n_y)) / h**2
@@ -323,8 +322,7 @@ class TestAssembly2D:
 
         monkeypatch.setattr(threebody, "assemble_hamiltonian_2d", no_assembly)
         grid = WedgeGrid2D(12.0, 16.0, 0.2)
-        assert grid.n_active > DENSE_CUTOFF
-        with pytest.raises(DimensionError, match="dense"):
+        with pytest.raises(ValueError, match="unknown method 'dense'"):
             solve_three_body(grid, 1.0, 1.0, 1, method="dense", allow_small_box=True)
 
     @given(st.data())
@@ -354,7 +352,7 @@ class TestCoarseEstimate:
         monkeypatch.setattr(threebody, "lowest_eigenpairs", recorded)
         return calls
 
-    @pytest.mark.parametrize("method", ["auto", "shift-invert"])
+    @pytest.mark.parametrize("method", ["auto"])  # the one choice that takes shift-invert
     def test_shift_invert_solves_the_coarse_box_first(self, solves, method):
         grid = WedgeGrid2D(12.0, 16.0, 0.2)
         sol = solve_three_body(grid, 1.0, 1.0, 2, method=method, allow_small_box=True)
@@ -367,7 +365,7 @@ class TestCoarseEstimate:
         assert sol.eigen.shift < sol.energies[0]
         np.testing.assert_allclose(sol.energies, MINI_E_DX02[:2], atol=1e-8)
 
-    @pytest.mark.parametrize("method", ["dense", "lanczos"])
+    @pytest.mark.parametrize("method", ["lanczos"])
     def test_forced_paths_run_no_coarse_solve(self, solves, method):
         grid = WedgeGrid2D(12.0, 16.0, 0.4)
         sol = solve_three_body(grid, 1.0, 1.0, 2, method=method, allow_small_box=True)
@@ -384,10 +382,10 @@ class TestCoarseEstimate:
 
 
 class TestMiniWedgeReferences:
-    def test_dense_reference_dx05(self):
+    def test_dense_reference_dx05(self, dense_oracle):
         grid = WedgeGrid2D(12.0, 16.0, 0.5)
         op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
-        res = lowest_eigenpairs(op, 4, method="dense")
+        res = dense_oracle(op, 4)
         np.testing.assert_allclose(res.values, MINI_E_DX05, atol=1e-8)
 
     def test_dense_reference_dx04(self, mini_wedge_solves):
