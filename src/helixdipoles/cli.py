@@ -39,7 +39,7 @@ from ._csvcells import format_block
 from .analysis import build_size_scan, check_fit_window, fit_harmonic_size, size_energy_product
 from .errors import (ConvergenceError, GeometryError, HelixDipolesError, check_count,
                      check_positive, is_real)
-from .linalg import DEFAULT_SEED, METHODS
+from .linalg import DEFAULT_SEED, METHODS, Solution
 from .potential import (TWO_PI, HelixGeometry, energy_unit_joules, find_minima,
                         reduced_potential, validate_coupling, validate_geometry)
 from .threebody import WedgeGrid2D, default_box, solve_three_body, symmetrize_wavefunction
@@ -227,19 +227,26 @@ def _metadata(cfg: RunConfig, extra: dict) -> dict:
     return record
 
 
-def _eigen_summary(eigen) -> dict:
-    summary = {
-        "solver_method": eigen.method,
-        "solver_seed": "none" if eigen.seed is None else eigen.seed,
-        "max_residual_norm": float(eigen.residual_norms.max()),
-        "matvec_count": eigen.n_matvec,
-    }
+def _energies(values, suffix: str = "") -> dict:
+    """``E<m><suffix>`` for state ``m`` of ``values``, lowest first: the one energy-key rule."""
+    return {f"E{m}{suffix}": float(e) for m, e in enumerate(values)}
+
+
+def _solve_record(cfg: RunConfig, sol: Solution, layout: dict, extra: dict) -> dict:
+    """The summary of a solve: coupling, grid and observables, ``E<m>``, extras, evidence."""
+    eigen = sol.eigen
+    record = {"beta": cfg.beta, "ratio": cfg.ratio, **layout, **_energies(sol.energies),
+              **extra,
+              "solver_method": eigen.method,
+              "solver_seed": "none" if eigen.seed is None else eigen.seed,
+              "max_residual_norm": float(eigen.residual_norms.max()),
+              "matvec_count": eigen.n_matvec}
     if eigen.method == "shift-invert":
-        summary["factor_nnz"] = eigen.factor_nnz
-        summary["solver_shift"] = eigen.shift
+        record["factor_nnz"] = eigen.factor_nnz
+        record["solver_shift"] = eigen.shift
         # the only estimate a run hands the solver is a coarse wedge's E0
-        summary["shift_source"] = "coarse" if eigen.shift_source == "estimate" else "gershgorin"
-    return summary
+        record["shift_source"] = "coarse" if eigen.shift_source == "estimate" else "gershgorin"
+    return record
 
 
 def _energy_unit(cfg: RunConfig) -> float | None:
@@ -286,17 +293,11 @@ def _run_two_body(cfg: RunConfig) -> tuple[dict, dict]:
         tables["wavefunctions_full_line.csv"] = (header, np.column_stack(
             [columns[0][0]] + [psi for _, psi in columns]))
     peak = grid.nodes[int(np.argmax(np.abs(sol.wavefunction(0))))]
-    summary: dict = {"beta": cfg.beta, "ratio": cfg.ratio,
-                     "n_points": grid.n_points, "spacing": grid.spacing,
-                     "bound_count": sol.bound_count, "peak_phi": peak}
-    for m, e in enumerate(sol.energies):
-        summary[f"E{m}"] = float(e)
-    if unit is not None:
-        summary["energy_unit_joules"] = unit
-        for m, e in enumerate(sol.energies):
-            summary[f"E{m}_joules"] = float(e) * unit
-    summary.update(_eigen_summary(sol.eigen))
-    return tables, summary
+    layout = {"n_points": grid.n_points, "spacing": grid.spacing,
+              "bound_count": sol.bound_count, "peak_phi": peak}
+    joules = {} if unit is None else {"energy_unit_joules": unit,
+                                      **_energies(sol.energies * unit, "_joules")}
+    return tables, _solve_record(cfg, sol, layout, joules)
 
 
 def _run_three_body(cfg: RunConfig) -> tuple[dict, dict]:
@@ -318,30 +319,23 @@ def _run_three_body(cfg: RunConfig) -> tuple[dict, dict]:
                                      np.column_stack([grid.x, grid.y, psi0]))}
     peak = int(np.argmax(np.abs(psi0)))
     d12, d23, d13 = sol.distances
-    summary: dict = {
-        "beta": cfg.beta, "ratio": cfg.ratio,
-        "x_max": grid.x_max, "y_max": grid.y_max, "spacing": grid.spacing,
-        "n_active_nodes": grid.n_active,
-        "peak_x": grid.x[peak], "peak_y": grid.y[peak],
-        "dist_12_windings": d12, "dist_23_windings": d23, "dist_13_windings": d13,
-    }
-    for m, e in enumerate(sol.energies):
-        summary[f"E{m}"] = float(e)
+    layout = {"x_max": grid.x_max, "y_max": grid.y_max, "spacing": grid.spacing,
+              "n_active_nodes": grid.n_active, "peak_x": grid.x[peak], "peak_y": grid.y[peak],
+              "dist_12_windings": d12, "dist_23_windings": d23, "dist_13_windings": d13}
+    extra = {}
     if cfg.symmetrize:
         psi_map, n_outside = symmetrize_wavefunction(sol, cfg.statistics, xg, yg)
         tables["symmetrized.csv"] = (["x", "y", "psi"], np.column_stack(
             [xg.ravel(), yg.ravel(), psi_map.ravel()]))
-        summary["symmetrize_statistics"] = cfg.statistics
-        summary["samples_outside_box"] = n_outside
-    summary.update(_eigen_summary(sol.eigen))
-    return tables, summary
+        extra = {"symmetrize_statistics": cfg.statistics, "samples_outside_box": n_outside}
+    return tables, _solve_record(cfg, sol, layout, extra)
 
 
 def _run_scan(cfg: RunConfig) -> tuple[dict, dict]:
     betas = cfg.betas or tuple(round(0.1 * i, 10) for i in range(1, 15))
     grid = Grid1D(cfg.box_length, cfg.spacing_1d)
     rows = scan_beta(betas, grid, cfg.ratio, cfg.k_states)
-    header = ["beta"] + [f"E{m}" for m in range(cfg.k_states)] + ["bound_count"]
+    header = ["beta", *_energies(range(cfg.k_states)), "bound_count"]
     csv_rows = []
     failures = []
     for row in rows:
@@ -433,7 +427,7 @@ def run(cfg: RunConfig) -> int:
             emit_summary(_metadata(cfg, record), out / "metadata.txt")
             if status == "not_converged":  # the pairs ARPACK did converge, flagged
                 energies = () if exc.result is None else exc.result[0]
-                record.update({f"E{m}_unconverged": float(e) for m, e in enumerate(energies)})
+                record.update(_energies(energies, "_unconverged"))
                 emit_summary(record, out / "summary.txt")
         except OSError as write_exc:  # the directory itself cannot be written
             print(f"error: cannot write output: {write_exc}", file=sys.stderr)

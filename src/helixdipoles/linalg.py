@@ -1,13 +1,12 @@
 """Symmetric sparse lattice operators and extraction of their lowest eigenpairs.
 
 Every Hamiltonian of the package is built row-compressed by
-:meth:`SymmetricSparseOperator.on_lattice`, symmetric with every diagonal
-entry stored by construction; that is not re-checked.  Solves are routed
-by structure alone: tridiagonal operators go to a direct banded solver
-(LAPACK bisection, to a tolerance scaled by the operator's own level
-spacing, then inverse iteration), everything else to ARPACK's own
-shift-invert mode, with ``H - sigma`` factored once by sparse LU.  Asked
-only for the states below an energy, the banded route first counts them
+:meth:`SymmetricSparseOperator.on_lattice`, symmetric by construction; that
+is not re-checked.  Solves are routed by structure alone: tridiagonal
+operators go to a direct banded solver (LAPACK bisection, to a tolerance
+scaled by the operator's own level spacing, then inverse iteration),
+everything else to ARPACK's own shift-invert mode, with ``H - sigma``
+factored once by sparse LU.  Asked only for the states below an energy, the banded route first counts them
 by one Sturm count (:func:`count_below`) and, when they are at most ``k``,
 bisects them by value on the bracket (Gershgorin floor, energy] instead of
 by index over the whole Gershgorin interval.
@@ -86,10 +85,10 @@ SUPERLU_PANEL_SIZE = 3
 
 @dataclass(frozen=True)
 class SymmetricSparseOperator:
-    """Row-compressed real symmetric operator with an explicit full diagonal.
+    """Row-compressed real symmetric operator.
 
-    Both are preconditions on ``csr``, not checked: :meth:`on_lattice`
-    guarantees them, and an operator built by hand must meet them.
+    Symmetry is a precondition on ``csr``, not checked: :meth:`on_lattice`
+    guarantees it, and an operator built by hand must meet it.
     """
 
     csr: sp.csr_matrix
@@ -309,8 +308,10 @@ def lowest_eigenpairs(
 def _gershgorin(op) -> tuple[float, float]:
     """The Gershgorin bound ``g = min_i (2 a_ii - sum_j |a_ij|)``, below which no
     eigenvalue of ``op`` lies, and the floor ``g - 1e-3 max(1, |g|)`` below every disc."""
-    # the stored diagonal, a precondition of the operator, leaves no row empty for reduceat
-    radii = np.add.reduceat(np.abs(op.csr.data), op.csr.indptr[:-1])
+    indptr = op.csr.indptr
+    rows = np.flatnonzero(np.diff(indptr))  # reduceat misreads a row that stores no entry
+    radii = np.zeros(op.n)
+    radii[rows] = np.add.reduceat(np.abs(op.csr.data), indptr[rows])
     lower = float(np.min(2.0 * op.csr.diagonal() - radii))
     return lower, lower - 1e-3 * max(1.0, abs(lower))
 

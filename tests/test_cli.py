@@ -434,6 +434,38 @@ MINI_WEDGE = ["three-body", "--x-max", "12", "--y-max", "16", "--spacing", "0.4"
 SMALL_FIT = ["fit", "--betas", "5,7.5,10,12.5", "--box-length", "40", "--spacing", "0.05"]
 
 
+def fail_to_converge(*args, **kwargs):
+    raise ConvergenceError("cap reached", result=(np.array([-0.3, -0.02]), None))
+
+
+class TestSummaryLayout:
+    """The key order of summary.txt, part of its bytes that read_keyvalue's dict hides."""
+
+    TWO_BODY = ["beta", "ratio", "n_points", "spacing", "bound_count", "peak_phi",
+                "E0", "E1", "E2", "energy_unit_joules", "E0_joules", "E1_joules", "E2_joules"]
+    WEDGE = ["beta", "ratio", "x_max", "y_max", "spacing", "n_active_nodes", "peak_x", "peak_y",
+             "dist_12_windings", "dist_23_windings", "dist_13_windings", "E0", "E1", "E2", "E3",
+             "symmetrize_statistics", "samples_outside_box"]
+    EVIDENCE = ["solver_method", "solver_seed", "max_residual_norm", "matvec_count"]
+    SHIFT_INVERT = ["factor_nnz", "solver_shift", "shift_source"]
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["two-body", "--mass-kg", "2.2e-25", "--radius-m", "1e-6", "--full-line"],
+         TWO_BODY + EVIDENCE),
+        (MINI_WEDGE + ["--symmetrize", "--solver", "auto"], WEDGE + EVIDENCE + SHIFT_INVERT),
+        (MINI_WEDGE + ["--symmetrize", "--solver", "lanczos"], WEDGE + EVIDENCE),
+    ], ids=["two-body-joules", "three-body-auto", "three-body-lanczos"])
+    def test_key_order(self, argv, keys, tmp_path):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        assert list(read_keyvalue(tmp_path / "summary.txt")) == keys + ["status"]
+
+    def test_unconverged_key_order(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("helixdipoles.cli.solve_two_body", fail_to_converge)
+        assert run(RunConfig(problem="two-body", out_dir=str(tmp_path))) == 4
+        assert list(read_keyvalue(tmp_path / "summary.txt")) == [
+            "status", "error", "E0_unconverged", "E1_unconverged"]
+
+
 class TestExitCodes:
     def test_unknown_problem(self, tmp_path):
         assert run(RunConfig(problem="four-body", out_dir=str(tmp_path))) == 2
@@ -549,13 +581,7 @@ class TestExitCodes:
         assert read_keyvalue(tmp_path / "metadata.txt")["status"] == "config_error"
 
     def test_convergence_failure(self, tmp_path, monkeypatch):
-        import numpy as np
-
-        def explode(*args, **kwargs):
-            raise ConvergenceError("cap reached",
-                                   result=(np.array([-0.3, -0.02]), None))
-
-        monkeypatch.setattr("helixdipoles.cli.solve_two_body", explode)
+        monkeypatch.setattr("helixdipoles.cli.solve_two_body", fail_to_converge)
         cfg = RunConfig(problem="two-body", out_dir=str(tmp_path))
         assert run(cfg) == 4
         summary = read_keyvalue(tmp_path / "summary.txt")

@@ -664,6 +664,38 @@ def gershgorin_bound(op):
     return float(np.min(2.0 * op.csr.diagonal() - radii))
 
 
+def with_empty_last_row(n=40):
+    """A random symmetric operator whose last row and column store no entry."""
+    mat = random_sparse_symmetric(n, density=0.1).csr.tolil()
+    mat[n - 1, :] = 0.0
+    mat[:, n - 1] = 0.0
+    return SymmetricSparseOperator(mat.tocsr())
+
+
+class TestRowsWithoutEntries:
+    """Hand-built operators may leave a row empty: no diagonal entry stored."""
+
+    @pytest.mark.parametrize("op", [
+        SymmetricSparseOperator(sp.diags(np.arange(40.0), format="csr")),  # drops its 0
+        with_empty_last_row(),
+    ], ids=["dropped-zero-diagonal", "empty-last-row"])
+    def test_gershgorin_bound_matches_the_row_sums(self, op):
+        assert np.diff(op.csr.indptr).min() == 0
+        lower, floor = linalg._gershgorin(op)
+        assert lower == gershgorin_bound(op)
+        assert floor < lower
+
+    def test_empty_last_row_matches_dense_oracle(self, dense_oracle):
+        op = with_empty_last_row()
+        assert np.diff(op.csr.indptr)[-1] == 0
+        res = lowest_eigenpairs(op, 3)
+        assert res.method == "shift-invert"
+        dense = dense_oracle(op, 3)
+        np.testing.assert_allclose(res.values, dense.values, rtol=0.0, atol=1e-9)
+        for i in range(3):
+            assert align(res.vectors[:, i], dense.vectors[:, i]) < 1e-6
+
+
 class TestNearShift:
     """Shift-invert with an ``estimate`` of the lowest eigenvalue."""
 

@@ -46,11 +46,6 @@ class TestHelixGeometry:
         geo = HelixGeometry(radius_R=radius, pitch_h=pitch)
         assert geo.alpha**2 == pytest.approx(radius**2 + (pitch / TWO_PI) ** 2, rel=1e-14)
 
-    @pytest.mark.parametrize("radius", [math.inf, math.nan, -math.inf])
-    def test_non_finite_radius_rejected(self, radius):
-        with pytest.raises(GeometryError, match="finite"):
-            HelixGeometry(radius_R=radius, pitch_h=1.0)
-
 
 class TestCartesianPosition:
     @pytest.mark.parametrize(
@@ -223,15 +218,6 @@ class TestBetaFromPhysical:
         geo = HelixGeometry(radius_R=1e-6, pitch_h=1e-6)
         assert beta_from_physical(dip, geo) == pytest.approx(2.028309145085929, rel=1e-12)
 
-    def test_positivity_enforced(self):
-        with pytest.raises(ValueError):
-            PhysicalDipole(mass_m=-1.0, dipole_moment_d=1.0)
-        for name in ("mass_m", "dipole_moment_d", "vacuum_permittivity"):
-            for bad in (math.nan, math.inf, -math.inf):
-                fields = {"mass_m": 1.0, "dipole_moment_d": 1.0, name: bad}
-                with pytest.raises(ValueError, match=name):
-                    PhysicalDipole(**fields)
-
 
 class TestEnergyUnit:
     def test_pair_reduced_mass_unit(self):
@@ -252,11 +238,6 @@ class TestEnergyUnit:
         prefactor = moment**2 / (2.0 * math.pi * dip.vacuum_permittivity * radius**3)
         assert beta_from_physical(dip, geo) * energy_unit_joules(mass, geo) == pytest.approx(
             prefactor, rel=1e-12)
-
-    @pytest.mark.parametrize("mass", [0.0, -1e-25, math.nan, math.inf])
-    def test_bad_mass_rejected(self, mass):
-        with pytest.raises(ValueError, match="mass_m"):
-            energy_unit_joules(mass, HelixGeometry(1e-6, 1e-6))
 
 
 class TestValidateGeometry:
