@@ -6,14 +6,15 @@ is not re-checked.  Solves are routed by structure alone: tridiagonal
 operators go to a direct banded solver (LAPACK bisection, to a tolerance
 scaled by the operator's own level spacing, then inverse iteration),
 everything else to ARPACK's own shift-invert mode, with ``H - sigma``
-factored once by sparse LU.  Asked only for the states below an energy, the banded route first counts them
-by one Sturm count (:func:`count_below`) and, when they are at most ``k``,
-bisects them by value on the bracket (Gershgorin floor, energy] instead of
-by index over the whole Gershgorin interval.
-``sigma`` sits just below a caller's estimate of the lowest eigenvalue
-when one LU solve certifies that
-``H - sigma`` is a nonsingular M-matrix (so ``sigma`` lies below the whole
-spectrum), and below the Gershgorin bound otherwise.  The one other
+factored once by sparse LU.  Asked only for the states below an energy,
+the banded route first counts them by one Sturm count (:func:`count_below`)
+and, when they are at most ``k``, bisects them by value on the bracket
+(Gershgorin floor, energy] instead of by index over the whole Gershgorin
+interval.  ``sigma`` sits just below a caller's estimate of the lowest
+eigenvalue when one LU solve certifies that ``H - sigma`` is a nonsingular
+M-matrix (so ``sigma`` lies below the whole spectrum), and below the
+Gershgorin bound otherwise.  Each Gershgorin radius is scipy's row sum of
+``|H|`` over the stored entries, 0 on a row that stores none.  The one other
 choice, plain Lanczos on the operator (``lanczos``), is only taken when
 forced; the dense oracle the routes are checked against lives in the test
 suite.  ARPACK's own restart limit bounds the iteration; when it stops
@@ -307,11 +308,9 @@ def lowest_eigenpairs(
 
 def _gershgorin(op) -> tuple[float, float]:
     """The Gershgorin bound ``g = min_i (2 a_ii - sum_j |a_ij|)``, below which no
-    eigenvalue of ``op`` lies, and the floor ``g - 1e-3 max(1, |g|)`` below every disc."""
-    indptr = op.csr.indptr
-    rows = np.flatnonzero(np.diff(indptr))  # reduceat misreads a row that stores no entry
-    radii = np.zeros(op.n)
-    radii[rows] = np.add.reduceat(np.abs(op.csr.data), indptr[rows])
+    eigenvalue of ``op`` lies, and the floor ``g - 1e-3 max(1, |g|)`` below every disc.
+    Each radius is scipy's row sum of ``|op|``, 0 on a row that stores no entry."""
+    radii = np.ravel(abs(op.csr).sum(axis=1))
     lower = float(np.min(2.0 * op.csr.diagonal() - radii))
     return lower, lower - 1e-3 * max(1.0, abs(lower))
 

@@ -177,6 +177,23 @@ class TestOnLattice:
         assert lower == gershgorin_bound(op)
         assert floor < lower
 
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9)),
+           st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
+    def test_gershgorin_bound_lies_below_the_spectrum(self, dense_oracle, mask, spacing, seed):
+        assume(mask.any())
+        potential = np.random.default_rng(seed).uniform(-3.0, 3.0, int(mask.sum()))
+        op = SymmetricSparseOperator.on_lattice(numbered(mask), spacing, potential)
+        assert_below_spectrum(op, dense_oracle)
+
+
+def assert_below_spectrum(op, dense_oracle):
+    """No eigenvalue lies below the Gershgorin bound, and the floor is strictly below all."""
+    lower, floor = linalg._gershgorin(op)
+    lowest = dense_oracle(op, 1).values[0]
+    assert lower <= lowest
+    assert floor < lowest
+
 
 class TestLowestEigenpairs:
     def test_box_spectrum_all_paths(self, dense_oracle):
@@ -672,13 +689,31 @@ def with_empty_last_row(n=40):
     return SymmetricSparseOperator(mat.tocsr())
 
 
+def with_duplicate_entries():
+    """[[2, -2, 0], [-2, 2, 0], [0, 0, 1]], each -2 stored as -3 and +1 (spectrum 0, 1, 4)."""
+    data = [2.0, -3.0, 1.0, 1.0, -3.0, 2.0, 1.0]
+    return SymmetricSparseOperator(sp.csr_matrix((data, [0, 1, 1, 0, 0, 1, 2], [0, 3, 6, 7]),
+                                                 shape=(3, 3)))
+
+
+#: Hand-built operators that leave a row empty: no diagonal entry stored.
+EMPTY_ROW_OPERATORS = {
+    "dropped-zero-diagonal": SymmetricSparseOperator(sp.diags(np.arange(40.0), format="csr")),
+    "empty-last-row": with_empty_last_row(),
+}
+
+
+@pytest.mark.parametrize("op", [
+    *EMPTY_ROW_OPERATORS.values(), random_sparse_symmetric(300), with_duplicate_entries(),
+], ids=[*EMPTY_ROW_OPERATORS, "random", "duplicate-entries"])
+def test_gershgorin_bound_lies_below_the_spectrum(op, dense_oracle):
+    assert_below_spectrum(op, dense_oracle)
+
+
 class TestRowsWithoutEntries:
     """Hand-built operators may leave a row empty: no diagonal entry stored."""
 
-    @pytest.mark.parametrize("op", [
-        SymmetricSparseOperator(sp.diags(np.arange(40.0), format="csr")),  # drops its 0
-        with_empty_last_row(),
-    ], ids=["dropped-zero-diagonal", "empty-last-row"])
+    @pytest.mark.parametrize("op", EMPTY_ROW_OPERATORS.values(), ids=EMPTY_ROW_OPERATORS.keys())
     def test_gershgorin_bound_matches_the_row_sums(self, op):
         assert np.diff(op.csr.indptr).min() == 0
         lower, floor = linalg._gershgorin(op)
