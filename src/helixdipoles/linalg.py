@@ -309,8 +309,10 @@ def lowest_eigenpairs(
 def _gershgorin(op) -> tuple[float, float]:
     """The Gershgorin bound ``g = min_i (2 a_ii - sum_j |a_ij|)``, below which no
     eigenvalue of ``op`` lies, and the floor ``g - 1e-3 max(1, |g|)`` below every disc.
-    Each radius is scipy's row sum of ``|op|``, 0 on a row that stores no entry."""
-    radii = np.ravel(abs(op.csr).sum(axis=1))
+    Each radius is scipy's row sum of ``|op|``, 0 on a row that stores no entry,
+    on a copy where scipy's ``abs`` would sum duplicates in the caller's CSR."""
+    csr = op.csr if op.csr.has_canonical_format else op.csr.copy()
+    radii = np.ravel(abs(csr).sum(axis=1))
     lower = float(np.min(2.0 * op.csr.diagonal() - radii))
     return lower, lower - 1e-3 * max(1.0, abs(lower))
 

@@ -10,8 +10,7 @@ Everything here is expressed through the dimensionless reduced potential
     V(phi) = [1 - cos(phi) - (ratio*phi/2pi)^2]
              / (2*[1 - cos(phi)] + (ratio*phi/2pi)^2)^(5/2)
 
-with ``ratio = h/R``.  The reduced form is the canonical evaluator; the
-dimensionful pair energy is a thin prefactor wrapper around it.
+with ``ratio = h/R``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import epsilon_0 as EPSILON_0
 from scipy.constants import hbar as HBAR
 
 from .errors import CoincidenceError, GeometryError, check_count, check_positive
@@ -43,8 +41,7 @@ class HelixGeometry:
     """Helical trap: radius ``radius_R`` and pitch ``pitch_h`` (rise per turn).
 
     The derived arc parameter ``alpha`` converts winding angle to arc length
-    (s = alpha * phi); the dimensionless ``ratio`` h/R fixes all reduced
-    physics.
+    (s = alpha * phi).
     """
 
     radius_R: float
@@ -59,27 +56,6 @@ class HelixGeometry:
         """Arc length per unit winding angle, sqrt(R^2 + (h/2pi)^2)."""
         return math.hypot(self.radius_R, self.pitch_h / TWO_PI)
 
-    @property
-    def ratio(self) -> float:
-        """Pitch-to-radius ratio h/R."""
-        return self.pitch_h / self.radius_R
-
-
-@dataclass(frozen=True)
-class PhysicalDipole:
-    """A particle with mass, electric dipole moment and the permittivity scale.
-
-    SI units throughout; ``vacuum_permittivity`` defaults to the CODATA value
-    and is a field so tests can exercise the unit arithmetic exactly.
-    """
-
-    mass_m: float
-    dipole_moment_d: float
-    vacuum_permittivity: float = EPSILON_0
-
-    def __post_init__(self) -> None:
-        check_positive(ValueError, **vars(self))  # every field
-
 
 @dataclass(frozen=True)
 class PotentialMinimum:
@@ -93,17 +69,6 @@ class PotentialMinimum:
     phi_k: float
     value: float
     winding_index: int
-
-
-def cartesian_position(phi, geo: HelixGeometry):
-    """Map winding angle(s) to 3D coordinates (R sin phi, R cos phi, h phi/2pi)."""
-    phi = np.asarray(phi, dtype=float)
-    x = geo.radius_R * np.sin(phi)
-    y = geo.radius_R * np.cos(phi)
-    z = geo.pitch_h * phi / TWO_PI
-    if phi.ndim == 0:
-        return float(x), float(y), float(z)
-    return x, y, z
 
 
 def _fraction(phi, ratio: float):
@@ -150,44 +115,17 @@ def reduced_potential_derivative(phi, ratio: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _dipole_energy(dip: PhysicalDipole, geo: HelixGeometry) -> float:
-    """Pair energy scale d^2 / (2 pi eps0 R^3) of the reduced potential, in joules."""
-    return dip.dipole_moment_d**2 / (2.0 * math.pi * dip.vacuum_permittivity * geo.radius_R**3)
-
-
-def full_potential(phi_i, phi_j, geo: HelixGeometry, dip: PhysicalDipole):
-    """Dimensionful pair energy of two dipoles at angles ``phi_i`` and ``phi_j``.
-
-    Equal to the 3D aligned dipole-dipole energy evaluated at the helix
-    positions; depends on the angles only through their difference.  The
-    prefactor is d^2 / (2 pi eps0 R^3) times the reduced potential (the
-    factor-of-two relative to the bare d^2/(4 pi eps0 R^3) scale comes from
-    the numerator of the 3D form, 2R^2[1-cos] - 2h^2(phi/2pi)^2).
-    """
-    phi = np.asarray(phi_i, dtype=float) - np.asarray(phi_j, dtype=float)
-    return _dipole_energy(dip, geo) * reduced_potential(phi, geo.ratio)
-
-
 def energy_unit_joules(mass_m: float, geo: HelixGeometry) -> float:
     """Energy unit hbar^2 / (mu alpha^2) of every solver, in joules.
 
     ``mu = m/2`` is the reduced mass of a pair of particles of mass
-    ``mass_m`` (kg); this is the one place it is defined.
+    ``mass_m`` (kg); this is the one place it is defined.  The coupling
+    beta is the pair energy scale d^2 / (2 pi eps0 R^3) of
+    :func:`reduced_potential` in this unit.
     """
     check_positive(ValueError, mass_m=mass_m)
     mu = mass_m / 2.0
     return HBAR**2 / (mu * geo.alpha**2)
-
-
-def beta_from_physical(dip: PhysicalDipole, geo: HelixGeometry) -> float:
-    """Dimensionless coupling strength for a physical dipole pair on a helix.
-
-    The pair energy scale d^2 / (2 pi eps0 R^3) in units of
-    :func:`energy_unit_joules`: beta = mu d^2 / (2 pi eps0 R hbar^2) * (alpha/R)^2.
-    Doubling the dipole moment quadruples beta; in the ring limit h = 0 the
-    geometric factor (alpha/R)^2 is 1.
-    """
-    return _dipole_energy(dip, geo) / energy_unit_joules(dip.mass_m, geo)
 
 
 def validate_geometry(ratio: float) -> None:

@@ -770,6 +770,9 @@ class TestReadmeLibraryExample:
         names: dict = {}
         exec(block.split("```", 1)[0], names)
         assert names["phi0"] == pytest.approx(6.2051, abs=5e-5)
+        # the unit arithmetic checked by hand (hbar = 6.62607015e-34 / 2pi J s,
+        # eps0 = 8.8541878128e-12 F/m); scipy's CODATA eps0 moves it by 7e-10
+        assert names["beta"] == pytest.approx(2.028309145085929, rel=1e-9)
         assert names["two"].bound_count == 3
         assert tuple(np.round(names["three"].distances, 3)) == (1.014, 1.014, 2.027)
 

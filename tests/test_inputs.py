@@ -21,8 +21,8 @@ from helixdipoles.errors import (DimensionError, GeometryError, GridError, check
                                  is_integer, is_real)
 from helixdipoles.linalg import (Solution, SymmetricSparseOperator, count_below,
                                 lowest_eigenpairs)
-from helixdipoles.potential import (HelixGeometry, PhysicalDipole, energy_unit_joules,
-                                    find_minima, validate_coupling, validate_geometry)
+from helixdipoles.potential import (HelixGeometry, energy_unit_joules, find_minima,
+                                    validate_coupling, validate_geometry)
 from helixdipoles.threebody import WedgeGrid2D, default_box
 from helixdipoles.twobody import Grid1D, assemble_hamiltonian_1d, extend_full_line
 
@@ -42,10 +42,6 @@ def _pair():
     return Solution(grid, lowest_eigenpairs(assemble_hamiltonian_1d(grid, 1.0, 1.0), 2))
 
 
-def _dipole(**bad):
-    return PhysicalDipole(**{"mass_m": 1.0, "dipole_moment_d": 1.0, **bad})
-
-
 #: site: (call with the value, error type, whether zero is accepted)
 SCALARS = {
     "Grid1D-phi_max": (lambda v: Grid1D(v), GridError, False),  # the default spacing
@@ -56,10 +52,6 @@ SCALARS = {
     "WedgeGrid2D-spacing": (lambda v: WedgeGrid2D(12.0, 16.0, v), GridError, False),
     "HelixGeometry-radius_R": (lambda v: HelixGeometry(v, 1.0), GeometryError, False),
     "HelixGeometry-pitch_h": (lambda v: HelixGeometry(1.0, v), GeometryError, True),
-    "PhysicalDipole-mass_m": (lambda v: _dipole(mass_m=v), ValueError, False),
-    "PhysicalDipole-dipole_moment_d": (lambda v: _dipole(dipole_moment_d=v), ValueError, False),
-    "PhysicalDipole-vacuum_permittivity": (lambda v: _dipole(vacuum_permittivity=v),
-                                           ValueError, False),
     "energy_unit_joules-mass_m": (lambda v: energy_unit_joules(v, HelixGeometry(1e-6, 1e-6)),
                                   ValueError, False),
     "validate_geometry-ratio": (validate_geometry, GeometryError, False),

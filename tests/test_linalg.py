@@ -696,6 +696,32 @@ def with_duplicate_entries():
                                                  shape=(3, 3)))
 
 
+def with_split_entries(n=40):
+    """A random symmetric operator with each entry stored as two halves: the same
+    matrix, two duplicates per stored entry."""
+    csr = random_sparse_symmetric(n, density=0.1).csr
+    return SymmetricSparseOperator(sp.csr_matrix(
+        (np.repeat(csr.data / 2.0, 2), np.repeat(csr.indices, 2), 2 * csr.indptr),
+        shape=csr.shape))
+
+
+def stored_entries(op):
+    return op.nnz, op.csr.data.copy(), op.csr.indices.copy(), op.csr.indptr.copy()
+
+
+@pytest.mark.parametrize("build", [with_duplicate_entries, with_split_entries],
+                         ids=["duplicate-entries", "split-entries"])
+def test_gershgorin_leaves_a_hand_built_csr_as_stored(build):
+    # scipy's abs() sums the duplicates of a CSR in place, under the caller's operator
+    op = build()
+    before = stored_entries(op)
+    linalg._gershgorin(op)
+    if op.n >= 4:  # a solve needs k = 1 <= n/4
+        assert lowest_eigenpairs(op, 1).shift_source == "gershgorin"
+    for got, want in zip(stored_entries(op), before):
+        np.testing.assert_array_equal(got, want)
+
+
 #: Hand-built operators that leave a row empty: no diagonal entry stored.
 EMPTY_ROW_OPERATORS = {
     "dropped-zero-diagonal": SymmetricSparseOperator(sp.diags(np.arange(40.0), format="csr")),

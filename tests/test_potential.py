@@ -3,19 +3,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.constants import epsilon_0
 
 from helixdipoles.errors import CoincidenceError, GeometryError
 from helixdipoles.potential import (
     MINIMA_SCAN_STEP,
     RATIO_MAX,
     HelixGeometry,
-    PhysicalDipole,
     PotentialMinimum,
-    beta_from_physical,
-    cartesian_position,
     energy_unit_joules,
     find_minima,
-    full_potential,
     reduced_potential,
     reduced_potential_derivative,
     validate_geometry,
@@ -39,32 +36,11 @@ class TestHelixGeometry:
         geo = HelixGeometry(radius_R=2.0, pitch_h=3.0)
         assert geo.alpha**2 == pytest.approx(geo.radius_R**2 + (geo.pitch_h / TWO_PI) ** 2,
                                              rel=1e-14)
-        assert geo.ratio == pytest.approx(1.5, rel=1e-15)
 
     @given(st.floats(0.01, 1e3), st.floats(0.0, 1e3))
     def test_alpha_identity_random(self, radius, pitch):
         geo = HelixGeometry(radius_R=radius, pitch_h=pitch)
         assert geo.alpha**2 == pytest.approx(radius**2 + (pitch / TWO_PI) ** 2, rel=1e-14)
-
-
-class TestCartesianPosition:
-    @pytest.mark.parametrize(
-        "phi,radius,pitch,expected",
-        [
-            (0.0, 1.0, 1.0, (0.0, 1.0, 0.0)),
-            (TWO_PI, 1.0, 1.0, (0.0, 1.0, 1.0)),
-            (math.pi / 2.0, 2.0, 4.0, (2.0, 0.0, 1.0)),
-        ],
-    )
-    def test_reference_points(self, phi, radius, pitch, expected):
-        geo = HelixGeometry(radius_R=radius, pitch_h=pitch)
-        assert cartesian_position(phi, geo) == pytest.approx(expected, abs=1e-15)
-
-    def test_vectorized(self):
-        geo = HelixGeometry(1.0, 1.0)
-        x, y, z = cartesian_position(np.array([0.0, TWO_PI]), geo)
-        assert x.shape == (2,)
-        assert z[1] == pytest.approx(1.0)
 
 
 class TestReducedPotential:
@@ -137,22 +113,34 @@ class TestReducedPotential:
             )
 
 
-def _dipole_energy_3d(pos_i, pos_j, dip):
-    """Aligned dipole-dipole energy from raw 3D positions (test oracle)."""
+def helix_position(phi, geo):
+    """3D point (R sin phi, R cos phi, h phi/2pi) of winding angle ``phi`` (test oracle)."""
+    return np.array([geo.radius_R * math.sin(phi), geo.radius_R * math.cos(phi),
+                     geo.pitch_h * phi / TWO_PI])
+
+
+def _dipole_energy_3d(pos_i, pos_j, moment):
+    """Energy of two dipoles ``moment`` aligned with z, from raw 3D positions (test oracle)."""
     delta = np.asarray(pos_i) - np.asarray(pos_j)
     r = np.linalg.norm(delta)
     cos_theta = delta[2] / r
-    return (
-        dip.dipole_moment_d**2
-        / (4.0 * math.pi * dip.vacuum_permittivity * r**3)
-        * (1.0 - 3.0 * cos_theta**2)
-    )
+    return moment**2 / (4.0 * math.pi * epsilon_0 * r**3) * (1.0 - 3.0 * cos_theta**2)
 
 
 class TestFullPotential:
-    def setup_method(self):
-        self.geo = HelixGeometry(radius_R=2.0, pitch_h=2.5)
-        self.dip = PhysicalDipole(mass_m=1.0e-25, dipole_moment_d=2.0e-30)
+    """The dimensionful pair energy d^2 / (2 pi eps0 R^3) * V(phi_i - phi_j) is
+    the aligned dipole-dipole energy of two points on the helix."""
+
+    geo = HelixGeometry(radius_R=2.0, pitch_h=2.5)
+    ratio = geo.pitch_h / geo.radius_R
+    moment = 2.0e-30
+    # the 3D numerator carries a factor two, so the dimensionful scale is
+    # d^2 / (2 pi eps0 R^3), twice the bare d^2 / (4 pi eps0 R^3)
+    scale = moment**2 / (2.0 * math.pi * epsilon_0 * geo.radius_R**3)
+
+    def direct(self, phi_i, phi_j):
+        return _dipole_energy_3d(helix_position(phi_i, self.geo),
+                                 helix_position(phi_j, self.geo), self.moment)
 
     def test_matches_3d_formula(self):
         rng = np.random.default_rng(11)
@@ -160,63 +148,25 @@ class TestFullPotential:
             phi_i, phi_j = rng.uniform(-30.0, 30.0, size=2)
             if abs(phi_i - phi_j) < 1e-3:
                 continue
-            direct = _dipole_energy_3d(
-                cartesian_position(phi_i, self.geo),
-                cartesian_position(phi_j, self.geo),
-                self.dip,
-            )
-            assert full_potential(phi_i, phi_j, self.geo, self.dip) == pytest.approx(
-                direct, rel=1e-12
+            assert self.scale * reduced_potential(phi_i - phi_j, self.ratio) == pytest.approx(
+                self.direct(phi_i, phi_j), rel=1e-12
             )
 
     def test_translation_and_exchange_invariance(self):
+        # the helix's screw symmetry: the 3D energy depends on phi_i - phi_j only
         for shift in (0.0, 1.7, -12.3):
-            assert full_potential(3.0 + shift, 1.0 + shift, self.geo, self.dip) == pytest.approx(
-                full_potential(3.0, 1.0, self.geo, self.dip), rel=1e-13
+            assert self.direct(3.0 + shift, 1.0 + shift) == pytest.approx(
+                self.direct(3.0, 1.0), rel=1e-13
             )
-        assert full_potential(3.0, 1.0, self.geo, self.dip) == pytest.approx(
-            full_potential(1.0, 3.0, self.geo, self.dip), rel=1e-13
-        )
+        assert self.direct(3.0, 1.0) == pytest.approx(self.direct(1.0, 3.0), rel=1e-13)
 
     def test_ratio_to_reduced(self):
-        # the 3D numerator carries a factor two, so the dimensionful scale is
-        # d^2 / (2 pi eps0 R^3), twice the bare d^2 / (4 pi eps0 R^3)
-        phi = 5.1
-        scale = self.dip.dipole_moment_d**2 / (
-            2.0 * math.pi * self.dip.vacuum_permittivity * self.geo.radius_R**3
-        )
-        assert full_potential(phi, 0.0, self.geo, self.dip) == pytest.approx(
-            scale * reduced_potential(phi, self.geo.ratio), rel=1e-13
-        )
-
-
-class TestBetaFromPhysical:
-    def test_quadratic_in_dipole_moment(self):
-        geo = HelixGeometry(1e-6, 1e-6)
-        d1 = PhysicalDipole(mass_m=2.2e-25, dipole_moment_d=1e-30)
-        d2 = PhysicalDipole(mass_m=2.2e-25, dipole_moment_d=2e-30)
-        assert beta_from_physical(d2, geo) == pytest.approx(
-            4.0 * beta_from_physical(d1, geo), rel=1e-14
-        )
-
-    def test_ring_limit(self):
-        import scipy.constants as const
-
-        geo = HelixGeometry(radius_R=1e-6, pitch_h=0.0)
-        dip = PhysicalDipole(mass_m=2.2e-25, dipole_moment_d=3.33564e-30)
-        expected = (dip.mass_m / 2.0) * dip.dipole_moment_d**2 / (
-            2.0 * math.pi * const.epsilon_0 * geo.radius_R * const.hbar**2
-        )
-        assert beta_from_physical(dip, geo) == pytest.approx(expected, rel=1e-14)
-
-    def test_si_worked_example(self):
-        # unit arithmetic checked by hand before the build: m = 2.2e-25 kg,
-        # d = 1 debye, R = 1 um, h = R, hbar = (6.62607015e-34 / 2pi) J s
-        debye = 1e-21 / 299792458.0
-        dip = PhysicalDipole(mass_m=2.2e-25, dipole_moment_d=debye,
-                             vacuum_permittivity=8.8541878128e-12)
-        geo = HelixGeometry(radius_R=1e-6, pitch_h=1e-6)
-        assert beta_from_physical(dip, geo) == pytest.approx(2.028309145085929, rel=1e-12)
+        # one winding apart the dipoles sit head to tail at distance h, where the
+        # 3D energy is -2 d^2 / (4 pi eps0 h^3) and V(2pi) = -(R/h)^3
+        head_to_tail = -2.0 * self.moment**2 / (4.0 * math.pi * epsilon_0 * self.geo.pitch_h**3)
+        assert self.direct(TWO_PI, 0.0) == pytest.approx(head_to_tail, rel=1e-13)
+        assert self.scale * reduced_potential(TWO_PI, self.ratio) == pytest.approx(
+            head_to_tail, rel=1e-13)
 
 
 class TestEnergyUnit:
@@ -227,17 +177,6 @@ class TestEnergyUnit:
         alpha_sq = 1e-12 * (1.0 + 1.0 / TWO_PI**2)
         assert energy_unit_joules(2.2e-25, geo) == pytest.approx(
             const.hbar**2 / (1.1e-25 * alpha_sq), rel=1e-14)
-
-    @given(st.floats(1e-27, 1e-23), st.floats(1e-31, 1e-28), st.floats(1e-7, 1e-4),
-           st.floats(0.0, 4.0))
-    def test_beta_in_units_is_the_pair_energy_scale(self, mass, moment, radius, ratio):
-        # beta * hbar^2 / (mu alpha^2) is the prefactor d^2 / (2 pi eps0 R^3)
-        # of full_potential
-        geo = HelixGeometry(radius_R=radius, pitch_h=ratio * radius)
-        dip = PhysicalDipole(mass_m=mass, dipole_moment_d=moment)
-        prefactor = moment**2 / (2.0 * math.pi * dip.vacuum_permittivity * radius**3)
-        assert beta_from_physical(dip, geo) * energy_unit_joules(mass, geo) == pytest.approx(
-            prefactor, rel=1e-12)
 
 
 class TestValidateGeometry:
