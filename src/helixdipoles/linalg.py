@@ -7,7 +7,7 @@ operators go to a direct banded solver (LAPACK bisection, to a tolerance
 scaled by the operator's own level spacing, then inverse iteration),
 everything else to ARPACK's own shift-invert mode, with ``H - sigma``
 factored once by sparse LU.  Asked only for the states below an energy,
-the banded route first counts them by one Sturm count (:func:`count_below`)
+the banded route first counts them by one Sturm count (:func:`_sturm_count`)
 and, when they are at most ``k``, bisects them by value on the bracket
 (Gershgorin floor, energy] instead of by index over the whole Gershgorin
 interval.  ``sigma`` sits just below a caller's estimate of the lowest
@@ -328,21 +328,6 @@ def _sturm_count(d, e, floor, energy) -> int:
         return 0
     return eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(floor, energy),
                             tol=energy - floor).size
-
-
-def count_below(op: SymmetricSparseOperator, energy: float) -> int:
-    """Number of eigenvalues of a tridiagonal ``op`` at or below ``energy``: one Sturm count.
-
-    About 0.4 ms at n = 9,999, against some 10 ms for the banded solve.
-
-    Raises:
-        ValueError: ``energy`` is not a finite real number, or ``op`` is not
-            tridiagonal (a sparse operator would need the inertia of its LU factor).
-    """
-    check_finite(ValueError, energy=energy)
-    if not op.is_tridiagonal():
-        raise ValueError("a Sturm count needs a tridiagonal operator")
-    return _sturm_count(op.csr.diagonal(), op.csr.diagonal(1), _gershgorin(op)[1], energy)
 
 
 def _banded(op, k, below):

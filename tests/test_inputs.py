@@ -19,8 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from helixdipoles.cli import RunConfig, run
 from helixdipoles.errors import (DimensionError, GeometryError, GridError, check_positive,
                                  is_integer, is_real)
-from helixdipoles.linalg import (Solution, SymmetricSparseOperator, count_below,
-                                lowest_eigenpairs)
+from helixdipoles.linalg import Solution, SymmetricSparseOperator, lowest_eigenpairs
 from helixdipoles.potential import (HelixGeometry, energy_unit_joules, find_minima,
                                     validate_coupling, validate_geometry)
 from helixdipoles.threebody import WedgeGrid2D, default_box
@@ -102,11 +101,9 @@ def test_estimate_is_none_or_a_real_number(value):
 
 @pytest.mark.parametrize("value", [v for v in BAD
                                    if v is not None and not (is_real(v) and math.isfinite(v))])
-def test_an_energy_to_count_below_is_a_finite_real_number(value):
+def test_below_is_a_finite_real_number(value):
     with pytest.raises(ValueError, match=r"^below must be a finite real number, got "):
         lowest_eigenpairs(_chain(), 1, below=value)
-    with pytest.raises(ValueError, match=r"^energy must be a finite real number, got "):
-        count_below(_chain(), value)
 
 
 @pytest.mark.parametrize("build", [lambda: Grid1D(1e300, 1e-10),

@@ -18,7 +18,6 @@ from helixdipoles.linalg import (
     ESTIMATE_SHIFT_MARGIN,
     Solution,
     SymmetricSparseOperator,
-    count_below,
     lowest_eigenpairs,
 )
 from helixdipoles.potential import reduced_potential
@@ -604,14 +603,27 @@ class TestBandedAccuracy:
 
 
 class TestCountBelow:
-    """The Sturm count of the banded route against every eigenvalue of the dense matrix."""
+    """The Sturm count of the banded route against every eigenvalue of the dense matrix,
+    read through ``lowest_eigenpairs(below=)``, its one caller."""
 
     @pytest.fixture(scope="class")
     def small(self, dense_oracle):
         op = assemble_hamiltonian_1d(Grid1D(20.0, 0.1), 5.0, 1.0)
         return op, dense_oracle(op, op.n).values
 
-    def test_counts_match_the_dense_oracle(self, small):
+    @pytest.fixture
+    def sturm_counts(self, monkeypatch):
+        """Every count ``_banded`` takes, in call order."""
+        counts, sturm = [], linalg._sturm_count
+
+        def counted(*args):
+            counts.append(sturm(*args))
+            return counts[-1]
+
+        monkeypatch.setattr(linalg, "_sturm_count", counted)
+        return counts
+
+    def test_counts_match_the_dense_oracle(self, small, sturm_counts):
         op, levels = small
         below_all = levels[0] - 1.0
         between = 0.5 * (levels[2] + levels[3])
@@ -619,23 +631,24 @@ class TestCountBelow:
         # -1e6 lies below the Gershgorin floor itself, where no bisection runs
         for energy, count in ((-1e6, 0), (below_all, 0), (between, 3), (above_many, 10),
                               (BOUND_THRESHOLD, int(np.sum(levels < BOUND_THRESHOLD)))):
-            assert count_below(op, energy) == count == int(np.sum(levels <= energy))
+            # k = n/4 holds every count, so the states below come back by value
+            res = lowest_eigenpairs(op, op.n // 4, below=energy)
+            assert sturm_counts[-1] == count == int(np.sum(levels <= energy))
+            kept = max(count, 1)  # none below: the lowest one
+            np.testing.assert_allclose(res.values, levels[:kept], rtol=0.0, atol=1e-10)
 
     def test_off_the_banded_route_refused(self):
-        op = mini_wedge_operator()
-        with pytest.raises(ValueError, match="tridiagonal"):
-            count_below(op, 0.0)
         with pytest.raises(ValueError, match="banded route"):
-            lowest_eigenpairs(op, 1, below=0.0)
+            lowest_eigenpairs(mini_wedge_operator(), 1, below=0.0)
         with pytest.raises(ValueError, match="banded route"):
             lowest_eigenpairs(dirichlet_box(10.0, 99)[0], 1, method="lanczos", below=0.0)
 
-    def test_by_value_matches_by_index(self):
+    def test_by_value_matches_by_index(self, sturm_counts):
         # beta=1.898 of the benchmark pool holds exactly four bound states, so
         # below= bisects them by value on the bound bracket
         op = assemble_hamiltonian_1d(Grid1D(), 1.898, 1.0)
-        assert count_below(op, BOUND_THRESHOLD) == 4
         by_value = lowest_eigenpairs(op, 4, below=BOUND_THRESHOLD)
+        assert sturm_counts == [4]
         by_index = lowest_eigenpairs(op, 4)
         np.testing.assert_allclose(by_value.values, by_index.values, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(np.abs(by_value.vectors), np.abs(by_index.vectors),

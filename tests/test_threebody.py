@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from helixdipoles import threebody
 from helixdipoles.cli import RunConfig
 from helixdipoles.errors import DimensionError, GeometryError, GridError
-from helixdipoles.linalg import EigenResult, SymmetricSparseOperator, lowest_eigenpairs
+from helixdipoles.linalg import (EigenResult, Solution, SymmetricSparseOperator,
+                                 lowest_eigenpairs)
 from helixdipoles.potential import reduced_potential
 from helixdipoles.threebody import (
     FIRST_MINIMUM_XY,
@@ -471,6 +472,49 @@ class TestProductionSolves:
         assert sol.grid.weight == sol.grid.spacing**2
         norms = [sol.grid.weight * np.sum(sol.wavefunction(m) ** 2) for m in range(2)]
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
+
+
+class TestUnreducedPlane:
+    """The wedge against the relative Jacobi plane it reduces, solved without an edge.
+
+    The plane is a disk about the origin on a lattice offset by half a cell, so
+    that no node lies on a coincidence line; its operator comes from
+    ``on_lattice``, ``pair_separations`` and ``reduced_potential`` alone.  Its
+    lowest level is the bosonic ground state, nearly six-fold degenerate, and
+    its mean of max|phi_ij| / 2pi is the wedge's d13.  Wedge minus plane at
+    h = 0.2 on a 20 x 26 wedge and a disk of radius 23, measured: E0 -1.32e-6
+    (beta = 2) and -1.17e-6 (beta = 1), d13 +3.4e-7 and -3.8e-6.  That is the
+    reduction's own error: a disk of radius 26 moves neither by more than
+    1.4e-7, and the residual norms are near 1e-11.  The bounds 2e-6 in E0 and
+    6e-6 in d13 are 1.5 times the largest measured, room for the box and for
+    another BLAS's rounding.  At h = 0.4 the energies already part by 3.0e-3
+    (beta = 1) and 1.4e-2 (beta = 2).
+    """
+
+    SPACING, RADIUS = 0.2, 23.0
+
+    def plane(self, beta, estimate):
+        h, r = self.SPACING, self.RADIUS
+        half = math.ceil(r / h)
+        c = (np.arange(-half, half) + 0.5) * h
+        x, y = np.meshgrid(c, c, indexing="ij")
+        inside = x**2 + y**2 < r**2
+        index = -np.ones((2 * half + 2, 2 * half + 2), dtype=np.int32)
+        index[1:-1, 1:-1][inside] = np.arange(np.count_nonzero(inside))
+        phis = pair_separations(x[inside], y[inside])
+        pot = beta * sum(reduced_potential(phi, 1.0) for phi in phis)
+        op = SymmetricSparseOperator.on_lattice(index, h, pot)
+        eigen = lowest_eigenpairs(op, 1, estimate=estimate)
+        farthest = np.max(np.abs(phis), axis=0) / TWO_PI
+        return eigen.values[0], Solution(None, eigen).expectation(farthest)
+
+    @pytest.mark.parametrize("beta", [2.0, 1.0])
+    def test_wedge_matches_the_plane(self, beta):
+        wedge = solve_three_body(WedgeGrid2D(20.0, 26.0, self.SPACING), beta, 1.0, 1,
+                                 allow_small_box=True)
+        e0, d13 = self.plane(beta, wedge.energies[0])
+        assert abs(wedge.energies[0] - e0) < 2e-6
+        assert abs(wedge.distances[2] - d13) < 6e-6
 
 
 class TestMonotonicLocalization:

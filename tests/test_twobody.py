@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helixdipoles import twobody
 from helixdipoles.errors import GeometryError, GridError
 from helixdipoles.linalg import SymmetricSparseOperator, lowest_eigenpairs
-from helixdipoles.potential import reduced_potential
+from helixdipoles.potential import find_minima, reduced_potential, reduced_potential_derivative
 from helixdipoles.twobody import (
     BOUND_THRESHOLD,
     Grid1D,
@@ -172,6 +172,40 @@ class TestSolve:
             energies[dx] = sol.energies[0]
         ratio = (energies[0.04] - energies[0.02]) / (energies[0.02] - energies[0.01])
         assert 3.5 < ratio < 4.5
+
+    def test_strong_coupling_harmonic_expansion(self):
+        """E0 = beta V(phi0) + w/2 + c0 + c1/sqrt(beta) + ... with w = sqrt(beta V''),
+        on the well of the first winding at ratio 1 (Bender & Wu 1969).
+
+        c0 = V''''/(32 V'') - 11 V'''^2/(288 V''^2) is the anharmonic shift.  The
+        second difference lowers a harmonic ground level by w^2 h^2/32 (its symbol
+        is p^2/2 - h^2 p^4/24, and <p^4> = 3 w^2/4).  So sqrt(beta) times what is
+        left of E0 tends to c1.  Measured on L = 100, h = 0.005, it reads 0.21885 at
+        beta = 80 and 0.22075 at beta = 320: 1.9e-3 apart, the c2/sqrt(beta) term
+        the expansion leaves out.  The tolerance 5e-3 is 2.6 times that.  An error
+        d in c0 parts the two values by (sqrt(320) - sqrt(80)) d = 8.9 d, so the
+        check resolves c0 to 6e-4 (0.07%); leaving out the lattice term parts them
+        by 0.023.
+        """
+        phi0 = find_minima(1.0, 1)[0].phi_k
+        step = 1e-3  # central differences of the closed-form V'
+
+        def dv(k):
+            return reduced_potential_derivative(phi0 + k * step, 1.0)
+
+        v2 = (dv(1) - dv(-1)) / (2.0 * step)
+        v3 = (dv(1) - 2.0 * dv(0) + dv(-1)) / step**2
+        v4 = (dv(2) - 2.0 * dv(1) + 2.0 * dv(-1) - dv(-2)) / (2.0 * step**3)
+        c0 = v4 / (32.0 * v2) - 11.0 * v3**2 / (288.0 * v2**2)
+        grid = Grid1D(100.0, 0.005)
+        c1 = []
+        for beta in (80.0, 320.0):
+            e0 = solve_two_body(grid, beta, 1.0, 1).energies[0]
+            w = math.sqrt(beta * v2)
+            lattice = w**2 * grid.spacing**2 / 32.0
+            c1.append(math.sqrt(beta)
+                      * (e0 + lattice - beta * reduced_potential(phi0, 1.0) - w / 2.0 - c0))
+        assert abs(c1[0] - c1[1]) < 5e-3
 
     def test_box_wall_artifact(self, box_levels_beta1):
         # near-threshold states are box artifacts; genuinely bound states are not
