@@ -101,7 +101,7 @@ def test_estimate_is_none_or_a_real_number(value):
 
 @pytest.mark.parametrize("value", [v for v in BAD
                                    if v is not None and not (is_real(v) and math.isfinite(v))])
-def test_below_is_a_finite_real_number(value):
+def test_an_energy_to_count_below_is_a_finite_real_number(value):
     with pytest.raises(ValueError, match=r"^below must be a finite real number, got "):
         lowest_eigenpairs(_chain(), 1, below=value)
 
