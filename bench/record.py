@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
-"""Record a ``BENCH_*.json``: the benchmark of a commit against its parent.
+"""Record a ``BENCH_*.json``: the benchmark of HEAD against its parent.
 
-    python3 bench/record.py --out BENCH_<n>.json               # HEAD against HEAD~1
-    python3 bench/record.py --out BENCH.json --base A --head B --pairs 3
+    python3 bench/record.py --out BENCH_<n>.json      # HEAD against HEAD~1
 
-Both commits are checked out as git worktrees under ``.bench_build/``
+HEAD and its parent are checked out as git worktrees under ``.bench_build/``
 (ignored by git), so each side runs its own unchanged ``perfbench/run.py``
-on its committed files.  Every ``BENCHMARK.json`` workload runs in
-``--pairs`` pairs (seed 0, ``--seconds 45``, ``--trace 0``); the side that
-runs first swaps from one pair to the next, so a drift of the machine's
-speed favours neither.  After each run the record that run wrote,
+on its committed files.  Every ``BENCHMARK.json`` workload runs in 10
+pairs (seed 0, ``--seconds 45``, ``--trace 0``); the side that runs first
+swaps from one pair to the next, so a drift of the machine's speed
+favours neither.  After each run the record that run wrote,
 ``.perfbench_out/results/<workload>-seed0-trace0.json`` of its checkout, is
 read.  The Tier-1 suite is then run and timed once on each side.
 
@@ -42,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
 SEED, SECONDS, TRACE = 0, 45, 0
+PAIRS = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -139,11 +139,11 @@ def host() -> dict:
     return {"cpu": cpu, "machine": platform.machine(), "platform": platform.platform()}
 
 
-def record(base: str, head: str, pairs: int) -> dict:
+def record() -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     commits = {side: {"commit": git("rev-parse", rev),
                       "subject": git("log", "-1", "--format=%s", rev)}
-               for side, rev in (("base", base), ("head", head))}
+               for side, rev in (("base", "HEAD~1"), ("head", "HEAD"))}
     checkouts = {}
     try:
         for side in ("base", "head"):
@@ -151,10 +151,10 @@ def record(base: str, head: str, pairs: int) -> dict:
         workloads = {}
         for w in spec["workloads"]:
             results = {"base": [], "head": []}
-            for i in range(pairs):
+            for i in range(PAIRS):
                 for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
                     results[side].append(run_workload(checkouts[side], w["name"]))
-                    print(f"{w['name']} pair {i + 1}/{pairs} {side}: wall_s "
+                    print(f"{w['name']} pair {i + 1}/{PAIRS} {side}: wall_s "
                           f"{results[side][-1]['metrics']['wall_s']['value']:.3f}",
                           flush=True)
             metrics = {
@@ -186,7 +186,7 @@ def record(base: str, head: str, pairs: int) -> dict:
                            capture_output=True)
         git("worktree", "prune")
     return {"commits": commits, "environment": {"host": host(), **env},
-            "protocol": {"pairs": pairs, "seed": SEED, "seconds": SECONDS, "trace": TRACE,
+            "protocol": {"pairs": PAIRS, "seed": SEED, "seconds": SECONDS, "trace": TRACE,
                          "order": "base first in odd-numbered pairs, head first in even",
                          "quartiles": "linear between order statistics"},
             "workloads": workloads, "tier1": {"command": " ".join(TIER1[1:]), **tests}}
@@ -195,13 +195,8 @@ def record(base: str, head: str, pairs: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path, help="the BENCH_*.json to write")
-    parser.add_argument("--head", default="HEAD", help="the change (default HEAD)")
-    parser.add_argument("--base", help="what it is measured against (default: head's parent)")
-    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be >= 2, for the quartiles")
-    result = record(args.base or f"{args.head}~1", args.head, args.pairs)
+    result = record()
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for name, w in result["workloads"].items():
         for metric, m in w["metrics"].items():
