@@ -40,8 +40,8 @@ from .analysis import build_size_scan, check_fit_window, fit_harmonic_size, size
 from .errors import (ConvergenceError, GeometryError, HelixDipolesError, check_count,
                      check_positive, is_real)
 from .linalg import DEFAULT_SEED, METHODS, Solution
-from .potential import (TWO_PI, HelixGeometry, energy_unit_joules, find_minima,
-                        reduced_potential, validate_coupling, validate_geometry)
+from .potential import (TWO_PI, energy_unit_joules, find_minima, reduced_potential,
+                        validate_coupling, validate_geometry)
 from .threebody import WedgeGrid2D, default_box, solve_three_body, symmetrize_wavefunction
 from .twobody import (HALF_LINE, STATISTICS, Grid1D, exchange_sign, extend_full_line,
                       scan_beta, solve_two_body)
@@ -256,9 +256,7 @@ def _energy_unit(cfg: RunConfig) -> float | None:
     """
     if cfg.mass_kg == 0.0 and cfg.radius_m == 0.0:
         return None
-    check_positive(ValueError, mass_kg=cfg.mass_kg, radius_m=cfg.radius_m)
-    validate_geometry(cfg.ratio)  # before the ratio scales the pitch
-    return energy_unit_joules(cfg.mass_kg, HelixGeometry(cfg.radius_m, cfg.ratio * cfg.radius_m))
+    return energy_unit_joules(cfg.mass_kg, cfg.radius_m, cfg.ratio)
 
 
 def _run_potential(cfg: RunConfig) -> tuple[dict, dict]:

@@ -10,7 +10,10 @@ Everything here is expressed through the dimensionless reduced potential
     V(phi) = [1 - cos(phi) - (ratio*phi/2pi)^2]
              / (2*[1 - cos(phi)] + (ratio*phi/2pi)^2)^(5/2)
 
-with ``ratio = h/R``.
+with ``ratio = h/R``.  Its prefactor, the coupling beta = d^2 / (2 pi eps0
+R^3) in units of hbar^2 / (mu alpha^2), is where SI scales enter, and
+:func:`energy_unit_joules` is the one place that unit, the pair's reduced
+mass ``mu`` and the arc length per winding angle ``alpha`` are defined.
 """
 
 from __future__ import annotations
@@ -34,27 +37,6 @@ COINCIDENCE_EPS = 1e-12
 
 #: Step of the uniform grid on which :func:`find_minima` brackets minima.
 MINIMA_SCAN_STEP = 1e-3
-
-
-@dataclass(frozen=True)
-class HelixGeometry:
-    """Helical trap: radius ``radius_R`` and pitch ``pitch_h`` (rise per turn).
-
-    The derived arc parameter ``alpha`` converts winding angle to arc length
-    (s = alpha * phi).
-    """
-
-    radius_R: float
-    pitch_h: float
-
-    def __post_init__(self) -> None:
-        check_positive(GeometryError, radius_R=self.radius_R)
-        check_positive(GeometryError, allow_zero=True, pitch_h=self.pitch_h)
-
-    @property
-    def alpha(self) -> float:
-        """Arc length per unit winding angle, sqrt(R^2 + (h/2pi)^2)."""
-        return math.hypot(self.radius_R, self.pitch_h / TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -115,17 +97,33 @@ def reduced_potential_derivative(phi, ratio: float):
     return float(out) if out.ndim == 0 else out
 
 
-def energy_unit_joules(mass_m: float, geo: HelixGeometry) -> float:
+def energy_unit_joules(mass_kg: float, radius_m: float, ratio: float) -> float:
     """Energy unit hbar^2 / (mu alpha^2) of every solver, in joules.
 
     ``mu = m/2`` is the reduced mass of a pair of particles of mass
-    ``mass_m`` (kg); this is the one place it is defined.  The coupling
-    beta is the pair energy scale d^2 / (2 pi eps0 R^3) of
-    :func:`reduced_potential` in this unit.
+    ``mass_kg`` and ``alpha = sqrt(R^2 + (h/2pi)^2)`` the arc length per
+    winding angle of a helix of radius R = ``radius_m`` and pitch
+    h = ``ratio`` * R.  The coupling beta is the pair energy scale
+    d^2 / (2 pi eps0 R^3) of :func:`reduced_potential` in this unit.
+
+    Raises:
+        ValueError: unless ``mass_kg`` and ``radius_m`` are finite and > 0.
+        GeometryError: next, from :func:`validate_geometry` on ``ratio``.
+        ValueError: last, unless the unit is a float > 0: at extreme scales
+            it underflows to 0, or its denominator does.
     """
-    check_positive(ValueError, mass_m=mass_m)
-    mu = mass_m / 2.0
-    return HBAR**2 / (mu * geo.alpha**2)
+    check_positive(ValueError, mass_kg=mass_kg, radius_m=radius_m)
+    validate_geometry(ratio)
+    mu = mass_kg / 2.0
+    alpha = math.hypot(radius_m, ratio * radius_m / TWO_PI)
+    # alpha**2 raises OverflowError where alpha * alpha is inf, and only there:
+    # the largest finite square lies an ulp below the largest float
+    den = mu * alpha**2 if alpha * alpha < math.inf else math.inf
+    unit = HBAR**2 / den if den > 0.0 else 0.0
+    if not unit > 0.0:
+        raise ValueError(f"energy unit of mass_kg {mass_kg!r} and radius_m {radius_m!r} "
+                         "is not a float > 0")
+    return unit
 
 
 def validate_geometry(ratio: float) -> None:

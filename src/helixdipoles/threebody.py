@@ -117,11 +117,11 @@ class WedgeGrid2D:
         self.index = -np.ones((nx + 1, ny + 1), dtype=np.int32)
         self.index[ii, jj] = np.arange(self.n_active)
 
-    def coarsened(self, factor: int) -> "WedgeGrid2D | None":
-        """This box rounded to whole cells of ``factor`` times the spacing, or
-        None when no grid can be built at that spacing."""
+    def coarsened(self) -> "WedgeGrid2D | None":
+        """This box rounded to whole cells of ``COARSE_FACTOR`` times the
+        spacing, or None when no grid can be built at that spacing."""
         try:
-            return WedgeGrid2D(self.x_max, self.y_max, factor * self.spacing)
+            return WedgeGrid2D(self.x_max, self.y_max, COARSE_FACTOR * self.spacing)
         except GridError:
             return None
 
@@ -189,7 +189,7 @@ def solve_three_body(
             f"box clears the first-minimum configuration by ({mx:.2f}, {my:.2f}) "
             f"windings; need {MIN_MARGIN_WINDINGS:g} (pass allow_small_box to override)"
         )
-    coarse = grid.coarsened(COARSE_FACTOR) if method == "auto" else None
+    coarse = grid.coarsened() if method == "auto" else None
     estimate = None
     if coarse is not None:
         coarse_op = assemble_hamiltonian_2d(coarse, beta, ratio)

@@ -20,8 +20,8 @@ from helixdipoles.cli import RunConfig, run
 from helixdipoles.errors import (DimensionError, GeometryError, GridError, check_positive,
                                  is_integer, is_real)
 from helixdipoles.linalg import Solution, SymmetricSparseOperator, lowest_eigenpairs
-from helixdipoles.potential import (HelixGeometry, energy_unit_joules, find_minima,
-                                    validate_coupling, validate_geometry)
+from helixdipoles.potential import (energy_unit_joules, find_minima, validate_coupling,
+                                    validate_geometry)
 from helixdipoles.threebody import WedgeGrid2D, default_box
 from helixdipoles.twobody import Grid1D, assemble_hamiltonian_1d, extend_full_line
 
@@ -49,10 +49,11 @@ SCALARS = {
     "WedgeGrid2D-x_max": (lambda v: WedgeGrid2D(v, 16.0, 0.4), GridError, False),
     "WedgeGrid2D-y_max": (lambda v: WedgeGrid2D(12.0, v, 0.4), GridError, False),
     "WedgeGrid2D-spacing": (lambda v: WedgeGrid2D(12.0, 16.0, v), GridError, False),
-    "HelixGeometry-radius_R": (lambda v: HelixGeometry(v, 1.0), GeometryError, False),
-    "HelixGeometry-pitch_h": (lambda v: HelixGeometry(1.0, v), GeometryError, True),
-    "energy_unit_joules-mass_m": (lambda v: energy_unit_joules(v, HelixGeometry(1e-6, 1e-6)),
-                                  ValueError, False),
+    "energy_unit_joules-mass_kg": (lambda v: energy_unit_joules(v, 1e-6, 1.0), ValueError, False),
+    "energy_unit_joules-radius_m": (lambda v: energy_unit_joules(2.2e-25, v, 1.0), ValueError,
+                                    False),
+    "energy_unit_joules-ratio": (lambda v: energy_unit_joules(2.2e-25, 1e-6, v), GeometryError,
+                                 False),
     "validate_geometry-ratio": (validate_geometry, GeometryError, False),
     "find_minima-ratio": (lambda v: find_minima(v, 1), GeometryError, False),
     "validate_coupling-beta": (lambda v: validate_coupling(v, 1.0), ValueError, True),
@@ -150,7 +151,9 @@ AUTO = ("x_max", "y_max", "spacing_2d")  # where None is "auto", a valid box
 
 @pytest.mark.parametrize("case, value", [
     *[(case, value) for case in FIELDS for value in BAD_FIELD
-      if not (value is None and case in AUTO)], ("n_samples", 2.5)])
+      if not (value is None and case in AUTO)], ("n_samples", 2.5),
+    # valid alone, but the energy unit leaves the float range
+    ("mass_kg", 1e-320), ("radius_m", 1e200)])
 def test_bad_run_config_is_recorded(case, value, tmp_path):
     settings, code = FIELDS[case]
     cfg = RunConfig(out_dir=str(tmp_path), **settings, **{case.split("-")[0]: value})
@@ -209,6 +212,10 @@ def _tiny(**settings):
 @example(RunConfig(problem="three-body", x_max=1e300, spacing_2d=1e-10, allow_small_box=True))
 @example(_tiny(problem="fit", betas=(0.0, 5.0, 10.0, 15.0)))
 @example(RunConfig(problem="nope"))
+# energy units beyond the float range: a zero denominator, an overflowing alpha**2
+@example(_tiny(mass_kg=1e-300, radius_m=1e-300))
+@example(_tiny(mass_kg=2.2e-25, radius_m=1e200))
+@example(_tiny(mass_kg=1e-320, radius_m=1e-6))
 def test_run_never_raises_and_records_its_status(cfg):
     with tempfile.TemporaryDirectory() as out:
         cfg = dataclasses.replace(cfg, out_dir=out)
@@ -216,6 +223,8 @@ def test_run_never_raises_and_records_its_status(cfg):
         assert code in STATUS
         meta = (Path(out) / "metadata.txt").read_text().splitlines()
         assert f"status = {STATUS[code]}" in meta
+        if code != 0:  # a failed run writes no data file
+            assert not list(Path(out).glob("*.csv"))
         if code == 0:  # the echoed settings read back as the ones given
             names = {f.name for f in dataclasses.fields(RunConfig)}
             echoed = {k: v for k, v in (line.split(" = ", 1) for line in meta) if k in names}

@@ -818,7 +818,7 @@ class TestNearShift:
     def test_good_estimate_saves_solves(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.2)
         op = assemble_hamiltonian_2d(grid, 2.0, 1.0)
-        coarse = assemble_hamiltonian_2d(grid.coarsened(4), 2.0, 1.0)
+        coarse = assemble_hamiltonian_2d(grid.coarsened(), 2.0, 1.0)
         estimate = lowest_eigenpairs(coarse, 1).values[0]
         near = lowest_eigenpairs(op, 2, estimate=estimate)
         far = lowest_eigenpairs(op, 2)
@@ -831,7 +831,7 @@ class TestNearShift:
     @pytest.fixture(scope="class")
     def beta2(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.2)
-        coarse = assemble_hamiltonian_2d(grid.coarsened(4), 2.0, 1.0)
+        coarse = assemble_hamiltonian_2d(grid.coarsened(), 2.0, 1.0)
         estimate = lowest_eigenpairs(coarse, 1).values[0]
         return assemble_hamiltonian_2d(grid, 2.0, 1.0), estimate
 

@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.constants import epsilon_0
+from hypothesis import example, given, settings, strategies as st
+from scipy.constants import epsilon_0, hbar
 
 from helixdipoles.errors import CoincidenceError, GeometryError
 from helixdipoles.potential import (
     MINIMA_SCAN_STEP,
     RATIO_MAX,
-    HelixGeometry,
     PotentialMinimum,
     energy_unit_joules,
     find_minima,
@@ -29,18 +28,6 @@ PHI0_RATIO16 = 6.0884483115867685
 V0_RATIO16 = -0.25602916299203765
 LAST_MINIMUM_PHI_RATIO1 = 80.13584519692466
 N_MINIMA_RATIO1 = 13
-
-
-class TestHelixGeometry:
-    def test_alpha_identity(self):
-        geo = HelixGeometry(radius_R=2.0, pitch_h=3.0)
-        assert geo.alpha**2 == pytest.approx(geo.radius_R**2 + (geo.pitch_h / TWO_PI) ** 2,
-                                             rel=1e-14)
-
-    @given(st.floats(0.01, 1e3), st.floats(0.0, 1e3))
-    def test_alpha_identity_random(self, radius, pitch):
-        geo = HelixGeometry(radius_R=radius, pitch_h=pitch)
-        assert geo.alpha**2 == pytest.approx(radius**2 + (pitch / TWO_PI) ** 2, rel=1e-14)
 
 
 class TestReducedPotential:
@@ -113,10 +100,9 @@ class TestReducedPotential:
             )
 
 
-def helix_position(phi, geo):
+def helix_position(phi, radius, pitch):
     """3D point (R sin phi, R cos phi, h phi/2pi) of winding angle ``phi`` (test oracle)."""
-    return np.array([geo.radius_R * math.sin(phi), geo.radius_R * math.cos(phi),
-                     geo.pitch_h * phi / TWO_PI])
+    return np.array([radius * math.sin(phi), radius * math.cos(phi), pitch * phi / TWO_PI])
 
 
 def _dipole_energy_3d(pos_i, pos_j, moment):
@@ -131,16 +117,16 @@ class TestFullPotential:
     """The dimensionful pair energy d^2 / (2 pi eps0 R^3) * V(phi_i - phi_j) is
     the aligned dipole-dipole energy of two points on the helix."""
 
-    geo = HelixGeometry(radius_R=2.0, pitch_h=2.5)
-    ratio = geo.pitch_h / geo.radius_R
+    radius, pitch = 2.0, 2.5
+    ratio = pitch / radius
     moment = 2.0e-30
     # the 3D numerator carries a factor two, so the dimensionful scale is
     # d^2 / (2 pi eps0 R^3), twice the bare d^2 / (4 pi eps0 R^3)
-    scale = moment**2 / (2.0 * math.pi * epsilon_0 * geo.radius_R**3)
+    scale = moment**2 / (2.0 * math.pi * epsilon_0 * radius**3)
 
     def direct(self, phi_i, phi_j):
-        return _dipole_energy_3d(helix_position(phi_i, self.geo),
-                                 helix_position(phi_j, self.geo), self.moment)
+        return _dipole_energy_3d(helix_position(phi_i, self.radius, self.pitch),
+                                 helix_position(phi_j, self.radius, self.pitch), self.moment)
 
     def test_matches_3d_formula(self):
         rng = np.random.default_rng(11)
@@ -163,20 +149,69 @@ class TestFullPotential:
     def test_ratio_to_reduced(self):
         # one winding apart the dipoles sit head to tail at distance h, where the
         # 3D energy is -2 d^2 / (4 pi eps0 h^3) and V(2pi) = -(R/h)^3
-        head_to_tail = -2.0 * self.moment**2 / (4.0 * math.pi * epsilon_0 * self.geo.pitch_h**3)
+        head_to_tail = -2.0 * self.moment**2 / (4.0 * math.pi * epsilon_0 * self.pitch**3)
         assert self.direct(TWO_PI, 0.0) == pytest.approx(head_to_tail, rel=1e-13)
         assert self.scale * reduced_potential(TWO_PI, self.ratio) == pytest.approx(
             head_to_tail, rel=1e-13)
 
 
+def _unit_oracle(mass, radius, ratio):
+    """hbar^2 / (mu alpha^2) written out, alpha from the pitch h = ratio * R;
+    None where Python's float arithmetic raises (test oracle)."""
+    alpha = math.hypot(radius, ratio * radius / TWO_PI)
+    try:
+        return hbar**2 / (mass / 2.0 * alpha**2)
+    except (OverflowError, ZeroDivisionError):
+        return None
+
+
 class TestEnergyUnit:
     def test_pair_reduced_mass_unit(self):
-        import scipy.constants as const
-
-        geo = HelixGeometry(radius_R=1e-6, pitch_h=1e-6)
         alpha_sq = 1e-12 * (1.0 + 1.0 / TWO_PI**2)
-        assert energy_unit_joules(2.2e-25, geo) == pytest.approx(
-            const.hbar**2 / (1.1e-25 * alpha_sq), rel=1e-14)
+        assert energy_unit_joules(2.2e-25, 1e-6, 1.0) == pytest.approx(
+            hbar**2 / (1.1e-25 * alpha_sq), rel=1e-14)
+
+    def test_alpha_identity(self):
+        # mass 2 kg is mu = 1 kg, so the unit is hbar^2 / alpha^2 with
+        # alpha^2 = R^2 + (h/2pi)^2 and pitch h = ratio * R = 3
+        assert energy_unit_joules(2.0, 2.0, 1.5) == pytest.approx(
+            hbar**2 / (2.0**2 + (3.0 / TWO_PI) ** 2), rel=1e-14)
+
+    @given(st.floats(0.01, 1e3), st.floats(1e-3, 4.4))
+    def test_alpha_identity_random(self, radius, ratio):
+        alpha_sq = radius**2 + (ratio * radius / TWO_PI) ** 2
+        assert energy_unit_joules(2.0, radius, ratio) == pytest.approx(hbar**2 / alpha_sq,
+                                                                       rel=1e-14)
+
+    @settings(max_examples=500)
+    @given(st.floats(5e-324, 1e308), st.floats(5e-324, 1e308), st.floats(1e-3, 4.44))
+    # alpha * alpha would move this unit by one ulp
+    @example(2.2e-25, 7.902352842379742e-06, 1.0)
+    # a zero denominator (twice), alpha**2 beyond the float range, mu alpha^2
+    # beyond it, and a unit below the smallest float
+    @example(1e-300, 1e-300, 1.0)
+    @example(1e-320, 1e-6, 1.0)
+    @example(2.2e-25, 1e200, 1.0)
+    @example(1e300, 1e10, 1.0)
+    @example(1e250, 1e10, 1.0)
+    # alpha at the largest finite square, and one ulp above it
+    @example(1e-60, 1.3407807929942596e154, 1e-300)
+    @example(1e-60, 1.3407807929942597e154, 1e-300)
+    def test_same_bits_or_refused(self, mass, radius, ratio):
+        # every input the written-out expression turns into a unit > 0 gets its
+        # bits; the rest (a raise, or an underflow to 0) is refused as a ValueError
+        expected = _unit_oracle(mass, radius, ratio)
+        if expected is not None and expected > 0.0:
+            assert energy_unit_joules(mass, radius, ratio).hex() == expected.hex()
+        else:
+            with pytest.raises(ValueError, match=r"^energy unit of mass_kg "):
+                energy_unit_joules(mass, radius, ratio)
+
+    def test_checks_mass_and_radius_before_the_ratio(self):
+        with pytest.raises(ValueError, match=r"^radius_m "):
+            energy_unit_joules(2.2e-25, -1.0, 9.0)
+        with pytest.raises(GeometryError):
+            energy_unit_joules(2.2e-25, 1e200, 9.0)  # a bad ratio before the overflow
 
 
 class TestValidateGeometry:

@@ -182,7 +182,7 @@ class TestWedgeGrid:
         grid = WedgeGrid2D(30.0, 40.0, 0.7)
         assert grid.index.shape == (44, 58)
         assert (grid.x_max, grid.y_max) == (43 * 0.7, 57 * 0.7)
-        assert WedgeGrid2D(12.0, 16.0, 0.4).coarsened(4).x_max == 8 * 1.6  # 7.5 cells
+        assert WedgeGrid2D(12.0, 16.0, 0.4).coarsened().x_max == 8 * 1.6  # 7.5 cells
         # a unit field: zero only off the lattice; both points are their own wedge image
         ones = EigenResult(np.zeros(1), np.ones((grid.n_active, 1)), np.zeros(1), method="given")
         sol = ThreeBodySolution(grid=grid, eigen=ones, distances=(0.0, 0.0, 0.0))
@@ -292,11 +292,11 @@ class TestAssembly2D:
 
     def test_coarsened_grid(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.2)
-        coarse = grid.coarsened(4)
+        coarse = grid.coarsened()
         assert (coarse.x_max, coarse.y_max, coarse.spacing) == (12.0, 16.0, 0.8)
         assert 1 < coarse.n_active < grid.n_active // 10
         # 2.0 / 0.8 rounds to 2 cells: no grid
-        assert WedgeGrid2D(2.0, 16.0, 0.2).coarsened(4) is None
+        assert WedgeGrid2D(2.0, 16.0, 0.2).coarsened() is None
 
     def test_k_checked_before_assembly(self, monkeypatch):
         def no_assembly(*args, **kwargs):
@@ -348,7 +348,7 @@ class TestCoarseEstimate:
     def test_shift_invert_solves_the_coarse_box_first(self, solves, method):
         grid = WedgeGrid2D(12.0, 16.0, 0.2)
         sol = solve_three_body(grid, 1.0, 1.0, 2, method=method, allow_small_box=True)
-        coarse = grid.coarsened(threebody.COARSE_FACTOR)
+        coarse = grid.coarsened()
         assert [(n, m) for n, m, _ in solves] == [(coarse.n_active, "auto"),
                                                   (grid.n_active, method)]
         # the coarse E0 lies above the fine one here; the shift below it still does not
@@ -367,7 +367,7 @@ class TestCoarseEstimate:
 
     def test_unbuildable_coarse_grid_skipped(self, solves):
         grid = WedgeGrid2D(2.0, 3.0, 0.2)
-        assert grid.coarsened(threebody.COARSE_FACTOR) is None
+        assert grid.coarsened() is None
         sol = solve_three_body(grid, 1.0, 1.0, 1, allow_small_box=True)
         assert solves == [(grid.n_active, "auto", None)]
         assert sol.eigen.shift_source == "gershgorin"
@@ -397,6 +397,25 @@ class TestMiniWedgeReferences:
         for i in range(4):
             du, dl = dense.vectors[:, i], lanczos.vectors[:, i]
             assert min(np.linalg.norm(du - dl), np.linalg.norm(du + dl)) < 1e-6
+
+
+def test_hellmann_feynman_central_difference():
+    """<V>0 of the three pair potentials is dE0/dbeta at beta = 2.
+
+    The central difference (E0(b + d) - E0(b - d)) / 2d errs from E0'(b) by
+    d^2 E0'''(b) / 6 + O(d^4), and E0''' = d^2 <V>0 / dbeta^2 comes from the
+    same three solves.  Twice that term is the tolerance: 4.0e-6 at d = 0.01,
+    against the 1.1e-2 gap of a potential mis-scaled by 1%.
+    """
+    grid = WedgeGrid2D(20.0, 26.0, 0.2)
+    v = sum(reduced_potential(phi, 1.0) for phi in pair_separations(grid.x, grid.y))
+    d = 0.01
+    sols = [solve_three_body(grid, beta, 1.0, 1, allow_small_box=True)
+            for beta in (2.0 - d, 2.0, 2.0 + d)]
+    e_lo, _, e_hi = (sol.energies[0] for sol in sols)
+    v_lo, v_mid, v_hi = (sol.expectation(v) for sol in sols)
+    third = (v_hi - 2.0 * v_mid + v_lo) / d**2
+    assert abs((e_hi - e_lo) / (2.0 * d) - v_mid) <= 2.0 * d**2 * abs(third) / 6.0
 
 
 class TestProductionSolves:

@@ -165,6 +165,19 @@ class TestSolve:
         )
         assert fd == pytest.approx(v_exp, rel=1e-3)
 
+    def test_hellmann_feynman_sandwich(self):
+        # dE0/dbeta = <V>0 for H = T + beta V on the lattice, and E0(beta) is
+        # concave, so every chord slope of E0 lies between the ends' <V>0
+        grid = Grid1D()
+        v = reduced_potential(grid.nodes, 1.0)
+        betas = [0.1, 0.2, 0.4, 0.7, 1.0, 1.4, 2.0, 5.0, 10.0, 20.0]
+        sols = [solve_two_body(grid, beta, 1.0, 1) for beta in betas]
+        e0 = [sol.energies[0] for sol in sols]
+        dv = [sol.expectation(v) for sol in sols]
+        for i in range(len(betas) - 1):
+            slope = (e0[i + 1] - e0[i]) / (betas[i + 1] - betas[i])
+            assert dv[i + 1] <= slope <= dv[i], betas[i]
+
     def test_grid_convergence_second_order(self):
         energies = {}
         for dx in (0.04, 0.02, 0.01):
