@@ -6,21 +6,22 @@ is not re-checked.  Solves are routed by structure alone: tridiagonal
 operators go to a direct banded solver (LAPACK bisection, to a tolerance
 scaled by the operator's own level spacing, then inverse iteration),
 everything else to ARPACK's own shift-invert mode, with ``H - sigma``
-factored once by sparse LU.  Asked only for the states below an energy,
-the banded route first counts them by one Sturm count (:func:`_sturm_count`)
-and, when they are at most ``k``, bisects them by value on the bracket
-(Gershgorin floor, energy] instead of by index over the whole Gershgorin
-interval.  ``sigma`` sits just below a caller's estimate of the lowest
-eigenvalue when one LU solve certifies that ``H - sigma`` is a nonsingular
-M-matrix (so ``sigma`` lies below the whole spectrum), and below the
-Gershgorin bound otherwise.  Each Gershgorin radius is scipy's row sum of
-``|H|`` over the stored entries, 0 on a row that stores none.  The one other
-choice, plain Lanczos on the operator (``lanczos``), is only taken when
-forced; the dense oracle the routes are checked against lives in the test
-suite.  ARPACK's own restart limit bounds the iteration; when it stops
-short, the pairs it did converge travel on the :class:`ConvergenceError`.
-Whatever the route, the energies returned are the Rayleigh quotients of
-the returned eigenvectors, taken with the matvecs of the residual check.  A near-shift run starts from the
+factored once by sparse LU.  Asked only for the states below an energy, the
+banded route first counts them by one Sturm count (:func:`_sturm_count`)
+and, when they are at most ``k``, bisects them by value up to that energy
+instead of by index over the whole Gershgorin interval; LAPACK bounds both
+searches from below by its own Gershgorin interval.  ``sigma`` sits just
+below a caller's estimate of the lowest eigenvalue when one LU solve
+certifies that ``H - sigma`` is a nonsingular M-matrix (so ``sigma`` lies
+below the whole spectrum), and below the Gershgorin bound otherwise.  Each
+Gershgorin radius is scipy's row sum of ``|H|`` over the stored entries, 0
+on a row that stores none.  The one other choice, plain Lanczos on the
+operator (``lanczos``), is only taken when forced; the dense oracle the
+routes are checked against lives in the test suite.  ARPACK's own restart
+limit bounds the iteration; when it stops short, the pairs it did converge
+travel on the :class:`ConvergenceError`.  Whatever the route, the energies
+returned are the Rayleigh quotients of the returned eigenvectors, taken with
+the matvecs of the residual check.  A near-shift run starts from the
 certificate's solve; other start and restart vectors come from a seeded
 generator whose seed the result carries, so repeated runs are reproducible.
 
@@ -317,17 +318,16 @@ def _gershgorin(op) -> tuple[float, float]:
     return lower, lower - 1e-3 * max(1.0, abs(lower))
 
 
-def _sturm_count(d, e, floor, energy) -> int:
-    """Eigenvalues of the tridiagonal (``d``, ``e``) in (``floor``, ``energy``].
+def _sturm_count(d, e, energy) -> int:
+    """Eigenvalues of the tridiagonal (``d``, ``e``) at or below ``energy``.
 
-    ``stebz`` by value with an absolute tolerance as wide as the bracket
-    stops bisecting at once, so the count is that of the Sturm sequences at
-    the two ends (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
+    ``stebz`` by value on (-inf, ``energy``] intersects the range with its own
+    Gershgorin interval, and an infinite absolute tolerance stops it
+    bisecting at once, so the count is that of the Sturm sequences at the
+    ends (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
     """
-    if energy <= floor:
-        return 0
-    return eigh_tridiagonal(d, e, eigvals_only=True, select="v", select_range=(floor, energy),
-                            tol=energy - floor).size
+    return eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                            select_range=(-math.inf, energy), tol=math.inf).size
 
 
 def _banded(op, k, below):
@@ -339,19 +339,18 @@ def _banded(op, k, below):
     whole Gershgorin interval (up to the repulsive core's diagonal on the
     two-body operator).  With it, one Sturm count of the states below
     ``below`` comes first: when there are at most ``k``, they are bisected by
-    value on the bracket (Gershgorin floor, ``below``] of that count; when
-    there are more, the ``k`` lowest by index; when there are none, the
-    lowest one by index.
+    value on (-inf, ``below``], which ``stebz`` cuts to its own Gershgorin
+    interval; when there are more, the ``k`` lowest by index; when there
+    are none, the lowest one by index.
     """
     d, e = op.csr.diagonal(), op.csr.diagonal(1)
     # the free-lattice gap between the two lowest levels of an n-node chain
     gap = 3.0 * math.pi**2 * np.max(np.abs(e), initial=0.0) / (op.n + 1) ** 2
     select, bounds = "i", (0, k - 1)
     if below is not None:
-        floor = _gershgorin(op)[1]
-        count = _sturm_count(d, e, floor, below)
+        count = _sturm_count(d, e, below)
         if count <= k:
-            select, bounds = ("v", (floor, below)) if count else ("i", (0, 0))
+            select, bounds = ("v", (-math.inf, below)) if count else ("i", (0, 0))
     return eigh_tridiagonal(d, e, select=select, select_range=bounds,
                             tol=BISECTION_GAP_FRACTION * gap)[1]
 

@@ -32,6 +32,11 @@ TWO_PI = 2.0 * math.pi
 #: the interaction to be repulsive (no collapsing pairs).
 RATIO_MAX = math.sqrt(2.0) * math.pi
 
+#: Ratios must be at least this fifth root of the smallest normal float (about
+#: 2.9e-62): V(2pi) = -ratio^2 / ratio^5, and below it ratio^5 leaves the normal
+#: floats (below 2e-65 it is 0, and V(2pi) is -inf).
+RATIO_MIN = (2.0**-1022) ** 0.2
+
 #: Angular separations smaller than this are treated as coincident particles.
 COINCIDENCE_EPS = 1e-12
 
@@ -130,11 +135,15 @@ def validate_geometry(ratio: float) -> None:
     """Check that ``ratio`` admits a repulsive short-range interaction.
 
     Raises:
-        GeometryError: unless ``0 < ratio < sqrt(2)*pi`` (a ratio at or
-            above the bound makes the short-range potential attractive, so
-            pairs would collapse into the regime this model excludes).
+        GeometryError: unless ``RATIO_MIN <= ratio < sqrt(2)*pi`` (a ratio at
+            or above the bound makes the short-range potential attractive, so
+            pairs would collapse into the regime this model excludes; one
+            below the floor leaves the float range).
     """
     check_positive(GeometryError, ratio=ratio)
+    if ratio < RATIO_MIN:
+        raise GeometryError(f"ratio {ratio!r} < {RATIO_MIN!r}: the potential at one "
+                            "winding would leave the float range")
     if ratio >= RATIO_MAX:
         raise GeometryError(
             f"ratio {ratio:g} >= sqrt(2)*pi ~ {RATIO_MAX:.6f}: "

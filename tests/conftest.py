@@ -3,6 +3,7 @@ session-scoped so the acceptance criteria and module tests reuse them."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import eigh
 
 from helixdipoles.linalg import EigenResult, Solution, lowest_eigenpairs
@@ -29,6 +30,27 @@ def dense_oracle():
         residuals = np.linalg.norm(op.csr @ vectors - vectors * values, axis=0)
         return EigenResult(values, vectors, residuals, method="dense")
     return solve
+
+
+@pytest.fixture(scope="session")
+def lattice_coo_reference():
+    """The lattice operator of ``on_lattice`` from COO triplets, one stencil arm at a time."""
+    def build(index, spacing, potential):
+        n = int(np.count_nonzero(index >= 0))
+        active = np.argwhere(index >= 0)  # row-major, so row m is node m
+        rows, cols, vals = [np.arange(n)], [np.arange(n)], [index.ndim / spacing**2 + potential]
+        for axis in range(index.ndim):
+            for step in (-1, 1):
+                shifted = active.copy()
+                shifted[:, axis] += step
+                neighbor = index[tuple(shifted.T)]
+                has = neighbor >= 0
+                rows.append(np.flatnonzero(has))
+                cols.append(neighbor[has])
+                vals.append(np.full(int(has.sum()), -0.5 / spacing**2))
+        return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(n, n)).tocsr()
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helixdipoles import linalg, threebody
 from helixdipoles.cli import RunConfig, run
 from helixdipoles.errors import (DimensionError, GeometryError, GridError, check_positive,
                                  is_integer, is_real)
@@ -126,41 +127,81 @@ def test_the_rule_accepts_numpy_numbers_and_names_the_value():
     assert is_integer(np.int64(3)) and not is_integer(True) and not is_integer(3.0)
 
 
-#: RunConfig field: (settings that reach it, exit code); every value of BAD_FIELD
-#: is refused before any solve
+#: The three-body box of every wedge row whose field under test is not the box
+WEDGE = {"problem": "three-body", "x_max": 12.0, "y_max": 16.0, "spacing_2d": 0.4,
+         "allow_small_box": True}
+
+#: RunConfig field: (settings that reach it, exit code); every value of BAD_FIELD,
+#: 0 unless the field takes it, and the field's SIZES are refused before any
+#: eigensolve or wedge assembly
 FIELDS = {
     "beta": ({}, 2),
-    "beta-three-body": ({"problem": "three-body"}, 2),
+    "beta-three-body": (WEDGE, 2),
     "ratio": ({}, 3),
     "ratio-joules": ({"mass_kg": 2.2e-25, "radius_m": 1e-6}, 3),
-    "box_length": ({}, 2),
+    "box_length": ({"spacing_1d": 1e-5}, 2),
+    "box_length-scan": ({"problem": "scan", "spacing_1d": 1e-5}, 2),
+    "box_length-fit": ({"problem": "fit", "spacing_1d": 1e-5}, 2),
     "spacing_1d": ({}, 2),
-    "x_max": ({"problem": "three-body"}, 2),
-    "y_max": ({"problem": "three-body"}, 2),
-    "spacing_2d": ({"problem": "three-body"}, 2),
+    "spacing_1d-scan": ({"problem": "scan"}, 2),
+    "spacing_1d-fit": ({"problem": "fit"}, 2),
+    "x_max": ({**WEDGE, "spacing_2d": 0.1}, 2),
+    "y_max": (WEDGE, 2),
+    "spacing_2d": (WEDGE, 2),
+    "k_states": ({}, 2),
+    "k_states-three-body": (WEDGE, 2),
+    "k_states-scan": ({"problem": "scan"}, 2),
+    "seed": (WEDGE, 2),
+    "statistics": ({"emit_full_line": True}, 2),
+    "statistics-three-body": ({**WEDGE, "symmetrize": True}, 2),
     "phi_max": ({"problem": "potential"}, 2),
     "n_samples": ({"problem": "potential"}, 2),
     "mass_kg": ({"radius_m": 1e-6}, 2),
     "radius_m": ({"mass_kg": 2.2e-25}, 2),
-    "sample_extent": ({"problem": "three-body", "symmetrize": True}, 2),
-    "sample_spacing": ({"problem": "three-body", "symmetrize": True}, 2),
+    "sample_extent": ({**WEDGE, "symmetrize": True}, 2),
+    "sample_spacing": ({**WEDGE, "symmetrize": True}, 2),
 }
-BAD_FIELD = ["1", None, True, math.nan, -1.0]
+BAD_FIELD = ["1", None, True, math.nan, -1.0, math.inf, -math.inf]
 AUTO = ("x_max", "y_max", "spacing_2d")  # where None is "auto", a valid box
-
-
-@pytest.mark.parametrize("case, value", [
-    *[(case, value) for case in FIELDS for value in BAD_FIELD
-      if not (value is None and case in AUTO)], ("n_samples", 2.5),
+ZERO_OK = ("beta", "seed")  # where 0 is a valid value
+#: Values of the right type that no BAD_FIELD row reaches
+SIZES = {
+    "ratio": [1e-70],  # below RATIO_MIN
+    # a finite cell count no array holds
+    "box_length": [1e300], "box_length-scan": [1e300], "box_length-fit": [1e300],
+    # under-resolves the wells
+    "spacing_1d": [0.5], "spacing_1d-scan": [0.5], "spacing_1d-fit": [0.5],
+    "x_max": [0.2],  # two cells
+    "k_states-scan": [100000],  # beyond n/4
+    "seed": [-1], "n_samples": [2.5],
+    "sample_extent": [1e300],  # a sample grid beyond any address space
     # valid alone, but the energy unit leaves the float range
-    ("mass_kg", 1e-320), ("radius_m", 1e200)])
-def test_bad_run_config_is_recorded(case, value, tmp_path):
-    settings, code = FIELDS[case]
-    cfg = RunConfig(out_dir=str(tmp_path), **settings, **{case.split("-")[0]: value})
-    assert run(cfg) == code
+    "mass_kg": [1e-320], "radius_m": [1e200],
+}
+
+
+def _refused_settings():
+    for case, (settings, code) in FIELDS.items():
+        name = case.split("-")[0]
+        values = [v for v in BAD_FIELD if v is not None or name not in AUTO]
+        for value in values + ([] if name in ZERO_OK else [0]) + SIZES.get(case, []):
+            yield pytest.param({**settings, name: value}, code, id=f"{case}-{value}")
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("an eigensolve or a wedge assembly ran before the refusal")
+
+
+@pytest.mark.parametrize("settings, code", _refused_settings())
+def test_bad_run_config_is_recorded(settings, code, tmp_path, monkeypatch):
+    # run does not catch AssertionError: a check moved below a solve fails here
+    for owner, name in ((linalg, "eigh_tridiagonal"), (linalg, "_arpack"),
+                        (threebody, "assemble_hamiltonian_2d")):
+        monkeypatch.setattr(owner, name, _no_solve)
+    assert run(RunConfig(out_dir=str(tmp_path), **settings)) == code
     meta = (tmp_path / "metadata.txt").read_text().splitlines()
     assert f"status = {'geometry_error' if code == 3 else 'config_error'}" in meta
-    assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.glob("*.csv")) and not (tmp_path / "summary.txt").exists()
 
 
 #: RunConfig field: small valid values; every valid draw solves on a tiny grid
@@ -216,6 +257,10 @@ def _tiny(**settings):
 @example(_tiny(mass_kg=1e-300, radius_m=1e-300))
 @example(_tiny(mass_kg=2.2e-25, radius_m=1e200))
 @example(_tiny(mass_kg=1e-320, radius_m=1e-6))
+# ratios below the floor: find_minima divides by ratio**2 == 0, and V(2pi) is -inf
+@example(RunConfig(problem="potential", ratio=1e-163))
+@example(_tiny(problem="fit", ratio=1e-163))
+@example(RunConfig(problem="potential", ratio=1e-70))
 def test_run_never_raises_and_records_its_status(cfg):
     with tempfile.TemporaryDirectory() as out:
         cfg = dataclasses.replace(cfg, out_dir=out)

@@ -106,24 +106,6 @@ class TestOperator:
         assert lowest_eigenpairs(op, 2).method == "shift-invert"
 
 
-def lattice_coo_reference(index, spacing, potential):
-    """The lattice operator from COO triplets, one stencil arm at a time."""
-    n = int(np.count_nonzero(index >= 0))
-    active = np.argwhere(index >= 0)  # row-major, so row m is node m
-    rows, cols, vals = [np.arange(n)], [np.arange(n)], [index.ndim / spacing**2 + potential]
-    for axis in range(index.ndim):
-        for step in (-1, 1):
-            shifted = active.copy()
-            shifted[:, axis] += step
-            neighbor = index[tuple(shifted.T)]
-            has = neighbor >= 0
-            rows.append(np.flatnonzero(has))
-            cols.append(neighbor[has])
-            vals.append(np.full(int(has.sum()), -0.5 / spacing**2))
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n)).tocsr()
-
-
 def numbered(mask):
     """Lattice index of ``mask`` inside a one-node border of -1."""
     index = -np.ones(np.add(mask.shape, 2), dtype=np.int32)
@@ -149,7 +131,7 @@ class TestOnLattice:
     @settings(max_examples=60, deadline=None)
     @given(hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9)),
            st.floats(0.05, 2.0), st.integers(0, 2**32 - 1))
-    def test_random_masks_match_coo_build(self, mask, spacing, seed):
+    def test_random_masks_match_coo_build(self, lattice_coo_reference, mask, spacing, seed):
         index = numbered(mask)
         potential = np.random.default_rng(seed).uniform(-3.0, 3.0, int(mask.sum()))
         op = SymmetricSparseOperator.on_lattice(index, spacing, potential)
@@ -228,13 +210,6 @@ class TestLowestEigenpairs:
         for i in range(5):
             assert align(dense.vectors[:, i], lanczos.vectors[:, i]) < 1e-6
 
-    def test_values_sorted_and_normalized(self):
-        op = random_sparse_symmetric(400, seed=3)
-        res = lowest_eigenpairs(op, 6, method="lanczos")
-        assert np.all(np.diff(res.values) >= 0.0)
-        norms = np.sum(res.vectors**2, axis=0)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-10)
-
     def test_orthonormality(self):
         op = random_sparse_symmetric(400, seed=5)
         res = lowest_eigenpairs(op, 6, method="lanczos")
@@ -290,14 +265,6 @@ class TestLowestEigenpairs:
         res = lowest_eigenpairs(with_corner_zeros(diag), 3)
         assert res.method == "shift-invert"
         np.testing.assert_allclose(res.values, diag[:3], atol=1e-10)
-
-    def test_auto_routes_wedge_to_shift_invert(self):
-        grid = WedgeGrid2D(12.0, 16.0, 0.2)
-        op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
-        res = lowest_eigenpairs(op, 2)
-        assert res.method == "shift-invert"
-        lanczos = lowest_eigenpairs(op, 2, method="lanczos")
-        np.testing.assert_allclose(res.values, lanczos.values, atol=1e-9)
 
     @pytest.mark.parametrize("method, maxiter", [("auto", 5), ("lanczos", 2)],
                              ids=["shift-invert", "lanczos"])
@@ -628,7 +595,7 @@ class TestCountBelow:
         below_all = levels[0] - 1.0
         between = 0.5 * (levels[2] + levels[3])
         above_many = 0.5 * (levels[9] + levels[10])
-        # -1e6 lies below the Gershgorin floor itself, where no bisection runs
+        # -1e6 lies below LAPACK's own Gershgorin interval, so stebz counts none there
         for energy, count in ((-1e6, 0), (below_all, 0), (between, 3), (above_many, 10),
                               (BOUND_THRESHOLD, int(np.sum(levels < BOUND_THRESHOLD)))):
             # k = n/4 holds every count, so the states below come back by value
@@ -663,10 +630,6 @@ class TestCountBelow:
 
 
 class TestRouting:
-    def test_small_tridiagonal_takes_banded_solver(self):
-        op, _, _ = dirichlet_box(10.0, 999)
-        assert lowest_eigenpairs(op, 2).method == "tridiagonal"
-
     def test_small_wedge_takes_shift_invert(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.4)
         op = assemble_hamiltonian_2d(grid, 1.0, 1.0)

@@ -9,6 +9,7 @@ from helixdipoles.errors import CoincidenceError, GeometryError
 from helixdipoles.potential import (
     MINIMA_SCAN_STEP,
     RATIO_MAX,
+    RATIO_MIN,
     PotentialMinimum,
     energy_unit_joules,
     find_minima,
@@ -195,8 +196,8 @@ class TestEnergyUnit:
     @example(1e300, 1e10, 1.0)
     @example(1e250, 1e10, 1.0)
     # alpha at the largest finite square, and one ulp above it
-    @example(1e-60, 1.3407807929942596e154, 1e-300)
-    @example(1e-60, 1.3407807929942597e154, 1e-300)
+    @example(1e-60, 1.3407807929942596e154, 1e-60)
+    @example(1e-60, 1.3407807929942597e154, 1e-60)
     def test_same_bits_or_refused(self, mass, radius, ratio):
         # every input the written-out expression turns into a unit > 0 gets its
         # bits; the rest (a raise, or an underflow to 0) is refused as a ValueError
@@ -226,6 +227,13 @@ class TestValidateGeometry:
             validate_geometry(0.0)
         with pytest.raises(GeometryError):
             validate_geometry(-1.0)
+        # V(2pi) = -ratio^-3 is still a float at the floor; below it the ratio is refused
+        for ratio in (RATIO_MIN, 1e-60):
+            validate_geometry(ratio)
+            assert reduced_potential(TWO_PI, ratio) == pytest.approx(-ratio**-3, rel=1e-12)
+        for ratio in (math.nextafter(RATIO_MIN, 0.0), 1e-70, 1e-163):
+            with pytest.raises(GeometryError, match=r"float range$"):
+                validate_geometry(ratio)
 
 
 def _scan_stop(ratio):
