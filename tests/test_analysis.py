@@ -50,6 +50,18 @@ class TestExpectationPhi2:
         sol = solve_two_body(grid, 1.0, 1.0, 1)
         assert sol.expectation(grid.nodes**2) == pytest.approx(PHI2_BETA1, rel=1e-6)
 
+    def test_exponential_identity(self, as_solution):
+        # <phi^2> = 1 / (2 kappa^2) for a bare exponential on a half line;
+        # the box spans 50 decay lengths and the spacing keeps the half-cell
+        # endpoint defect below the 0.1% target
+        for kappa in (0.5, 1.0, 2.0):
+            length = 50.0 / kappa
+            grid = Grid1D(length, length / 200_001)
+            sol = as_solution(grid, np.exp(-kappa * grid.nodes))
+            product = sol.expectation(grid.nodes**2) * 2.0 * kappa**2
+            assert 0.999 < product < 1.001
+
+
 class TestHarmonicFit:
     def test_exact_synthetic_recovery(self):
         phi0 = 6.2

@@ -396,6 +396,19 @@ class TestPhysicalMode:
         assert float(summary["E0_joules"]) == pytest.approx(
             float(summary["E0"]) * unit, rel=1e-11)
 
+    @pytest.mark.parametrize("flag", ["--radius-m=nan", "--mass-kg=nan"])
+    def test_non_finite_mass_or_radius_rejected_before_solve(self, flag, tmp_path,
+                                                             monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the physical inputs were checked")
+
+        monkeypatch.setattr("helixdipoles.cli.solve_two_body", no_solve)
+        argv = ["two-body", "--mass-kg", "2.2e-25", "--radius-m", "1e-6"]
+        assert main(argv + [flag, "--out-dir", str(tmp_path)]) == 2
+        meta = read_keyvalue(tmp_path / "metadata.txt")
+        assert meta["status"] == "config_error" and "finite" in meta["error"]
+        assert not (tmp_path / "summary.txt").exists()
+
     def test_physical_requires_mass_and_radius(self, tmp_path):
         cfg = RunConfig(problem="two-body", beta=1.0, box_length=40.0,
                         spacing_1d=0.05, k_states=2, mass_kg=2.2e-25,
@@ -547,6 +560,32 @@ class TestExitCodes:
 
 
 class TestInputEdges:
+    @pytest.mark.parametrize("argv", [
+        ["potential", "--n-samples", "0"],
+        ["potential", "--n-samples", "-5"],
+        ["scan", "--spacing", "0.5"],
+        MINI_WEDGE + ["--symmetrize", "--sample-spacing=-0.5"],
+        MINI_WEDGE + ["--symmetrize", "--sample-extent=-1"],
+        MINI_WEDGE + ["--symmetrize", "--sample-extent=nan"],
+    ], ids=["n-samples-0", "n-samples-neg", "scan-coarse-spacing",
+            "sample-spacing-neg", "sample-extent-neg", "sample-extent-nan"])
+    def test_bad_input_is_config_error(self, argv, tmp_path):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        meta = read_keyvalue(tmp_path / "metadata.txt")
+        assert meta["status"] == "config_error"
+        assert not list(tmp_path.glob("*.csv"))  # rejected before any solve
+
+    @pytest.mark.parametrize("problem, solver", [("scan", "scan_beta")])
+    def test_coarse_spacing_rejected_before_any_solve(self, problem, solver, tmp_path,
+                                                      capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved on an under-resolving grid")
+
+        monkeypatch.setattr(f"helixdipoles.cli.{solver}", no_solve)
+        assert main([problem, "--spacing", "0.5", "--out-dir", str(tmp_path)]) == 2
+        assert read_keyvalue(tmp_path / "metadata.txt")["status"] == "config_error"
+        assert "spacing 0.5 > 0.2 under-resolves the potential wells" in capsys.readouterr().err
+
     def test_scan_bad_ratio_is_geometry_error(self, tmp_path):
         assert main(["scan", "--ratio=-1", "--out-dir", str(tmp_path)]) == 3
         assert read_keyvalue(tmp_path / "metadata.txt")["status"] == "geometry_error"
@@ -758,6 +797,11 @@ class TestMainEntry:
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout.strip() == helixdipoles.__version__
 
+    def test_bad_config_file(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("nonsense_key = 3\n")
+        assert main(["potential", "--config", str(cfg_file)]) == 2
+
     @pytest.mark.parametrize("line", ["statistics = bosn", "solver = lanczoz",
                                       "symmetrize = yes", "solver = dense",
                                       "solver = shift-invert"])
@@ -780,6 +824,26 @@ class TestMainEntry:
 
 
 class TestDeterminism:
+    PINNED = [
+        dict(problem="potential", ratio=1.0, phi_max=3.0 * TWO_PI, n_samples=600),
+        dict(problem="two-body", beta=1.0, box_length=60.0, spacing_1d=0.05,
+             k_states=4),
+        dict(problem="three-body", beta=1.0, x_max=12.0, y_max=16.0,
+             spacing_2d=0.4, k_states=2, allow_small_box=True, solver="lanczos"),
+    ]
+
+    @pytest.mark.parametrize("pinned", PINNED, ids=["potential", "two-body", "three-body"])
+    def test_golden_outputs_byte_stable(self, pinned, tmp_path):
+        outputs = []
+        for label in ("first", "second"):
+            out = tmp_path / label
+            cfg = RunConfig(out_dir=str(out), **pinned)
+            assert run(cfg) == 0
+            outputs.append(sorted(p for p in out.iterdir() if p.suffix == ".csv"))
+        assert [p.name for p in outputs[0]] == [p.name for p in outputs[1]]
+        for a, b in zip(*outputs):
+            assert a.read_bytes() == b.read_bytes(), f"{a.name} differs between runs"
+
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # the default beta=2 wedge: the 12x16 box at h=0.4 or 0.2 stays below
         # OpenBLAS's threading thresholds under ARPACK and would pass even

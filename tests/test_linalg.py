@@ -210,6 +210,13 @@ class TestLowestEigenpairs:
         for i in range(5):
             assert align(dense.vectors[:, i], lanczos.vectors[:, i]) < 1e-6
 
+    def test_values_sorted_and_normalized(self):
+        op = random_sparse_symmetric(400, seed=3)
+        res = lowest_eigenpairs(op, 6, method="lanczos")
+        assert np.all(np.diff(res.values) >= 0.0)
+        norms = np.sum(res.vectors**2, axis=0)
+        np.testing.assert_allclose(norms, 1.0, atol=1e-10)
+
     def test_orthonormality(self):
         op = random_sparse_symmetric(400, seed=5)
         res = lowest_eigenpairs(op, 6, method="lanczos")
@@ -265,6 +272,14 @@ class TestLowestEigenpairs:
         res = lowest_eigenpairs(with_corner_zeros(diag), 3)
         assert res.method == "shift-invert"
         np.testing.assert_allclose(res.values, diag[:3], atol=1e-10)
+
+    def test_auto_routes_wedge_to_shift_invert(self):
+        grid = WedgeGrid2D(12.0, 16.0, 0.2)
+        op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
+        res = lowest_eigenpairs(op, 2)
+        assert res.method == "shift-invert"
+        lanczos = lowest_eigenpairs(op, 2, method="lanczos")
+        np.testing.assert_allclose(res.values, lanczos.values, atol=1e-9)
 
     @pytest.mark.parametrize("method, maxiter", [("auto", 5), ("lanczos", 2)],
                              ids=["shift-invert", "lanczos"])
@@ -630,6 +645,10 @@ class TestCountBelow:
 
 
 class TestRouting:
+    def test_small_tridiagonal_takes_banded_solver(self):
+        op, _, _ = dirichlet_box(10.0, 999)
+        assert lowest_eigenpairs(op, 2).method == "tridiagonal"
+
     def test_small_wedge_takes_shift_invert(self):
         grid = WedgeGrid2D(12.0, 16.0, 0.4)
         op = assemble_hamiltonian_2d(grid, 1.0, 1.0)

@@ -215,6 +215,14 @@ class TestAssembly2D:
         potential_part = op.csr.diagonal()[i] - 2.0 / grid.spacing**2
         assert potential_part == pytest.approx(-2.125, abs=0.05)
 
+    def test_symmetry(self):
+        grid = WedgeGrid2D(12.0, 16.0, 0.4)
+        op = assemble_hamiltonian_2d(grid, 1.0, 1.0)
+        csr = op.csr
+        assert (csr != csr.T).nnz == 0
+        rows = np.repeat(np.arange(op.n), np.diff(csr.indptr))  # every row stores its diagonal
+        assert np.array_equal(np.unique(rows[rows == csr.indices]), np.arange(op.n))
+
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_stencil_csr_equals_coo_reference(self, lattice_coo_reference, beta):
         grid = WedgeGrid2D(12.0, 16.0, 0.4)
@@ -265,6 +273,16 @@ class TestAssembly2D:
         assert 1 < coarse.n_active < grid.n_active // 10
         # 2.0 / 0.8 rounds to 2 cells: no grid
         assert WedgeGrid2D(2.0, 16.0, 0.2).coarsened() is None
+
+    def test_k_checked_before_assembly(self, monkeypatch):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("wedge assembled before the k check")
+
+        monkeypatch.setattr(threebody, "assemble_hamiltonian_2d", no_assembly)
+        grid = WedgeGrid2D(12.0, 16.0, 0.4)
+        for k in (0, grid.n_active // 4 + 1):
+            with pytest.raises(DimensionError, match=f"k={k} outside"):
+                solve_three_body(grid, 1.0, 1.0, k, allow_small_box=True)
 
     def test_forced_dense_rejected_before_assembly(self, monkeypatch):
         def no_assembly(*args, **kwargs):
@@ -351,6 +369,13 @@ class TestMiniWedgeReferences:
         res = lowest_eigenpairs(op, 4, method="lanczos")
         np.testing.assert_allclose(res.values, MINI_E_DX02, atol=1e-8)
 
+    def test_iterative_matches_dense(self, mini_wedge_solves):
+        _, dense, lanczos = mini_wedge_solves
+        np.testing.assert_allclose(lanczos.values, dense.values, atol=1e-9)
+        for i in range(4):
+            du, dl = dense.vectors[:, i], lanczos.vectors[:, i]
+            assert min(np.linalg.norm(du - dl), np.linalg.norm(du + dl)) < 1e-6
+
 
 def test_hellmann_feynman_central_difference():
     """<V>0 of the three pair potentials is dE0/dbeta at beta = 2.
@@ -383,6 +408,14 @@ class TestProductionSolves:
     def test_beta1_energies_and_distances(self, three_body_beta1):
         np.testing.assert_allclose(three_body_beta1.energies, PROD_BETA1_E, atol=1e-6)
         np.testing.assert_allclose(three_body_beta1.distances, PROD_BETA1_D, atol=5e-4)
+
+    def test_beta1_peak_at_chain_configuration(self, three_body_beta1):
+        grid = three_body_beta1.grid
+        psi0 = three_body_beta1.wavefunction(0)
+        peak = int(np.argmax(np.abs(psi0)))
+        x0, y0 = FIRST_MINIMUM_XY
+        assert abs(grid.x[peak] - x0) <= 0.1
+        assert abs(grid.y[peak] - y0) <= 0.1
 
     def test_beta1_first_excited_sign_change(self, three_body_beta1):
         # amplitude near the one-winding chain has the opposite sign of the

@@ -86,6 +86,18 @@ class TestAssembly:
         assert op.csr.diagonal()[i] == pytest.approx(expected, rel=1e-14)
         assert reduced_potential(node, 1.0) == pytest.approx(-1.0, abs=0.01)
 
+    def test_tridiagonal_symmetric(self):
+        op = assemble_hamiltonian_1d(Grid1D(20.0, 0.05), 1.0, 1.0)
+        assert op.is_tridiagonal()
+        csr = op.csr
+        assert (csr != csr.T).nnz == 0
+        rows = np.repeat(np.arange(op.n), np.diff(csr.indptr))  # every row stores its diagonal
+        assert np.array_equal(np.unique(rows[rows == csr.indices]), np.arange(op.n))
+
+    def test_coarse_grid_rejected(self):
+        with pytest.raises(GridError):
+            assemble_hamiltonian_1d(Grid1D(100.0, 0.25), 1.0, 1.0)
+
     def test_invalid_parameters(self):
         with pytest.raises(GeometryError):
             assemble_hamiltonian_1d(Grid1D(), 1.0, 5.0)
@@ -138,6 +150,20 @@ class TestSolve:
             live = psi[np.abs(psi) > 1e-8 * np.abs(psi).max()]
             changes = int(np.sum(live[:-1] * live[1:] < 0.0))
             assert changes == m
+
+    def test_hellmann_feynman(self):
+        # dE/dbeta equals <V> for the discrete eigenproblem; the central
+        # difference only adds O(delta^2) truncation
+        grid = Grid1D()
+        delta = 1e-3
+        e_plus = solve_two_body(grid, 1.0 + delta, 1.0, 1).energies[0]
+        e_minus = solve_two_body(grid, 1.0 - delta, 1.0, 1).energies[0]
+        fd = (e_plus - e_minus) / (2.0 * delta)
+        sol = solve_two_body(grid, 1.0, 1.0, 1)
+        v_exp = grid.spacing * np.sum(
+            reduced_potential(grid.nodes, 1.0) * sol.wavefunction(0) ** 2
+        )
+        assert fd == pytest.approx(v_exp, rel=1e-3)
 
     def test_hellmann_feynman_sandwich(self):
         # dE0/dbeta = <V>0 for H = T + beta V on the lattice, and E0(beta) is
