@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh
+from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from helixdipoles.linalg import EigenResult, Solution, lowest_eigenpairs
+from helixdipoles import linalg
+from helixdipoles.linalg import EigenResult, Solution, SymmetricSparseOperator, lowest_eigenpairs
 from helixdipoles.threebody import WedgeGrid2D, solve_three_body
 from helixdipoles.twobody import Grid1D, assemble_hamiltonian_1d, solve_two_body
 
@@ -29,6 +31,53 @@ def dense_oracle():
         values, vectors = eigh(op.csr.toarray(), subset_by_index=(0, k - 1))
         residuals = np.linalg.norm(op.csr @ vectors - vectors * values, axis=0)
         return EigenResult(values, vectors, residuals, method="dense")
+    return solve
+
+
+@pytest.fixture(scope="session")
+def spectral_oracle():
+    """Ground state of the sine DVR of -1/2 laplacian + ``potential`` on ``grid``'s nodes.
+
+    Its error law is not the lattice's, so it checks the lattice's accuracy.
+    An axis of N cells over (0, L) carries the kinetic matrix
+    T = S diag(1/2 (pi k / L)^2) S on its nodes jL/N, 0 < j < N, with
+    S_jk = sqrt(2/N) sin(pi jk / N); the potential is taken on the nodes.
+    Half line: dense ``eigh`` of T + V.  Wedge: the product DVR restricted
+    to the active nodes, T_x F + F T_y + V applied matrix-free and solved by
+    ``lobpcg``, preconditioned by ``on_lattice``'s operator on the same
+    nodes factored at its Gershgorin floor, from three inverse iterations
+    on ones.
+    """
+    def kinetic(cells, length):
+        k = np.arange(1, cells)
+        s = np.sqrt(2.0 / cells) * np.sin(np.pi * np.outer(k, k) / cells)
+        return (s * 0.5 * (np.pi * k / length) ** 2) @ s
+
+    def solve(grid, potential):
+        n = potential.size
+        t = [kinetic(size - 1, (size - 1) * grid.spacing) for size in grid.index.shape]
+        if grid.index.ndim == 1:
+            op = t[0] + np.diag(potential)
+            values, vectors = eigh(op, subset_by_index=(0, 0))
+        else:
+            active = grid.index[1:-1, 1:-1] >= 0
+
+            def apply(v):
+                f = np.zeros(active.shape)
+                f[active] = v.ravel()
+                return (t[0] @ f + f @ t[1])[active] + potential * v.ravel()
+
+            op = LinearOperator((n, n), matvec=apply, dtype=float)
+            lattice = SymmetricSparseOperator.on_lattice(grid.index, grid.spacing, potential)
+            lu = linalg._shifted_factor(lattice, None)[0]
+            x = np.ones(n)
+            for _ in range(3):
+                x = lu.solve(x)
+                x /= np.linalg.norm(x)
+            values, vectors = lobpcg(op, x[:, None], largest=False, tol=1e-8, maxiter=100,
+                                     M=LinearOperator((n, n), matvec=lu.solve, dtype=float))
+        residuals = np.linalg.norm(op @ vectors - vectors * values, axis=0)
+        return Solution(grid, EigenResult(values, vectors, residuals, method="dvr"))
     return solve
 
 

@@ -347,9 +347,7 @@ def test_criterion_10_determinism(tmp_path):
         for label in ("a", "b"):
             out = tmp_path / f"{idx}{label}"
             assert run(RunConfig(out_dir=str(out), **pinned_kwargs)) == 0
-            blob = b"".join(p.read_bytes()
-                            for p in sorted(out.glob("*.csv")))
-            digests.append(blob)
+            digests.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
         same = digests[0] == digests[1]
         stable &= same
         details.append(f"{pinned_kwargs['problem']}: {'stable' if same else 'DIFFERS'}")

@@ -797,11 +797,6 @@ class TestMainEntry:
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout.strip() == helixdipoles.__version__
 
-    def test_bad_config_file(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("nonsense_key = 3\n")
-        assert main(["potential", "--config", str(cfg_file)]) == 2
-
     @pytest.mark.parametrize("line", ["statistics = bosn", "solver = lanczoz",
                                       "symmetrize = yes", "solver = dense",
                                       "solver = shift-invert"])
@@ -824,26 +819,6 @@ class TestMainEntry:
 
 
 class TestDeterminism:
-    PINNED = [
-        dict(problem="potential", ratio=1.0, phi_max=3.0 * TWO_PI, n_samples=600),
-        dict(problem="two-body", beta=1.0, box_length=60.0, spacing_1d=0.05,
-             k_states=4),
-        dict(problem="three-body", beta=1.0, x_max=12.0, y_max=16.0,
-             spacing_2d=0.4, k_states=2, allow_small_box=True, solver="lanczos"),
-    ]
-
-    @pytest.mark.parametrize("pinned", PINNED, ids=["potential", "two-body", "three-body"])
-    def test_golden_outputs_byte_stable(self, pinned, tmp_path):
-        outputs = []
-        for label in ("first", "second"):
-            out = tmp_path / label
-            cfg = RunConfig(out_dir=str(out), **pinned)
-            assert run(cfg) == 0
-            outputs.append(sorted(p for p in out.iterdir() if p.suffix == ".csv"))
-        assert [p.name for p in outputs[0]] == [p.name for p in outputs[1]]
-        for a, b in zip(*outputs):
-            assert a.read_bytes() == b.read_bytes(), f"{a.name} differs between runs"
-
     def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # the default beta=2 wedge: the 12x16 box at h=0.4 or 0.2 stays below
         # OpenBLAS's threading thresholds under ARPACK and would pass even

@@ -86,18 +86,6 @@ class TestAssembly:
         assert op.csr.diagonal()[i] == pytest.approx(expected, rel=1e-14)
         assert reduced_potential(node, 1.0) == pytest.approx(-1.0, abs=0.01)
 
-    def test_tridiagonal_symmetric(self):
-        op = assemble_hamiltonian_1d(Grid1D(20.0, 0.05), 1.0, 1.0)
-        assert op.is_tridiagonal()
-        csr = op.csr
-        assert (csr != csr.T).nnz == 0
-        rows = np.repeat(np.arange(op.n), np.diff(csr.indptr))  # every row stores its diagonal
-        assert np.array_equal(np.unique(rows[rows == csr.indices]), np.arange(op.n))
-
-    def test_coarse_grid_rejected(self):
-        with pytest.raises(GridError):
-            assemble_hamiltonian_1d(Grid1D(100.0, 0.25), 1.0, 1.0)
-
     def test_invalid_parameters(self):
         with pytest.raises(GeometryError):
             assemble_hamiltonian_1d(Grid1D(), 1.0, 5.0)
@@ -150,20 +138,6 @@ class TestSolve:
             live = psi[np.abs(psi) > 1e-8 * np.abs(psi).max()]
             changes = int(np.sum(live[:-1] * live[1:] < 0.0))
             assert changes == m
-
-    def test_hellmann_feynman(self):
-        # dE/dbeta equals <V> for the discrete eigenproblem; the central
-        # difference only adds O(delta^2) truncation
-        grid = Grid1D()
-        delta = 1e-3
-        e_plus = solve_two_body(grid, 1.0 + delta, 1.0, 1).energies[0]
-        e_minus = solve_two_body(grid, 1.0 - delta, 1.0, 1).energies[0]
-        fd = (e_plus - e_minus) / (2.0 * delta)
-        sol = solve_two_body(grid, 1.0, 1.0, 1)
-        v_exp = grid.spacing * np.sum(
-            reduced_potential(grid.nodes, 1.0) * sol.wavefunction(0) ** 2
-        )
-        assert fd == pytest.approx(v_exp, rel=1e-3)
 
     def test_hellmann_feynman_sandwich(self):
         # dE0/dbeta = <V>0 for H = T + beta V on the lattice, and E0(beta) is
@@ -291,6 +265,26 @@ class TestScanBeta:
     def test_empty_betas_rejected(self):
         with pytest.raises(ValueError):
             scan_beta([], Grid1D(), 1.0, 2)
+
+
+def _dvr_e0(oracle, cells, beta):
+    """Ground energy of ``spectral_oracle`` on (0, 100) in ``cells`` cells, ratio 1."""
+    grid = Grid1D(100.0, 100.0 / cells)
+    return oracle(grid, beta * reduced_potential(grid.nodes, 1.0)).energies[0]
+
+
+class TestSpectralOracle:
+    """The half-line sine DVR converges spectrally, so it measures the second-order
+    error of the h=0.01 default lattice, which lies below it."""
+
+    def test_converged_at_beta2(self, spectral_oracle):
+        e0 = [_dvr_e0(spectral_oracle, cells, 2.0) for cells in (1000, 1200)]
+        assert abs(e0[0] - e0[1]) <= 1e-9
+
+    @pytest.mark.parametrize("beta, error", [(0.5, 6.7e-7), (2.0, 9.8e-6), (20.0, 2.55e-4)])
+    def test_lattice_lies_below_by_its_error(self, spectral_oracle, beta, error):
+        lattice = solve_two_body(Grid1D(), beta, 1.0, 1).energies[0]
+        assert _dvr_e0(spectral_oracle, 1000, beta) - lattice == pytest.approx(error, rel=0.1)
 
 
 def test_bound_threshold_constant():
