@@ -40,6 +40,11 @@ RATIO_MIN = (2.0**-1022) ** 0.2
 #: Angular separations smaller than this are treated as coincident particles.
 COINCIDENCE_EPS = 1e-12
 
+#: Below this |phi|, 1 - cos(phi) is taken as 2 sin^2(phi/2): the difference
+#: loses digits as phi^2 shrinks and is 0 below |phi| ~ 1.5e-8, which flipped
+#: the sign of the repulsive core.  No node of a default grid lies below it.
+HALF_ANGLE_BELOW = 1e-2
+
 #: Step of the uniform grid on which :func:`find_minima` brackets minima.
 MINIMA_SCAN_STEP = 1e-3
 
@@ -63,13 +68,16 @@ def _fraction(phi, ratio: float):
     ``1 - cos(phi) - c phi^2`` and denominator ``2(1 - cos(phi)) + c phi^2``
     of :func:`reduced_potential`."""
     phi = np.asarray(phi, dtype=float)
-    if np.any(np.abs(phi) < COINCIDENCE_EPS):
-        raise CoincidenceError(
-            f"separation below coincidence epsilon {COINCIDENCE_EPS:g}"
-        )
+    one_minus_cos = 1.0 - np.cos(phi)
+    small = np.abs(phi) < HALF_ANGLE_BELOW
+    if small.any():
+        if np.any(np.abs(phi[small]) < COINCIDENCE_EPS):
+            raise CoincidenceError(
+                f"separation below coincidence epsilon {COINCIDENCE_EPS:g}"
+            )
+        one_minus_cos = np.where(small, 2.0 * np.sin(0.5 * phi) ** 2, one_minus_cos)
     c = (ratio / TWO_PI) ** 2
     q2 = c * phi * phi
-    one_minus_cos = 1.0 - np.cos(phi)
     return phi, c, one_minus_cos - q2, 2.0 * one_minus_cos + q2
 
 

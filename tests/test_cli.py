@@ -209,6 +209,14 @@ class TestPotentialCommand:
         listed = [float(v) for k, v in summary.items() if k.endswith("_phi")]
         assert len(listed) == count and all(phi <= phi_max for phi in listed)
 
+    def test_tiny_separations_written_finite(self, tmp_path):
+        # the suite turns warnings into errors, as python -W error does; the
+        # rows below phi ~ 1.5e-8 used to read -inf at this ratio
+        argv = ["potential", "--ratio", "1e-60", "--phi-max", "1e-6"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "data.csv")
+        assert len(rows) == 2000 and all(0.0 < float(v) < math.inf for _, v in rows)
+
     def test_metadata_echoes_only_its_settings(self, tmp_path):
         # a shared config file may set solver settings; potential runs none
         cfg_file = tmp_path / "run.cfg"

@@ -62,6 +62,17 @@ class TestReducedPotential:
         with pytest.raises(CoincidenceError):
             reduced_potential(np.array([1.0, 1e-13]), 1.0)
 
+    @pytest.mark.parametrize("ratio", [1.0, 1e-60])
+    def test_short_range_core_term(self, ratio):
+        # V -> (1/2 - c) / ((1 + c)^(5/2) phi^3), c = (ratio/2pi)^2, also where
+        # 1 - cos(phi) rounds to 0 (|phi| below about 1.5e-8)
+        c = (ratio / TWO_PI) ** 2
+        phi = np.array([1e-11, 1e-9, 1e-7])
+        core = (0.5 - c) / ((1.0 + c) ** 2.5 * phi**3)
+        np.testing.assert_allclose(reduced_potential(phi, ratio), core, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(reduced_potential_derivative(phi, ratio), -3.0 * core / phi,
+                                   rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0, 4.0])
     def test_short_range_repulsive_below_bound(self, ratio):
         phi = np.linspace(1e-4, 0.01, 200)
