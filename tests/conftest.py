@@ -54,13 +54,12 @@ def spectral_oracle():
         return (s * 0.5 * (np.pi * k / length) ** 2) @ s
 
     def solve(grid, potential):
-        n = potential.size
         t = [kinetic(size - 1, (size - 1) * grid.spacing) for size in grid.index.shape]
         if grid.index.ndim == 1:
             op = t[0] + np.diag(potential)
             values, vectors = eigh(op, subset_by_index=(0, 0))
         else:
-            active = grid.index[1:-1, 1:-1] >= 0
+            active, n = grid.index[1:-1, 1:-1] >= 0, potential.size
 
             def apply(v):
                 f = np.zeros(active.shape)
