@@ -9,7 +9,7 @@ from helixdipoles.cli import RunConfig
 from helixdipoles.errors import DimensionError, GeometryError, GridError
 from helixdipoles.linalg import (EigenResult, Solution, SymmetricSparseOperator,
                                  lowest_eigenpairs)
-from helixdipoles.potential import reduced_potential
+from helixdipoles.potential import reduced_potential, reduced_potential_derivative
 from helixdipoles.threebody import (
     FIRST_MINIMUM_XY,
     X_WINDING,
@@ -509,6 +509,71 @@ class TestUnreducedPlane:
         e0, d13 = self.plane(beta, wedge.energies[0])
         assert abs(wedge.energies[0] - e0) < 2e-6
         assert abs(wedge.distances[2] - d13) < 6e-6
+
+
+class TestHarmonicChain:
+    """At strong coupling the trimer settles into the harmonic chain.
+
+    Near the minimum of the chain potential V(phi12) + V(phi23) + V(phi13),
+    with value V_c and Hessian eigenvalues K, the operator -c nabla^2 + beta V
+    has the harmonic ground level E_h(c) = beta V_c + 1/2 sum sqrt(2 c beta K).
+    What is left, E0 - E_h(c), tends to A + B / sqrt(beta) at the operator's
+    own c, and a wrong c leaves a term C sqrt(beta) in it.  E0 is the
+    Richardson value (4 E(0.05) - E(0.1)) / 3 on boxes cropped to the ground
+    state: -5.31466, -30.22622 and -144.64807 at beta = 5, 20 and 80, the
+    30 x 40 values to five digits.  Through the three, C reads -0.001 at
+    c = 1/2 and 1.022 at c = 1/4; the other convention leaves
+    (1/2) sum sqrt(beta K) (1 - 1/sqrt(2)) = 1.02 sqrt(beta) either way.
+    """
+
+    #: The kinetic prefactor the operator carries: -KINETIC_C nabla^2.
+    KINETIC_C = 0.5
+    BOXES = {5.0: (12.0, 16.0), 20.0: (10.0, 13.0), 80.0: (9.0, 12.0)}
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        """Newton steps from FIRST_MINIMUM_XY, the Hessian by central
+        differences of the closed-form gradient: (x, y), V_c and K."""
+        jac = np.column_stack([pair_separations(1.0, 0.0), pair_separations(0.0, 1.0)])
+
+        def gradient(p):
+            return jac.T @ reduced_potential_derivative(jac @ p, 1.0)
+
+        def hessian(p, step=1e-4):
+            return np.column_stack([gradient(p + step * e) - gradient(p - step * e)
+                                    for e in np.eye(2)]) / (2.0 * step)
+
+        p = np.array(FIRST_MINIMUM_XY)
+        for _ in range(6):
+            p = p - np.linalg.solve(hessian(p), gradient(p))
+        return p, float(np.sum(reduced_potential(jac @ p, 1.0))), np.linalg.eigvalsh(hessian(p))
+
+    @pytest.fixture(scope="class")
+    def richardson(self):
+        energies = {}
+        for beta, (x_max, y_max) in self.BOXES.items():
+            e = [solve_three_body(WedgeGrid2D(x_max, y_max, h), beta, 1.0, 1,
+                                  allow_small_box=True).energies[0] for h in (0.1, 0.05)]
+            energies[beta] = (4.0 * e[1] - e[0]) / 3.0
+        return energies
+
+    def test_chain_minimum(self, chain):
+        p, v_c, k = chain
+        assert p == pytest.approx((4.38768, 7.59969), abs=1e-5)
+        assert v_c == pytest.approx(-2.1653632, abs=1e-5)
+        assert k == pytest.approx((6.79494, 19.19582), abs=1e-5)
+
+    @pytest.mark.parametrize("c", [0.5, 0.25])
+    def test_settles_only_at_the_operators_prefactor(self, chain, richardson, c):
+        _, v_c, k = chain
+        betas = np.array(list(richardson))
+        rest = [richardson[b] - b * v_c - 0.5 * np.sum(np.sqrt(2.0 * c * b * k)) for b in betas]
+        _, _, growth = np.linalg.solve(
+            np.column_stack([np.ones(3), betas**-0.5, betas**0.5]), rest)
+        if c == self.KINETIC_C:
+            assert abs(growth) < 0.1
+        else:
+            assert abs(growth) > 0.9
 
 
 class TestMonotonicLocalization:
