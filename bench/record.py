@@ -13,9 +13,10 @@ favours neither.  After each run the record that run wrote,
 read.  The Tier-1 suite is then run and timed once on each side.
 
 The JSON written holds, per workload and per ``BENCHMARK.json`` end-to-end
-metric, each side's runs, median and quartiles, the pairs the head side won
-(a tie counts for neither) and whether its median is worse than the base's
-by more than the metric's bound; the requests attempted and failed; and the
+metric, each side's runs, median, quartiles and drift (the median of its
+later half of runs minus that of its earlier half), the pairs the head side
+won (a tie counts for neither) and whether its median is worse than the
+base's by more than the metric's bound; the requests attempted and failed; and the
 sha256 of every CSV and ``summary.txt`` a run wrote (``metadata.txt``
 echoes its output directory and is left out), with whether every run of
 both sides wrote the same bytes.  It also holds both commits, the
@@ -60,8 +61,16 @@ def pair_wins(base: list[float], head: list[float], better: str) -> int:
     return sum(sign * (h - b) > 0.0 for b, h in zip(base, head))
 
 
+def drift(runs: list[float]) -> float:
+    """Median of the later half of ``runs`` minus that of the earlier half, in
+    run order (an odd count leaves the middle run out): the machine's drift."""
+    half = len(runs) // 2
+    return statistics.median(runs[len(runs) - half:]) - statistics.median(runs[:half])
+
+
 def compare(base: list[float], head: list[float], better: str, bound: float) -> dict:
-    """One metric of both sides: runs, medians, quartiles, pair wins, the bound check.
+    """One metric of both sides: runs, medians, quartiles, drift, pair wins,
+    the bound check.
 
     ``worse_than_bound`` holds when the head median is worse than the base
     median by more than the fraction ``bound`` of it.
@@ -69,7 +78,8 @@ def compare(base: list[float], head: list[float], better: str, bound: float) -> 
     sides = {}
     for name, runs in (("base", base), ("head", head)):
         q1, q3 = quartiles(runs)
-        sides[name] = {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
+        sides[name] = {"median": statistics.median(runs), "q1": q1, "q3": q3,
+                       "drift": drift(runs), "runs": runs}
     mb, mh = sides["base"]["median"], sides["head"]["median"]
     worse = mh - mb if better == "lower" else mb - mh
     return {**sides, "better": better, "bound": bound,
@@ -201,7 +211,8 @@ def main(argv=None) -> int:
     for name, w in result["workloads"].items():
         for metric, m in w["metrics"].items():
             print(f"{name:12s} {metric:14s} {m['base']['median']:12.6g} -> "
-                  f"{m['head']['median']:12.6g} {m['unit']:4s} head won "
+                  f"{m['head']['median']:12.6g} {m['unit']:4s} drift "
+                  f"{m['base']['drift']:+.3g} | {m['head']['drift']:+.3g}, head won "
                   f"{m['head_wins']}/{m['pairs']}"
                   f"{'  WORSE THAN BOUND' if m['worse_than_bound'] else ''}")
         print(f"{name:12s} failed requests {w['requests']['base']['failed']} -> "

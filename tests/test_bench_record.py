@@ -51,6 +51,16 @@ def test_compare_flags_only_a_median_beyond_the_bound():
     assert even["base"]["median"] == 3.0
 
 
+def test_drift_is_the_later_half_median_minus_the_earlier():
+    # a side slowing down from 1.0 to 1.3 s, in run order; medians 1.1 and 1.25
+    slowing = [1.0, 1.2, 1.1, 1.3, 1.25, 1.2]
+    steady = [1.0, 2.0, 1.5, 9.9, 1.5, 1.0, 2.0]  # the odd count's middle run is left out
+    assert record.drift(slowing) == pytest.approx(0.15, rel=0.0, abs=1e-15)
+    assert record.drift(steady) == 0.0
+    m = record.compare(slowing, slowing[::-1], "lower", 0.25)
+    assert m["base"]["drift"] == -m["head"]["drift"] == pytest.approx(0.15, abs=1e-15)
+
+
 def test_output_hashes_leave_out_metadata():
     requests = [{"problem": "two-body", "files": {"summary.txt": {"sha256": "a"},
                                                   "metadata.txt": {"sha256": "b"},
