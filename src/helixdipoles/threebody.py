@@ -7,7 +7,7 @@ so it suffices to solve in the ordered wedge phi1 > phi2 > phi3, i.e.
 {x > 0, y > x/sqrt(3)}, with Dirichlet closure on the wedge edges and on an
 outer rectangle.  Full-plane wave functions for identical bosons or fermions
 are recovered afterwards by summing the wedge solution over the six
-permutations of the particle angles (:func:`exchange_images`).
+permutations of the particle angles (:func:`symmetrize_wavefunction`).
 """
 
 from __future__ import annotations
@@ -211,20 +211,6 @@ def pair_distance_expectations(sol: Solution) -> tuple[float, float, float]:
                  for phi in pair_separations(sol.grid.x, sol.grid.y))
 
 
-def exchange_images(x, y):
-    """Images of the points (x, y) under the six permutations of the particle angles.
-
-    Maps the points to angles at zero center of mass, permutes them and maps
-    back.  Yields ``(x', y', parity)`` per permutation, the identity first;
-    ``parity`` is the permutation's sign, -1 for the three pair swaps.
-    """
-    angles = angles_from_jacobi(x, y)
-    for perm in itertools.permutations(range(3)):
-        ix, iy, _ = jacobi_from_angles(*(angles[i] for i in perm))
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        yield ix, iy, (-1.0) ** inversions
-
-
 def symmetrize_wavefunction(
     sol: ThreeBodySolution,
     statistics: str,
@@ -233,8 +219,9 @@ def symmetrize_wavefunction(
 ) -> tuple[np.ndarray, int]:
     """Sample the full-plane (anti)symmetrized ground state at the points (x, y).
 
-    The zero-padded bilinear interpolant of the wedge solution is summed
-    over the six :func:`exchange_images` of each point, each odd permutation
+    Each point is read once as particle angles at zero center of mass; the
+    zero-padded bilinear interpolant of the wedge solution is summed over the
+    six images that permuting those angles gives, each odd permutation
     weighted by :func:`.twobody.exchange_sign` (-1 for fermions, +1 for bosons).
     The sum makes the output even (bosons) or odd (fermions) under every
     exchange, to rounding, so fermionic output vanishes on the coincidence lines.
@@ -243,7 +230,8 @@ def symmetrize_wavefunction(
         (psi, n_outside): ``psi`` with the shape of ``x`` and ``y`` broadcast
         together, and the count of sample points whose wedge representative
         lies outside the solved box (those samples are zero and flagged
-        rather than extrapolated).
+        rather than extrapolated).  The representative is the image whose
+        angles run phi1 >= phi2 >= phi3; at ties the qualifying images coincide.
     """
     sign = exchange_sign(statistics)
     grid = sol.grid
@@ -265,16 +253,18 @@ def symmetrize_wavefunction(
                 + (1 - tx) * ty * field[i0, j0 + 1]
                 + tx * ty * field[i0 + 1, j0 + 1])
 
-    total = np.zeros(xs.size)
-    for ix, iy, parity in exchange_images(xs, ys):
-        total += (sign if parity < 0 else 1.0) * interpolate(ix, iy)
-
-    # wedge representative outside the solved box -> flagged zero; ordering
-    # the particle angles phi1 >= phi2 >= phi3 maps a point into the wedge.
-    # Its rounding can carry a point on an outer wall a couple of ulps out,
-    # so the walls get a slack of 8 ulps (the interpolant is zero there).
-    wx, wy, _ = jacobi_from_angles(*np.sort(angles_from_jacobi(xs, ys), axis=0)[::-1])
+    # the wedge representative is the image with phi1 >= phi2 >= phi3.  Its
+    # rounding can carry a point on an outer wall a couple of ulps out, so the
+    # walls get a slack of 8 ulps (the interpolant is zero there).
     slack = 8 * np.spacing(max(grid.x_max, grid.y_max))
-    outside = (wx > grid.x_max + slack) | (wy > grid.y_max + slack)
+    angles = angles_from_jacobi(xs, ys)
+    total = np.zeros(xs.size)
+    outside = np.zeros(xs.size, dtype=bool)
+    for perm in itertools.permutations(range(3)):
+        a, b, c = (angles[i] for i in perm)
+        ix, iy, _ = jacobi_from_angles(a, b, c)
+        odd = sum(p > q for p, q in itertools.combinations(perm, 2)) % 2
+        total += (sign if odd else 1.0) * interpolate(ix, iy)
+        outside |= (a >= b) & (b >= c) & ((ix > grid.x_max + slack) | (iy > grid.y_max + slack))
     total[outside] = 0.0
     return total.reshape(X.shape), int(outside.sum())

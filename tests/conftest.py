@@ -1,6 +1,8 @@
 """Shared fixtures; the production-size three-body solves are expensive and
 session-scoped so the acceptance criteria and module tests reuse them."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,8 @@ from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from helixdipoles import linalg
 from helixdipoles.linalg import EigenResult, Solution, SymmetricSparseOperator, lowest_eigenpairs
-from helixdipoles.threebody import WedgeGrid2D, solve_three_body
+from helixdipoles.threebody import (WedgeGrid2D, angles_from_jacobi, jacobi_from_angles,
+                                   solve_three_body)
 from helixdipoles.twobody import Grid1D, assemble_hamiltonian_1d, solve_two_body
 
 
@@ -32,6 +35,23 @@ def dense_oracle():
         residuals = np.linalg.norm(op.csr @ vectors - vectors * values, axis=0)
         return EigenResult(values, vectors, residuals, method="dense")
     return solve
+
+
+@pytest.fixture(scope="session")
+def exchange_images():
+    """Images of the points (x, y) under the six permutations of the particle angles.
+
+    Maps the points to angles at zero center of mass, permutes them and maps
+    back.  Yields ``(x', y', parity)`` per permutation, the identity first;
+    ``parity`` is the permutation's sign, -1 for the three pair swaps.
+    """
+    def images(x, y):
+        angles = angles_from_jacobi(x, y)
+        for perm in itertools.permutations(range(3)):
+            ix, iy, _ = jacobi_from_angles(*(angles[i] for i in perm))
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            yield ix, iy, (-1.0) ** inversions
+    return images
 
 
 @pytest.fixture(scope="session")

@@ -40,7 +40,6 @@ from helixdipoles.potential import (
 from helixdipoles.threebody import (
     WedgeGrid2D,
     assemble_hamiltonian_2d,
-    exchange_images,
     solve_three_body,
     symmetrize_wavefunction,
 )
@@ -298,7 +297,7 @@ def test_criterion_08_analytic_spectra():
 # --- 9. symmetry and exactness properties ---------------------------------------
 
 def test_criterion_09_symmetry_exactness(three_body_beta1, three_body_beta2,
-                                         three_body_beta025):
+                                         three_body_beta025, exchange_images):
     additivity = max(
         abs(sol.distances[2] - sol.distances[0] - sol.distances[1])
         for sol in (three_body_beta1, three_body_beta2, three_body_beta025)

@@ -18,7 +18,6 @@ from helixdipoles.threebody import (
     WedgeGrid2D,
     angles_from_jacobi,
     assemble_hamiltonian_2d,
-    exchange_images,
     jacobi_from_angles,
     pair_distance_expectations,
     pair_separations,
@@ -89,7 +88,7 @@ class TestJacobiTransform:
                                    (p1 - p2, p2 - p3, p1 - p3), rtol=0.0, atol=1e-12)
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
-    def test_exchange_images_permute_the_pair_separations(self, x, y):
+    def test_exchange_images_permute_the_pair_separations(self, exchange_images, x, y):
         # an exchange permutes the pair distances and multiplies the product
         # phi12 phi23 phi13 (the Vandermonde of the angles) by its sign
         seps = pair_separations(x, y)
@@ -103,15 +102,6 @@ class TestJacobiTransform:
                                        rtol=0.0, atol=1e-12)
             assert np.prod(moved) == pytest.approx(parity * np.prod(seps),
                                                    rel=0.0, abs=1e-12 * scale**3)
-
-    @given(st.floats(-50, 50), st.floats(-50, 50))
-    def test_ordered_angles_give_the_wedge_image(self, x, y):
-        # symmetrize_wavefunction finds a sample's wedge representative by
-        # ordering the particle angles phi1 >= phi2 >= phi3
-        rx, ry, _ = jacobi_from_angles(*np.sort(angles_from_jacobi(x, y))[::-1])
-        gaps = [math.hypot(ix - rx, iy - ry) for ix, iy, _ in exchange_images(x, y)]
-        assert min(gaps) < 1e-12
-        assert rx >= 0.0 and ry >= rx / math.sqrt(3.0) - 1e-12
 
     def test_pair_separations_at_peak(self):
         x, y = FIRST_MINIMUM_XY
@@ -588,7 +578,8 @@ class TestMonotonicLocalization:
 
 class TestSymmetrization:
     @pytest.mark.parametrize("statistics", ["boson", "fermion"])
-    def test_even_or_odd_under_exchange(self, three_body_beta1, statistics):
+    def test_even_or_odd_under_exchange(self, three_body_beta1, exchange_images,
+                                        statistics):
         # bosons keep their value at every image, fermions take its parity
         rng = np.random.default_rng(17)
         pts = rng.uniform(-15.0, 15.0, size=(2, 500))
@@ -609,7 +600,7 @@ class TestSymmetrization:
         )
         assert np.max(np.abs(psi2)) < 1e-9
 
-    def test_three_copy_structure(self, three_body_beta1):
+    def test_three_copy_structure(self, three_body_beta1, exchange_images):
         # the in-wedge peak reappears at its rotated images with equal value
         x0, y0 = FIRST_MINIMUM_XY
         val0 = symmetrize_wavefunction(three_body_beta1, "boson", x0, y0)[0]
@@ -627,7 +618,8 @@ class TestSymmetrization:
         assert n_outside == 1
         assert psi.shape == (1,) and psi[0] == 0.0
 
-    def test_outer_wall_images_not_flagged(self, three_body_beta1, three_body_beta2):
+    def test_outer_wall_images_not_flagged(self, three_body_beta1, three_body_beta2,
+                                          exchange_images):
         # exchange images of points exactly on x = x_max and y = y_max
         # lie on the box, not outside it, whatever the image map's rounding
         grid = three_body_beta1.grid
