@@ -16,8 +16,8 @@ The JSON written holds, per workload and per ``BENCHMARK.json`` end-to-end
 metric, each side's runs, median, quartiles and drift (the median of its
 later half of runs minus that of its earlier half), the pairs the head side
 won (a tie counts for neither) and whether its median is worse than the
-base's by more than the metric's bound; the requests attempted and failed; and the
-sha256 of every CSV and ``summary.txt`` a run wrote (``metadata.txt``
+base's by more than the metric's bound; the requests attempted and failed;
+and the sha256 of every CSV and ``summary.txt`` a run wrote (``metadata.txt``
 echoes its output directory and is left out), with whether every run of
 both sides wrote the same bytes.  It also holds both commits, the
 environment, and each side's Tier-1 passed count and wall time.  Nothing

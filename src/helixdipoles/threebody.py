@@ -5,9 +5,10 @@ relative coordinates (x, y) and a center-of-mass coordinate z that decouples.
 The hard pair cores make the wave function vanish whenever two angles agree,
 so it suffices to solve in the ordered wedge phi1 > phi2 > phi3, i.e.
 {x > 0, y > x/sqrt(3)}, with Dirichlet closure on the wedge edges and on an
-outer rectangle.  Full-plane wave functions for identical bosons or fermions
-are recovered afterwards by summing the wedge solution over the six
-permutations of the particle angles (:func:`symmetrize_wavefunction`).
+outer rectangle.  :func:`symmetrize_wavefunction` recovers full-plane wave
+functions for identical bosons or fermions by summing the wedge solution over
+the six permutations of a sample's particle angles; the permutation that
+orders them phi1 >= phi2 >= phi3 gives the sample's wedge representative.
 """
 
 from __future__ import annotations
@@ -228,10 +229,9 @@ def symmetrize_wavefunction(
 
     Returns:
         (psi, n_outside): ``psi`` with the shape of ``x`` and ``y`` broadcast
-        together, and the count of sample points whose wedge representative
-        lies outside the solved box (those samples are zero and flagged
-        rather than extrapolated).  The representative is the image whose
-        angles run phi1 >= phi2 >= phi3; at ties the qualifying images coincide.
+        together, and the count of sample points whose wedge representative,
+        the image with phi1 >= phi2 >= phi3, lies outside the solved box
+        (those samples are zero and flagged rather than extrapolated).
     """
     sign = exchange_sign(statistics)
     grid = sol.grid
@@ -253,9 +253,9 @@ def symmetrize_wavefunction(
                 + (1 - tx) * ty * field[i0, j0 + 1]
                 + tx * ty * field[i0 + 1, j0 + 1])
 
-    # the wedge representative is the image with phi1 >= phi2 >= phi3.  Its
-    # rounding can carry a point on an outer wall a couple of ulps out, so the
-    # walls get a slack of 8 ulps (the interpolant is zero there).
+    # images with phi1 >= phi2 >= phi3 coincide at ties.  Rounding can carry
+    # one on an outer wall a couple of ulps out, so the walls get a slack of
+    # 8 ulps (the interpolant is zero there).
     slack = 8 * np.spacing(max(grid.x_max, grid.y_max))
     angles = angles_from_jacobi(xs, ys)
     total = np.zeros(xs.size)
